@@ -123,39 +123,24 @@ DEFAULTS = {
 }
 
 _NUM = "number"
-_SCHEMA = {
-    "command": str,
-    "seed": int,
-    "field": {
-        "kind": str,
-        "mass": _NUM,
-        "momentum": list,
-        "spin_up": bool,
-        "components": list,
-    },
-    "grid": {"origin": list, "spacing": list, "dims": list},
-    "couplings": {"q": _NUM, "m": _NUM, "X": _NUM, "M_torsion": _NUM},
-    "tolerances": {
-        "algebraic": _NUM,
-        "roundtrip": _NUM,
-        "equivalence": _NUM,
-        "curvature": _NUM,
-        "constraints": _NUM,
-        "continuity": _NUM,
-        "order_band": _NUM,
-    },
-    "counts": {"transforms": int, "spinors": int},
-    "suites": list,
-    "output": {"report": (str, type(None)), "csv": str, "combined": bool},
-    "trajectories": {
-        "points": list,
-        "t0": _NUM,
-        "t1": _NUM,
-        "dt": _NUM,
-        "eps_sing": _NUM,
-    },
-    "decompose": {"spinor": list},
-}
+
+
+def _schema(default):
+    """Expected type of each config leaf, read off its default value.
+
+    Floats accept any number, None accepts a string or None; every other
+    leaf must keep the type of its default.
+    """
+    if isinstance(default, dict):
+        return {key: _schema(value) for key, value in default.items()}
+    if default is None:
+        return (str, type(None))
+    if isinstance(default, float):
+        return _NUM
+    return type(default)
+
+
+_SCHEMA = _schema(DEFAULTS)
 
 
 def _type_ok(value, spec) -> bool:

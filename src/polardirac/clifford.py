@@ -40,6 +40,12 @@ _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+_ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def _flip(vec):
+    """Raise or lower the trailing index: a sign flip, as METRIC is diagonal."""
+    return vec * _ETA_DIAG
 
 
 def minkowski_dot(a, b) -> np.ndarray:
@@ -260,6 +266,17 @@ def boost_matrices(chi) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
+def _rotation_block(mag, axis) -> np.ndarray:
+    """SU(2) block cos(|theta|/2) I - i sin(|theta|/2) n.sigma, shape (..., 2, 2).
+
+    mag and axis are the angle and unit axis returned by _unit_axis.
+    """
+    half = 0.5 * mag
+    c, s = np.cos(half), np.sin(half)
+    ns = np.einsum("...k,kij->...ij", axis, PAULI)
+    return c[..., None, None] * _I2 - 1j * s[..., None, None] * ns
+
+
 def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form pure rotation for a batch of angle vectors.
 
@@ -268,10 +285,7 @@ def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     """
     theta = np.asarray(theta, dtype=float)
     mag, axis = _unit_axis(theta)
-    half = 0.5 * mag
-    c, s = np.cos(half), np.sin(half)
-    ns = np.einsum("...k,kij->...ij", axis, PAULI)
-    block = c[..., None, None] * _I2 - 1j * s[..., None, None] * ns
+    block = _rotation_block(mag, axis)
     lam = np.zeros(theta.shape[:-1] + (4, 4), dtype=complex)
     lam[..., :2, :2] = block
     lam[..., 2:, 2:] = block

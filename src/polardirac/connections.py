@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import BASIS, METRIC, boost_matrices, rotation_matrices
+from .clifford import (
+    _ETA_DIAG,
+    BASIS,
+    METRIC,
+    _flip,
+    boost_matrices,
+    rotation_matrices,
+)
 from .errors import (
     BasisLeak,
     GridMismatch,
@@ -37,7 +44,8 @@ from .polar import PolarData, decompose
 
 _SIGMA = BASIS.sigma
 _SIGMA_CONJ = np.conj(BASIS.sigma)
-_ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+# R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
+_ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,13 @@ class GoldstoneDerivatives:
         return self.dxi.shape[:-1]
 
 
+def _log_derivative(lf: TransformField) -> np.ndarray:
+    """X_mu = L^{-1} d_mu L on the grid, layout [..., row, col, mu]."""
+    l_inv = np.linalg.inv(lf.matrices)
+    dl = grid_gradient(lf.matrices, lf.spacing, lf.dims)
+    return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
+
+
 def _project_log_derivative(x_mats: np.ndarray, q: float):
     """Split X_mu = L^{-1} d_mu L into phase, spin and leak parts.
 
@@ -185,42 +200,37 @@ def _project_log_derivative(x_mats: np.ndarray, q: float):
     return dxi, dxi_ab, leak
 
 
-def _leak_tolerance(spacing, dims, leak_scale: float, override):
-    """Per-direction thresholds for the out-of-algebra residual.
+def _check_leak(x_mats, leak, lf: TransformField, override) -> None:
+    """Raise BasisLeak where the out-of-algebra residual is too large.
 
-    Finite differences of a genuine group field leak out of the algebra
-    at O(h^2 |X|^2) through the quadratic exponential terms, so the
-    tolerance scales with the measured derivative magnitude; the floor
-    1e-8 h^2 covers the near-constant case.
+    x_mats and leak come from one site or a whole grid.  Finite
+    differences of a genuine group field leak out of the algebra at
+    O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
+    tolerance scales with the largest |X_mu|; the floor 1e-8 h^2 covers
+    the near-constant case.  override replaces it on every axis.
     """
     if override is not None:
-        return np.full(4, float(override))
-    tol = np.empty(4)
-    for ax in range(4):
-        h = spacing[ax]
-        tol[ax] = h * h * max(1e-8, 10.0 * leak_scale**2)
-        if dims[ax] == 1:
-            tol[ax] = max(tol[ax], 1e-300)
-    return tol
-
-
-def goldstone_derivatives(
-    lf: TransformField, leak_tol: float | None = None
-) -> GoldstoneDerivatives:
-    """Grid-wide Goldstone derivative extraction with basis-leak check."""
-    l_inv = np.linalg.inv(lf.matrices)
-    dl = grid_gradient(lf.matrices, lf.spacing, lf.dims)
-    x = np.einsum("...ij,...jkm->...ikm", l_inv, dl)
-    dxi, dxi_ab, leak = _project_log_derivative(x, lf.q)
-    scale = float(np.max(np.linalg.norm(x, axis=(-3, -2)))) if x.size else 0.0
-    tol = _leak_tolerance(lf.spacing, lf.dims, scale, leak_tol)
-    worst = np.max(leak, axis=tuple(range(leak.ndim - 1)))
+        tol = np.full(4, float(override))
+    else:
+        norms = np.linalg.norm(x_mats, axis=(-3, -2))
+        scale = float(np.max(norms)) if norms.size else 0.0
+        tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
+    worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
         if lf.dims[ax] > 1 and worst[ax] > tol[ax]:
             raise BasisLeak(
                 f"log-derivative leak {worst[ax]:.3e} along axis {ax} "
                 f"exceeds {tol[ax]:.3e}; L is not a group-valued field"
             )
+
+
+def goldstone_derivatives(
+    lf: TransformField, leak_tol: float | None = None
+) -> GoldstoneDerivatives:
+    """Grid-wide Goldstone derivative extraction with basis-leak check."""
+    x = _log_derivative(lf)
+    dxi, dxi_ab, leak = _project_log_derivative(x, lf.q)
+    _check_leak(x, leak, lf, leak_tol)
     return GoldstoneDerivatives(
         dxi=dxi,
         dxi_ab=dxi_ab,
@@ -264,14 +274,7 @@ def goldstone_derivative(
             )
         x_mats[:, :, ax] = l_inv @ dl
     dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
-    scale = float(np.max(np.linalg.norm(x_mats, axis=(0, 1))))
-    tol = _leak_tolerance(lf.spacing, lf.dims, scale, leak_tol)
-    for ax in range(4):
-        if lf.dims[ax] > 1 and leak[ax] > tol[ax]:
-            raise BasisLeak(
-                f"log-derivative leak {leak[ax]:.3e} along axis {ax} "
-                f"exceeds {tol[ax]:.3e}; L is not a group-valued field"
-            )
+    _check_leak(x_mats, leak, lf, leak_tol)
     return dxi, dxi_ab, leak
 
 
@@ -367,7 +370,7 @@ def covariant_derivative_check(
     res_spinor = np.linalg.norm(nabla_psi - rhs, axis=-2)
 
     def transport(vec):
-        low = vec * _ETA_DIAG
+        low = _flip(vec)
         dlow = grid_gradient(low, g.spacing, g.dims)
         dlow = dlow - np.einsum("...jim,...j->...im", om, vec)
         rhs_t = np.einsum("...jim,...j->...im", cf.R, vec)
@@ -378,6 +381,15 @@ def covariant_derivative_check(
         s_transport=transport(pd.s),
         u_transport=transport(pd.u),
     )
+
+
+def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
+    """F_{mu nu} = -(d_mu P_nu - d_nu P_mu)/q, the gauge field strength.
+
+    dp is the grid gradient of P, layout [..., nu, mu] = d_mu P_nu; the
+    result has layout [..., mu, nu].
+    """
+    return -(np.swapaxes(dp, -1, -2) - dp) / q
 
 
 @dataclass(frozen=True)
@@ -401,17 +413,17 @@ def curvatures(
     vanishes identically for pure-gauge R and reproduces the curvature of
     omega itself when the Goldstone part is trivial.
 
-    F_{mu nu} = -(d_mu P_nu - d_nu P_mu)/q, the gauge field strength.
+    F is the gauge field strength, see field_strength.
 
     goldstone_flat (when an L field is supplied) is the pointwise norm of
     dG - dG + [G, G] for G = L^{-1} dL, which is zero for any group-valued
     L up to discretization error.
     """
-    r_up = np.einsum("ik,...kjm->...ijm", METRIC, cf.R)
+    r_up = cf.R * _ETA_DIAG[:, None, None]
     dr = grid_gradient(r_up, cf.spacing, cf.dims)  # [i, j, nu, mu]
     cov = np.ascontiguousarray(np.swapaxes(dr, -1, -2))  # [i, j, mu, nu]
     if omega is not None:
-        om_up = np.einsum("ik,...kjm->...ijm", METRIC, omega)
+        om_up = omega * _ETA_DIAG[:, None, None]
         cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
         cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
     quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
@@ -422,14 +434,11 @@ def curvatures(
         - np.swapaxes(quad, -1, -2)
     )
 
-    dp = grid_gradient(cf.P, cf.spacing, cf.dims)  # [nu, mu]
-    f = -(np.swapaxes(dp, -1, -2) - dp) / q  # F[mu, nu] = -(d_mu P_nu - d_nu P_mu)/q
+    f = field_strength(grid_gradient(cf.P, cf.spacing, cf.dims), q)
 
     flat = None
     if lfield is not None:
-        l_inv = np.linalg.inv(lfield.matrices)
-        dl = grid_gradient(lfield.matrices, lfield.spacing, lfield.dims)
-        gmat = np.einsum("...ij,...jkm->...ikm", l_inv, dl)
+        gmat = _log_derivative(lfield)
         dg = grid_gradient(gmat, lfield.spacing, lfield.dims)  # [i,j,mu,nu]
         comm = np.einsum("...ikm,...kjn->...ijmn", gmat, gmat)
         curv = (
@@ -463,9 +472,9 @@ def irreducible_split(r) -> IrreducibleSplit:
     if np.max(np.abs(skew)) > 1e-12 * scale:
         raise NotAntisymmetric("input must be antisymmetric in its first two indices")
     ra = np.einsum("...acd,cd->...a", r, METRIC)
-    r_all_up = r * _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG[None, None, :]
+    r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
-    ba_up = ba_low * _ETA_DIAG
+    ba_up = _flip(ba_low)
     trace_part = (
         np.einsum("...i,jk->...ijk", ra, METRIC)
         - np.einsum("...j,ik->...ijk", ra, METRIC)
@@ -476,7 +485,7 @@ def irreducible_split(r) -> IrreducibleSplit:
 
 def reassemble_split(sp: IrreducibleSplit) -> np.ndarray:
     """Inverse of irreducible_split."""
-    ba_up = sp.Ba * _ETA_DIAG
+    ba_up = _flip(sp.Ba)
     return (
         sp.Pi
         + (
@@ -525,24 +534,19 @@ def divergence_constraints(
             "the divergence identities only hold for flat connections"
         )
     sp = irreducible_split(cf.R)
-    ba_up = sp.Ba * _ETA_DIAG
-    ra_up = sp.Ra * _ETA_DIAG
+    ba_up = _flip(sp.Ba)
+    ra_up = _flip(sp.Ra)
     div_b = np.trace(
         grid_gradient(ba_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
     )
     div_r = np.trace(
         grid_gradient(ra_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
     )
-    r_first_up = np.einsum("kl,...lsn->...ksn", METRIC, cf.R)
+    r_first_up = cf.R * _ETA_DIAG[:, None, None]
     quad_b = np.einsum(
         "asmn,...kam,...ksn->...", BASIS.epsilon_upper, cf.R, r_first_up
     )
-    r_all_up = (
-        cf.R
-        * _ETA_DIAG[:, None, None]
-        * _ETA_DIAG[None, :, None]
-        * _ETA_DIAG[None, None, :]
-    )
+    r_all_up = cf.R * _ETA_UP3
     rr = np.einsum("...amn,...amn->...", r_all_up, cf.R)
     bb = np.sum(ba_up * sp.Ba, axis=-1)
     rvrv = np.sum(ra_up * sp.Ra, axis=-1)

@@ -14,27 +14,22 @@ indices has eps_{0123} = +1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .clifford import BASIS, METRIC
+from .clifford import _ETA_DIAG, BASIS, METRIC, _flip
 from .connections import (
     ConnectionField,
     ExternalPotentials,
-    curvatures,
+    field_strength,
     irreducible_split,
     polar_pipeline,
 )
 from .errors import PreconditionViolated
 from .fields import GridField, grid_gradient
 
-_ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 _SIGMA = BASIS.sigma
-
-
-def _flip(vec):
-    """Raise a lower index or lower an upper one (diagonal +--- metric)."""
-    return vec * _ETA_DIAG
 
 
 def _mink_sq(vec):
@@ -51,7 +46,12 @@ def _box(scalar, spacing, dims):
 
 @dataclass(frozen=True)
 class PolarFields:
-    """Module, chiral angle, velocity and spin fields plus their connections."""
+    """Module, chiral angle, velocity and spin fields plus their connections.
+
+    The derived fields (dbeta, dlnphi2, sigma_m, dP, F) are computed on
+    first use and kept for the life of the instance; dataclasses.replace
+    returns a new instance that computes them afresh.
+    """
 
     phi: np.ndarray
     beta: np.ndarray
@@ -79,6 +79,31 @@ class PolarFields:
     @property
     def grid_shape(self):
         return self.cf.grid_shape
+
+    @cached_property
+    def dbeta(self) -> np.ndarray:
+        """d_m beta, grid + (4,)."""
+        return grid_gradient(self.beta, self.spacing, self.dims)
+
+    @cached_property
+    def dlnphi2(self) -> np.ndarray:
+        """d_m ln(phi^2), grid + (4,)."""
+        return grid_gradient(np.log(self.phi**2), self.spacing, self.dims)
+
+    @cached_property
+    def sigma_m(self) -> "SigmaM":
+        """sigma_m_potentials of these fields."""
+        return sigma_m_potentials(self)
+
+    @cached_property
+    def dP(self) -> np.ndarray:
+        """d_m P_n with layout [..., n, m]."""
+        return grid_gradient(self.cf.P, self.spacing, self.dims)
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """Field strength of the connection P, layout [..., m, n]."""
+        return field_strength(self.dP, self.ext.q)
 
 
 def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
@@ -161,15 +186,16 @@ def polar_dirac_residuals(pf: PolarFields) -> PolarDiracResiduals:
     res1_m = d_m beta - 2 X W_m + M_m + 2 m s_m cos(beta)
     res2_m = d_m ln(phi^2) + Sigma_m + 2 m s_m sin(beta)
     """
-    sm = sigma_m_potentials(pf)
+    sm = pf.sigma_m
     w = pf.ext.w_field(pf.grid_shape)
     s_low = _flip(pf.s)
-    dbeta = grid_gradient(pf.beta, pf.spacing, pf.dims)
-    dlnphi2 = grid_gradient(np.log(pf.phi**2), pf.spacing, pf.dims)
     cos_b = np.cos(pf.beta)[..., None]
     sin_b = np.sin(pf.beta)[..., None]
-    res1 = dbeta - 2.0 * pf.ext.X * w + sm.M_vec + 2.0 * pf.ext.m * s_low * cos_b
-    res2 = dlnphi2 + sm.Sigma_vec + 2.0 * pf.ext.m * s_low * sin_b
+    res1 = (
+        pf.dbeta - 2.0 * pf.ext.X * w + sm.M_vec
+        + 2.0 * pf.ext.m * s_low * cos_b
+    )
+    res2 = pf.dlnphi2 + sm.Sigma_vec + 2.0 * pf.ext.m * s_low * sin_b
     return PolarDiracResiduals(res1=res1, res2=res2)
 
 
@@ -188,10 +214,8 @@ def quantum_potentials(pf: PolarFields) -> QuantumPotentials:
     """
     sp = irreducible_split(pf.cf.R)
     w = pf.ext.w_field(pf.grid_shape)
-    dbeta = grid_gradient(pf.beta, pf.spacing, pf.dims)
-    dlnphi2 = grid_gradient(np.log(pf.phi**2), pf.spacing, pf.dims)
-    y = 0.5 * (dbeta - 2.0 * pf.ext.X * w + sp.Ba)
-    z = -0.5 * (dlnphi2 + sp.Ra)
+    y = 0.5 * (pf.dbeta - 2.0 * pf.ext.X * w + sp.Ba)
+    z = -0.5 * (pf.dlnphi2 + sp.Ra)
     return QuantumPotentials(Y=y, Z=z)
 
 
@@ -288,12 +312,11 @@ def second_order_residuals(
             f"max |R| = {r_max:.3e} > {r_tol:.3e}: the standard balance "
             "equation assumes a vanishing tensorial connection"
         )
-    sm = sigma_m_potentials(pf)
+    sm = pf.sigma_m
     ext = pf.ext
     w = ext.w_field(pf.grid_shape)
     m, x_coup, mt = ext.m, ext.X, ext.M_torsion
 
-    dbeta = grid_gradient(pf.beta, pf.spacing, pf.dims)
     box_phi = _box(pf.phi, pf.spacing, pf.dims)
     box_over_phi = box_phi / pf.phi
 
@@ -307,18 +330,17 @@ def second_order_residuals(
     w_sq = _mink_sq(w)
 
     res_general = (
-        0.25 * _mink_sq(dbeta)
+        0.25 * _mink_sq(pf.dbeta)
         - m**2
         - box_over_phi
         + 0.25 * (-2.0 * div_sigma + sig_sq - m_sq + 4.0 * x_coup * wm
                   - 4.0 * x_coup**2 * w_sq)
     )
 
-    f = curvatures(pf.cf, q=ext.q).F
     f_term = np.einsum(
         "mnrs,...mn,...r,...s->...",
         BASIS.epsilon_upper,
-        f,
+        pf.F,
         _flip(pf.u),
         _flip(pf.s),
     )
@@ -354,7 +376,7 @@ def _spin_energy(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
     u_low = _flip(pf.u)
     yu = np.einsum("...m,...m->...", qp.Y, pf.u)
     r = pf.cf.R
-    r_last_up = np.einsum("...anm,ms->...ans", r, METRIC)
+    r_last_up = _flip(r)
 
     e = (
         np.einsum("rk,...s->...rsk", eta_up, y_up)
@@ -387,39 +409,32 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
         "...rsk,...k->...rs", e, _flip(pf.s)
     )
 
-    ext = pf.ext
-    if ext.A is not None:
-        da = grid_gradient(ext.a_field(pf.grid_shape), pf.spacing, pf.dims)
-        f_low = np.swapaxes(da, -1, -2) - da  # F_{mn} = d_m A_n - d_n A_m
-        f_mixed = np.einsum("rm,...mn->...rn", METRIC, f_low)  # F^r{}_n
-        f_up = np.einsum("...rn,ns->...rs", f_mixed, METRIC)
+    def add_field_energy(t, v_low):
+        """t + F^2 eta/4 - F^{ra} F^s_a for F_{mn} = d_m v_n - d_n v_m."""
+        dv = grid_gradient(v_low, pf.spacing, pf.dims)
+        f_low = np.swapaxes(dv, -1, -2) - dv
+        f_mixed = f_low * _ETA_DIAG[:, None]  # F^r{}_n
+        f_up = _flip(f_mixed)
         f_sq = np.einsum("...mn,...mn->...", f_up, f_low)
-        t = t + 0.25 * f_sq[..., None, None] * METRIC - np.einsum(
+        return t + 0.25 * f_sq[..., None, None] * METRIC - np.einsum(
             "...ra,...sa->...rs", f_up, f_mixed
         )
+
+    ext = pf.ext
+    if ext.A is not None:
+        t = add_field_energy(t, ext.a_field(pf.grid_shape))
     if ext.W is not None:
         w_low = ext.w_field(pf.grid_shape)
-        dw = grid_gradient(w_low, pf.spacing, pf.dims)
-        pw_low = np.swapaxes(dw, -1, -2) - dw
-        pw_mixed = np.einsum("rm,...mn->...rn", METRIC, pw_low)
-        pw_up = np.einsum("...rn,ns->...rs", pw_mixed, METRIC)
-        pw_sq = np.einsum("...mn,...mn->...", pw_up, pw_low)
+        t = add_field_energy(t, w_low)
         w_up = _flip(w_low)
-        w_sq = np.einsum("...m,...m->...", w_up, w_low)
-        t = t + 0.25 * pw_sq[..., None, None] * METRIC
-        t = t - np.einsum("...sa,...ra->...rs", pw_up, pw_mixed)
         t = t + ext.M_torsion**2 * (
             np.einsum("...r,...s->...rs", w_up, w_up)
-            - 0.5 * w_sq[..., None, None] * METRIC
+            - 0.5 * _mink_sq(w_low)[..., None, None] * METRIC
         )
 
-    p_up = _flip(pf.cf.P)
-    dp = grid_gradient(p_up, pf.spacing, pf.dims)  # [..., s, n] = d_n P^s
-    advect = np.einsum("...sn,...n->...s", dp, pf.u)
-    f_conn = curvatures(pf.cf, q=ext.q).F
-    f_conn_up = np.einsum(
-        "rm,...mn,ns->...rs", METRIC, f_conn, METRIC
-    )
+    dp_up = pf.dP * _ETA_DIAG[:, None]  # [..., s, n] = d_n P^s
+    advect = np.einsum("...sn,...n->...s", dp_up, pf.u)
+    f_conn_up = _flip(pf.F * _ETA_DIAG[:, None])
     newton = advect - ext.q * np.einsum(
         "...sa,...a->...s", f_conn_up, _flip(pf.u)
     )

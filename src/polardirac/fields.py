@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import boost_matrices, minkowski_dot, rotation_matrices
+from .clifford import _flip, boost_matrices, minkowski_dot, rotation_matrices
 from .errors import MassMismatch, OffShell, OutOfBounds
 from .polar import REFERENCE, _axis_angle_from_z
 
@@ -30,13 +30,6 @@ REST_SPINORS = {
     True: np.array([1.0, 0.0, 1.0, 0.0], dtype=complex),
     False: np.array([0.0, 1.0, 0.0, 1.0], dtype=complex),
 }
-
-
-def _lower(p: np.ndarray) -> np.ndarray:
-    """Lower a 4-vector index with diag(+,-,-,-)."""
-    out = np.array(p, dtype=float)
-    out[..., 1:] *= -1.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class AnalyticField:
         """Exact partial derivatives, shape (..., 4 spinor, 4 mu), lower mu."""
         x = np.asarray(x, dtype=float)
         phases = np.exp(-1j * minkowski_dot(x[..., None, :], self.momenta))
-        p_low = _lower(self.momenta)
+        p_low = _flip(self.momenta)
         return np.einsum(
             "n,...n,nc,nm->...cm",
             self.coefficients,
@@ -272,13 +265,13 @@ def grid_gradient(arr: np.ndarray, spacing, dims) -> np.ndarray:
     axes of extent 1 contribute zeros.
     """
     spacing = np.asarray(spacing, dtype=float)
-    outs = []
+    arr = np.asarray(arr)
+    dtype = arr.dtype if np.issubdtype(arr.dtype, np.inexact) else float
+    out = np.zeros(arr.shape + (4,), dtype=dtype)
     for ax in range(4):
-        if dims[ax] == 1:
-            outs.append(np.zeros_like(arr))
-        else:
-            outs.append(np.gradient(arr, spacing[ax], axis=ax, edge_order=2))
-    return np.stack(outs, axis=-1)
+        if dims[ax] > 1:
+            out[..., ax] = np.gradient(arr, spacing[ax], axis=ax, edge_order=2)
+    return out
 
 
 def interior(dims, margin: int = 2) -> tuple:

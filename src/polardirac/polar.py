@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import PAULI, boost_matrices, goldstone_matrices, minkowski_dot
+from .clifford import (
+    PAULI,
+    _rotation_block,
+    _unit_axis,
+    boost_matrices,
+    goldstone_matrices,
+    minkowski_dot,
+)
 from .errors import InvalidPolar, SingularSpinor, ZeroSpinor
 
 #: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
@@ -173,19 +180,7 @@ def decompose_pauli(chi2) -> tuple[PauliPolarData, np.ndarray]:
         np.einsum("...i,kij,...j->...k", chi2.conj(), PAULI, chi2)
     ) / norm2[..., None]
     theta = _axis_angle_from_z(svec)
-
-    half = 0.5 * np.linalg.norm(theta, axis=-1)
-    axis = np.where(
-        np.linalg.norm(theta, axis=-1, keepdims=True) > 1e-300,
-        theta,
-        [0.0, 0.0, 1.0],
-    )
-    axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
-    ns = np.einsum("...k,kij->...ij", axis, PAULI)
-    rot = (
-        np.cos(half)[..., None, None] * np.eye(2)
-        - 1j * np.sin(half)[..., None, None] * ns
-    )
+    rot = _rotation_block(*_unit_axis(theta))
     candidate = phi[..., None] * rot[..., :, 0]
     overlap = np.sum(np.conj(candidate) * chi2, axis=-1)
     delta = np.angle(overlap)
@@ -195,18 +190,7 @@ def decompose_pauli(chi2) -> tuple[PauliPolarData, np.ndarray]:
 def reconstruct_pauli(p: PauliPolarData, delta) -> np.ndarray:
     """Inverse of decompose_pauli."""
     theta = np.asarray(p.rotation, dtype=float)
-    half = 0.5 * np.linalg.norm(theta, axis=-1)
-    axis = np.where(
-        np.linalg.norm(theta, axis=-1, keepdims=True) > 1e-300,
-        theta,
-        [0.0, 0.0, 1.0],
-    )
-    axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
-    ns = np.einsum("...k,kij->...ij", axis, PAULI)
-    rot = (
-        np.cos(half)[..., None, None] * np.eye(2)
-        - 1j * np.sin(half)[..., None, None] * ns
-    )
+    rot = _rotation_block(*_unit_axis(theta))
     phase = np.exp(1j * np.asarray(delta, dtype=float))
     return (np.asarray(p.phi) * phase)[..., None] * rot[..., :, 0]
 

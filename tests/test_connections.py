@@ -10,6 +10,7 @@ from polardirac.connections import (
     covariant_derivative_check,
     curvatures,
     divergence_constraints,
+    field_strength,
     goldstone_derivative,
     goldstone_derivatives,
     irreducible_split,
@@ -25,7 +26,13 @@ from polardirac.errors import (
     NotAntisymmetric,
     PreconditionViolated,
 )
-from polardirac.fields import interior, plane_wave, sample, superpose
+from polardirac.fields import (
+    grid_gradient,
+    interior,
+    plane_wave,
+    sample,
+    superpose,
+)
 from polardirac.polar import decompose
 
 
@@ -336,6 +343,22 @@ def test_faraday_of_phase_gradient():
     assert np.max(np.abs(curv.F[sl])) < 5e-3
     # F is antisymmetric by construction
     npt.assert_allclose(curv.F, -np.swapaxes(curv.F, -1, -2), atol=0.0)
+
+
+def test_field_strength_matches_curvatures_exactly():
+    rng = np.random.default_rng(12)
+    dims = (1, 6, 5, 7)
+    cf = ConnectionField(
+        P=rng.normal(size=dims + (4,)),
+        R=np.zeros(dims + (4, 4, 4)),
+        origin=np.zeros(4),
+        spacing=np.array([1.0, 0.3, 0.2, 0.25]),
+        dims=dims,
+    )
+    dp = grid_gradient(cf.P, cf.spacing, cf.dims)
+    f = field_strength(dp, 0.7)
+    assert np.max(np.abs(f)) > 0.1
+    assert np.array_equal(f, curvatures(cf, q=0.7).F)
 
 
 def random_omega_field(rng, dims, origin, spacing, amp=0.3):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from polardirac.clifford import BASIS
-from polardirac.connections import ConnectionField, ExternalPotentials
+from polardirac.connections import ConnectionField, ExternalPotentials, curvatures
 from polardirac.dynamics import (
     EnergyTensor,
     PolarFields,
@@ -24,6 +24,7 @@ from polardirac.errors import PreconditionViolated
 from polardirac.fields import (
     convergence_order,
     gaussian_packet,
+    grid_gradient,
     plane_wave,
     sample,
 )
@@ -86,6 +87,32 @@ def random_pf(rng, dims=(1, 5, 5, 5), with_torsion=True):
         s=rng.normal(size=shape + (4,)),
         cf=cf,
         ext=ext,
+    )
+
+
+def test_polar_fields_derived_fields_are_exact_and_cached():
+    pf = random_pf(np.random.default_rng(31))
+    assert np.array_equal(
+        pf.dbeta, grid_gradient(pf.beta, pf.spacing, pf.dims)
+    )
+    assert np.array_equal(
+        pf.dlnphi2, grid_gradient(np.log(pf.phi**2), pf.spacing, pf.dims)
+    )
+    sm = sigma_m_potentials(pf)
+    for name in ("Sigma_full", "M_full", "Sigma_vec", "M_vec"):
+        assert np.array_equal(getattr(pf.sigma_m, name), getattr(sm, name))
+    assert np.array_equal(pf.F, curvatures(pf.cf, q=pf.ext.q).F)
+    assert pf.sigma_m is pf.sigma_m
+
+    # replace() builds a new instance, which must not see the old cache
+    pf2 = dataclasses.replace(pf, phi=2.0 * pf.phi, beta=-pf.beta, s=pf.u)
+    assert np.array_equal(pf2.dbeta, -pf.dbeta)
+    assert np.array_equal(
+        pf2.dlnphi2, grid_gradient(np.log(pf2.phi**2), pf.spacing, pf.dims)
+    )
+    assert not np.array_equal(pf2.sigma_m.Sigma_full, pf.sigma_m.Sigma_full)
+    assert np.array_equal(
+        pf2.sigma_m.Sigma_full, sigma_m_potentials(pf2).Sigma_full
     )
 
 

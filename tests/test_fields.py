@@ -133,6 +133,22 @@ def test_grid_gradient_matches_pointwise_fd():
             npt.assert_allclose(grad[pt][:, ax], g.fd(ax, pt), atol=1e-12)
 
 
+def test_grid_gradient_partial_grid_is_exact():
+    rng = np.random.default_rng(4)
+    dims = (1, 7, 1, 6)
+    spacing = np.array([1.0, 0.3, 1.0, 0.2])
+    real = rng.normal(size=dims + (2,))
+    for arr in (real, real + 1j * rng.normal(size=real.shape)):
+        grad = grid_gradient(arr, spacing, dims)
+        assert grad.shape == arr.shape + (4,)
+        assert grad.dtype == arr.dtype
+        for ax in (0, 2):
+            assert not np.any(grad[..., ax])
+        for ax in (1, 3):
+            want = np.gradient(arr, spacing[ax], axis=ax, edge_order=2)
+            assert np.array_equal(grad[..., ax], want)
+
+
 def test_interp_site_and_midpoint():
     f = plane_wave([1.0, 0, 0, 0])
     g = sample(f, [0, -1, -1, -1], [0.1, 0.5, 0.5, 0.5], (5, 5, 5, 5))
