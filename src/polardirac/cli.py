@@ -227,14 +227,23 @@ def load_config(path: str | None, overrides=()) -> dict:
     return cfg
 
 
+def _check_numbers(key: str, vec) -> None:
+    if not all(_type_ok(v, _NUM) for v in vec):
+        raise ConfigError(f"'{key}' entries must be numbers")
+
+
 def _check_semantics(cfg: dict) -> None:
     for key in ("origin", "spacing", "dims"):
         vec = cfg["grid"][key]
         if len(vec) != 4:
             raise ConfigError(f"'grid.{key}' must have 4 entries")
+    _check_numbers("grid.origin", cfg["grid"]["origin"])
+    _check_numbers("grid.spacing", cfg["grid"]["spacing"])
+    if any(h <= 0 for h in cfg["grid"]["spacing"]):
+        raise ConfigError("'grid.spacing' entries must be positive")
     for d in cfg["grid"]["dims"]:
-        if not isinstance(d, int) or d < 1:
-            raise ConfigError("'grid.dims' entries must be positive integers")
+        if not _type_ok(d, int) or (d != 1 and d < 5):
+            raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
     for name in cfg["suites"]:
         if name not in SUITES:
             raise ConfigError(
@@ -243,16 +252,20 @@ def _check_semantics(cfg: dict) -> None:
     tcfg = cfg["trajectories"]
     if tcfg["dt"] <= 0:
         raise ConfigError("'trajectories.dt' must be positive")
+    if tcfg["t1"] < tcfg["t0"]:
+        raise ConfigError("'trajectories.t1' must not precede 't0'")
     for i, pt in enumerate(tcfg["points"]):
         if not isinstance(pt, (list, tuple)) or len(pt) != 3:
             raise ConfigError(
                 f"'trajectories.points[{i}]' must be a 3-component list"
             )
+        _check_numbers(f"trajectories.points[{i}]", pt)
     spinor = cfg["decompose"]["spinor"]
     if len(spinor) != 8:
         raise ConfigError(
             "'decompose.spinor' needs 8 reals (re, im per component)"
         )
+    _check_numbers("decompose.spinor", spinor)
     kind = cfg["field"]["kind"]
     if kind not in ("plane_wave", "superposition"):
         raise ConfigError(f"unknown field kind '{kind}'")
@@ -327,6 +340,24 @@ def _order_check(name: str, order, band: float) -> dict:
     # exact-vanish branches (order is None) have nothing left to converge
     deviation = 0.0 if order is None else abs(order - 2.0)
     return _check(name, deviation, band)
+
+
+def _refinement_checks(evaluate, prefix: str, band: float) -> list:
+    """Second-order checks between n = 9 and n = 17.
+
+    evaluate(n) returns (dims, {key: residual grid}); one check per key,
+    named prefix + key + "_order", in the order the keys come.
+    """
+    dims, coarse = evaluate(9)
+    _, fine = evaluate(17)
+    return [
+        _order_check(
+            f"{prefix}{key}_order",
+            convergence_order(coarse[key], fine[key], dims)[0],
+            band,
+        )
+        for key in coarse
+    ]
 
 
 def _random_spinors(rng, n: int) -> np.ndarray:
@@ -496,23 +527,18 @@ def suite_equivalence(cfg: dict, rng) -> list:
 
     ext = ExternalPotentials(q=q, m=m)
     for label, chi in (("rest", 0.0), ("boosted", 0.4)):
-        norms = {}
-        for n in (9, 17):
+        def evaluate(n):
             g = _wave_grid(m, chi, n)
             pf = PolarFields.from_grid(g, ext)
             qp = quantum_potentials(pf)
             dep = polar_dirac_residuals(pf)
-            norms[n] = {
+            return g.dims, {
                 "dirac": dirac_residual(g, ext),
                 "pair": np.abs(dep.res1) + np.abs(dep.res2),
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
-                "dims": g.dims,
             }
-        for key in ("dirac", "pair", "guidance"):
-            order, _, _ = convergence_order(
-                norms[9][key], norms[17][key], norms[9]["dims"]
-            )
-            checks.append(_order_check(f"{label}_{key}_order", order, band))
+
+        checks += _refinement_checks(evaluate, f"{label}_", band)
     return checks
 
 
@@ -541,25 +567,19 @@ def suite_curvature(cfg: dict, rng) -> list:
     tol = float(cfg["tolerances"]["curvature"])
     band = float(cfg["tolerances"]["order_band"])
     q = float(cfg["couplings"]["q"])
-    checks = []
 
-    data = {}
-    for n in (9, 17):
+    def evaluate(n):
         lf = _gauge_params_grid(n, boost=False)
         gd = goldstone_derivatives(lf)
         cf = build_connections(gd, ExternalPotentials(q=lf.q))
         cd = curvatures(cf, q=lf.q, lfield=lf)
-        data[n] = {
+        return cf.dims, {
             "F": np.abs(cd.F),
             "riemann": np.max(np.abs(cd.riemann), axis=(-4, -3, -2, -1)),
             "flat": cd.goldstone_flat,
-            "dims": cf.dims,
         }
-    for key in ("F", "riemann", "flat"):
-        order, _, _ = convergence_order(
-            data[9][key], data[17][key], data[9]["dims"]
-        )
-        checks.append(_order_check(f"pure_gauge_{key}_order", order, band))
+
+    checks = _refinement_checks(evaluate, "pure_gauge_", band)
 
     # a plane wave's transform is an identity multiple: its spin
     # connection, and hence its curvature, vanish exactly
@@ -582,23 +602,14 @@ def suite_constraints(cfg: dict, rng) -> list:
     back = reassemble_split(irreducible_split(r))
     checks.append(_check("split_reassembly", np.max(np.abs(back - r)), tol))
 
-    data = {}
-    for n in (9, 17):
+    def evaluate(n):
         lf = _gauge_params_grid(n, boost=True)
         gd = goldstone_derivatives(lf)
         cf = build_connections(gd, ExternalPotentials(q=lf.q))
         dc = divergence_constraints(cf)
-        data[n] = {
-            "resB": np.abs(dc.resB),
-            "resR": np.abs(dc.resR),
-            "dims": cf.dims,
-        }
-    for key in ("resB", "resR"):
-        order, _, _ = convergence_order(
-            data[9][key], data[17][key], data[9]["dims"]
-        )
-        checks.append(_order_check(f"{key}_order", order, band))
-    return checks
+        return cf.dims, {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
+
+    return checks + _refinement_checks(evaluate, "", band)
 
 
 def suite_continuity(cfg: dict, rng) -> list:

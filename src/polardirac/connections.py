@@ -21,7 +21,7 @@ indices, with the derivative index mu always last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,20 +76,20 @@ class ExternalPotentials:
                     "spin connection must satisfy Omega_ij = -Omega_ji"
                 )
 
+    @staticmethod
+    def _field(value, grid_shape, tail) -> np.ndarray:
+        if value is None:
+            return np.zeros(tuple(grid_shape) + tail)
+        return np.asarray(value, dtype=float)
+
     def a_field(self, grid_shape) -> np.ndarray:
-        if self.A is None:
-            return np.zeros(tuple(grid_shape) + (4,))
-        return np.asarray(self.A, dtype=float)
+        return self._field(self.A, grid_shape, (4,))
 
     def omega_field(self, grid_shape) -> np.ndarray:
-        if self.Omega is None:
-            return np.zeros(tuple(grid_shape) + (4, 4, 4))
-        return np.asarray(self.Omega, dtype=float)
+        return self._field(self.Omega, grid_shape, (4, 4, 4))
 
     def w_field(self, grid_shape) -> np.ndarray:
-        if self.W is None:
-            return np.zeros(tuple(grid_shape) + (4,))
-        return np.asarray(self.W, dtype=float)
+        return self._field(self.W, grid_shape, (4,))
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def covariant_derivative_check(
     om = ext.omega_field(shape)
 
     dpsi = grid_gradient(g.values, g.spacing, g.dims)
-    omega_mat = 0.5 * np.einsum("...ijm,ijkl->...klm", om, _SIGMA)
+    omega_mat = _spin_matrix(om)
     nabla_psi = (
         dpsi
         + np.einsum("...klm,...l->...km", omega_mat, g.values)
@@ -557,6 +557,12 @@ def divergence_constraints(
     )
 
 
+def _spin_matrix(t: np.ndarray) -> np.ndarray:
+    """(1/2) T_{ab m} sigma^{ab} per direction m: the inverse of
+    project_spin_matrix, with the direction index kept last."""
+    return 0.5 * np.einsum("...ijm,ijkl->...klm", t, _SIGMA)
+
+
 def project_spin_matrix(mats: np.ndarray) -> np.ndarray:
     """Components T_{ab} of T = (1/2) T_{ab} sigma^{ab} for algebra-valued T.
 
@@ -594,8 +600,7 @@ def transform_connection_inputs(
     l_new = phase[..., None, None] * (lf.matrices @ s_inv)
 
     shape = lf.grid_shape
-    om = ext.omega_field(shape)
-    om_mat = 0.5 * np.einsum("...ijm,ijkl->...klm", om, _SIGMA)
+    om_mat = _spin_matrix(ext.omega_field(shape))
     ds = grid_gradient(s_mat, spacing, dims)
     om_new_mat = np.einsum(
         "...ij,...jkm,...kl->...ilm", s_mat, om_mat, s_inv
@@ -603,21 +608,5 @@ def transform_connection_inputs(
     om_new = np.stack(
         [project_spin_matrix(om_new_mat[..., m]) for m in range(4)], axis=-1
     )
-    a_new = ext.a_field(shape) + dzeta
-    ext_new = ExternalPotentials(
-        A=a_new,
-        Omega=om_new,
-        W=ext.W,
-        q=ext.q,
-        X=ext.X,
-        m=ext.m,
-        M_torsion=ext.M_torsion,
-    )
-    lf_new = TransformField(
-        matrices=l_new,
-        origin=lf.origin,
-        spacing=lf.spacing,
-        dims=lf.dims,
-        q=lf.q,
-    )
-    return lf_new, ext_new, v_mat
+    ext_new = replace(ext, A=ext.a_field(shape) + dzeta, Omega=om_new)
+    return replace(lf, matrices=l_new), ext_new, v_mat

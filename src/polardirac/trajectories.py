@@ -1,10 +1,14 @@
 """Flow lines of the conserved current.
 
-The current U^a is sampled on a grid once, interpolated multilinearly
-between sites, and normalized on the fly; positions advance in
+The bilinears Theta, Phi, U^a, S^a and the modulus Theta^2 + Phi^2 are
+sampled on a grid once and stacked into one array, so a single
+multilinear interpolation reads everything the integrator needs at an
+event.  The current is normalized on the fly; positions advance in
 coordinate time with dx/dt = u_spatial / u^0 under classical RK4.
 Interpolating the unnormalized current (rather than u itself) avoids
-normalization kinks near zeros of the density.
+normalization kinks near zeros of the density.  The sample recorded at
+the end of a step is the next step's first stage, so each step costs
+four interpolations.
 
 Proper time is not stored; it is recoverable by quadrature from the
 recorded samples.  Paths follow u.  The momentum P along a stored path
@@ -48,38 +52,45 @@ CSV_FIELDS = (
 class CurrentField:
     """Grid samples of the observables the integrator needs.
 
-    current/spin are the unnormalized vector bilinears (shape dims + (4,));
-    modulus2 is Theta^2 + Phi^2, the singularity gauge.
+    obs has shape dims + (11,): Theta, Phi, U^0..U^3, S^0..S^3 and the
+    singularity gauge Theta^2 + Phi^2, formed at the sites and
+    interpolated as a channel of its own.
     """
 
     g: GridField
-    current: np.ndarray
-    spin: np.ndarray
-    modulus2: np.ndarray
-    theta: np.ndarray
-    phi_scalar: np.ndarray
+    obs: np.ndarray
 
     @classmethod
     def from_grid(cls, g: GridField) -> "CurrentField":
         bil = compute_bilinears(g.values)
-        return cls(
-            g=g,
-            current=bil.U,
-            spin=bil.S,
-            modulus2=bil.theta**2 + bil.phi_scalar**2,
-            theta=bil.theta,
-            phi_scalar=bil.phi_scalar,
-        )
-
-    def interp(self, arr: np.ndarray, x) -> np.ndarray:
-        g = self.g
-        return interp_values(g.origin, g.spacing, g.dims, arr, x)
+        mod2 = bil.theta**2 + bil.phi_scalar**2
+        return cls(g=g, obs=np.concatenate(
+            (bil.theta[..., None], bil.phi_scalar[..., None], bil.U, bil.S,
+             mod2[..., None]), axis=-1,
+        ))
 
 
 def _as_current(field) -> CurrentField:
     if isinstance(field, CurrentField):
         return field
     return CurrentField.from_grid(field)
+
+
+def _interp(g: GridField, arr: np.ndarray, x) -> np.ndarray:
+    return interp_values(g.origin, g.spacing, g.dims, arr, x)
+
+
+def _observe(cur: CurrentField, x, eps_sing: float):
+    """Interpolated channels and unit velocity u at events x (..., 4)."""
+    vals = _interp(cur.g, cur.obs, x)
+    if np.any(vals[..., 10] <= eps_sing):
+        raise SingularSpinor("spinor field is singular at the requested point")
+    U = vals[..., 2:6]
+    norm2 = minkowski_dot(U, U)
+    if np.any(norm2 <= 0.0):
+        raise SingularSpinor("current is not timelike at the requested point")
+    u = U / np.sqrt(norm2)[..., None]
+    return vals, np.where(u[..., :1] < 0.0, -u, u)
 
 
 def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
@@ -90,18 +101,7 @@ def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
     Raises SingularSpinor where Theta^2 + Phi^2 <= eps_sing, and
     OutOfBounds outside the grid hull.
     """
-    cur = _as_current(field)
-    mod2 = cur.interp(cur.modulus2, x)
-    if np.any(mod2 <= eps_sing):
-        raise SingularSpinor(
-            "spinor field is singular at the requested point"
-        )
-    U = cur.interp(cur.current, x)
-    norm2 = minkowski_dot(U, U)
-    if np.any(norm2 <= 0.0):
-        raise SingularSpinor("current is not timelike at the requested point")
-    u = U / np.sqrt(norm2)[..., None]
-    return np.where(u[..., :1] < 0.0, -u, u)
+    return _observe(_as_current(field), x, eps_sing)[1]
 
 
 @dataclass(frozen=True)
@@ -152,21 +152,15 @@ class Trajectory:
 
 def _record(cur: CurrentField, t: float, x3: np.ndarray,
             eps_sing: float) -> FlowSample:
-    event = np.concatenate(([t], x3))
-    mod2 = float(cur.interp(cur.modulus2, event))
-    if mod2 <= eps_sing:
-        raise SingularSpinor("spinor field is singular at the sample point")
-    theta = float(cur.interp(cur.theta, event))
-    phi_s = float(cur.interp(cur.phi_scalar, event))
-    u = velocity_at(cur, event, eps_sing)
-    spin = cur.interp(cur.spin, event) / np.sqrt(mod2)
+    vals, u = _observe(cur, np.concatenate(([t], x3)), eps_sing)
+    mod2 = float(vals[10])
     return FlowSample(
         t=float(t),
         x=np.array(x3, dtype=float),
         phi=float(np.sqrt(0.5 * np.sqrt(mod2))),
-        beta=float(np.arctan2(theta, phi_s)),
+        beta=float(np.arctan2(vals[0], vals[1])),
         u=u,
-        s=spin,
+        s=vals[6:10] / np.sqrt(mod2),
     )
 
 
@@ -193,7 +187,7 @@ def integrate(field, x0, t0: float, t1: float, dt: float,
         steps.append(rem)
 
     def rhs(tc, xc):
-        u = velocity_at(cur, np.concatenate(([tc], xc)), eps_sing)
+        u = _observe(cur, np.concatenate(([tc], xc)), eps_sing)[1]
         return u[1:] / u[0]
 
     samples = []
@@ -201,7 +195,9 @@ def integrate(field, x0, t0: float, t1: float, dt: float,
     try:
         samples.append(_record(cur, t, x, eps_sing))
         for h in steps:
-            k1 = rhs(t, x)
+            # the last sample sits at (t, x): its u is this step's k1
+            u = samples[-1].u
+            k1 = u[1:] / u[0]
             k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
             k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
             k4 = rhs(t + h, x + h * k3)
@@ -228,7 +224,7 @@ def continuity_residual(field, grid=None) -> np.ndarray:
         origin, spacing, dims = grid
         field = sample(field, origin, spacing, dims)
     cur = _as_current(field)
-    dU = grid_gradient(cur.current, field.spacing, field.dims)
+    dU = grid_gradient(cur.obs[..., 2:6], field.spacing, field.dims)
     return np.einsum("...mm->...", dU)
 
 
@@ -244,7 +240,7 @@ def momentum_along(g: GridField, traj: Trajectory,
     _, _, _, cf = polar_pipeline(g, ext)
     if not traj.samples:
         return np.zeros((0, 4))
-    return interp_values(g.origin, g.spacing, g.dims, cf.P, traj.events())
+    return _interp(g, cf.P, traj.events())
 
 
 def _rows(traj: Trajectory):

@@ -77,6 +77,24 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     assert "nonsense" in err2
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("trajectories", "grid.spacing=[0,1,1,1]", "grid.spacing"),
+    ("trajectories", "grid.spacing=[0.2,1,1,-1]", "grid.spacing"),
+    ("trajectories", "grid.origin=[0,a,0,0]", "grid.origin"),
+    ("trajectories", "grid.dims=[3,1,1,9]", "grid.dims"),
+    ("trajectories", "grid.dims=[9,1,1,0]", "grid.dims"),
+    ("trajectories", "trajectories.points=[[a,0,0]]", "trajectories.points[0]"),
+    ("trajectories", "trajectories.t1=-1.0", "trajectories.t1"),
+    ("decompose", "decompose.spinor=[a,0,0,0,1,0,0,0]", "decompose.spinor"),
+])
+def test_invalid_config_exit_2(capsys, command, override, key):
+    code, out, err = run_cli(capsys, command, "--set", override)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+    assert f"'{key}'" in err
+
+
 def test_set_override_and_skip_marking(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--set", "suites=[algebraic]", "--set", "seed=7"

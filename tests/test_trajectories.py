@@ -4,10 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polardirac.trajectories as trajectories
+from polardirac.bilinears import compute_bilinears
+from polardirac.clifford import minkowski_dot
 from polardirac.errors import OutOfBounds, SingularSpinor
 from polardirac.fields import (
     GridField,
     convergence_order,
+    interp_values,
     plane_wave,
     sample,
     superpose,
@@ -325,3 +329,71 @@ def test_trajectory_helpers_empty():
     assert traj.normalization_drift() == 0.0
     assert traj.positions().shape == (0, 3)
     assert traj.events().shape == (0, 4)
+
+
+def mixed_wave_grid():
+    """Superposed waves with complex weights: beta, u and s all vary."""
+    m = 1.0
+    waves = [
+        plane_wave((np.sqrt(1.25), 0.0, 0.5, 0.0), m=m),
+        plane_wave((np.sqrt(1.34), 0.3, 0.0, -0.5), spin_up=False, m=m),
+        plane_wave((np.sqrt(1.13), 0.0, -0.2, 0.3), m=m),
+    ]
+    f = superpose(waves, [1.0, 0.4 + 0.3j, -0.2j])
+    return sample(f, (0.0, 0.0, -1.0, -1.0), (0.25, 1.0, 0.25, 0.25),
+                  (5, 1, 9, 9))
+
+
+def test_stacked_observables_match_per_channel_interpolation():
+    g = mixed_wave_grid()
+    bil = compute_bilinears(g.values)
+    mod2 = bil.theta**2 + bil.phi_scalar**2
+
+    def interp(arr, x):
+        return interp_values(g.origin, g.spacing, g.dims, arr, x)
+
+    def unit(x):
+        U = interp(bil.U, x)
+        u = U / np.sqrt(minkowski_dot(U, U))[..., None]
+        return np.where(u[..., :1] < 0.0, -u, u)
+
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([
+        rng.uniform(0.0, 1.0, 30),
+        np.zeros(30),
+        rng.uniform(-1.0, 1.0, 30),
+        rng.uniform(-1.0, 1.0, 30),
+    ])
+    assert np.array_equal(velocity_at(g, pts), unit(pts))
+    assert np.array_equal(velocity_at(g, pts[0]), unit(pts[0]))
+
+    traj = integrate(g, (0.0, 0.1, -0.2), 0.0, 0.5, 0.05)
+    assert traj.termination == "completed"
+    for s in traj.samples:
+        event = np.concatenate(([s.t], s.x))
+        m2 = float(interp(mod2, event))
+        theta = float(interp(bil.theta, event))
+        phi_s = float(interp(bil.phi_scalar, event))
+        assert s.phi == float(np.sqrt(0.5 * np.sqrt(m2)))
+        assert s.beta == float(np.arctan2(theta, phi_s))
+        assert np.array_equal(s.u, unit(event))
+        assert np.array_equal(s.s, interp(bil.S, event) / np.sqrt(m2))
+    assert np.ptp([s.beta for s in traj.samples]) > 1e-3
+
+
+@pytest.mark.parametrize("t1", [0.5, 0.52])
+def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
+    calls = []
+    real = trajectories.interp_values
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(trajectories, "interp_values", counting)
+    g = mixed_wave_grid()
+    traj = integrate(g, (0.0, 0.1, -0.2), 0.0, t1, 0.05)
+    assert traj.termination == "completed"
+    steps = len(traj.samples) - 1
+    assert steps == (10 if t1 == 0.5 else 11)
+    assert len(calls) == 1 + 4 * steps
