@@ -64,7 +64,7 @@ from .dynamics import (
 from .errors import ConfigError, PolarDiracError
 from .fields import convergence_order, plane_wave, sample, superpose
 from .polar import EPS_SINGULAR, decompose
-from .trajectories import continuity_residual, integrate, write_csv
+from .trajectories import CurrentField, continuity_residual, integrate, write_csv
 
 CONFIG_ENV = "POLARDIRAC_CONFIG_DIR"
 CONFIG_NAME = "polardirac.yaml"
@@ -703,10 +703,10 @@ def run_decompose(cfg: dict) -> int:
 def run_trajectories(cfg: dict) -> int:
     f = build_field(cfg)
     origin, spacing, dims = grid_spec(cfg)
-    g = sample(f, origin, spacing, dims)
+    cur = CurrentField.from_grid(sample(f, origin, spacing, dims))
     tcfg = cfg["trajectories"]
     trajs = [
-        integrate(g, pt, float(tcfg["t0"]), float(tcfg["t1"]),
+        integrate(cur, pt, float(tcfg["t0"]), float(tcfg["t1"]),
                   float(tcfg["dt"]), eps_sing=float(tcfg["eps_sing"]))
         for pt in tcfg["points"]
     ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import PolarDiracError
 
@@ -208,6 +207,35 @@ def induced_vector(lam: np.ndarray) -> np.ndarray:
     return np.real(v)
 
 
+def _exp_pauli(a) -> np.ndarray:
+    """exp(a.sigma) for a batch of complex 3-vectors, shape (..., 3) -> (..., 2, 2).
+
+    (a.sigma)^2 = (a.a) I, so exp(a.sigma) = cosh(z) I + (sinh z / z) a.sigma
+    with z^2 = a.a; both factors are even in z, so either root serves, and
+    sinh z / z = sinc(iz / pi) is 1 at z = 0.
+    """
+    a = np.asarray(a, dtype=complex)
+    z = np.sqrt(np.sum(a * a, axis=-1))
+    return (
+        np.cosh(z)[..., None, None] * _I2
+        + np.sinc(1j * z / np.pi)[..., None, None]
+        * np.einsum("...k,kij->...ij", a, PAULI)
+    )
+
+
+def _chiral_exp(w) -> np.ndarray:
+    """exp((1/2) xi_{ab} sigma^{ab}) for w = chi + i theta, shape (..., 3) -> (..., 4, 4).
+
+    In the chiral representation the generator is diag(-w.sigma/2, conj(w).sigma/2).
+    """
+    w = np.asarray(w, dtype=complex)
+    blocks = _exp_pauli(np.stack([-0.5 * w, 0.5 * np.conj(w)], axis=-2))
+    lam = np.zeros(w.shape[:-1] + (4, 4), dtype=complex)
+    lam[..., :2, :2] = blocks[..., 0, :, :]
+    lam[..., 2:, 2:] = blocks[..., 1, :, :]
+    return lam
+
+
 def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
     """Exponentiate boost/rotation parameters into a spinor transformation.
 
@@ -215,7 +243,9 @@ def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
     factor e^{i q alpha} and the induced vector (Lorentz) matrix.
     """
     params = np.asarray(params, dtype=float)
-    lam = expm(assemble_generator(params))
+    if params.shape != (6,):
+        raise ValueError("expected 6 parameters (3 rapidities, 3 angles)")
+    lam = _chiral_exp(params[:3] + 1j * params[3:])
     phase = np.exp(1j * q * alpha)
     return SpinorTransform(
         matrix=phase * lam,
@@ -243,18 +273,12 @@ def boost_matrices(chi) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form pure boost for a batch of rapidity vectors.
 
     chi has shape (..., 3).  Returns (Lambda, V) with shapes (..., 4, 4);
-    agrees with exp_lorentz((chi, 0)) to machine precision but is
-    vectorized for whole-grid construction.
+    Lambda is exp_lorentz((chi, 0)).lorentz batched over the grid, V is
+    written in closed form.
     """
     chi = np.asarray(chi, dtype=float)
+    lam = _chiral_exp(chi)
     mag, axis = _unit_axis(chi)
-    half = 0.5 * mag
-    ch, sh = np.cosh(half), np.sinh(half)
-    ns = np.einsum("...k,kij->...ij", axis, PAULI)
-    lam = np.zeros(chi.shape[:-1] + (4, 4), dtype=complex)
-    lam[..., :2, :2] = ch[..., None, None] * _I2 - sh[..., None, None] * ns
-    lam[..., 2:, 2:] = ch[..., None, None] * _I2 + sh[..., None, None] * ns
-
     chf, shf = np.cosh(mag), np.sinh(mag)
     v = np.zeros(chi.shape[:-1] + (4, 4), dtype=float)
     v[..., 0, 0] = chf
@@ -266,17 +290,6 @@ def boost_matrices(chi) -> tuple[np.ndarray, np.ndarray]:
     return lam, v
 
 
-def _rotation_block(mag, axis) -> np.ndarray:
-    """SU(2) block cos(|theta|/2) I - i sin(|theta|/2) n.sigma, shape (..., 2, 2).
-
-    mag and axis are the angle and unit axis returned by _unit_axis.
-    """
-    half = 0.5 * mag
-    c, s = np.cos(half), np.sin(half)
-    ns = np.einsum("...k,kij->...ij", axis, PAULI)
-    return c[..., None, None] * _I2 - 1j * s[..., None, None] * ns
-
-
 def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form pure rotation for a batch of angle vectors.
 
@@ -284,12 +297,8 @@ def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     toward the y axis in the vector representation.
     """
     theta = np.asarray(theta, dtype=float)
+    lam = _chiral_exp(1j * theta)
     mag, axis = _unit_axis(theta)
-    block = _rotation_block(mag, axis)
-    lam = np.zeros(theta.shape[:-1] + (4, 4), dtype=complex)
-    lam[..., :2, :2] = block
-    lam[..., 2:, 2:] = block
-
     cf, sf = np.cos(mag), np.sin(mag)
     cross = np.zeros(theta.shape[:-1] + (3, 3), dtype=float)
     cross[..., 0, 1] = -axis[..., 2]

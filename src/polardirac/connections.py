@@ -474,27 +474,24 @@ def irreducible_split(r) -> IrreducibleSplit:
     ra = np.einsum("...acd,cd->...a", r, METRIC)
     r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
-    ba_up = _flip(ba_low)
+    trace_part, axial_part = _split_parts(ra, ba_low)
+    return IrreducibleSplit(Pi=r - trace_part - axial_part, Ra=ra, Ba=ba_low)
+
+
+def _split_parts(ra, ba_low):
+    """Trace part (R_i eta_jk - R_j eta_ik)/3 and axial part eps_ijka B^a/3."""
     trace_part = (
         np.einsum("...i,jk->...ijk", ra, METRIC)
         - np.einsum("...j,ik->...ijk", ra, METRIC)
     ) / 3.0
-    axial_part = np.einsum("ijka,...a->...ijk", BASIS.epsilon, ba_up) / 3.0
-    return IrreducibleSplit(Pi=r - trace_part - axial_part, Ra=ra, Ba=ba_low)
+    axial_part = np.einsum("ijka,...a->...ijk", BASIS.epsilon, _flip(ba_low)) / 3.0
+    return trace_part, axial_part
 
 
 def reassemble_split(sp: IrreducibleSplit) -> np.ndarray:
     """Inverse of irreducible_split."""
-    ba_up = _flip(sp.Ba)
-    return (
-        sp.Pi
-        + (
-            np.einsum("...i,jk->...ijk", sp.Ra, METRIC)
-            - np.einsum("...j,ik->...ijk", sp.Ra, METRIC)
-        )
-        / 3.0
-        + np.einsum("ijka,...a->...ijk", BASIS.epsilon, ba_up) / 3.0
-    )
+    trace_part, axial_part = _split_parts(sp.Ra, sp.Ba)
+    return sp.Pi + trace_part + axial_part
 
 
 @dataclass(frozen=True)

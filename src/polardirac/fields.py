@@ -71,9 +71,6 @@ class AnalyticField:
             -1j * p_low.astype(complex),
         )
 
-    def contains(self, x) -> bool:
-        return True
-
 
 def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
     """Positive-energy plane wave e^{-i p.x} u(p) with u(p) a boosted (1,0,1,0).
@@ -176,20 +173,8 @@ class GridField:
         grids = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def active_axes(self) -> list:
-        return [i for i in range(4) if self.dims[i] > 1]
-
     def at(self, x) -> np.ndarray:
         return self.interp(x)
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        f = (x - self.origin) / self.spacing
-        for ax in self.active_axes():
-            lo, hi = -1e-9, self.dims[ax] - 1.0 + 1e-9
-            if np.any(f[..., ax] < lo) or np.any(f[..., ax] > hi):
-                return False
-        return True
 
     def interp(self, x) -> np.ndarray:
         """Multilinear interpolation at events x of shape (..., 4)."""

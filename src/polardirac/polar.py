@@ -25,8 +25,7 @@ import numpy as np
 from .bilinears import compute_bilinears
 from .clifford import (
     PAULI,
-    _rotation_block,
-    _unit_axis,
+    _exp_pauli,
     boost_matrices,
     goldstone_matrices,
     minkowski_dot,
@@ -180,7 +179,7 @@ def decompose_pauli(chi2) -> tuple[PauliPolarData, np.ndarray]:
         np.einsum("...i,kij,...j->...k", chi2.conj(), PAULI, chi2)
     ) / norm2[..., None]
     theta = _axis_angle_from_z(svec)
-    rot = _rotation_block(*_unit_axis(theta))
+    rot = _exp_pauli(-0.5j * theta)
     candidate = phi[..., None] * rot[..., :, 0]
     overlap = np.sum(np.conj(candidate) * chi2, axis=-1)
     delta = np.angle(overlap)
@@ -190,7 +189,7 @@ def decompose_pauli(chi2) -> tuple[PauliPolarData, np.ndarray]:
 def reconstruct_pauli(p: PauliPolarData, delta) -> np.ndarray:
     """Inverse of decompose_pauli."""
     theta = np.asarray(p.rotation, dtype=float)
-    rot = _rotation_block(*_unit_axis(theta))
+    rot = _exp_pauli(-0.5j * theta)
     phase = np.exp(1j * np.asarray(delta, dtype=float))
     return (np.asarray(p.phi) * phase)[..., None] * rot[..., :, 0]
 

@@ -182,6 +182,25 @@ def test_trajectories_sixteen_static(tmp_path, capsys):
     assert float(last[4]) == points[-1][2]
 
 
+def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
+    import polardirac.trajectories as trajectories
+
+    calls = []
+    real = trajectories.compute_bilinears
+
+    def counting(values):
+        calls.append(values.shape)
+        return real(values)
+
+    monkeypatch.setattr(trajectories, "compute_bilinears", counting)
+    points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5)]
+    path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
+    code, out, _ = run_cli(capsys, "trajectories", path)
+    assert code == 0
+    assert len(json.loads(out)["trajectories"]) == 3
+    assert len(calls) == 1
+
+
 def test_trajectories_point_outside_grid(tmp_path, capsys):
     path = write_cfg(
         tmp_path, trajectories_cfg(tmp_path, [[0.0, 0.0, 55.0]])

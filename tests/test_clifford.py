@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
+from scipy.linalg import expm
 
+import polardirac
 from polardirac.clifford import (
     BASIS,
     assemble_generator,
@@ -124,9 +131,9 @@ def test_closed_form_boost_matches_expm():
     chis = rng.uniform(-1.2, 1.2, size=(20, 3))
     lam_batch, v_batch = boost_matrices(chis)
     for n in range(20):
-        t = exp_lorentz(np.concatenate([chis[n], np.zeros(3)]))
-        npt.assert_allclose(lam_batch[n], t.lorentz, atol=1e-12)
-        npt.assert_allclose(v_batch[n], t.vector, atol=1e-12)
+        lam = expm(assemble_generator(np.concatenate([chis[n], np.zeros(3)])))
+        npt.assert_allclose(lam_batch[n], lam, atol=1e-12)
+        npt.assert_allclose(v_batch[n], induced_vector(lam), atol=1e-12)
 
 
 def test_closed_form_rotation_matches_expm():
@@ -134,9 +141,38 @@ def test_closed_form_rotation_matches_expm():
     thetas = rng.uniform(-3.0, 3.0, size=(20, 3))
     lam_batch, v_batch = rotation_matrices(thetas)
     for n in range(20):
-        t = exp_lorentz(np.concatenate([np.zeros(3), thetas[n]]))
-        npt.assert_allclose(lam_batch[n], t.lorentz, atol=1e-12)
-        npt.assert_allclose(v_batch[n], t.vector, atol=1e-12)
+        lam = expm(assemble_generator(np.concatenate([np.zeros(3), thetas[n]])))
+        npt.assert_allclose(lam_batch[n], lam, atol=1e-12)
+        npt.assert_allclose(v_batch[n], induced_vector(lam), atol=1e-12)
+
+
+def test_exp_lorentz_matches_expm():
+    rng = np.random.default_rng(14)
+    params = [np.zeros(6), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2 * np.pi])]
+    params += list(rng.uniform(-2.0, 2.0, size=(40, 6)))
+    # near-lightlike generators: chi orthogonal to theta, |chi| = |theta|,
+    # where the complex a.a of the Pauli blocks is (nearly) zero
+    for stretch in (0.0, 1e-12, 1e-8):
+        chi = rng.normal(size=3)
+        theta = np.cross(chi, rng.normal(size=3))
+        theta *= (1.0 + stretch) * np.linalg.norm(chi) / np.linalg.norm(theta)
+        params.append(np.concatenate([chi, theta]))
+    for p in params:
+        want = expm(assemble_generator(p))
+        npt.assert_allclose(exp_lorentz(p).lorentz, want, rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_cli_import_leaves_scipy_out():
+    code = (
+        "import sys, polardirac.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(polardirac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_zero_axis_is_safe():
