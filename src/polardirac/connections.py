@@ -54,8 +54,8 @@ class ExternalPotentials:
 
     A is the gauge 4-potential (lower index), Omega the spin connection
     Omega_{ij mu} (antisymmetric in ij), W the torsion axial vector.  Any
-    of them may be None, meaning identically zero.  Shapes must carry the
-    grid axes first.
+    of them may be None, meaning identically zero.  A given field is shaped
+    grid + tensor axes; its accessor raises GridMismatch otherwise.
     """
 
     A: np.ndarray | None = None
@@ -76,20 +76,26 @@ class ExternalPotentials:
                     "spin connection must satisfy Omega_ij = -Omega_ji"
                 )
 
-    @staticmethod
-    def _field(value, grid_shape, tail) -> np.ndarray:
-        if value is None:
-            return np.zeros(tuple(grid_shape) + tail)
-        return np.asarray(value, dtype=float)
+    def _field(self, name, grid_shape, tail) -> np.ndarray:
+        """The named field on the grid; GridMismatch if it lives elsewhere."""
+        shape = tuple(grid_shape) + tail
+        value = getattr(self, name)
+        arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+        if arr.shape != shape:
+            raise GridMismatch(
+                f"external field {name} shaped {arr.shape} does not live on "
+                f"grid {tuple(grid_shape)}; expected {shape}"
+            )
+        return arr
 
     def a_field(self, grid_shape) -> np.ndarray:
-        return self._field(self.A, grid_shape, (4,))
+        return self._field("A", grid_shape, (4,))
 
     def omega_field(self, grid_shape) -> np.ndarray:
-        return self._field(self.Omega, grid_shape, (4, 4, 4))
+        return self._field("Omega", grid_shape, (4, 4, 4))
 
     def w_field(self, grid_shape) -> np.ndarray:
-        return self._field(self.W, grid_shape, (4,))
+        return self._field("W", grid_shape, (4,))
 
 
 @dataclass(frozen=True)
@@ -298,16 +304,9 @@ def build_connections(
 ) -> ConnectionField:
     """P = q (dxi - A), R_{ij mu} = (dxi)_{ij mu} - Omega_{ij mu}."""
     shape = gd.grid_shape
-    a = ext.a_field(shape)
-    om = ext.omega_field(shape)
-    if a.shape != shape + (4,) or om.shape != shape + (4, 4, 4):
-        raise GridMismatch(
-            f"external potentials shaped {a.shape}/{om.shape} do not live "
-            f"on grid {shape}"
-        )
     return ConnectionField(
-        P=gd.q * (gd.dxi - a),
-        R=gd.dxi_ab - om,
+        P=gd.q * (gd.dxi - ext.a_field(shape)),
+        R=gd.dxi_ab - ext.omega_field(shape),
         origin=gd.origin,
         spacing=gd.spacing,
         dims=gd.dims,
@@ -333,6 +332,28 @@ class CovariantChecks:
     u_transport: np.ndarray
 
 
+def _spin_matrix(t: np.ndarray) -> np.ndarray:
+    """(1/2) T_{ab m} sigma^{ab} per direction m: the inverse of
+    project_spin_matrix, with the direction index kept last."""
+    return 0.5 * np.einsum("...ijm,ijkl->...klm", t, _SIGMA)
+
+
+def _spin_action(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(1/2) T_{ab m} sigma^{ab} psi per direction m, layout [..., k, m]."""
+    return np.einsum("...klm,...l->...km", _spin_matrix(t), psi)
+
+
+def _covariant_gradient(g: GridField, ext: ExternalPotentials) -> np.ndarray:
+    """nabla_mu psi = (d_mu + (1/2) Omega_{ij mu} sigma^{ij} + i q A_mu) psi
+    on the grid, layout [..., k, mu]."""
+    a = ext.a_field(g.dims)
+    return (
+        grid_gradient(g.values, g.spacing, g.dims)
+        + _spin_action(ext.omega_field(g.dims), g.values)
+        + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
+    )
+
+
 def covariant_derivative_check(
     g: GridField, ext: ExternalPotentials
 ) -> CovariantChecks:
@@ -345,27 +366,17 @@ def covariant_derivative_check(
     left.  Returns per-point, per-direction norms.
     """
     pd, lf, gd, cf = polar_pipeline(g, ext)
-    shape = g.dims
-    a = ext.a_field(shape)
-    om = ext.omega_field(shape)
-
-    dpsi = grid_gradient(g.values, g.spacing, g.dims)
-    omega_mat = _spin_matrix(om)
-    nabla_psi = (
-        dpsi
-        + np.einsum("...klm,...l->...km", omega_mat, g.values)
-        + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
-    )
+    om = ext.omega_field(g.dims)
+    nabla_psi = _covariant_gradient(g, ext)
 
     dbeta = grid_gradient(pd.beta, g.spacing, g.dims)
     dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
     pi_psi = np.einsum("ij,...j->...i", BASIS.pi, g.values)
-    sig_psi = np.einsum("...ijm,ijkl,...l->...km", cf.R, _SIGMA, g.values)
     rhs = (
         -0.5j * dbeta[..., None, :] * pi_psi[..., :, None]
         + dlnphi[..., None, :] * g.values[..., :, None]
         - 1j * cf.P[..., None, :] * g.values[..., :, None]
-        - 0.5 * sig_psi
+        - _spin_action(cf.R, g.values)
     )
     res_spinor = np.linalg.norm(nabla_psi - rhs, axis=-2)
 
@@ -390,6 +401,23 @@ def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
     result has layout [..., mu, nu].
     """
     return -(np.swapaxes(dp, -1, -2) - dp) / q
+
+
+def _riemann(r_up, dr, omega) -> np.ndarray:
+    """riemann^i_{j mu nu} of curvatures from R^i_{j mu} and its grid
+    gradient dr, layout [i, j, nu, mu]."""
+    cov = np.ascontiguousarray(np.swapaxes(dr, -1, -2))  # [i, j, mu, nu]
+    if omega is not None:
+        om_up = omega * _ETA_DIAG[:, None, None]
+        cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
+        cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
+    quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
+    return -(
+        cov
+        - np.swapaxes(cov, -1, -2)
+        + quad
+        - np.swapaxes(quad, -1, -2)
+    )
 
 
 @dataclass(frozen=True)
@@ -420,20 +448,7 @@ def curvatures(
     L up to discretization error.
     """
     r_up = cf.R * _ETA_DIAG[:, None, None]
-    dr = grid_gradient(r_up, cf.spacing, cf.dims)  # [i, j, nu, mu]
-    cov = np.ascontiguousarray(np.swapaxes(dr, -1, -2))  # [i, j, mu, nu]
-    if omega is not None:
-        om_up = omega * _ETA_DIAG[:, None, None]
-        cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
-        cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
-    quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
-    riemann = -(
-        cov
-        - np.swapaxes(cov, -1, -2)
-        + quad
-        - np.swapaxes(quad, -1, -2)
-    )
-
+    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing, cf.dims), omega)
     f = field_strength(grid_gradient(cf.P, cf.spacing, cf.dims), q)
 
     flat = None
@@ -481,8 +496,7 @@ def irreducible_split(r) -> IrreducibleSplit:
 def _split_parts(ra, ba_low):
     """Trace part (R_i eta_jk - R_j eta_ik)/3 and axial part eps_ijka B^a/3."""
     trace_part = (
-        np.einsum("...i,jk->...ijk", ra, METRIC)
-        - np.einsum("...j,ik->...ijk", ra, METRIC)
+        ra[..., :, None, None] * METRIC - ra[..., None, :, None] * METRIC[:, None]
     ) / 3.0
     axial_part = np.einsum("ijka,...a->...ijk", BASIS.epsilon, _flip(ba_low)) / 3.0
     return trace_part, axial_part
@@ -513,18 +527,21 @@ def divergence_constraints(
     resR = div R + (1/2)((1/2) R^{a m n} R_{a m n} + B.B - R.R)
 
     Both vanish at O(h^2) whenever the curvature of R is zero, which is
-    verified first; PreconditionViolated otherwise.
+    verified first; PreconditionViolated otherwise.  The default tolerance
+    is 0.1 h^2 times the size a curved connection of this magnitude would
+    have, max|dR| + max|R|^2, floored at the roundoff eps (max|P| + 1/h)^2
+    of the inputs' natural scale, which decides when R is zero to roundoff.
     """
-    curv = curvatures(cf, omega=omega)
-    riemann_max = float(np.max(np.abs(curv.riemann)))
-    active = [cf.spacing[ax] for ax in range(4) if cf.dims[ax] > 1]
-    h_min = min(active) if active else 1.0
-    # natural magnitude a genuinely curved connection of this size would
-    # have: derivative scale plus quadratic scale
-    dr = grid_gradient(cf.R, cf.spacing, cf.dims)
-    curv_scale = float(np.max(np.abs(dr))) + float(np.max(np.abs(cf.R))) ** 2
-    curv_scale = max(curv_scale, 1e-30)
-    tol = fd_tol if fd_tol is not None else 0.1 * h_min**2 * curv_scale
+    r_first_up = cf.R * _ETA_DIAG[:, None, None]
+    dr = grid_gradient(r_first_up, cf.spacing, cf.dims)
+    riemann_max = float(np.max(np.abs(_riemann(r_first_up, dr, omega))))
+    tol = fd_tol
+    if tol is None:
+        active = [cf.spacing[ax] for ax in range(4) if cf.dims[ax] > 1]
+        h_min = min(active) if active else 1.0
+        curv_scale = float(np.max(np.abs(dr))) + float(np.max(np.abs(cf.R))) ** 2
+        p_scale = float(np.max(np.abs(cf.P))) + 1.0 / h_min
+        tol = max(0.1 * h_min**2 * curv_scale, np.finfo(float).eps * p_scale**2)
     if riemann_max > 100.0 * tol:
         raise PreconditionViolated(
             f"curvature of R is {riemann_max:.3e}, beyond 100 x {tol:.3e}; "
@@ -539,7 +556,6 @@ def divergence_constraints(
     div_r = np.trace(
         grid_gradient(ra_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
     )
-    r_first_up = cf.R * _ETA_DIAG[:, None, None]
     quad_b = np.einsum(
         "asmn,...kam,...ksn->...", BASIS.epsilon_upper, cf.R, r_first_up
     )
@@ -552,12 +568,6 @@ def divergence_constraints(
     return DivergenceConstraints(
         resB=res_b, resR=res_r, riemann_max=riemann_max, fd_tol=tol
     )
-
-
-def _spin_matrix(t: np.ndarray) -> np.ndarray:
-    """(1/2) T_{ab m} sigma^{ab} per direction m: the inverse of
-    project_spin_matrix, with the direction index kept last."""
-    return 0.5 * np.einsum("...ijm,ijkl->...klm", t, _SIGMA)
 
 
 def project_spin_matrix(mats: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .clifford import _ETA_DIAG, BASIS, METRIC, _flip
 from .connections import (
     ConnectionField,
     ExternalPotentials,
+    _covariant_gradient,
     field_strength,
     irreducible_split,
     polar_pipeline,
@@ -29,7 +30,7 @@ from .connections import (
 from .errors import PreconditionViolated
 from .fields import GridField, grid_gradient
 
-_SIGMA = BASIS.sigma
+_GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
 
 
 def _mink_sq(vec):
@@ -113,21 +114,10 @@ def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     gauge potential; plain grid differencing supplies the partials, so the
     result on an exact solution is pure O(h^2) discretization error.
     """
-    shape = g.dims
-    a = ext.a_field(shape)
-    om = ext.omega_field(shape)
-    w = ext.w_field(shape)
-
-    dpsi = grid_gradient(g.values, g.spacing, g.dims)
-    nabla = (
-        dpsi
-        + 0.5 * np.einsum("...ijm,ijkl,...l->...km", om, _SIGMA, g.values)
-        + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
-    )
+    nabla = _covariant_gradient(g, ext)
     kinetic = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla)
-    torsion = ext.X * np.einsum(
-        "...m,mab,bc,...c->...a", w, BASIS.gamma, BASIS.pi, g.values
-    )
+    w_slash = np.tensordot(ext.w_field(g.dims), _GAMMA_PI, axes=1)
+    torsion = ext.X * np.einsum("...ac,...c->...a", w_slash, g.values)
     lhs = kinetic - torsion - ext.m * g.values
     return np.linalg.norm(lhs, axis=-1)
 
@@ -167,7 +157,7 @@ def sigma_m_potentials(pf: PolarFields) -> SigmaM:
         us - np.swapaxes(us, -1, -2)
     )[..., None]
 
-    sigma_vec = np.einsum("...ijm,jm->...i", sigma_full, METRIC)
+    sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
     m_vec = _flip(np.einsum("...abb->...a", m_full))
     return SigmaM(
         Sigma_full=sigma_full, M_full=m_full, Sigma_vec=sigma_vec, M_vec=m_vec
@@ -465,10 +455,7 @@ def nonrel_hamiltonian(
         phi = np.asarray(phi, dtype=float)
         if index is None:
             index = tuple(n // 2 for n in phi.shape)
-        lap = 0.0
-        for ax in range(phi.ndim):
-            g1 = np.gradient(phi, spacing[ax], axis=ax, edge_order=2)
-            g2 = np.gradient(g1, spacing[ax], axis=ax, edge_order=2)
-            lap += g2[index]
-        h -= lap / (2.0 * m * phi[index])
+        # on a static (1,)+shape grid box(phi) is minus the Laplacian
+        box = _box(phi[None], (1.0, *spacing), (1, *phi.shape))
+        h += box[(0, *index)] / (2.0 * m * phi[index])
     return h

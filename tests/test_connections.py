@@ -27,6 +27,7 @@ from polardirac.errors import (
     PreconditionViolated,
 )
 from polardirac.fields import (
+    gaussian_packet,
     grid_gradient,
     interior,
     plane_wave,
@@ -491,13 +492,16 @@ def test_divergence_constraints_pure_gauge_converge():
                 assert 1.8 < order < 2.2, (order, mc, mf)
 
 
-def test_divergence_constraints_precondition():
+@pytest.mark.parametrize("amp", [1.0, 1e-9])
+def test_divergence_constraints_precondition(amp):
+    # the roundoff floor of the tolerance must not hide a small but
+    # genuine curvature: at amp 1e-9 it is 1.4e-9 against a floor of 3.6e-15
     rng = np.random.default_rng(44)
     n = 9
     dims = (1, n, n, n)
     origin = [0, 0, 0, 0]
     spacing = [1.0] + [2.0 / (n - 1)] * 3
-    om = random_omega_field(rng, dims, origin, spacing, amp=1.0)
+    om = random_omega_field(rng, dims, origin, spacing, amp=amp)
     cf = ConnectionField(
         P=np.zeros(dims + (4,)),
         R=om,
@@ -507,6 +511,122 @@ def test_divergence_constraints_precondition():
     )
     with pytest.raises(PreconditionViolated):
         divergence_constraints(cf)
+
+
+def test_divergence_constraints_accepts_roundoff_flat_gaussian():
+    # R of a static gaussian packet is zero up to roundoff, and so is its
+    # curvature (2.4e-14); the tolerance without a roundoff floor was 8.8e-17
+    g = gaussian_packet(1.5, s_axis=(0.48, 0.6, 0.64), dims=(1, 25, 25, 25))
+    _, _, _, cf = polar_pipeline(g, ExternalPotentials())
+    res = divergence_constraints(cf)
+    assert res.riemann_max < 1e-12
+    assert np.max(np.abs(res.resB)) < 1e-12
+    assert np.max(np.abs(res.resR)) < 1e-6
+
+
+def test_divergence_constraints_one_riemann(monkeypatch):
+    # one gradient of R feeds both the Riemann tensor and the tolerance
+    # scale, plus the two divergences: three grid_gradient calls in all
+    from polardirac import connections
+
+    lf, dims = gauge_boost_field(9)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    om = random_omega_field(
+        np.random.default_rng(8), dims, lf.origin, lf.spacing, amp=0.1
+    )
+    calls = []
+    real = connections.grid_gradient
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(connections, "grid_gradient", counting)
+    for omega, fd_tol in ((None, None), (om, 1.0)):
+        calls.clear()
+        res = divergence_constraints(cf, omega=omega, fd_tol=fd_tol)
+        assert len(calls) == 3
+        riemann = curvatures(cf, omega=omega).riemann
+        assert res.riemann_max == float(np.max(np.abs(riemann)))
+
+
+def _half_sigma_loop(t, psi):
+    """sum_ij (1/2) t_ij sigma^ij psi, summed term by term."""
+    out = np.zeros(4, dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            out += 0.5 * t[i, j] * (BASIS.sigma[i, j] @ psi)
+    return out
+
+
+def _nabla_loop(g, ext):
+    """(d_m + (1/2) Omega_ij m sigma^ij + i q A_m) psi, one site at a time."""
+    dpsi = grid_gradient(g.values, g.spacing, g.dims)
+    nabla = np.zeros_like(dpsi)
+    for site in np.ndindex(*g.dims):
+        psi = g.values[site]
+        for mu in range(4):
+            nabla[site][:, mu] = (
+                dpsi[site][:, mu]
+                + _half_sigma_loop(ext.Omega[site][..., mu], psi)
+                + 1j * ext.q * ext.A[site][mu] * psi
+            )
+    return nabla
+
+
+def test_covariant_gradient_omega_term_matches_site_loop():
+    from polardirac.dynamics import dirac_residual
+    from polardirac.fields import GridField
+
+    rng = np.random.default_rng(71)
+    dims = (5, 5, 5, 5)
+    psi = np.array([1.0, 0.2, 0.6, 0.1]) + 0.3 * (
+        rng.normal(size=dims + (4,)) + 1j * rng.normal(size=dims + (4,))
+    )
+    g = GridField([0, 0, 0, 0], [0.2, 0.3, 0.25, 0.3], dims, psi)
+    om = rng.normal(size=dims + (4, 4, 4))
+    om = om - np.swapaxes(om, -3, -2)
+    ext = ExternalPotentials(
+        A=rng.normal(size=dims + (4,)),
+        Omega=om,
+        W=rng.normal(size=dims + (4,)),
+        q=1.3,
+        X=0.7,
+        m=0.9,
+    )
+    nabla = _nabla_loop(g, ext)
+
+    # Dirac operator: i gamma^m nabla_m psi - X W_m gamma^m pi psi - m psi
+    lhs = np.zeros(dims + (4,), dtype=complex)
+    for site in np.ndindex(*dims):
+        psi = g.values[site]
+        for mu in range(4):
+            lhs[site] += 1j * BASIS.gamma[mu] @ nabla[site][:, mu]
+            lhs[site] -= ext.X * ext.W[site][mu] * (
+                BASIS.gamma[mu] @ BASIS.pi @ psi
+            )
+        lhs[site] -= ext.m * psi
+    npt.assert_allclose(
+        dirac_residual(g, ext), np.linalg.norm(lhs, axis=-1), rtol=1e-12
+    )
+
+    # polar form: (-(i/2) d beta pi + d ln phi - i P - (1/2) R sigma) psi
+    pd, _, _, cf = polar_pipeline(g, ext)
+    dbeta = grid_gradient(pd.beta, g.spacing, g.dims)
+    dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
+    res = np.zeros(dims + (4,))
+    for site in np.ndindex(*dims):
+        psi = g.values[site]
+        for mu in range(4):
+            rhs = (
+                -0.5j * dbeta[site][mu] * (BASIS.pi @ psi)
+                + (dlnphi[site][mu] - 1j * cf.P[site][mu]) * psi
+                - _half_sigma_loop(cf.R[site][..., mu], psi)
+            )
+            res[site][mu] = np.linalg.norm(nabla[site][:, mu] - rhs)
+    npt.assert_allclose(
+        covariant_derivative_check(g, ext).spinor, res, rtol=1e-12
+    )
 
 
 def test_frame_gauge_covariance():

@@ -20,7 +20,7 @@ from polardirac.dynamics import (
     second_order_residuals,
     sigma_m_potentials,
 )
-from polardirac.errors import PreconditionViolated
+from polardirac.errors import GridMismatch, PreconditionViolated
 from polardirac.fields import (
     convergence_order,
     gaussian_packet,
@@ -190,6 +190,42 @@ def test_dirac_residual_gauge_shifted():
     a[..., 0] = c
     res = dirac_residual(shifted, ExternalPotentials(A=a, q=q))
     assert np.max(res) < 5e-3
+
+
+def _mismatch_dirac_a_grid():
+    g, _ = rest_wave_grid(9)
+    dirac_residual(g, ExternalPotentials(A=np.zeros((5, 1, 1, 1, 4))))
+
+
+def _mismatch_dirac_a_constant():
+    g, _ = rest_wave_grid(9)
+    dirac_residual(g, ExternalPotentials(A=np.array([0.3, 0.0, 0.0, 0.0])))
+
+
+def _mismatch_polar_w():
+    g, _ = rest_wave_grid(9)
+    ext = ExternalPotentials(W=np.zeros((5, 1, 1, 1, 4)), X=0.5)
+    polar_dirac_residuals(PolarFields.from_grid(g, ext))
+
+
+def _mismatch_energy_w():
+    g, _ = rest_wave_grid(9)
+    pf = PolarFields.from_grid(g, ExternalPotentials(W=np.ones(4)))
+    energy_and_newton(pf, quantum_potentials(pf))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        _mismatch_dirac_a_grid,
+        _mismatch_dirac_a_constant,
+        _mismatch_polar_w,
+        _mismatch_energy_w,
+    ],
+)
+def test_external_field_off_grid_raises_grid_mismatch(evaluate):
+    with pytest.raises(GridMismatch, match=r"external field (A|W) shaped"):
+        evaluate()
 
 
 # ---------------------------------------------------------------- sigma/M
