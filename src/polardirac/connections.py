@@ -25,27 +25,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import (
-    _ETA_DIAG,
-    BASIS,
-    METRIC,
-    _flip,
-    boost_matrices,
-    rotation_matrices,
-)
+from .clifford import _ETA_DIAG, BASIS, METRIC, _chiral_exp, _flip
 from .errors import (
     BasisLeak,
     GridMismatch,
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, grid_gradient
+from .fields import GridField, _phase_gradient, grid_gradient
 from .polar import PolarData, decompose
 
 _SIGMA = BASIS.sigma
 _SIGMA_CONJ = np.conj(BASIS.sigma)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
+
+
+def _check_antisymmetric(t: np.ndarray, message: str) -> None:
+    """Raise NotAntisymmetric(message) unless t_{ij...} = -t_{ji...} on the
+    axes (-3, -2), to 1e-12 of max(1, max|t|)."""
+    scale = max(1.0, float(np.max(np.abs(t))) if t.size else 1.0)
+    if np.max(np.abs(t + np.swapaxes(t, -3, -2))) > 1e-12 * scale:
+        raise NotAntisymmetric(message)
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,10 @@ class ExternalPotentials:
 
     def __post_init__(self):
         if self.Omega is not None:
-            om = np.asarray(self.Omega, dtype=float)
-            skew = om + np.swapaxes(om, -3, -2)
-            scale = max(1.0, float(np.max(np.abs(om))) if om.size else 1.0)
-            if np.max(np.abs(skew)) > 1e-12 * scale:
-                raise NotAntisymmetric(
-                    "spin connection must satisfy Omega_ij = -Omega_ji"
-                )
+            _check_antisymmetric(
+                np.asarray(self.Omega, dtype=float),
+                "spin connection must satisfy Omega_ij = -Omega_ji",
+            )
 
     def _field(self, name, grid_shape, tail) -> np.ndarray:
         """The named field on the grid; GridMismatch if it lives elsewhere."""
@@ -123,9 +121,7 @@ def transform_from_polar(
     """
     chi = pd.goldstone[..., :3]
     theta = pd.goldstone[..., 3:]
-    rot_inv, _ = rotation_matrices(-theta)
-    boost_inv, _ = boost_matrices(-chi)
-    m_inv = rot_inv @ boost_inv
+    m_inv = _chiral_exp(1j * -theta) @ _chiral_exp(-chi)  # R(-theta) B(-chi)
     phase = np.exp(1j * pd.q * np.asarray(pd.alpha, dtype=float))
     return TransformField(
         matrices=phase[..., None, None] * m_inv,
@@ -146,8 +142,8 @@ def transform_from_params(
     """
     xi = np.asarray(xi, dtype=float)
     params = np.asarray(params, dtype=float)
-    lb, _ = boost_matrices(params[..., :3])
-    lr, _ = rotation_matrices(params[..., 3:])
+    lb = _chiral_exp(params[..., :3])
+    lr = _chiral_exp(1j * params[..., 3:])
     phase = np.exp(1j * q * xi)
     return TransformField(
         matrices=phase[..., None, None] * (lb @ lr),
@@ -345,13 +341,13 @@ def _spin_action(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _covariant_gradient(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     """nabla_mu psi = (d_mu + (1/2) Omega_{ij mu} sigma^{ij} + i q A_mu) psi
-    on the grid, layout [..., k, mu]."""
+    on the grid, layout [..., k, mu]; the Omega term is skipped when Omega
+    is None."""
     a = ext.a_field(g.dims)
-    return (
-        grid_gradient(g.values, g.spacing, g.dims)
-        + _spin_action(ext.omega_field(g.dims), g.values)
-        + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
-    )
+    nabla = grid_gradient(g.values, g.spacing, g.dims)
+    if ext.Omega is not None:
+        nabla = nabla + _spin_action(ext.omega_field(g.dims), g.values)
+    return nabla + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
 
 
 def covariant_derivative_check(
@@ -366,10 +362,10 @@ def covariant_derivative_check(
     left.  Returns per-point, per-direction norms.
     """
     pd, lf, gd, cf = polar_pipeline(g, ext)
-    om = ext.omega_field(g.dims)
+    om = None if ext.Omega is None else ext.omega_field(g.dims)
     nabla_psi = _covariant_gradient(g, ext)
 
-    dbeta = grid_gradient(pd.beta, g.spacing, g.dims)
+    dbeta = _phase_gradient(pd.beta, g.spacing, g.dims)
     dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
     pi_psi = np.einsum("ij,...j->...i", BASIS.pi, g.values)
     rhs = (
@@ -383,7 +379,8 @@ def covariant_derivative_check(
     def transport(vec):
         low = _flip(vec)
         dlow = grid_gradient(low, g.spacing, g.dims)
-        dlow = dlow - np.einsum("...jim,...j->...im", om, vec)
+        if om is not None:
+            dlow = dlow - np.einsum("...jim,...j->...im", om, vec)
         rhs_t = np.einsum("...jim,...j->...im", cf.R, vec)
         return np.linalg.norm(dlow - rhs_t, axis=-2)
 
@@ -482,10 +479,9 @@ def irreducible_split(r) -> IrreducibleSplit:
     are frame indices here; works pointwise or over grids.
     """
     r = np.asarray(r, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
-    skew = r + np.swapaxes(r, -3, -2)
-    if np.max(np.abs(skew)) > 1e-12 * scale:
-        raise NotAntisymmetric("input must be antisymmetric in its first two indices")
+    _check_antisymmetric(
+        r, "input must be antisymmetric in its first two indices"
+    )
     ra = np.einsum("...acd,cd->...a", r, METRIC)
     r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)

@@ -22,15 +22,18 @@ from .clifford import _ETA_DIAG, BASIS, METRIC, _flip
 from .connections import (
     ConnectionField,
     ExternalPotentials,
+    IrreducibleSplit,
     _covariant_gradient,
     field_strength,
     irreducible_split,
     polar_pipeline,
 )
 from .errors import PreconditionViolated
-from .fields import GridField, grid_gradient
+from .fields import GridField, _phase_gradient, grid_gradient
 
 _GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
+# eps^{mnsk} as a [(m n), (s k)] matrix, also eps^{rank} = eps^{anrk}
+_EPS_PAIRS = BASIS.epsilon_upper.reshape(16, 16)
 
 
 def _mink_sq(vec):
@@ -49,9 +52,9 @@ def _box(scalar, spacing, dims):
 class PolarFields:
     """Module, chiral angle, velocity and spin fields plus their connections.
 
-    The derived fields (dbeta, dlnphi2, sigma_m, dP, F) are computed on
-    first use and kept for the life of the instance; dataclasses.replace
-    returns a new instance that computes them afresh.
+    The derived fields (dbeta, dlnphi2, sigma_m, split, dP, F) are
+    computed on first use and kept for the life of the instance;
+    dataclasses.replace returns a new instance that computes them afresh.
     """
 
     phi: np.ndarray
@@ -83,8 +86,8 @@ class PolarFields:
 
     @cached_property
     def dbeta(self) -> np.ndarray:
-        """d_m beta, grid + (4,)."""
-        return grid_gradient(self.beta, self.spacing, self.dims)
+        """d_m beta, grid + (4,), read across the branch cut of beta."""
+        return _phase_gradient(self.beta, self.spacing, self.dims)
 
     @cached_property
     def dlnphi2(self) -> np.ndarray:
@@ -95,6 +98,11 @@ class PolarFields:
     def sigma_m(self) -> "SigmaM":
         """sigma_m_potentials of these fields."""
         return sigma_m_potentials(self)
+
+    @cached_property
+    def split(self) -> IrreducibleSplit:
+        """irreducible_split of the connection R."""
+        return irreducible_split(self.cf.R)
 
     @cached_property
     def dP(self) -> np.ndarray:
@@ -200,12 +208,11 @@ def quantum_potentials(pf: PolarFields) -> QuantumPotentials:
     -2 Z_m = d_m ln(phi^2) + R_{mn}{}^n
 
     The eps-contraction and the trace are the axial and trace vectors of
-    the irreducible split of R, reused from the connection layer.
+    the irreducible split of R, read from the fields' cached split.
     """
-    sp = irreducible_split(pf.cf.R)
     w = pf.ext.w_field(pf.grid_shape)
-    y = 0.5 * (pf.dbeta - 2.0 * pf.ext.X * w + sp.Ba)
-    z = -0.5 * (pf.dlnphi2 + sp.Ra)
+    y = 0.5 * (pf.dbeta - 2.0 * pf.ext.X * w + pf.split.Ba)
+    z = -0.5 * (pf.dlnphi2 + pf.split.Ra)
     return QuantumPotentials(Y=y, Z=z)
 
 
@@ -359,31 +366,25 @@ class EnergyTensor:
 
 
 def _spin_energy(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
-    """E^{rho sigma kappa}: the spin-coupled part of the matter energy."""
-    eta_up = METRIC  # diagonal, so the inverse has the same entries
-    eps_up = BASIS.epsilon_upper
+    """Spin part of the matter energy, symmetric in (r, s) by construction:
+    E^{rsk} = phi^2 (H^{rsk} + H^{srk} - 2 Y^k u^r u^s), B the axial vector of R,
+    H^{rsk} = eta^{rk} (Y - B/2)^s + u^r (Y.u eta^{sk} + eps^{mnsk} Z_m u_n)
+              - (1/4) eps^{rank} R_{an}{}^s."""
     y_up = _flip(qp.Y)
-    u_low = _flip(pf.u)
     yu = np.einsum("...m,...m->...", qp.Y, pf.u)
-    r = pf.cf.R
-    r_last_up = _flip(r)
-
-    e = (
-        np.einsum("rk,...s->...rsk", eta_up, y_up)
-        + np.einsum("sk,...r->...rsk", eta_up, y_up)
-        - 2.0 * np.einsum("...k,...s,...r->...rsk", y_up, pf.u, pf.u)
-        + np.einsum("...,...r,sk->...rsk", yu, pf.u, eta_up)
-        + np.einsum("...,...s,rk->...rsk", yu, pf.u, eta_up)
-        + np.einsum("mnsk,...m,...n,...r->...rsk", eps_up, qp.Z, u_low, pf.u)
-        + np.einsum("mnrk,...m,...n,...s->...rsk", eps_up, qp.Z, u_low, pf.u)
-        - 0.25
-        * (
-            np.einsum("rank,...ans->...rsk", eps_up, r_last_up)
-            + np.einsum("sank,...anr->...rsk", eps_up, r_last_up)
-            + np.einsum("rnai,...nai,sk->...rsk", eps_up, r, eta_up)
-            + np.einsum("snai,...nai,rk->...rsk", eps_up, r, eta_up)
-        )
-    )
+    zu = qp.Z[..., :, None] * _flip(pf.u)[..., None, :]
+    eps_zu = (zu.reshape(yu.shape + (16,)) @ _EPS_PAIRS).reshape(zu.shape)
+    inner = yu[..., None, None] * METRIC + eps_zu  # Y.u eta^{sk} + eps Z u
+    dual = (  # eps^{rank} R_{an}{}^s / 4, layout [s, r, k]
+        np.swapaxes(_flip(pf.cf.R).reshape(yu.shape + (16, 4)), -1, -2)
+        @ (0.25 * _EPS_PAIRS)
+    ).reshape(pf.cf.R.shape)
+    e = METRIC[:, None, :] * (y_up - 0.5 * _flip(pf.split.Ba))[..., None, :, None]
+    e += pf.u[..., :, None, None] * inner[..., None, :, :]
+    e -= np.swapaxes(dual, -3, -2)
+    e += np.swapaxes(e, -3, -2)  # H + H^T: numpy buffers the overlap
+    uu = pf.u[..., :, None] * pf.u[..., None, :]
+    e -= uu[..., None] * (2.0 * y_up)[..., None, None, :]
     return pf.phi[..., None, None, None] ** 2 * e
 
 
@@ -392,12 +393,10 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
     spinless Newton-law residual u^n d_n P^s - q F^{s a} u_a (upper index).
     """
     e = _spin_energy(pf, qp)
-    cos_b = np.cos(pf.beta)
-    t = 2.0 * pf.phi[..., None, None] ** 2 * pf.ext.m * cos_b[
-        ..., None, None
-    ] * np.einsum("...s,...r->...rs", pf.u, pf.u) + np.einsum(
-        "...rsk,...k->...rs", e, _flip(pf.s)
-    )
+    mass = 2.0 * pf.phi**2 * pf.ext.m * np.cos(pf.beta)
+    t = mass[..., None, None] * np.einsum(
+        "...s,...r->...rs", pf.u, pf.u
+    ) + np.einsum("...rsk,...k->...rs", e, _flip(pf.s))
 
     def add_field_energy(t, v_low):
         """t + F^2 eta/4 - F^{ra} F^s_a for F_{mn} = d_m v_n - d_n v_m."""

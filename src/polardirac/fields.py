@@ -259,6 +259,33 @@ def grid_gradient(arr: np.ndarray, spacing, dims) -> np.ndarray:
     return out
 
 
+def _phase_gradient(angle: np.ndarray, spacing, dims) -> np.ndarray:
+    """grid_gradient of an angle wrapped to (-pi, pi], read across its cut.
+
+    Where a stencil straddles the branch cut (two neighbours more than pi
+    apart) the derivative comes from the 2 pi-unwrapped samples; every
+    other site keeps the grid_gradient value bit for bit.
+    """
+    out = grid_gradient(angle, spacing, dims)
+    for ax in range(4):
+        if dims[ax] == 1:
+            continue
+        # jump[j] marks the pair (j, j + 1) along ax
+        jump = np.moveaxis(np.abs(np.diff(angle, axis=ax)) > np.pi, ax, 0)
+        if not jump.any():
+            continue
+        # site i reads the pairs i - 1 and i, an edge its two nearest pairs
+        pairs = np.concatenate([jump[1:2], jump, jump[-2:-1]])
+        straddle = pairs[:-1] | pairs[1:]
+        unwrapped = np.gradient(
+            np.unwrap(angle, axis=ax), spacing[ax], axis=ax, edge_order=2
+        )
+        out[..., ax] = np.where(
+            np.moveaxis(straddle, 0, ax), unwrapped, out[..., ax]
+        )
+    return out
+
+
 def interior(dims, margin: int = 2) -> tuple:
     """Slices selecting points at least `margin` sites from active-axis edges."""
     out = []

@@ -2,7 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from polardirac.clifford import BASIS, METRIC
+from polardirac.clifford import (
+    BASIS,
+    METRIC,
+    boost_matrices,
+    rotation_matrices,
+)
 from polardirac.connections import (
     ConnectionField,
     ExternalPotentials,
@@ -27,6 +32,7 @@ from polardirac.errors import (
     PreconditionViolated,
 )
 from polardirac.fields import (
+    _phase_gradient,
     gaussian_packet,
     grid_gradient,
     interior,
@@ -247,6 +253,51 @@ def test_constant_spinor_in_constant_gauge_potential():
     assert np.max(checks.spinor) < 1e-10
     assert np.max(checks.s_transport) < 1e-10
     assert np.max(checks.u_transport) < 1e-10
+
+
+def test_zero_omega_is_no_omega():
+    # the Omega term is skipped when Omega is None; an explicit zero field
+    # must give the same bits
+    from dataclasses import replace
+
+    from polardirac.dynamics import dirac_residual
+
+    dims = (1, 9, 9, 9)
+    rng = np.random.default_rng(72)
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=dims)
+    ext = ExternalPotentials(
+        A=rng.normal(size=dims + (4,)), W=rng.normal(size=dims + (4,)), X=0.7
+    )
+    ext_zero = replace(ext, Omega=np.zeros(dims + (4, 4, 4)))
+    assert np.array_equal(dirac_residual(g, ext), dirac_residual(g, ext_zero))
+    none, zero = (covariant_derivative_check(g, e) for e in (ext, ext_zero))
+    for name in ("spinor", "s_transport", "u_transport"):
+        assert np.array_equal(getattr(none, name), getattr(zero, name))
+
+
+def test_transforms_equal_boost_rotation_products():
+    # the transforms build only the spinor matrices; they must keep the
+    # bits of the (Lambda, V) builders' spinor halves
+    dims = (1, 7, 7, 1)
+    rng = np.random.default_rng(73)
+    params = 0.4 * rng.normal(size=dims + (6,))
+    xi = rng.normal(size=dims)
+    lf = transform_from_params(xi, params, [0, 0, 0, 0], [1, 0.2, 0.2, 1], dims)
+    lb, _ = boost_matrices(params[..., :3])
+    lr, _ = rotation_matrices(params[..., 3:])
+    assert np.array_equal(
+        lf.matrices, np.exp(1j * xi)[..., None, None] * (lb @ lr)
+    )
+
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
+    pd = decompose(g.values)
+    lf = transform_from_polar(pd, g.origin, g.spacing, g.dims)
+    rot_inv, _ = rotation_matrices(-pd.goldstone[..., 3:])
+    boost_inv, _ = boost_matrices(-pd.goldstone[..., :3])
+    phase = np.exp(1j * pd.q * pd.alpha)
+    assert np.array_equal(
+        lf.matrices, phase[..., None, None] * (rot_inv @ boost_inv)
+    )
 
 
 def residual_orders(make_residual, ns):
@@ -612,7 +663,7 @@ def test_covariant_gradient_omega_term_matches_site_loop():
 
     # polar form: (-(i/2) d beta pi + d ln phi - i P - (1/2) R sigma) psi
     pd, _, _, cf = polar_pipeline(g, ext)
-    dbeta = grid_gradient(pd.beta, g.spacing, g.dims)
+    dbeta = _phase_gradient(pd.beta, g.spacing, g.dims)
     dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
     res = np.zeros(dims + (4,))
     for site in np.ndindex(*dims):

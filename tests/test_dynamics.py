@@ -4,8 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from polardirac.clifford import BASIS
-from polardirac.connections import ConnectionField, ExternalPotentials, curvatures
+from polardirac.clifford import BASIS, METRIC
+from polardirac.connections import (
+    ConnectionField,
+    ExternalPotentials,
+    covariant_derivative_check,
+    curvatures,
+    irreducible_split,
+)
 from polardirac.dynamics import (
     EnergyTensor,
     PolarFields,
@@ -22,6 +28,8 @@ from polardirac.dynamics import (
 )
 from polardirac.errors import GridMismatch, PreconditionViolated
 from polardirac.fields import (
+    GridField,
+    _phase_gradient,
     convergence_order,
     gaussian_packet,
     grid_gradient,
@@ -93,7 +101,7 @@ def random_pf(rng, dims=(1, 5, 5, 5), with_torsion=True):
 def test_polar_fields_derived_fields_are_exact_and_cached():
     pf = random_pf(np.random.default_rng(31))
     assert np.array_equal(
-        pf.dbeta, grid_gradient(pf.beta, pf.spacing, pf.dims)
+        pf.dbeta, _phase_gradient(pf.beta, pf.spacing, pf.dims)
     )
     assert np.array_equal(
         pf.dlnphi2, grid_gradient(np.log(pf.phi**2), pf.spacing, pf.dims)
@@ -102,7 +110,11 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     for name in ("Sigma_full", "M_full", "Sigma_vec", "M_vec"):
         assert np.array_equal(getattr(pf.sigma_m, name), getattr(sm, name))
     assert np.array_equal(pf.F, curvatures(pf.cf, q=pf.ext.q).F)
+    sp = irreducible_split(pf.cf.R)
+    for name in ("Pi", "Ra", "Ba"):
+        assert np.array_equal(getattr(pf.split, name), getattr(sp, name))
     assert pf.sigma_m is pf.sigma_m
+    assert pf.split is pf.split
 
     # replace() builds a new instance, which must not see the old cache
     pf2 = dataclasses.replace(pf, phi=2.0 * pf.phi, beta=-pf.beta, s=pf.u)
@@ -114,6 +126,11 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     assert np.array_equal(
         pf2.sigma_m.Sigma_full, sigma_m_potentials(pf2).Sigma_full
     )
+    pf3 = dataclasses.replace(
+        pf, cf=dataclasses.replace(pf.cf, R=np.swapaxes(pf.cf.R, -3, -2))
+    )
+    assert not np.array_equal(pf3.split.Ba, pf.split.Ba)
+    assert np.array_equal(pf3.split.Ba, irreducible_split(pf3.cf.R).Ba)
 
 
 def boosted_wave_grid(n, chi=0.5, m=1.0, extent=0.8):
@@ -580,9 +597,86 @@ def test_energy_symmetry_invariants():
     pf = random_pf(rng)
     qp = quantum_potentials(pf)
     et, _ = energy_and_newton(pf, qp)
-    npt.assert_allclose(et.T, np.swapaxes(et.T, -1, -2), atol=1e-10)
-    npt.assert_allclose(et.E, np.swapaxes(et.E, -2, -3), atol=1e-10)
+    assert np.array_equal(et.T, np.swapaxes(et.T, -1, -2))
+    assert np.array_equal(et.E, np.swapaxes(et.E, -2, -3))
     assert isinstance(et, EnergyTensor)
+
+
+def spin_energy_terms(pf, qp):
+    """E^{rho sigma kappa} written out term by term, both halves of every
+    symmetric pair and B taken from R by its own eps contractions."""
+    eta_up = METRIC  # diagonal, so the inverse has the same entries
+    eps_up = BASIS.epsilon_upper
+    y_up = qp.Y * ETA
+    u_low = pf.u * ETA
+    yu = np.einsum("...m,...m->...", qp.Y, pf.u)
+    r = pf.cf.R
+    r_last_up = r * ETA
+
+    e = (
+        np.einsum("rk,...s->...rsk", eta_up, y_up)
+        + np.einsum("sk,...r->...rsk", eta_up, y_up)
+        - 2.0 * np.einsum("...k,...s,...r->...rsk", y_up, pf.u, pf.u)
+        + np.einsum("...,...r,sk->...rsk", yu, pf.u, eta_up)
+        + np.einsum("...,...s,rk->...rsk", yu, pf.u, eta_up)
+        + np.einsum("mnsk,...m,...n,...r->...rsk", eps_up, qp.Z, u_low, pf.u)
+        + np.einsum("mnrk,...m,...n,...s->...rsk", eps_up, qp.Z, u_low, pf.u)
+        - 0.25
+        * (
+            np.einsum("rank,...ans->...rsk", eps_up, r_last_up)
+            + np.einsum("sank,...anr->...rsk", eps_up, r_last_up)
+            + np.einsum("rnai,...nai,sk->...rsk", eps_up, r, eta_up)
+            + np.einsum("snai,...nai,rk->...rsk", eps_up, r, eta_up)
+        )
+    )
+    return pf.phi[..., None, None, None] ** 2 * e
+
+
+@pytest.mark.parametrize("field", ["random", "gaussian"])
+def test_energy_matches_term_by_term_oracle(field):
+    if field == "random":
+        pf = random_pf(np.random.default_rng(75))
+    else:
+        g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
+        pf = PolarFields.from_grid(g)
+    qp = quantum_potentials(pf)
+    et, _ = energy_and_newton(pf, qp)
+    expect = spin_energy_terms(pf, qp)
+    scale = np.max(np.abs(expect))
+    assert scale > 0.0
+    npt.assert_allclose(et.E, expect, rtol=0.0, atol=1e-12 * scale)
+
+
+def chiral_phase_grid(beta_mid):
+    """phi = 1, u and s at rest, beta = beta_mid + x/2 on a 17-point x axis."""
+    from polardirac.polar import REFERENCE, chiral_phase
+
+    n = 17
+    x = np.linspace(-1.0, 1.0, n)
+    beta = (beta_mid + 0.5 * x).reshape(1, n, 1, 1)
+    values = np.einsum("...ij,j->...i", chiral_phase(beta), REFERENCE)
+    return GridField([0, -1, 0, 0], [1, x[1] - x[0], 1, 1], (1, n, 1, 1), values)
+
+
+def test_beta_branch_cut_is_read_across():
+    # beta runs 2.7..3.7 and crosses the arctan2 cut at pi; the same field
+    # shifted to 0.5..1.5 has no cut.  Both have Y_x = d_x beta / 2 = 1/4.
+    pf_cut = PolarFields.from_grid(chiral_phase_grid(3.2))
+    pf_plain = PolarFields.from_grid(chiral_phase_grid(1.0))
+    assert np.min(pf_cut.beta) < 0.0 < np.max(pf_cut.beta)
+    for pf in (pf_cut, pf_plain):
+        y = quantum_potentials(pf).Y
+        npt.assert_allclose(y[..., 1], 0.25, atol=1e-12)
+        npt.assert_allclose(np.delete(y, 1, axis=-1), 0.0, atol=1e-12)
+    # without a cut the derivative keeps the plain grid_gradient bits
+    plain = grid_gradient(pf_plain.beta, pf_plain.spacing, pf_plain.dims)
+    assert np.array_equal(pf_plain.dbeta, plain)
+
+    ext = ExternalPotentials()
+    res_cut = covariant_derivative_check(chiral_phase_grid(3.2), ext).spinor
+    res_plain = covariant_derivative_check(chiral_phase_grid(1.0), ext).spinor
+    npt.assert_allclose(res_cut, res_plain, atol=1e-12)
+    assert np.max(res_cut) < 1e-3
 
 
 # ---------------------------------------------------------------- nonrel H
