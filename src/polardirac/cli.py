@@ -80,7 +80,6 @@ SUITES = (
 _BOOSTED_E = float(np.hypot(1.0, 0.5))
 
 DEFAULTS = {
-    "command": "verify",
     "seed": 0,
     "field": {
         "kind": "superposition",
@@ -99,7 +98,7 @@ DEFAULTS = {
         "spacing": [0.2, 1.0, 1.0, 0.2],
         "dims": [9, 1, 1, 9],
     },
-    "couplings": {"q": 1.0, "m": 1.0, "X": 0.0, "M_torsion": 1.0},
+    "couplings": {"q": 1.0, "m": 1.0},
     "tolerances": {
         "algebraic": 1e-10,
         "roundtrip": 1e-9,
@@ -822,7 +821,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        cfg["command"] = args.command
         return DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

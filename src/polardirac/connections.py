@@ -32,13 +32,17 @@ from .errors import (
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, _phase_gradient, grid_gradient
+from .fields import GridField, _phase_gradient, _site_fd, grid_gradient
 from .polar import PolarData, decompose
 
-_SIGMA = BASIS.sigma
-_SIGMA_CONJ = np.conj(BASIS.sigma)
+# sigma^{ab}_{kl} as a [(k l), (a b)] matrix and conj(sigma^{ab}_{ji}) as
+# [(a b), (j i)]; only _spin_matrix and _spin_components read them
+_SIGMA_16 = BASIS.sigma.reshape(16, 16).T
+_SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
+# the identity per direction, layout [row, col, mu]
+_EYE_M = np.eye(4)[:, :, None]
 
 
 def _check_antisymmetric(t: np.ndarray, message: str) -> None:
@@ -184,39 +188,53 @@ def _log_derivative(lf: TransformField) -> np.ndarray:
     return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
 
 
+def _spin_matrix(t: np.ndarray) -> np.ndarray:
+    """(1/2) T_{ab m} sigma^{ab} per direction m, layout [..., k, l, m]
+    from components [..., a, b, m]: the inverse of _spin_components."""
+    shape = t.shape
+    stacked = t.reshape(shape[:-3] + (16, shape[-1]))
+    return 0.5 * (_SIGMA_16 @ stacked).reshape(shape)
+
+
+def _spin_components(mats: np.ndarray) -> np.ndarray:
+    """Components T_{ab m} = Re tr(sigma^{ab dag} M_m) per direction m,
+    layout [..., a, b, m] from matrices [..., row, col, m].
+
+    The sigma^{ab} (a < b) are orthonormal under tr(A^dag B) and orthogonal
+    to the identity, so for M_m = i c I + (1/2) T_{ab m} sigma^{ab} this is
+    a plain projection that returns T.
+    """
+    shape = mats.shape
+    stacked = mats.reshape(shape[:-3] + (16, shape[-1]))
+    return np.real(_SIGMA_CONJ_16 @ stacked).reshape(shape)
+
+
 def _project_log_derivative(x_mats: np.ndarray, q: float):
     """Split X_mu = L^{-1} d_mu L into phase, spin and leak parts.
 
-    x_mats has shape (..., 4, 4, 4) with [row, col, mu].  The sigma^{ab}
-    (a < b) are orthonormal under tr(A^dag B) and orthogonal to the
-    identity, so the split is a plain projection.
+    x_mats has shape (..., 4, 4, 4) with [row, col, mu].  The identity
+    part is the trace, the spin part is _spin_components, and the leak is
+    what the two leave out of X.
     """
-    tr = np.einsum("...iim->...m", x_mats)
-    dxi = tr.imag / (4.0 * q)
-    # tr(sigma^dag X) = conj(sigma_ji) X_ji, unit-norm basis elements
-    dxi_ab = np.real(np.einsum("abji,...jim->...abm", _SIGMA_CONJ, x_mats))
-    recon = 1j * q * np.einsum("...m,ij->...ijm", dxi, np.eye(4)) + 0.5 * (
-        np.einsum("...abm,abij->...ijm", dxi_ab, _SIGMA)
-    )
+    dxi = np.trace(x_mats, axis1=-3, axis2=-2).imag / (4.0 * q)
+    dxi_ab = _spin_components(x_mats)
+    recon = _spin_matrix(dxi_ab) + 1j * q * dxi[..., None, None, :] * _EYE_M
     leak = np.linalg.norm(x_mats - recon, axis=(-3, -2))
     return dxi, dxi_ab, leak
 
 
-def _check_leak(x_mats, leak, lf: TransformField, override) -> None:
+def _check_leak(x_mats, leak, lf: TransformField) -> None:
     """Raise BasisLeak where the out-of-algebra residual is too large.
 
     x_mats and leak come from one site or a whole grid.  Finite
     differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
     tolerance scales with the largest |X_mu|; the floor 1e-8 h^2 covers
-    the near-constant case.  override replaces it on every axis.
+    the near-constant case.
     """
-    if override is not None:
-        tol = np.full(4, float(override))
-    else:
-        norms = np.linalg.norm(x_mats, axis=(-3, -2))
-        scale = float(np.max(norms)) if norms.size else 0.0
-        tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
+    norms = np.linalg.norm(x_mats, axis=(-3, -2))
+    scale = float(np.max(norms)) if norms.size else 0.0
+    tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
     worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
         if lf.dims[ax] > 1 and worst[ax] > tol[ax]:
@@ -226,13 +244,11 @@ def _check_leak(x_mats, leak, lf: TransformField, override) -> None:
             )
 
 
-def goldstone_derivatives(
-    lf: TransformField, leak_tol: float | None = None
-) -> GoldstoneDerivatives:
+def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
     """Grid-wide Goldstone derivative extraction with basis-leak check."""
     x = _log_derivative(lf)
     dxi, dxi_ab, leak = _project_log_derivative(x, lf.q)
-    _check_leak(x, leak, lf, leak_tol)
+    _check_leak(x, leak, lf)
     return GoldstoneDerivatives(
         dxi=dxi,
         dxi_ab=dxi_ab,
@@ -244,39 +260,20 @@ def goldstone_derivatives(
     )
 
 
-def goldstone_derivative(
-    lf: TransformField, point, leak_tol: float | None = None
-):
+def goldstone_derivative(lf: TransformField, point):
     """Single-site version: 2nd-order stencil at one grid index.
 
     Returns (dxi, dxi_ab, leak) for the four directions at that site.
     """
-    mats = lf.matrices
     x_mats = np.zeros((4, 4, 4), dtype=complex)
-    l_inv = np.linalg.inv(mats[tuple(point)])
+    l_inv = np.linalg.inv(lf.matrices[tuple(point)])
     for ax in range(4):
-        n = lf.dims[ax]
-        if n == 1:
-            continue
-        h = lf.spacing[ax]
-        i = point[ax]
-
-        def grab(j, ax=ax):
-            idx = list(point)
-            idx[ax] = j
-            return mats[tuple(idx)]
-
-        if 0 < i < n - 1:
-            dl = (grab(i + 1) - grab(i - 1)) / (2.0 * h)
-        elif i == 0:
-            dl = (-3.0 * grab(0) + 4.0 * grab(1) - grab(2)) / (2.0 * h)
-        else:
-            dl = (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (
-                2.0 * h
+        if lf.dims[ax] > 1:
+            x_mats[:, :, ax] = l_inv @ _site_fd(
+                lf.matrices, ax, point, lf.spacing[ax]
             )
-        x_mats[:, :, ax] = l_inv @ dl
     dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
-    _check_leak(x_mats, leak, lf, leak_tol)
+    _check_leak(x_mats, leak, lf)
     return dxi, dxi_ab, leak
 
 
@@ -326,12 +323,6 @@ class CovariantChecks:
     spinor: np.ndarray  # grid shape + (4,) : per direction
     s_transport: np.ndarray
     u_transport: np.ndarray
-
-
-def _spin_matrix(t: np.ndarray) -> np.ndarray:
-    """(1/2) T_{ab m} sigma^{ab} per direction m: the inverse of
-    project_spin_matrix, with the direction index kept last."""
-    return 0.5 * np.einsum("...ijm,ijkl->...klm", t, _SIGMA)
 
 
 def _spin_action(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -566,15 +557,6 @@ def divergence_constraints(
     )
 
 
-def project_spin_matrix(mats: np.ndarray) -> np.ndarray:
-    """Components T_{ab} of T = (1/2) T_{ab} sigma^{ab} for algebra-valued T.
-
-    Used to push transformed spin connections back to index form in the
-    covariance tests.
-    """
-    return np.real(np.einsum("abji,...ji->...ab", _SIGMA_CONJ, mats))
-
-
 def transform_connection_inputs(
     lf: TransformField,
     ext: ExternalPotentials,
@@ -608,8 +590,7 @@ def transform_connection_inputs(
     om_new_mat = np.einsum(
         "...ij,...jkm,...kl->...ilm", s_mat, om_mat, s_inv
     ) - np.einsum("...ijm,...jk->...ikm", ds, s_inv)
-    om_new = np.stack(
-        [project_spin_matrix(om_new_mat[..., m]) for m in range(4)], axis=-1
+    ext_new = replace(
+        ext, A=ext.a_field(shape) + dzeta, Omega=_spin_components(om_new_mat)
     )
-    ext_new = replace(ext, A=ext.a_field(shape) + dzeta, Omega=om_new)
     return replace(lf, matrices=l_new), ext_new, v_mat

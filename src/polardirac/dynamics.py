@@ -34,6 +34,7 @@ from .fields import GridField, _phase_gradient, grid_gradient
 _GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
 # eps^{mnsk} as a [(m n), (s k)] matrix, also eps^{rank} = eps^{anrk}
 _EPS_PAIRS = BASIS.epsilon_upper.reshape(16, 16)
+_R_TOL = 1e-8  # max |R| up to which second_order_residuals takes R = 0
 
 
 def _mink_sq(vec):
@@ -287,7 +288,7 @@ class SecondOrderResiduals:
 
 
 def second_order_residuals(
-    pf: PolarFields, qp: QuantumPotentials, r_tol: float = 1e-8
+    pf: PolarFields, qp: QuantumPotentials
 ) -> SecondOrderResiduals:
     """The three scalar second-order equations as pointwise residuals.
 
@@ -304,9 +305,9 @@ def second_order_residuals(
     -phi times the general one evaluated on zero-beta inputs.
     """
     r_max = float(np.max(np.abs(pf.cf.R)))
-    if r_max > r_tol:
+    if r_max > _R_TOL:
         raise PreconditionViolated(
-            f"max |R| = {r_max:.3e} > {r_tol:.3e}: the standard balance "
+            f"max |R| = {r_max:.3e} > {_R_TOL:.3e}: the standard balance "
             "equation assumes a vanishing tensorial connection"
         )
     sm = pf.sigma_m

@@ -189,20 +189,28 @@ class GridField:
         """
         if self.dims[axis] == 1:
             return np.zeros(4, dtype=complex)
-        i = point[axis]
-        h = self.spacing[axis]
-        n = self.dims[axis]
+        return _site_fd(self.values, axis, point, self.spacing[axis])
 
-        def grab(j):
-            q = list(point)
-            q[axis] = j
-            return self.values[tuple(q)]
 
-        if 0 < i < n - 1:
-            return (grab(i + 1) - grab(i - 1)) / (2.0 * h)
-        if i == 0:
-            return (-3.0 * grab(0) + 4.0 * grab(1) - grab(2)) / (2.0 * h)
-        return (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (2.0 * h)
+def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
+    """GridField.fd for any arr with the grid on its first four axes.
+
+    Written out site by site, apart from np.gradient, so that it can serve
+    as an oracle for grid_gradient.
+    """
+    i = point[axis]
+    n = arr.shape[axis]
+
+    def grab(j):
+        q = list(point)
+        q[axis] = j
+        return arr[tuple(q)]
+
+    if 0 < i < n - 1:
+        return (grab(i + 1) - grab(i - 1)) / (2.0 * h)
+    if i == 0:
+        return (-3.0 * grab(0) + 4.0 * grab(1) - grab(2)) / (2.0 * h)
+    return (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (2.0 * h)
 
 
 def interp_values(origin, spacing, dims, arr, x) -> np.ndarray:
@@ -438,7 +446,8 @@ def save_grid(g: GridField, path) -> None:
 
 
 def load_grid(path) -> GridField:
-    """Read back a grid written by save_grid."""
+    """Read back a grid written by save_grid; ValueError if the magic line
+    or a header key is missing, or the payload does not fit the dims."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head, _, rest = blob.partition(b"data: little-endian float64 (re,im) pairs, C order\n")
@@ -449,12 +458,18 @@ def load_grid(path) -> GridField:
     for line in lines[1:]:
         key, _, val = line.partition(":")
         fields[key.strip()] = val.strip()
+    for key in ("origin", "spacing", "dims"):
+        if key not in fields:
+            raise ValueError(f"grid-field header lacks the '{key}' line")
     origin = np.array([float(v) for v in fields["origin"].split()])
     spacing = np.array([float(v) for v in fields["spacing"].split()])
     dims = tuple(int(v) for v in fields["dims"].split())
-    count = int(np.prod(dims)) * 4
-    pairs = np.frombuffer(rest, dtype="<f8", count=count * 2).reshape(
-        dims + (4, 2)
-    )
+    expected = int(np.prod(dims)) * 4 * 2 * 8
+    if len(rest) != expected:
+        raise ValueError(
+            f"grid-field payload holds {len(rest)} bytes; dims {dims} "
+            f"need {expected}"
+        )
+    pairs = np.frombuffer(rest, dtype="<f8").reshape(dims + (4, 2))
     values = pairs[..., 0] + 1j * pairs[..., 1]
     return GridField(origin=origin, spacing=spacing, dims=dims, values=values)

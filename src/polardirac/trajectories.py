@@ -214,9 +214,9 @@ def integrate(field, x0, t0: float, t1: float, dt: float,
 def continuity_residual(field, grid=None) -> np.ndarray:
     """Divergence of the current, d_mu U^mu, at every grid site.
 
-    field may be a GridField (used as-is) or an AnalyticField, in which
-    case grid = (origin, spacing, dims) says where to sample it.  Exact
-    solutions give O(h^2) residuals; anything else reports honestly.
+    field may be a GridField or CurrentField (used as-is) or an
+    AnalyticField, sampled where grid = (origin, spacing, dims) says.
+    Exact solutions give O(h^2) residuals; anything else reports honestly.
     """
     if isinstance(field, AnalyticField):
         if grid is None:
@@ -224,7 +224,7 @@ def continuity_residual(field, grid=None) -> np.ndarray:
         origin, spacing, dims = grid
         field = sample(field, origin, spacing, dims)
     cur = _as_current(field)
-    dU = grid_gradient(cur.obs[..., 2:6], field.spacing, field.dims)
+    dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing, cur.g.dims)
     return np.einsum("...mm->...", dU)
 
 

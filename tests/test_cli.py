@@ -86,6 +86,9 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     ("trajectories", "trajectories.points=[[a,0,0]]", "trajectories.points[0]"),
     ("trajectories", "trajectories.t1=-1.0", "trajectories.t1"),
     ("decompose", "decompose.spinor=[a,0,0,0,1,0,0,0]", "decompose.spinor"),
+    ("decompose", "couplings.X=0.5", "couplings.X"),
+    ("decompose", "couplings.M_torsion=2.0", "couplings.M_torsion"),
+    ("decompose", "command=decompose", "command"),
 ])
 def test_invalid_config_exit_2(capsys, command, override, key):
     code, out, err = run_cli(capsys, command, "--set", override)

@@ -143,6 +143,42 @@ def test_point_op_matches_grid_op():
         npt.assert_allclose(dxi_ab, gd.dxi_ab[point], atol=1e-12)
 
 
+def _three_einsum_projection(x_mats, q):
+    """The einsum projection the shared sigma pair replaced, kept verbatim."""
+    tr = np.einsum("...iim->...m", x_mats)
+    dxi = tr.imag / (4.0 * q)
+    dxi_ab = np.real(np.einsum("abji,...jim->...abm", np.conj(BASIS.sigma), x_mats))
+    recon = 1j * q * np.einsum("...m,ij->...ijm", dxi, np.eye(4)) + 0.5 * (
+        np.einsum("...abm,abij->...ijm", dxi_ab, BASIS.sigma)
+    )
+    leak = np.linalg.norm(x_mats - recon, axis=(-3, -2))
+    return dxi, dxi_ab, leak
+
+
+def test_projection_matches_einsum_oracle():
+    from polardirac.connections import _log_derivative, _project_log_derivative
+
+    rng = np.random.default_rng(8)
+    shape = (3, 3, 3, 4, 4, 4)
+    x_random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x_gauge = _log_derivative(gauge_boost_field(9)[0])
+    for x_mats, q in [(x_random, 1.3), (x_gauge, 1.0)]:
+        dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
+        ref_dxi, ref_dxi_ab, ref_leak = _three_einsum_projection(x_mats, q)
+        npt.assert_array_equal(dxi, ref_dxi)
+        npt.assert_array_equal(dxi_ab, ref_dxi_ab)
+        npt.assert_allclose(leak, ref_leak, rtol=0.0, atol=1e-15)
+
+
+def test_spin_components_invert_spin_matrix():
+    from polardirac.connections import _spin_components, _spin_matrix
+
+    rng = np.random.default_rng(9)
+    t = rng.uniform(-1.0, 1.0, size=(3, 3, 3, 4, 4, 4))
+    t = t - np.swapaxes(t, -3, -2)
+    npt.assert_allclose(_spin_components(_spin_matrix(t)), t, rtol=0.0, atol=1e-15)
+
+
 def test_basis_leak_detection():
     dims = (1, 9, 1, 1)
     origin = [0, 0, 0, 0]

@@ -235,3 +235,25 @@ def test_save_load_roundtrip(tmp_path):
     npt.assert_allclose(h.spacing, g.spacing, atol=0.0)
     assert h.dims == g.dims
     npt.assert_allclose(h.values, g.values, atol=0.0)
+
+
+def test_load_grid_rejects_malformed_files(tmp_path):
+    f = plane_wave([np.hypot(1.0, 0.3), 0.3, 0, 0])
+    g = sample(f, [0, -1, -1, -1], [0.2, 0.5, 0.5, 0.5], (5, 1, 1, 6))
+    path = tmp_path / "field.bin"
+    save_grid(g, path)
+    blob = path.read_bytes()
+    cases = [
+        # dims undercount the payload: 5*1*1*5 sites declared, 30 stored
+        (blob.replace(b"dims: 5 1 1 6", b"dims: 5 1 1 5"), "need 1600"),
+        (b"".join(
+            line for line in blob.splitlines(keepends=True)
+            if not line.startswith(b"spacing:")
+        ), "'spacing'"),
+        (blob[:-16], "holds 1904 bytes"),
+    ]
+    for i, (bad, message) in enumerate(cases):
+        target = tmp_path / f"bad{i}.bin"
+        target.write_bytes(bad)
+        with pytest.raises(ValueError, match=message):
+            load_grid(target)

@@ -234,6 +234,13 @@ def test_continuity_single_wave_flat():
     assert np.max(np.abs(res)) < 1e-12
 
 
+def test_continuity_accepts_current_field():
+    g = exponential_flow_grid(rate=1.0, nz=33)
+    npt.assert_array_equal(
+        continuity_residual(CurrentField.from_grid(g)), continuity_residual(g)
+    )
+
+
 def continuity_on(n):
     m = 1.0
     p = 0.5
