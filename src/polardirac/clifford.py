@@ -20,6 +20,7 @@ theta_x, theta_y, theta_z) and enter the exponent through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -57,17 +58,9 @@ def minkowski_dot(a, b) -> np.ndarray:
 def _levi_civita() -> np.ndarray:
     """Rank-4 totally antisymmetric symbol with eps[0,1,2,3] = +1."""
     eps = np.zeros((4, 4, 4, 4))
-    from itertools import permutations
-
     for perm in permutations(range(4)):
-        # parity by counting inversions
-        inv = sum(
-            1
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if perm[i] > perm[j]
-        )
-        eps[perm] = -1.0 if inv % 2 else 1.0
+        # the sign of the permutation: -1 per inverted pair
+        eps[perm] = np.prod([np.sign(b - a) for a, b in combinations(perm, 2)])
     return eps
 
 
@@ -157,6 +150,9 @@ def _verify_basis(b: CliffordBasis) -> None:
 
 # A shared immutable instance for internal use.  Callers must not mutate it.
 BASIS = build_basis()
+# eps^{abcd} as a symmetric [(a b), (c d)] matrix; eps_{abcd} is its negative.
+# connections and dynamics contract index pairs of grid fields with it.
+_EPS_PAIRS = BASIS.epsilon_upper.reshape(16, 16)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import _ETA_DIAG, BASIS, METRIC, _chiral_exp, _flip
+from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _chiral_exp, _flip
+from .clifford import goldstone_matrices
 from .errors import (
     BasisLeak,
     GridMismatch,
@@ -43,6 +44,17 @@ _SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
 # the identity per direction, layout [row, col, mu]
 _EYE_M = np.eye(4)[:, :, None]
+
+
+def _require_on_grid(name, shape, grid_shape, tail) -> None:
+    """Raise GridMismatch unless an array named name, shaped shape, lives
+    on grid_shape with the tensor axes tail."""
+    expected = tuple(grid_shape) + tail
+    if tuple(shape) != expected:
+        raise GridMismatch(
+            f"{name} shaped {tuple(shape)} does not live on grid "
+            f"{tuple(grid_shape)}; expected {expected}"
+        )
 
 
 def _check_antisymmetric(t: np.ndarray, message: str) -> None:
@@ -73,9 +85,14 @@ class ExternalPotentials:
 
     def __post_init__(self):
         if self.Omega is not None:
+            omega = np.asarray(self.Omega, dtype=float)
+            if omega.shape[-3:] != (4, 4, 4):
+                raise GridMismatch(
+                    f"external field Omega shaped {omega.shape} lacks the "
+                    "tensor axes (4, 4, 4)"
+                )
             _check_antisymmetric(
-                np.asarray(self.Omega, dtype=float),
-                "spin connection must satisfy Omega_ij = -Omega_ji",
+                omega, "spin connection must satisfy Omega_ij = -Omega_ji"
             )
 
     def _field(self, name, grid_shape, tail) -> np.ndarray:
@@ -83,11 +100,7 @@ class ExternalPotentials:
         shape = tuple(grid_shape) + tail
         value = getattr(self, name)
         arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
-        if arr.shape != shape:
-            raise GridMismatch(
-                f"external field {name} shaped {arr.shape} does not live on "
-                f"grid {tuple(grid_shape)}; expected {shape}"
-            )
+        _require_on_grid(f"external field {name}", arr.shape, grid_shape, tail)
         return arr
 
     def a_field(self, grid_shape) -> np.ndarray:
@@ -393,19 +406,17 @@ def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
 
 def _riemann(r_up, dr, omega) -> np.ndarray:
     """riemann^i_{j mu nu} of curvatures from R^i_{j mu} and its grid
-    gradient dr, layout [i, j, nu, mu]."""
-    cov = np.ascontiguousarray(np.swapaxes(dr, -1, -2))  # [i, j, mu, nu]
+    gradient dr, layout [i, j, nu, mu]; with G = L^{-1} dL in place of R
+    and omega None it is minus dG - dG + [G, G].  GridMismatch unless
+    omega is None or lives on the grid of r_up."""
+    cov = np.swapaxes(dr, -1, -2)  # [i, j, mu, nu]
     if omega is not None:
+        _require_on_grid("omega", np.shape(omega), r_up.shape[:-3], (4, 4, 4))
         om_up = omega * _ETA_DIAG[:, None, None]
         cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
         cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
     quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
-    return -(
-        cov
-        - np.swapaxes(cov, -1, -2)
-        + quad
-        - np.swapaxes(quad, -1, -2)
-    )
+    return -(cov - np.swapaxes(cov, -1, -2) + quad - np.swapaxes(quad, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -431,9 +442,10 @@ def curvatures(
 
     F is the gauge field strength, see field_strength.
 
-    goldstone_flat (when an L field is supplied) is the pointwise norm of
-    dG - dG + [G, G] for G = L^{-1} dL, which is zero for any group-valued
-    L up to discretization error.
+    goldstone_flat (when an L field is supplied) is the pointwise max of
+    |dG - dG + [G, G]| for G = L^{-1} dL, the same Riemann formula, which
+    is zero for any group-valued L up to discretization error.  omega and
+    the L field must live on the grid of cf, or GridMismatch is raised.
     """
     r_up = cf.R * _ETA_DIAG[:, None, None]
     riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing, cf.dims), omega)
@@ -441,16 +453,10 @@ def curvatures(
 
     flat = None
     if lfield is not None:
+        _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = _log_derivative(lfield)
-        dg = grid_gradient(gmat, lfield.spacing, lfield.dims)  # [i,j,mu,nu]
-        comm = np.einsum("...ikm,...kjn->...ijmn", gmat, gmat)
-        curv = (
-            np.swapaxes(dg, -1, -2)
-            - dg
-            + comm
-            - np.swapaxes(comm, -1, -2)
-        )
-        flat = np.max(np.abs(curv), axis=(-4, -3, -2, -1))
+        dg = grid_gradient(gmat, lfield.spacing, lfield.dims)
+        flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-4, -3, -2, -1))
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
 
@@ -473,7 +479,7 @@ def irreducible_split(r) -> IrreducibleSplit:
     _check_antisymmetric(
         r, "input must be antisymmetric in its first two indices"
     )
-    ra = np.einsum("...acd,cd->...a", r, METRIC)
+    ra = np.trace(_flip(r), axis1=-2, axis2=-1)
     r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
     trace_part, axial_part = _split_parts(ra, ba_low)
@@ -518,6 +524,7 @@ def divergence_constraints(
     is 0.1 h^2 times the size a curved connection of this magnitude would
     have, max|dR| + max|R|^2, floored at the roundoff eps (max|P| + 1/h)^2
     of the inputs' natural scale, which decides when R is zero to roundoff.
+    omega must live on the grid of cf, or GridMismatch is raised.
     """
     r_first_up = cf.R * _ETA_DIAG[:, None, None]
     dr = grid_gradient(r_first_up, cf.spacing, cf.dims)
@@ -543,9 +550,10 @@ def divergence_constraints(
     div_r = np.trace(
         grid_gradient(ra_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
     )
-    quad_b = np.einsum(
-        "asmn,...kam,...ksn->...", BASIS.epsilon_upper, cf.R, r_first_up
-    )
+    # eps^{asmn} = -eps^{amsn}: one (a m), (s n) pair contraction per k
+    pairs = cf.grid_shape + (4, 16)
+    dual = cf.R.reshape(pairs) @ _EPS_PAIRS
+    quad_b = -np.sum(dual * r_first_up.reshape(pairs), axis=(-2, -1))
     r_all_up = cf.R * _ETA_UP3
     rr = np.einsum("...amn,...amn->...", r_all_up, cf.R)
     bb = np.sum(ba_up * sp.Ba, axis=-1)
@@ -577,8 +585,6 @@ def transform_connection_inputs(
     and the function returns (L', ext', V(S)) so the caller can verify
     P' = P and R'_{ab} = (V^{-1})^c_a (V^{-1})^d_b R_{cd}.
     """
-    from .clifford import goldstone_matrices
-
     s_mat, v_mat = goldstone_matrices(s_params)
     s_inv = np.linalg.inv(s_mat)
     phase = np.exp(1j * lf.q * np.asarray(zeta, dtype=float))

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import _ETA_DIAG, BASIS, METRIC, _flip
+from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _flip
 from .connections import (
     ConnectionField,
     ExternalPotentials,
@@ -32,8 +32,8 @@ from .errors import PreconditionViolated
 from .fields import GridField, _phase_gradient, grid_gradient
 
 _GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
-# eps^{mnsk} as a [(m n), (s k)] matrix, also eps^{rank} = eps^{anrk}
-_EPS_PAIRS = BASIS.epsilon_upper.reshape(16, 16)
+# W^{mn} = W_{mn} * _ETA_UP2: both indices raised
+_ETA_UP2 = _ETA_DIAG[:, None] * _ETA_DIAG
 _R_TOL = 1e-8  # max |R| up to which second_order_residuals takes R = 0
 
 
@@ -53,8 +53,8 @@ def _box(scalar, spacing, dims):
 class PolarFields:
     """Module, chiral angle, velocity and spin fields plus their connections.
 
-    The derived fields (dbeta, dlnphi2, sigma_m, split, dP, F) are
-    computed on first use and kept for the life of the instance;
+    The derived fields (dbeta, dlnphi2, spin_plane, sigma_m, split, dP,
+    F) are computed on first use and kept for the life of the instance;
     dataclasses.replace returns a new instance that computes them afresh.
     """
 
@@ -96,6 +96,14 @@ class PolarFields:
         return grid_gradient(np.log(self.phi**2), self.spacing, self.dims)
 
     @cached_property
+    def spin_plane(self) -> np.ndarray:
+        """W_{ij} = eps_{ijab} u^a s^b, grid + (4, 4): the eps-dual of the
+        plane u ^ s (not the torsion vector ext.W)."""
+        us = self.u[..., :, None] * self.s[..., None, :]
+        pairs = us.reshape(us.shape[:-2] + (16,))
+        return -(pairs @ _EPS_PAIRS).reshape(us.shape)
+
+    @cached_property
     def sigma_m(self) -> "SigmaM":
         """sigma_m_potentials of these fields."""
         return sigma_m_potentials(self)
@@ -135,16 +143,16 @@ def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
 class SigmaM:
     """The combined potential, its dual, and their contracted vectors.
 
-    Sigma_full[..., i, j, m] = R_{ij m} - 2 P_m u^a s^b eps_{ijab}
-    M_full[..., a, b, m]     = (1/2) R_{ij m} eps^{ijab}
+    Sigma_full[..., i, j, m] = R_{ij m} - 2 P_m W_{ij}
+    M_full[..., a, b, m]     = (1/2) eps^{abij} Sigma_{ij m}
+                             = (1/2) R_{ij m} eps^{ijab}
                                + 2 P_m (u^a s^b - u^b s^a)
     Sigma_vec_m = Sigma_{m n}{}^n   (lower index)
     M_vec_m     = eta_{ma} M^{a b}{}_b  (lower index)
 
-    The vector contractions are the trace over the second pair slot and the
-    derivative slot; with them the polar first-order equations close on
-    exact plane-wave solutions, and M_full is exactly the eps-dual of
-    Sigma_full.
+    W is the spin plane of PolarFields.  The vector contractions are the
+    trace over the second pair slot and the derivative slot; with them the
+    polar first-order equations close on exact plane-wave solutions.
     """
 
     Sigma_full: np.ndarray
@@ -154,18 +162,10 @@ class SigmaM:
 
 
 def sigma_m_potentials(pf: PolarFields) -> SigmaM:
-    p, r = pf.cf.P, pf.cf.R
-    eps, eps_up = BASIS.epsilon, BASIS.epsilon_upper
-
-    spin_plane = np.einsum("ijab,...a,...b->...ij", eps, pf.u, pf.s)
-    sigma_full = r - 2.0 * p[..., None, None, :] * spin_plane[..., None]
-
-    dual_r = 0.5 * np.einsum("...ijm,ijab->...abm", r, eps_up)
-    us = np.einsum("...a,...b->...ab", pf.u, pf.s)
-    m_full = dual_r + 2.0 * p[..., None, None, :] * (
-        us - np.swapaxes(us, -1, -2)
-    )[..., None]
-
+    p = pf.cf.P[..., None, None, :]
+    sigma_full = pf.cf.R - 2.0 * p * pf.spin_plane[..., None]
+    pairs = sigma_full.reshape(sigma_full.shape[:-3] + (16, 4))
+    m_full = (0.5 * (_EPS_PAIRS @ pairs)).reshape(sigma_full.shape)
     sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
     m_vec = _flip(np.einsum("...abb->...a", m_full))
     return SigmaM(
@@ -228,6 +228,7 @@ def hj_residuals(pf: PolarFields, qp: QuantumPotentials) -> HJResiduals:
 
     res1_m = P^i (u_i s_m - u_m s_i) - Y_m - m s_m cos(beta)
     res2_m = P^r u^n s^a eps_{mrna} + Z_m - m s_m sin(beta)
+           = W_{mr} P^r + Z_m - m s_m sin(beta),  W the spin plane
 
     Built independently of polar_dirac_residuals; the two agree exactly
     (res_hj = -res_polar / 2), which the tests assert as a cross-check.
@@ -246,7 +247,7 @@ def hj_residuals(pf: PolarFields, qp: QuantumPotentials) -> HJResiduals:
         - pf.ext.m * s_low * cos_b[..., None]
     )
     res2 = (
-        np.einsum("mrna,...r,...n,...a->...m", BASIS.epsilon, p_up, pf.u, pf.s)
+        np.einsum("...mr,...r->...m", pf.spin_plane, p_up)
         + qp.Z
         - pf.ext.m * s_low * sin_b[..., None]
     )
@@ -257,7 +258,7 @@ def guidance_momentum(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
     """Explicit momentum, lower index:
 
     P^r = m cos(beta) u^r + (Y.u) s^r - (Y.s) u^r
-          + Z_m u_n s_a eps^{mnra}
+          + Z_m u_n s_a eps^{mnra}     (= -Z_m W^{mr}, W the spin plane)
 
     For any configuration solving the first-order pair this reproduces the
     connection-derived P.
@@ -269,13 +270,7 @@ def guidance_momentum(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
         pf.ext.m * cos_b[..., None] * pf.u
         + yu[..., None] * pf.s
         - ys[..., None] * pf.u
-        + np.einsum(
-            "mnra,...m,...n,...a->...r",
-            BASIS.epsilon_upper,
-            qp.Z,
-            _flip(pf.u),
-            _flip(pf.s),
-        )
+        - np.einsum("...m,...mr->...r", qp.Z, pf.spin_plane * _ETA_UP2)
     )
     return _flip(p_up)
 
@@ -301,7 +296,9 @@ def second_order_residuals(
                   + (1/4)(2 div Sigma - Sigma.Sigma + M.M + 4 m^2) phi
                   (torsion replaced by its effective value)
 
-    Mt is the torsion mass.  With X = 0 the effective equation is exactly
+    Mt is the torsion mass, and F_{mn} u_r s_s eps^{mnrs} is read as
+    F_{mn} W^{mn} with W_{mn} the spin plane (W.M and W.W are the torsion
+    vector).  With X = 0 the effective equation is exactly
     -phi times the general one evaluated on zero-beta inputs.
     """
     r_max = float(np.max(np.abs(pf.cf.R)))
@@ -335,13 +332,7 @@ def second_order_residuals(
                   - 4.0 * x_coup**2 * w_sq)
     )
 
-    f_term = np.einsum(
-        "mnrs,...mn,...r,...s->...",
-        BASIS.epsilon_upper,
-        pf.F,
-        _flip(pf.u),
-        _flip(pf.s),
-    )
+    f_term = np.einsum("...mn,...mn->...", pf.F, pf.spin_plane * _ETA_UP2)
     res_standard = (
         _mink_sq(pf.cf.P) - m**2 - 0.5 * ext.q * f_term - box_over_phi
     )
@@ -376,7 +367,7 @@ def _spin_energy(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
     zu = qp.Z[..., :, None] * _flip(pf.u)[..., None, :]
     eps_zu = (zu.reshape(yu.shape + (16,)) @ _EPS_PAIRS).reshape(zu.shape)
     inner = yu[..., None, None] * METRIC + eps_zu  # Y.u eta^{sk} + eps Z u
-    dual = (  # eps^{rank} R_{an}{}^s / 4, layout [s, r, k]
+    dual = (  # eps^{rank} R_{an}{}^s / 4, eps^{rank} = eps^{anrk}, [s, r, k]
         np.swapaxes(_flip(pf.cf.R).reshape(yu.shape + (16, 4)), -1, -2)
         @ (0.25 * _EPS_PAIRS)
     ).reshape(pf.cf.R.shape)

@@ -152,6 +152,10 @@ class GridField:
             raise ValueError("origin and spacing must be 4-vectors")
         if np.any(self.spacing <= 0.0):
             raise ValueError("spacing must be positive")
+        if len(self.dims) != 4:
+            raise ValueError(
+                f"dims must have 4 entries (t, x, y, z), got {self.dims}"
+            )
         for d in self.dims:
             if d != 1 and d < 5:
                 raise ValueError(

@@ -240,6 +240,22 @@ def test_grid_mismatch():
     gd = goldstone_derivatives(lf)
     with pytest.raises(GridMismatch):
         build_connections(gd, ExternalPotentials(A=np.zeros((1, 7, 1, 1, 4))))
+    with pytest.raises(GridMismatch, match=r"Omega shaped \(4,\) .* \(4, 4, 4\)"):
+        ExternalPotentials(Omega=np.zeros(4))
+    # an omega that broadcasts against the grid does not live on it
+    cf = build_connections(gd, ExternalPotentials())
+    omega = np.zeros((5, 1, 1, 4, 4, 4))
+    off_grid = r"omega shaped \(5, 1, 1, 4, 4, 4\) .* grid \(1, 5, 1, 1\)"
+    with pytest.raises(GridMismatch, match=off_grid):
+        curvatures(cf, omega=omega)
+    with pytest.raises(GridMismatch, match=off_grid):
+        divergence_constraints(cf, omega=omega)
+    other = (1, 7, 1, 1)
+    lf_other = transform_from_params(
+        np.zeros(other), np.zeros(other + (6,)), [0, 0, 0, 0], [1, 0.2, 1, 1], other
+    )
+    with pytest.raises(GridMismatch, match=r"L field shaped \(1, 7, 1, 1, 4, 4\)"):
+        curvatures(cf, lfield=lf_other)
 
 
 def test_omega_antisymmetry_enforced():

@@ -8,14 +8,20 @@ from polardirac.clifford import BASIS, METRIC
 from polardirac.connections import (
     ConnectionField,
     ExternalPotentials,
+    build_connections,
     covariant_derivative_check,
     curvatures,
+    divergence_constraints,
+    goldstone_derivatives,
     irreducible_split,
+    transform_from_params,
 )
 from polardirac.dynamics import (
     EnergyTensor,
     PolarFields,
     QuantumPotentials,
+    _box,
+    _mink_sq,
     dirac_residual,
     energy_and_newton,
     guidance_momentum,
@@ -106,6 +112,10 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     assert np.array_equal(
         pf.dlnphi2, grid_gradient(np.log(pf.phi**2), pf.spacing, pf.dims)
     )
+    us = np.einsum("...a,...b->...ab", pf.u, pf.s)
+    assert np.array_equal(
+        pf.spin_plane, np.einsum("ijab,...ab->...ij", BASIS.epsilon, us)
+    )
     sm = sigma_m_potentials(pf)
     for name in ("Sigma_full", "M_full", "Sigma_vec", "M_vec"):
         assert np.array_equal(getattr(pf.sigma_m, name), getattr(sm, name))
@@ -113,6 +123,7 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     sp = irreducible_split(pf.cf.R)
     for name in ("Pi", "Ra", "Ba"):
         assert np.array_equal(getattr(pf.split, name), getattr(sp, name))
+    assert pf.spin_plane is pf.spin_plane
     assert pf.sigma_m is pf.sigma_m
     assert pf.split is pf.split
 
@@ -122,6 +133,7 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     assert np.array_equal(
         pf2.dlnphi2, grid_gradient(np.log(pf2.phi**2), pf.spacing, pf.dims)
     )
+    assert not np.array_equal(pf2.spin_plane, pf.spin_plane)
     assert not np.array_equal(pf2.sigma_m.Sigma_full, pf.sigma_m.Sigma_full)
     assert np.array_equal(
         pf2.sigma_m.Sigma_full, sigma_m_potentials(pf2).Sigma_full
@@ -131,6 +143,32 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     )
     assert not np.array_equal(pf3.split.Ba, pf.split.Ba)
     assert np.array_equal(pf3.split.Ba, irreducible_split(pf3.cf.R).Ba)
+
+
+def gauge_pf(rng, n=9):
+    """Random u, s, phi and beta on the connections of a smooth pure-gauge
+    field L = e^{i xi} B(chi) R(theta): R is flat but far from zero."""
+    dims = (1, n, n, n)
+    ax = np.linspace(-1.0, 1.0, n)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    params = np.zeros(dims + (6,))
+    for c in range(6):
+        k = rng.uniform(0.5, 1.5, 3)
+        params[0, ..., c] = 0.3 * np.sin(k[0] * x + k[1] * y + k[2] * z + c)
+    h = 2.0 / (n - 1)
+    lf = transform_from_params(
+        (0.4 * np.sin(x) * np.cos(z))[None], params,
+        (0.0, -1.0, -1.0, -1.0), (1.0, h, h, h), dims,
+    )
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    return PolarFields(
+        phi=np.abs(rng.normal(size=dims)) + 0.5,
+        beta=rng.normal(size=dims),
+        u=rng.normal(size=dims + (4,)),
+        s=rng.normal(size=dims + (4,)),
+        cf=cf,
+        ext=ExternalPotentials(m=1.3),
+    )
 
 
 def boosted_wave_grid(n, chi=0.5, m=1.0, extent=0.8):
@@ -288,6 +326,84 @@ def test_sigma_m_duality():
         "...ijm,ijab->...abm", sm.Sigma_full, BASIS.epsilon_upper
     )
     npt.assert_allclose(sm.M_full, dual_of_sigma, atol=1e-12)
+
+
+def eps_einsum_oracle(pf, qp):
+    """The eps contractions as multi-operand einsums on BASIS.epsilon, the
+    form they had before the spin plane and the pair matrix."""
+    eps, eps_up = BASIS.epsilon, BASIS.epsilon_upper
+    p, r = pf.cf.P, pf.cf.R
+    spin_plane = np.einsum("ijab,...a,...b->...ij", eps, pf.u, pf.s)
+    sigma_full = r - 2.0 * p[..., None, None, :] * spin_plane[..., None]
+    dual_r = 0.5 * np.einsum("...ijm,ijab->...abm", r, eps_up)
+    us = np.einsum("...a,...b->...ab", pf.u, pf.s)
+    m_full = dual_r + 2.0 * p[..., None, None, :] * (
+        us - np.swapaxes(us, -1, -2)
+    )[..., None]
+    hj_eps = np.einsum("mrna,...r,...n,...a->...m", eps, p * ETA, pf.u, pf.s)
+    guidance_eps = np.einsum(
+        "mnra,...m,...n,...a->...r", eps_up, qp.Z, pf.u * ETA, pf.s * ETA
+    )
+    f_term = np.einsum(
+        "mnrs,...mn,...r,...s->...", eps_up, pf.F, pf.u * ETA, pf.s * ETA
+    )
+    r_first_up = r * ETA[:, None, None]
+    quad_b = np.einsum("asmn,...kam,...ksn->...", eps_up, r, r_first_up)
+    return dict(
+        W=spin_plane, Sigma_full=sigma_full, M_full=m_full, hj_eps=hj_eps,
+        guidance_eps=guidance_eps, f_term=f_term, quad_b=quad_b,
+    )
+
+
+def assert_within(actual, expect, scale):
+    assert np.max(np.abs(actual - expect)) <= 1e-15 * np.max(np.abs(scale))
+
+
+@pytest.mark.parametrize("field", ["random", "gauge"])
+def test_eps_contractions_match_einsum_oracle(field):
+    rng = np.random.default_rng(77)
+    pf = random_pf(rng) if field == "random" else gauge_pf(rng)
+    qp = quantum_potentials(pf)
+    want = eps_einsum_oracle(pf, qp)
+    assert np.array_equal(pf.spin_plane, want["W"])
+    assert np.array_equal(pf.sigma_m.Sigma_full, want["Sigma_full"])
+    assert np.array_equal(pf.sigma_m.M_full, want["M_full"])
+
+    # each residual against the same expression around the oracle term
+    s_low, m = pf.s * ETA, pf.ext.m
+    hj_want = want["hj_eps"] + qp.Z - m * s_low * np.sin(pf.beta)[..., None]
+    assert_within(hj_residuals(pf, qp).res2, hj_want, want["hj_eps"])
+    yu = np.einsum("...m,...m->...", qp.Y, pf.u)
+    ys = np.einsum("...m,...m->...", qp.Y, pf.s)
+    p_up = (
+        m * np.cos(pf.beta)[..., None] * pf.u
+        + yu[..., None] * pf.s
+        - ys[..., None] * pf.u
+        + want["guidance_eps"]
+    )
+    assert_within(guidance_momentum(pf, qp), p_up * ETA, want["guidance_eps"])
+
+    split = irreducible_split(pf.cf.R)
+    div_b = np.trace(
+        grid_gradient(split.Ba * ETA, pf.spacing, pf.dims), axis1=-2, axis2=-1
+    )
+    # random R is curved, so the flatness precondition is waived
+    res_b = divergence_constraints(pf.cf, fd_tol=np.inf).resB
+    assert_within(res_b, div_b - 0.5 * want["quad_b"], want["quad_b"])
+
+    if field == "random":
+        # the standard balance equation needs R = 0, which keeps F and u, s
+        flat = dataclasses.replace(
+            pf, cf=dataclasses.replace(pf.cf, R=np.zeros_like(pf.cf.R))
+        )
+        f_term = eps_einsum_oracle(flat, qp)["f_term"]
+        box_over_phi = _box(flat.phi, flat.spacing, flat.dims) / flat.phi
+        standard = _mink_sq(flat.cf.P) - m**2 - 0.5 * flat.ext.q * f_term
+        assert_within(
+            second_order_residuals(flat, qp).res_standard,
+            standard - box_over_phi,
+            f_term,
+        )
 
 
 # ---------------------------------------------------------------- dep pair

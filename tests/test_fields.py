@@ -180,6 +180,8 @@ def test_grid_validation():
         GridField([0, 0, 0, 0], [1, 1, 1, 1], (3, 1, 1, 1), np.zeros((3, 1, 1, 1, 4)))
     with pytest.raises(ValueError):
         GridField([0, 0, 0, 0], [0, 1, 1, 1], (1, 1, 1, 1), np.zeros((1, 1, 1, 1, 4)))
+    with pytest.raises(ValueError, match=r"dims must have 4 entries.*\(5, 5, 5\)"):
+        GridField(np.zeros(4), np.ones(4), (5, 5, 5), np.zeros((5, 5, 5, 4)))
 
 
 def test_gaussian_packet_center_and_gradient():
@@ -251,6 +253,8 @@ def test_load_grid_rejects_malformed_files(tmp_path):
             if not line.startswith(b"spacing:")
         ), "'spacing'"),
         (blob[:-16], "holds 1904 bytes"),
+        # three dims that the 30 stored sites fit exactly
+        (blob.replace(b"dims: 5 1 1 6", b"dims: 5 1 6"), "dims must have 4"),
     ]
     for i, (bad, message) in enumerate(cases):
         target = tmp_path / f"bad{i}.bin"
