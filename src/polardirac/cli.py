@@ -240,6 +240,8 @@ def _check_semantics(cfg: dict) -> None:
     _check_numbers("grid.spacing", cfg["grid"]["spacing"])
     if any(h <= 0 for h in cfg["grid"]["spacing"]):
         raise ConfigError("'grid.spacing' entries must be positive")
+    if not np.isfinite(cfg["couplings"]["q"]) or cfg["couplings"]["q"] == 0:
+        raise ConfigError("'couplings.q' must be finite and nonzero")
     for d in cfg["grid"]["dims"]:
         if not _type_ok(d, int) or (d != 1 and d < 5):
             raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
@@ -344,15 +346,14 @@ def _order_check(name: str, order, band: float) -> dict:
 def _refinement_checks(evaluate, prefix: str, band: float) -> list:
     """Second-order checks between n = 9 and n = 17.
 
-    evaluate(n) returns (dims, {key: residual grid}); one check per key,
-    named prefix + key + "_order", in the order the keys come.
+    evaluate(n) returns {key: residual grid}; one check per key, named
+    prefix + key + "_order", in the order the keys come.
     """
-    dims, coarse = evaluate(9)
-    _, fine = evaluate(17)
+    coarse, fine = evaluate(9), evaluate(17)
     return [
         _order_check(
             f"{prefix}{key}_order",
-            convergence_order(coarse[key], fine[key], dims)[0],
+            convergence_order(coarse[key], fine[key])[0],
             band,
         )
         for key in coarse
@@ -492,13 +493,7 @@ def _random_polar_fields(rng, ext: ExternalPotentials, dims=(1, 5, 5, 5)):
     p = rng.uniform(-1.0, 1.0, shape + (4,))
     r = rng.uniform(-1.0, 1.0, shape + (4, 4, 4))
     r = r - np.swapaxes(r, -3, -2)
-    cf = ConnectionField(
-        P=p,
-        R=r,
-        origin=np.zeros(4),
-        spacing=np.ones(4),
-        dims=shape,
-    )
+    cf = ConnectionField(P=p, R=r, origin=np.zeros(4), spacing=np.ones(4))
     return PolarFields(phi=phi, beta=beta, u=u, s=s, cf=cf, ext=ext)
 
 
@@ -531,7 +526,7 @@ def suite_equivalence(cfg: dict, rng) -> list:
             pf = PolarFields.from_grid(g, ext)
             qp = quantum_potentials(pf)
             dep = polar_dirac_residuals(pf)
-            return g.dims, {
+            return {
                 "dirac": dirac_residual(g, ext),
                 "pair": np.abs(dep.res1) + np.abs(dep.res2),
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
@@ -555,7 +550,7 @@ def _gauge_params_grid(n: int, boost: bool):
         params[..., 3] = 0.3 * np.sin(x)
         params[..., 4] = 0.25 * np.cos(y + z)
         params[..., 5] = 0.2 * np.sin(y)
-    xi = 0.4 * np.sin(x) * np.cos(z)
+    xi = (0.4 * np.sin(x) * np.cos(z))[None]
     origin = (0.0, -1.0, -1.0, -1.0)
     spacing = (1.0, h, h, h)
     dims = (1, n, n, n)
@@ -572,7 +567,7 @@ def suite_curvature(cfg: dict, rng) -> list:
         gd = goldstone_derivatives(lf)
         cf = build_connections(gd, ExternalPotentials(q=lf.q))
         cd = curvatures(cf, q=lf.q, lfield=lf)
-        return cf.dims, {
+        return {
             "F": np.abs(cd.F),
             "riemann": np.max(np.abs(cd.riemann), axis=(-4, -3, -2, -1)),
             "flat": cd.goldstone_flat,
@@ -606,7 +601,7 @@ def suite_constraints(cfg: dict, rng) -> list:
         gd = goldstone_derivatives(lf)
         cf = build_connections(gd, ExternalPotentials(q=lf.q))
         dc = divergence_constraints(cf)
-        return cf.dims, {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
+        return {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
 
     return checks + _refinement_checks(evaluate, "", band)
 
@@ -627,7 +622,7 @@ def suite_continuity(cfg: dict, rng) -> list:
     origin, spacing, dims = grid_spec(cfg)
     coarse = continuity_residual(f, (origin, spacing, dims))
     fine = continuity_residual(f, _refined(origin, spacing, dims))
-    order, mc, _ = convergence_order(coarse, fine, dims)
+    order, mc, _ = convergence_order(coarse, fine)
     checks.append(_order_check("config_field_order", order, band))
     return checks
 

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .fields import GridField, _phase_gradient, _site_fd, grid_gradient
-from .polar import PolarData, decompose
+from .polar import PolarData, _require_charge, decompose
 
 # sigma^{ab}_{kl} as a [(k l), (a b)] matrix and conj(sigma^{ab}_{ji}) as
 # [(a b), (j i)]; only _spin_matrix and _spin_components read them
@@ -84,6 +84,7 @@ class ExternalPotentials:
     M_torsion: float = 1.0
 
     def __post_init__(self):
+        _require_charge(self.q)
         if self.Omega is not None:
             omega = np.asarray(self.Omega, dtype=float)
             if omega.shape[-3:] != (4, 4, 4):
@@ -120,7 +121,6 @@ class TransformField:
     matrices: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
-    dims: tuple
     q: float = 1.0
 
     @property
@@ -128,9 +128,7 @@ class TransformField:
         return self.matrices.shape[:-2]
 
 
-def transform_from_polar(
-    pd: PolarData, origin, spacing, dims
-) -> TransformField:
+def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
     """L = e^{i q alpha} M^{-1} with M the boost-then-rotation of the polar form.
 
     With this wiring the rest plane wave e^{-imt}(1,0,1,0) has
@@ -144,7 +142,6 @@ def transform_from_polar(
         matrices=phase[..., None, None] * m_inv,
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
-        dims=tuple(dims),
         q=pd.q,
     )
 
@@ -154,11 +151,14 @@ def transform_from_params(
 ) -> TransformField:
     """Direct pure-gauge field L = e^{i q xi(x)} B(chi(x)) R(theta(x)).
 
-    xi has the grid shape, params the grid shape + (6,).  Useful for
-    constructing test configurations whose connections are known.
+    xi has the grid shape dims, params dims + (6,); GridMismatch names
+    the shapes otherwise.  Useful for constructing test configurations
+    whose connections are known.
     """
     xi = np.asarray(xi, dtype=float)
     params = np.asarray(params, dtype=float)
+    _require_on_grid("xi", xi.shape, dims, ())
+    _require_on_grid("params", params.shape, dims, (6,))
     lb = _chiral_exp(params[..., :3])
     lr = _chiral_exp(1j * params[..., 3:])
     phase = np.exp(1j * q * xi)
@@ -166,7 +166,6 @@ def transform_from_params(
         matrices=phase[..., None, None] * (lb @ lr),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
-        dims=tuple(dims),
         q=q,
     )
 
@@ -186,7 +185,6 @@ class GoldstoneDerivatives:
     leak: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
-    dims: tuple
     q: float
 
     @property
@@ -197,7 +195,7 @@ class GoldstoneDerivatives:
 def _log_derivative(lf: TransformField) -> np.ndarray:
     """X_mu = L^{-1} d_mu L on the grid, layout [..., row, col, mu]."""
     l_inv = np.linalg.inv(lf.matrices)
-    dl = grid_gradient(lf.matrices, lf.spacing, lf.dims)
+    dl = grid_gradient(lf.matrices, lf.spacing)
     return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
 
 
@@ -227,8 +225,10 @@ def _project_log_derivative(x_mats: np.ndarray, q: float):
 
     x_mats has shape (..., 4, 4, 4) with [row, col, mu].  The identity
     part is the trace, the spin part is _spin_components, and the leak is
-    what the two leave out of X.
+    what the two leave out of X.  PreconditionViolated unless q is
+    finite and nonzero.
     """
+    _require_charge(q)
     dxi = np.trace(x_mats, axis1=-3, axis2=-2).imag / (4.0 * q)
     dxi_ab = _spin_components(x_mats)
     recon = _spin_matrix(dxi_ab) + 1j * q * dxi[..., None, None, :] * _EYE_M
@@ -250,7 +250,7 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
     tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
     worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
-        if lf.dims[ax] > 1 and worst[ax] > tol[ax]:
+        if lf.grid_shape[ax] > 1 and worst[ax] > tol[ax]:
             raise BasisLeak(
                 f"log-derivative leak {worst[ax]:.3e} along axis {ax} "
                 f"exceeds {tol[ax]:.3e}; L is not a group-valued field"
@@ -268,7 +268,6 @@ def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
         leak=leak,
         origin=lf.origin,
         spacing=lf.spacing,
-        dims=lf.dims,
         q=lf.q,
     )
 
@@ -281,7 +280,7 @@ def goldstone_derivative(lf: TransformField, point):
     x_mats = np.zeros((4, 4, 4), dtype=complex)
     l_inv = np.linalg.inv(lf.matrices[tuple(point)])
     for ax in range(4):
-        if lf.dims[ax] > 1:
+        if lf.grid_shape[ax] > 1:
             x_mats[:, :, ax] = l_inv @ _site_fd(
                 lf.matrices, ax, point, lf.spacing[ax]
             )
@@ -298,7 +297,6 @@ class ConnectionField:
     R: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
-    dims: tuple
 
     @property
     def grid_shape(self) -> tuple:
@@ -315,7 +313,6 @@ def build_connections(
         R=gd.dxi_ab - ext.omega_field(shape),
         origin=gd.origin,
         spacing=gd.spacing,
-        dims=gd.dims,
     )
 
 
@@ -323,7 +320,7 @@ def polar_pipeline(g: GridField, ext: ExternalPotentials):
     """GridField -> (PolarData grid, TransformField, GoldstoneDerivatives,
     ConnectionField): the standard route from spinor samples to tensors."""
     pd = decompose(g.values, q=ext.q)
-    lf = transform_from_polar(pd, g.origin, g.spacing, g.dims)
+    lf = transform_from_polar(pd, g.origin, g.spacing)
     gd = goldstone_derivatives(lf)
     cf = build_connections(gd, ext)
     return pd, lf, gd, cf
@@ -348,7 +345,7 @@ def _covariant_gradient(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     on the grid, layout [..., k, mu]; the Omega term is skipped when Omega
     is None."""
     a = ext.a_field(g.dims)
-    nabla = grid_gradient(g.values, g.spacing, g.dims)
+    nabla = grid_gradient(g.values, g.spacing)
     if ext.Omega is not None:
         nabla = nabla + _spin_action(ext.omega_field(g.dims), g.values)
     return nabla + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
@@ -369,8 +366,8 @@ def covariant_derivative_check(
     om = None if ext.Omega is None else ext.omega_field(g.dims)
     nabla_psi = _covariant_gradient(g, ext)
 
-    dbeta = _phase_gradient(pd.beta, g.spacing, g.dims)
-    dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
+    dbeta = _phase_gradient(pd.beta, g.spacing)
+    dlnphi = grid_gradient(np.log(pd.phi), g.spacing)
     pi_psi = np.einsum("ij,...j->...i", BASIS.pi, g.values)
     rhs = (
         -0.5j * dbeta[..., None, :] * pi_psi[..., :, None]
@@ -382,7 +379,7 @@ def covariant_derivative_check(
 
     def transport(vec):
         low = _flip(vec)
-        dlow = grid_gradient(low, g.spacing, g.dims)
+        dlow = grid_gradient(low, g.spacing)
         if om is not None:
             dlow = dlow - np.einsum("...jim,...j->...im", om, vec)
         rhs_t = np.einsum("...jim,...j->...im", cf.R, vec)
@@ -448,14 +445,14 @@ def curvatures(
     the L field must live on the grid of cf, or GridMismatch is raised.
     """
     r_up = cf.R * _ETA_DIAG[:, None, None]
-    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing, cf.dims), omega)
-    f = field_strength(grid_gradient(cf.P, cf.spacing, cf.dims), q)
+    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing), omega)
+    f = field_strength(grid_gradient(cf.P, cf.spacing), q)
 
     flat = None
     if lfield is not None:
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = _log_derivative(lfield)
-        dg = grid_gradient(gmat, lfield.spacing, lfield.dims)
+        dg = grid_gradient(gmat, lfield.spacing)
         flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-4, -3, -2, -1))
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
@@ -527,11 +524,11 @@ def divergence_constraints(
     omega must live on the grid of cf, or GridMismatch is raised.
     """
     r_first_up = cf.R * _ETA_DIAG[:, None, None]
-    dr = grid_gradient(r_first_up, cf.spacing, cf.dims)
+    dr = grid_gradient(r_first_up, cf.spacing)
     riemann_max = float(np.max(np.abs(_riemann(r_first_up, dr, omega))))
     tol = fd_tol
     if tol is None:
-        active = [cf.spacing[ax] for ax in range(4) if cf.dims[ax] > 1]
+        active = [cf.spacing[ax] for ax in range(4) if cf.grid_shape[ax] > 1]
         h_min = min(active) if active else 1.0
         curv_scale = float(np.max(np.abs(dr))) + float(np.max(np.abs(cf.R))) ** 2
         p_scale = float(np.max(np.abs(cf.P))) + 1.0 / h_min
@@ -544,11 +541,11 @@ def divergence_constraints(
     sp = irreducible_split(cf.R)
     ba_up = _flip(sp.Ba)
     ra_up = _flip(sp.Ra)
-    div_b = np.trace(
-        grid_gradient(ba_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
-    )
-    div_r = np.trace(
-        grid_gradient(ra_up, cf.spacing, cf.dims), axis1=-2, axis2=-1
+    # div B and div R from one gradient of the stacked pair (B^a, R^a)
+    div = np.trace(
+        grid_gradient(np.stack((ba_up, ra_up), axis=-2), cf.spacing),
+        axis1=-2,
+        axis2=-1,
     )
     # eps^{asmn} = -eps^{amsn}: one (a m), (s n) pair contraction per k
     pairs = cf.grid_shape + (4, 16)
@@ -558,8 +555,8 @@ def divergence_constraints(
     rr = np.einsum("...amn,...amn->...", r_all_up, cf.R)
     bb = np.sum(ba_up * sp.Ba, axis=-1)
     rvrv = np.sum(ra_up * sp.Ra, axis=-1)
-    res_b = div_b - 0.5 * quad_b
-    res_r = div_r + 0.5 * (0.5 * rr + bb - rvrv)
+    res_b = div[..., 0] - 0.5 * quad_b
+    res_r = div[..., 1] + 0.5 * (0.5 * rr + bb - rvrv)
     return DivergenceConstraints(
         resB=res_b, resR=res_r, riemann_max=riemann_max, fd_tol=tol
     )
@@ -571,13 +568,12 @@ def transform_connection_inputs(
     s_params: np.ndarray,
     zeta: np.ndarray,
     dzeta: np.ndarray,
-    spacing,
-    dims,
 ):
     """Apply a local frame/gauge change to (L, Omega, A).
 
     s_params (grid + (6,)) generates the spin transformation S(x); zeta is
-    the local phase with analytic gradient dzeta.  The new field content is
+    the local phase with analytic gradient dzeta, both on the grid of lf.
+    The new field content is
 
         L' = e^{i q zeta} L S^{-1},  A' = A + d zeta,
         Omega'_mat = S Omega_mat S^{-1} - (dS) S^{-1},
@@ -592,7 +588,7 @@ def transform_connection_inputs(
 
     shape = lf.grid_shape
     om_mat = _spin_matrix(ext.omega_field(shape))
-    ds = grid_gradient(s_mat, spacing, dims)
+    ds = grid_gradient(s_mat, lf.spacing)
     om_new_mat = np.einsum(
         "...ij,...jkm,...kl->...ilm", s_mat, om_mat, s_inv
     ) - np.einsum("...ijm,...jk->...ikm", ds, s_inv)

@@ -42,9 +42,9 @@ def _mink_sq(vec):
     return np.einsum("...m,...m->...", vec * _ETA_DIAG, vec)
 
 
-def _box(scalar, spacing, dims):
+def _box(scalar, spacing):
     """d^mu d_mu of a scalar grid: second time derivative minus Laplacian."""
-    hess = grid_gradient(grid_gradient(scalar, spacing, dims), spacing, dims)
+    hess = grid_gradient(grid_gradient(scalar, spacing), spacing)
     diag = np.einsum("...mm->...m", hess)
     return np.einsum("m,...m->...", _ETA_DIAG, diag)
 
@@ -78,22 +78,18 @@ class PolarFields:
         return self.cf.spacing
 
     @property
-    def dims(self):
-        return self.cf.dims
-
-    @property
     def grid_shape(self):
         return self.cf.grid_shape
 
     @cached_property
     def dbeta(self) -> np.ndarray:
         """d_m beta, grid + (4,), read across the branch cut of beta."""
-        return _phase_gradient(self.beta, self.spacing, self.dims)
+        return _phase_gradient(self.beta, self.spacing)
 
     @cached_property
     def dlnphi2(self) -> np.ndarray:
         """d_m ln(phi^2), grid + (4,)."""
-        return grid_gradient(np.log(self.phi**2), self.spacing, self.dims)
+        return grid_gradient(np.log(self.phi**2), self.spacing)
 
     @cached_property
     def spin_plane(self) -> np.ndarray:
@@ -116,7 +112,7 @@ class PolarFields:
     @cached_property
     def dP(self) -> np.ndarray:
         """d_m P_n with layout [..., n, m]."""
-        return grid_gradient(self.cf.P, self.spacing, self.dims)
+        return grid_gradient(self.cf.P, self.spacing)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -312,13 +308,11 @@ def second_order_residuals(
     w = ext.w_field(pf.grid_shape)
     m, x_coup, mt = ext.m, ext.X, ext.M_torsion
 
-    box_phi = _box(pf.phi, pf.spacing, pf.dims)
+    box_phi = _box(pf.phi, pf.spacing)
     box_over_phi = box_phi / pf.phi
 
     sig_up = _flip(sm.Sigma_vec)
-    div_sigma = np.trace(
-        grid_gradient(sig_up, pf.spacing, pf.dims), axis1=-2, axis2=-1
-    )
+    div_sigma = np.trace(grid_gradient(sig_up, pf.spacing), axis1=-2, axis2=-1)
     sig_sq = _mink_sq(sm.Sigma_vec)
     m_sq = _mink_sq(sm.M_vec)
     wm = np.einsum("...m,...m->...", w, _flip(sm.M_vec))
@@ -392,7 +386,7 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
 
     def add_field_energy(t, v_low):
         """t + F^2 eta/4 - F^{ra} F^s_a for F_{mn} = d_m v_n - d_n v_m."""
-        dv = grid_gradient(v_low, pf.spacing, pf.dims)
+        dv = grid_gradient(v_low, pf.spacing)
         f_low = np.swapaxes(dv, -1, -2) - dv
         f_mixed = f_low * _ETA_DIAG[:, None]  # F^r{}_n
         f_up = _flip(f_mixed)
@@ -447,6 +441,6 @@ def nonrel_hamiltonian(
         if index is None:
             index = tuple(n // 2 for n in phi.shape)
         # on a static (1,)+shape grid box(phi) is minus the Laplacian
-        box = _box(phi[None], (1.0, *spacing), (1, *phi.shape))
+        box = _box(phi[None], (1.0, *spacing))
         h += box[(0, *index)] / (2.0 * m * phi[index])
     return h

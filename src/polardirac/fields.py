@@ -182,9 +182,7 @@ class GridField:
 
     def interp(self, x) -> np.ndarray:
         """Multilinear interpolation at events x of shape (..., 4)."""
-        return interp_values(
-            self.origin, self.spacing, self.dims, self.values, x
-        )
+        return interp_values(self.origin, self.spacing, self.values, x)
 
     def fd(self, axis: int, point) -> np.ndarray:
         """2nd-order derivative of the spinor along one axis at a site index.
@@ -217,7 +215,7 @@ def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
     return (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (2.0 * h)
 
 
-def interp_values(origin, spacing, dims, arr, x) -> np.ndarray:
+def interp_values(origin, spacing, arr, x) -> np.ndarray:
     """Multilinear interpolation of grid samples at events x of shape (..., 4).
 
     arr carries the grid on its first four axes; trailing axes pass
@@ -233,13 +231,14 @@ def interp_values(origin, spacing, dims, arr, x) -> np.ndarray:
     frac = (pts - origin) / spacing
     weights_idx = []
     for ax in range(4):
-        if dims[ax] == 1:
+        n = arr.shape[ax]
+        if n == 1:
             weights_idx.append([(np.zeros(len(pts), dtype=int), 1.0)])
             continue
         f = frac[:, ax]
-        if np.any(f < -1e-9) or np.any(f > dims[ax] - 1 + 1e-9):
+        if np.any(f < -1e-9) or np.any(f > n - 1 + 1e-9):
             raise OutOfBounds(f"coordinate along axis {ax} outside the grid")
-        i0 = np.clip(np.floor(f).astype(int), 0, dims[ax] - 2)
+        i0 = np.clip(np.floor(f).astype(int), 0, n - 2)
         t = f - i0
         weights_idx.append([(i0, 1.0 - t), (i0 + 1, t)])
     trail = arr.shape[4:]
@@ -254,7 +253,7 @@ def interp_values(origin, spacing, dims, arr, x) -> np.ndarray:
     return out[0] if scalar else out.reshape(x.shape[:-1] + trail)
 
 
-def grid_gradient(arr: np.ndarray, spacing, dims) -> np.ndarray:
+def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
     """Per-axis 2nd-order derivatives of a grid array.
 
     The first four axes of arr are the grid; any trailing axes are carried
@@ -266,21 +265,21 @@ def grid_gradient(arr: np.ndarray, spacing, dims) -> np.ndarray:
     dtype = arr.dtype if np.issubdtype(arr.dtype, np.inexact) else float
     out = np.zeros(arr.shape + (4,), dtype=dtype)
     for ax in range(4):
-        if dims[ax] > 1:
+        if arr.shape[ax] > 1:
             out[..., ax] = np.gradient(arr, spacing[ax], axis=ax, edge_order=2)
     return out
 
 
-def _phase_gradient(angle: np.ndarray, spacing, dims) -> np.ndarray:
+def _phase_gradient(angle: np.ndarray, spacing) -> np.ndarray:
     """grid_gradient of an angle wrapped to (-pi, pi], read across its cut.
 
     Where a stencil straddles the branch cut (two neighbours more than pi
     apart) the derivative comes from the 2 pi-unwrapped samples; every
     other site keeps the grid_gradient value bit for bit.
     """
-    out = grid_gradient(angle, spacing, dims)
+    out = grid_gradient(angle, spacing)
     for ax in range(4):
-        if dims[ax] == 1:
+        if angle.shape[ax] == 1:
             continue
         # jump[j] marks the pair (j, j + 1) along ax
         jump = np.moveaxis(np.abs(np.diff(angle, axis=ax)) > np.pi, ax, 0)
@@ -315,28 +314,25 @@ EXACT_FLOOR = 1e-12
 def convergence_order(
     coarse: np.ndarray,
     fine: np.ndarray,
-    dims_coarse,
     margin: int = 2,
     floor: float = EXACT_FLOOR,
 ):
     """Measured order of a residual under grid halving.
 
-    The fine grid must have dims 2d-1 per active axis over the same extent,
-    so its even-index sites coincide with the coarse sites; maxima are then
+    The coarse grid is read from the first four axes of coarse.  The fine
+    grid must have 2d-1 sites per active axis over the same extent, so its
+    even-index sites coincide with the coarse sites; maxima are then
     compared over the identical physical interior.  Returns
     (order, max_coarse, max_fine); order is None when both maxima are below
     `floor`, meaning the residual vanishes identically rather than at O(h^2).
     """
-    slc, slf = [], []
-    for d in dims_coarse:
-        if d == 1:
-            slc.append(slice(None))
-            slf.append(slice(None))
-        else:
-            slc.append(slice(margin, d - margin))
-            slf.append(slice(2 * margin, 2 * (d - margin) - 1, 2))
-    mc = float(np.max(np.abs(coarse[tuple(slc)])))
-    mf = float(np.max(np.abs(fine[tuple(slf)])))
+    dims = coarse.shape[:4]
+    slf = tuple(
+        slice(None) if d == 1 else slice(2 * margin, 2 * (d - margin) - 1, 2)
+        for d in dims
+    )
+    mc = float(np.max(np.abs(coarse[interior(dims, margin)])))
+    mf = float(np.max(np.abs(fine[slf])))
     if mc < floor and mf < floor:
         return None, mc, mf
     return float(np.log2(mc / mf)), mc, mf

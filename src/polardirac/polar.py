@@ -30,7 +30,12 @@ from .clifford import (
     goldstone_matrices,
     minkowski_dot,
 )
-from .errors import InvalidPolar, SingularSpinor, ZeroSpinor
+from .errors import (
+    InvalidPolar,
+    PreconditionViolated,
+    SingularSpinor,
+    ZeroSpinor,
+)
 
 #: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
 REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
@@ -96,13 +101,25 @@ def _axis_angle_from_z(n: np.ndarray) -> np.ndarray:
     return omega[..., None] * safe
 
 
+def _require_charge(q) -> None:
+    """Raise PreconditionViolated naming q unless the charge is finite and
+    nonzero: the gauge phase alpha and the Goldstone phase derivative
+    divide by q."""
+    if q == 0.0 or not np.isfinite(q):
+        raise PreconditionViolated(
+            f"charge q = {q!r}: the gauge phase needs a finite nonzero q"
+        )
+
+
 def decompose(psi, q: float = 1.0, eps_sing: float = EPS_SINGULAR) -> PolarData:
     """Split spinors into module, chiral angle, Goldstone parameters, phase.
 
     Accepts shape (..., 4).  Raises SingularSpinor if any point has
-    Theta^2 + Phi^2 <= eps_sing (flag spinors are out of scope).
+    Theta^2 + Phi^2 <= eps_sing (flag spinors are out of scope), and
+    PreconditionViolated unless q is finite and nonzero.
     The result satisfies reconstruct(decompose(psi)) == psi to roundoff.
     """
+    _require_charge(q)
     psi = np.asarray(psi, dtype=complex)
     b = compute_bilinears(psi)
     mod2 = b.theta**2 + b.phi_scalar**2

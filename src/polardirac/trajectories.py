@@ -52,7 +52,7 @@ CSV_FIELDS = (
 class CurrentField:
     """Grid samples of the observables the integrator needs.
 
-    obs has shape dims + (11,): Theta, Phi, U^0..U^3, S^0..S^3 and the
+    obs has the grid shape + (11,): Theta, Phi, U^0..U^3, S^0..S^3 and the
     singularity gauge Theta^2 + Phi^2, formed at the sites and
     interpolated as a channel of its own.
     """
@@ -76,13 +76,9 @@ def _as_current(field) -> CurrentField:
     return CurrentField.from_grid(field)
 
 
-def _interp(g: GridField, arr: np.ndarray, x) -> np.ndarray:
-    return interp_values(g.origin, g.spacing, g.dims, arr, x)
-
-
 def _observe(cur: CurrentField, x, eps_sing: float):
     """Interpolated channels and unit velocity u at events x (..., 4)."""
-    vals = _interp(cur.g, cur.obs, x)
+    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, x)
     if np.any(vals[..., 10] <= eps_sing):
         raise SingularSpinor("spinor field is singular at the requested point")
     U = vals[..., 2:6]
@@ -224,7 +220,7 @@ def continuity_residual(field, grid=None) -> np.ndarray:
         origin, spacing, dims = grid
         field = sample(field, origin, spacing, dims)
     cur = _as_current(field)
-    dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing, cur.g.dims)
+    dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing)
     return np.einsum("...mm->...", dU)
 
 
@@ -240,7 +236,7 @@ def momentum_along(g: GridField, traj: Trajectory,
     _, _, _, cf = polar_pipeline(g, ext)
     if not traj.samples:
         return np.zeros((0, 4))
-    return _interp(g, cf.P, traj.events())
+    return interp_values(g.origin, g.spacing, cf.P, traj.events())
 
 
 def _rows(traj: Trajectory):

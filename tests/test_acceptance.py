@@ -197,12 +197,9 @@ def test_criterion_04_equivalence_theorem():
                 "polar_pair": np.abs(dep.res1) + np.abs(dep.res2),
                 "hj_pair": np.abs(hj.res1) + np.abs(hj.res2),
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
-                "dims": g.dims,
             }
         for key in ("dirac", "polar_pair", "hj_pair", "guidance"):
-            order, mc, _ = convergence_order(
-                data[9][key], data[17][key], data[9]["dims"]
-            )
+            order, mc, _ = convergence_order(data[9][key], data[17][key])
             assert order is not None, (chi, key)
             assert 1.8 < order < 2.2, (chi, key, order)
             assert mc > 0.0  # the measurement is not running on noise
@@ -220,12 +217,9 @@ def test_criterion_05_connection_curvature_suite():
             "F": np.abs(cd.F),
             "riemann": np.abs(cd.riemann),
             "flat": cd.goldstone_flat,
-            "dims": cf.dims,
         }
     for key in ("F", "riemann", "flat"):
-        order, _, _ = convergence_order(
-            data[9][key], data[17][key], data[9]["dims"]
-        )
+        order, _, _ = convergence_order(data[9][key], data[17][key])
         assert order is not None and 1.8 < order < 2.2, (key, order)
 
     # gauge/frame covariance under a random local transformation
@@ -262,7 +256,7 @@ def test_criterion_05_connection_curvature_suite():
     dzeta[..., 3] = 0.25 * wz[1] * np.cos(wz[0] * x + wz[1] * z)
 
     lf2, ext2, v_mat = transform_connection_inputs(
-        lf, ext, s_params, zeta, dzeta, spacing, dims
+        lf, ext, s_params, zeta, dzeta
     )
     cf2 = build_connections(goldstone_derivatives(lf2), ext2)
     sl = interior(dims)
@@ -290,12 +284,9 @@ def test_criterion_06_constraint_identities():
             data[n] = {
                 "resB": np.abs(dc.resB),
                 "resR": np.abs(dc.resR),
-                "dims": cf.dims,
             }
         for key in ("resB", "resR"):
-            order, mc, mf = convergence_order(
-                data[9][key], data[17][key], data[9]["dims"]
-            )
+            order, mc, mf = convergence_order(data[9][key], data[17][key])
             if order is None:
                 # identically satisfied on this family; nothing to refine
                 assert mc < 1e-12 and mf < 1e-12, (kind, key)
@@ -323,7 +314,7 @@ def test_criterion_07_continuity():
             f, ((0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), dims)
         )
         data[n] = (res, dims)
-    order, mc, _ = convergence_order(data[9][0], data[17][0], data[9][1])
+    order, mc, _ = convergence_order(data[9][0], data[17][0])
     assert order is not None and 1.8 < order < 2.2
     assert mc > 1e-6
 

@@ -89,6 +89,9 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     ("decompose", "couplings.X=0.5", "couplings.X"),
     ("decompose", "couplings.M_torsion=2.0", "couplings.M_torsion"),
     ("decompose", "command=decompose", "command"),
+    ("verify", "couplings.q=0", "couplings.q"),
+    ("decompose", "couplings.q=0.0", "couplings.q"),
+    ("decompose", "couplings.q=.nan", "couplings.q"),
 ])
 def test_invalid_config_exit_2(capsys, command, override, key):
     code, out, err = run_cli(capsys, command, "--set", override)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -93,7 +95,7 @@ def test_pure_phase_gradient():
         assert abs(np.max(np.abs(errs[-1][0, 2:-2])) - closed) < 1e-12
     from polardirac.fields import convergence_order
 
-    order, _, _ = convergence_order(errs[0], errs[1], (1, 9, 1, 1))
+    order, _, _ = convergence_order(errs[0], errs[1])
     assert 1.8 < order < 2.2
 
 
@@ -123,7 +125,7 @@ def test_rotation_field_derivative():
         assert abs(np.max(errs[-1][0, 2:-2]) - closed) < 1e-12
     from polardirac.fields import convergence_order
 
-    order, _, _ = convergence_order(errs[0], errs[1], (1, 9, 1, 1))
+    order, _, _ = convergence_order(errs[0], errs[1])
     assert 1.8 < order < 2.2
 
 
@@ -195,7 +197,6 @@ def test_basis_leak_detection():
         matrices=mats,
         origin=np.array(origin, dtype=float),
         spacing=np.array(spacing, dtype=float),
-        dims=dims,
     )
     with pytest.raises(BasisLeak):
         goldstone_derivatives(lf)
@@ -258,6 +259,37 @@ def test_grid_mismatch():
         curvatures(cf, lfield=lf_other)
 
 
+def test_transform_from_params_rejects_dims_off_the_arrays():
+    # dims that do not match the arrays used to pass into every later
+    # gradient; now the shapes are checked where the field is built
+    dims, arrays = (1, 5, 1, 1), (1, 7, 1, 1)
+    params = np.zeros(arrays + (6,))
+    both = r"\(1, 7, 1, 1\) does not live on grid \(1, 5, 1, 1\)"
+    with pytest.raises(GridMismatch, match="xi shaped " + both):
+        transform_from_params(np.zeros(arrays), params, [0] * 4, [1] * 4, dims)
+    with pytest.raises(GridMismatch, match=r"params shaped \(1, 7, 1, 1, 6\)"):
+        transform_from_params(np.zeros(dims), params, [0] * 4, [1] * 4, dims)
+
+
+def test_zero_charge_raises_naming_q():
+    # a zero charge used to give NaN connections with only a RuntimeWarning
+    dims = (1, 5, 1, 1)
+    lf = transform_from_params(
+        np.zeros(dims), np.zeros(dims + (6,)), [0, 0, 0, 0], [1, 0.2, 1, 1], dims
+    )
+    lf0 = dataclasses.replace(lf, q=0.0)
+    with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
+        ExternalPotentials(q=0.0)
+    with pytest.raises(PreconditionViolated, match="charge q = nan"):
+        ExternalPotentials(q=float("nan"))
+    with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
+        decompose(np.array([1.0, 0.0, 1.0, 0.0]), q=0.0)
+    with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
+        goldstone_derivatives(lf0)
+    with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
+        goldstone_derivative(lf0, (0, 2, 0, 0))
+
+
 def test_omega_antisymmetry_enforced():
     om = np.zeros((1, 5, 1, 1, 4, 4, 4))
     om[..., 0, 1, 2] = 1.0  # no matching -1 in [1, 0, 2]
@@ -283,7 +315,7 @@ def test_rest_wave_pipeline():
         npt.assert_allclose(cf.P, expect, atol=m * (m * h) ** 2 / 2)
         npt.assert_allclose(cf.R, 0.0, atol=1e-12)
         errs.append(np.abs(cf.P - expect).max(axis=-1))
-    order, _, _ = convergence_order(errs[0], errs[1], (9, 1, 1, 1))
+    order, _, _ = convergence_order(errs[0], errs[1])
     assert 1.8 < order < 2.2
 
 
@@ -343,7 +375,7 @@ def test_transforms_equal_boost_rotation_products():
 
     g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
     pd = decompose(g.values)
-    lf = transform_from_polar(pd, g.origin, g.spacing, g.dims)
+    lf = transform_from_polar(pd, g.origin, g.spacing)
     rot_inv, _ = rotation_matrices(-pd.goldstone[..., 3:])
     boost_inv, _ = boost_matrices(-pd.goldstone[..., :3])
     phase = np.exp(1j * pd.q * pd.alpha)
@@ -457,9 +489,8 @@ def test_field_strength_matches_curvatures_exactly():
         R=np.zeros(dims + (4, 4, 4)),
         origin=np.zeros(4),
         spacing=np.array([1.0, 0.3, 0.2, 0.25]),
-        dims=dims,
     )
-    dp = grid_gradient(cf.P, cf.spacing, cf.dims)
+    dp = grid_gradient(cf.P, cf.spacing)
     f = field_strength(dp, 0.7)
     assert np.max(np.abs(f)) > 0.1
     assert np.array_equal(f, curvatures(cf, q=0.7).F)
@@ -497,7 +528,7 @@ def test_riemann_from_connections_matches_omega_route():
     from polardirac.fields import grid_gradient
 
     om_up = np.einsum("ik,...kjm->...ijm", METRIC, om)
-    dom = grid_gradient(om_up, spacing, dims)
+    dom = grid_gradient(om_up, spacing)
     direct = (
         np.swapaxes(dom, -1, -2)
         - dom
@@ -586,9 +617,8 @@ def test_divergence_constraints_pure_gauge_converge():
             res = divergence_constraints(cf)
             res_b.append(np.abs(res.resB))
             res_r.append(np.abs(res.resR))
-        dims_coarse = make(9)[1]
         for pair in (res_b, res_r):
-            order, mc, mf = convergence_order(pair[0], pair[1], dims_coarse)
+            order, mc, mf = convergence_order(pair[0], pair[1])
             if order is None:
                 assert mc < 1e-12 and mf < 1e-12
             else:
@@ -610,7 +640,6 @@ def test_divergence_constraints_precondition(amp):
         R=om,
         origin=np.array(origin, dtype=float),
         spacing=np.array(spacing, dtype=float),
-        dims=dims,
     )
     with pytest.raises(PreconditionViolated):
         divergence_constraints(cf)
@@ -629,7 +658,8 @@ def test_divergence_constraints_accepts_roundoff_flat_gaussian():
 
 def test_divergence_constraints_one_riemann(monkeypatch):
     # one gradient of R feeds both the Riemann tensor and the tolerance
-    # scale, plus the two divergences: three grid_gradient calls in all
+    # scale, plus one of the stacked (B^a, R^a) for the two divergences:
+    # two grid_gradient calls in all
     from polardirac import connections
 
     lf, dims = gauge_boost_field(9)
@@ -648,7 +678,7 @@ def test_divergence_constraints_one_riemann(monkeypatch):
     for omega, fd_tol in ((None, None), (om, 1.0)):
         calls.clear()
         res = divergence_constraints(cf, omega=omega, fd_tol=fd_tol)
-        assert len(calls) == 3
+        assert len(calls) == 2
         riemann = curvatures(cf, omega=omega).riemann
         assert res.riemann_max == float(np.max(np.abs(riemann)))
 
@@ -664,7 +694,7 @@ def _half_sigma_loop(t, psi):
 
 def _nabla_loop(g, ext):
     """(d_m + (1/2) Omega_ij m sigma^ij + i q A_m) psi, one site at a time."""
-    dpsi = grid_gradient(g.values, g.spacing, g.dims)
+    dpsi = grid_gradient(g.values, g.spacing)
     nabla = np.zeros_like(dpsi)
     for site in np.ndindex(*g.dims):
         psi = g.values[site]
@@ -715,8 +745,8 @@ def test_covariant_gradient_omega_term_matches_site_loop():
 
     # polar form: (-(i/2) d beta pi + d ln phi - i P - (1/2) R sigma) psi
     pd, _, _, cf = polar_pipeline(g, ext)
-    dbeta = _phase_gradient(pd.beta, g.spacing, g.dims)
-    dlnphi = grid_gradient(np.log(pd.phi), g.spacing, g.dims)
+    dbeta = _phase_gradient(pd.beta, g.spacing)
+    dlnphi = grid_gradient(np.log(pd.phi), g.spacing)
     res = np.zeros(dims + (4,))
     for site in np.ndindex(*dims):
         psi = g.values[site]
@@ -762,7 +792,7 @@ def test_frame_gauge_covariance():
     dzeta[..., 1] = 0.25 * np.cos(c[..., 1] + 0.4 * c[..., 2])
     dzeta[..., 2] = 0.1 * np.cos(c[..., 1] + 0.4 * c[..., 2])
     lf2, ext2, v_mat = transform_connection_inputs(
-        lf, ext, s_params, zeta, dzeta, spacing, dims
+        lf, ext, s_params, zeta, dzeta
     )
     cf2 = build_connections(goldstone_derivatives(lf2), ext2)
 

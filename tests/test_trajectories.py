@@ -257,9 +257,9 @@ def continuity_on(n):
 
 
 def test_continuity_superposition_second_order():
-    coarse, dims_c = continuity_on(9)
+    coarse, _ = continuity_on(9)
     fine, _ = continuity_on(17)
-    order, mc, mf = convergence_order(coarse, fine, dims_c)
+    order, mc, mf = convergence_order(coarse, fine)
     assert order is not None and 1.8 < order < 2.2
     assert mc > 1e-6  # genuinely nonzero before refinement
 
@@ -357,7 +357,7 @@ def test_stacked_observables_match_per_channel_interpolation():
     mod2 = bil.theta**2 + bil.phi_scalar**2
 
     def interp(arr, x):
-        return interp_values(g.origin, g.spacing, g.dims, arr, x)
+        return interp_values(g.origin, g.spacing, arr, x)
 
     def unit(x):
         U = interp(bil.U, x)
