@@ -64,7 +64,12 @@ from .dynamics import (
 from .errors import ConfigError, PolarDiracError
 from .fields import convergence_order, plane_wave, sample, superpose
 from .polar import EPS_SINGULAR, decompose
-from .trajectories import CurrentField, continuity_residual, integrate, write_csv
+from .trajectories import (
+    CurrentField,
+    continuity_residual,
+    integrate_many,
+    write_csv,
+)
 
 CONFIG_ENV = "POLARDIRAC_CONFIG_DIR"
 CONFIG_NAME = "polardirac.yaml"
@@ -699,11 +704,10 @@ def run_trajectories(cfg: dict) -> int:
     origin, spacing, dims = grid_spec(cfg)
     cur = CurrentField.from_grid(sample(f, origin, spacing, dims))
     tcfg = cfg["trajectories"]
-    trajs = [
-        integrate(cur, pt, float(tcfg["t0"]), float(tcfg["t1"]),
-                  float(tcfg["dt"]), eps_sing=float(tcfg["eps_sing"]))
-        for pt in tcfg["points"]
-    ]
+    trajs = integrate_many(
+        cur, tcfg["points"], float(tcfg["t0"]), float(tcfg["t1"]),
+        float(tcfg["dt"]), eps_sing=float(tcfg["eps_sing"]),
+    )
     paths = write_csv(
         trajs, cfg["output"]["csv"], combined=bool(cfg["output"]["combined"])
     )

@@ -17,7 +17,6 @@ never degrade the interior order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -215,12 +214,30 @@ def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
     return (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (2.0 * h)
 
 
+def in_hull(origin, spacing, shape, x) -> np.ndarray:
+    """True at the events x (..., 4) inside the hull of a lattice.
+
+    shape gives the lattice extents (nt, nx, ny, nz); trailing entries are
+    ignored.  Axes of extent 1 are constant directions and accept any
+    finite coordinate.  A NaN coordinate counts as outside.
+    """
+    frac = (np.asarray(x, dtype=float) - origin) / spacing
+    inside = np.isfinite(frac)
+    for ax in range(4):
+        n = shape[ax]
+        if n > 1:
+            f = frac[..., ax]
+            inside[..., ax] = (f >= -1e-9) & (f <= n - 1 + 1e-9)
+    return inside.all(axis=-1)
+
+
 def interp_values(origin, spacing, arr, x) -> np.ndarray:
     """Multilinear interpolation of grid samples at events x of shape (..., 4).
 
     arr carries the grid on its first four axes; trailing axes pass
     through unchanged.  Axes of extent 1 are constant directions and
-    accept any coordinate.  Raises OutOfBounds outside the lattice hull.
+    accept any finite coordinate.  Raises OutOfBounds, naming the first
+    offending event, where in_hull is False.
     """
     origin = np.asarray(origin, dtype=float)
     spacing = np.asarray(spacing, dtype=float)
@@ -228,28 +245,38 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 1
     pts = x.reshape(-1, 4)
+    inside = in_hull(origin, spacing, arr.shape, pts)
+    if not inside.all():
+        raise OutOfBounds(
+            f"event {pts[np.argmin(inside)].tolist()} outside the grid hull"
+        )
     frac = (pts - origin) / spacing
-    weights_idx = []
+    # flat site index and weight of each of the 2^k corners around every
+    # event, k the number of axes longer than 1; the weight is the product
+    # of the per-axis weights taken in axis order
+    flat = np.zeros((len(pts), 1), dtype=int)
+    w = np.ones((len(pts), 1))
     for ax in range(4):
         n = arr.shape[ax]
+        flat = flat * n
         if n == 1:
-            weights_idx.append([(np.zeros(len(pts), dtype=int), 1.0)])
             continue
         f = frac[:, ax]
-        if np.any(f < -1e-9) or np.any(f > n - 1 + 1e-9):
-            raise OutOfBounds(f"coordinate along axis {ax} outside the grid")
         i0 = np.clip(np.floor(f).astype(int), 0, n - 2)
         t = f - i0
-        weights_idx.append([(i0, 1.0 - t), (i0 + 1, t)])
+        pair = np.empty((len(pts), 1, 2))
+        pair[:, 0, 0] = 1.0 - t
+        pair[:, 0, 1] = t
+        k = 2 * flat.shape[1]
+        flat = (flat[:, :, None] + i0[:, None, None] + (0, 1)).reshape(-1, k)
+        w = (w[:, :, None] * pair).reshape(-1, k)
     trail = arr.shape[4:]
-    out = np.zeros((len(pts),) + trail, dtype=np.result_type(arr.dtype, float))
-    wshape = (len(pts),) + (1,) * len(trail)
-    for corners in product(*weights_idx):
-        idx = tuple(c[0] for c in corners)
-        w = np.ones(len(pts))
-        for c in corners:
-            w = w * c[1]
-        out += w.reshape(wshape) * arr[idx]
+    terms = w.reshape(w.shape + (1,) * len(trail)) * arr.reshape(
+        (-1,) + trail
+    )[flat]
+    out = np.zeros((len(pts),) + trail, dtype=terms.dtype)
+    for k in range(terms.shape[1]):
+        out += terms[:, k]
     return out[0] if scalar else out.reshape(x.shape[:-1] + trail)
 
 

@@ -116,11 +116,19 @@ def decompose(psi, q: float = 1.0, eps_sing: float = EPS_SINGULAR) -> PolarData:
 
     Accepts shape (..., 4).  Raises SingularSpinor if any point has
     Theta^2 + Phi^2 <= eps_sing (flag spinors are out of scope), and
-    PreconditionViolated unless q is finite and nonzero.
+    PreconditionViolated unless q is finite and nonzero and every spinor
+    component is finite.
     The result satisfies reconstruct(decompose(psi)) == psi to roundoff.
     """
     _require_charge(q)
     psi = np.asarray(psi, dtype=complex)
+    finite = np.isfinite(psi)
+    if not finite.all():
+        where = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise PreconditionViolated(
+            f"spinor component {where} is {psi[where]}: "
+            "the polar decomposition needs finite input"
+        )
     b = compute_bilinears(psi)
     mod2 = b.theta**2 + b.phi_scalar**2
     if np.any(mod2 <= eps_sing):

@@ -6,9 +6,11 @@ multilinear interpolation reads everything the integrator needs at an
 event.  The current is normalized on the fly; positions advance in
 coordinate time with dx/dt = u_spatial / u^0 under classical RK4.
 Interpolating the unnormalized current (rather than u itself) avoids
-normalization kinks near zeros of the density.  The sample recorded at
-the end of a step is the next step's first stage, so each step costs
-four interpolations.
+normalization kinks near zeros of the density.  All seeds of a run
+advance together as one (N, 3) state, and each seed stops on its own
+when a stage point leaves the grid or turns singular.  The sample
+recorded at the end of a step is the next step's first stage, so each
+step costs four interpolations, made for all live seeds together.
 
 Proper time is not stored; it is recoverable by quadrature from the
 recorded samples.  Paths follow u.  The momentum P along a stored path
@@ -26,8 +28,15 @@ import numpy as np
 from .bilinears import compute_bilinears
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
-from .errors import OutOfBounds, SingularSpinor
-from .fields import AnalyticField, GridField, grid_gradient, interp_values, sample
+from .errors import SingularSpinor
+from .fields import (
+    AnalyticField,
+    GridField,
+    grid_gradient,
+    in_hull,
+    interp_values,
+    sample,
+)
 from .polar import EPS_SINGULAR
 
 CSV_FIELDS = (
@@ -76,17 +85,20 @@ def _as_current(field) -> CurrentField:
     return CurrentField.from_grid(field)
 
 
-def _observe(cur: CurrentField, x, eps_sing: float):
-    """Interpolated channels and unit velocity u at events x (..., 4)."""
-    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, x)
-    if np.any(vals[..., 10] <= eps_sing):
-        raise SingularSpinor("spinor field is singular at the requested point")
-    U = vals[..., 2:6]
+def _observe(cur: CurrentField, ev: np.ndarray, eps_sing: float):
+    """Interpolated channels and unit velocity u at events ev (n, 4).
+
+    Returns (vals, u, ok).  ok marks the events where u is defined: a
+    regular spinor (Theta^2 + Phi^2 > eps_sing) with a timelike current.
+    vals and u hold those rows only, so nothing is computed on the
+    others.  Raises OutOfBounds outside the grid hull.
+    """
+    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, ev)
+    U = vals[:, 2:6]
     norm2 = minkowski_dot(U, U)
-    if np.any(norm2 <= 0.0):
-        raise SingularSpinor("current is not timelike at the requested point")
-    u = U / np.sqrt(norm2)[..., None]
-    return vals, np.where(u[..., :1] < 0.0, -u, u)
+    ok = (vals[:, 10] > eps_sing) & (norm2 > 0.0)
+    u = U[ok] / np.sqrt(norm2[ok])[:, None]
+    return vals[ok], np.where(u[:, :1] < 0.0, -u, u), ok
 
 
 def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
@@ -94,10 +106,17 @@ def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
 
     The current is interpolated between sites and then normalized,
     so u.u = 1 to rounding and the time component stays positive.
-    Raises SingularSpinor where Theta^2 + Phi^2 <= eps_sing, and
-    OutOfBounds outside the grid hull.
+    Raises SingularSpinor where Theta^2 + Phi^2 <= eps_sing or the
+    current is not timelike, and OutOfBounds outside the grid hull.
     """
-    return _observe(_as_current(field), x, eps_sing)[1]
+    x = np.asarray(x, dtype=float)
+    ev = x.reshape(-1, 4)
+    _, u, ok = _observe(_as_current(field), ev, eps_sing)
+    if not ok.all():
+        raise SingularSpinor(
+            f"no timelike current at event {ev[np.argmin(ok)].tolist()}"
+        )
+    return u.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -146,34 +165,37 @@ class Trajectory:
         return float(np.max(np.abs(minkowski_dot(u, u) - 1.0)))
 
 
-def _record(cur: CurrentField, t: float, x3: np.ndarray,
-            eps_sing: float) -> FlowSample:
-    vals, u = _observe(cur, np.concatenate(([t], x3)), eps_sing)
-    mod2 = float(vals[10])
-    return FlowSample(
-        t=float(t),
-        x=np.array(x3, dtype=float),
-        phi=float(np.sqrt(0.5 * np.sqrt(mod2))),
-        beta=float(np.arctan2(vals[0], vals[1])),
-        u=u,
-        s=vals[6:10] / np.sqrt(mod2),
-    )
+def _record(samples: list, live: np.ndarray, t: float, x: np.ndarray,
+            vals: np.ndarray, u: np.ndarray) -> None:
+    """Append one FlowSample at time t to the sample list of each live seed."""
+    root = np.sqrt(vals[:, 10])
+    phi = np.sqrt(0.5 * root)
+    beta = np.arctan2(vals[:, 0], vals[:, 1])
+    s = vals[:, 6:10] / root[:, None]
+    for j, i in enumerate(live):
+        samples[i].append(FlowSample(
+            t=float(t), x=x[j], phi=float(phi[j]), beta=float(beta[j]),
+            u=u[j], s=s[j],
+        ))
 
 
-def integrate(field, x0, t0: float, t1: float, dt: float,
-              eps_sing: float = EPS_SINGULAR) -> Trajectory:
-    """Transport a point along the current from t0 to t1 in steps of dt.
+def integrate_many(field, points, t0: float, t1: float, dt: float,
+                   eps_sing: float = EPS_SINGULAR) -> list:
+    """Transport every point of points (N, 3) along the current together.
 
     Classical 4th-order Runge-Kutta in coordinate time; a shorter final
-    step lands exactly on t1 when (t1 - t0) is not a multiple of dt.
-    Failure modes become the termination reason rather than exceptions:
-    leaving the grid hull gives "left_domain", a singular stage point
-    gives "singular"; otherwise "completed".
+    step lands exactly on t1 when (t1 - t0) is not a multiple of dt.  All
+    seeds share the time steps and each stage interpolates once for the
+    seeds still moving.  A seed stops at the first stage that fails for
+    it, and the failure becomes its termination reason rather than an
+    exception: leaving the grid hull gives "left_domain", a singular or
+    non-timelike stage point gives "singular"; otherwise "completed".
+    Returns one Trajectory per point, in order.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     cur = _as_current(field)
-    x = np.array(x0, dtype=float).reshape(3)
+    x = np.array(points, dtype=float).reshape(-1, 3)
     t = float(t0)
     span = float(t1) - t
     n_full = int(np.floor(span / dt + 1e-12))
@@ -182,29 +204,55 @@ def integrate(field, x0, t0: float, t1: float, dt: float,
     if rem > 1e-12 * dt:
         steps.append(rem)
 
-    def rhs(tc, xc):
-        u = _observe(cur, np.concatenate(([tc], xc)), eps_sing)[1]
-        return u[1:] / u[0]
+    samples = [[] for _ in x]
+    termination = ["completed"] * len(x)
+    live = np.arange(len(x))  # seeds still moving, rows of every stage array
 
-    samples = []
-    termination = "completed"
-    try:
-        samples.append(_record(cur, t, x, eps_sing))
-        for h in steps:
-            # the last sample sits at (t, x): its u is this step's k1
-            u = samples[-1].u
-            k1 = u[1:] / u[0]
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t + h
-            samples.append(_record(cur, t, x, eps_sing))
-    except OutOfBounds:
-        termination = "left_domain"
-    except SingularSpinor:
-        termination = "singular"
-    return Trajectory(samples=samples, step=float(dt), termination=termination)
+    def observe(tc, xc):
+        """Evaluate the live seeds at stage points (tc, xc) and retire those
+        that fail there.  Returns the mask of survivors over the rows of
+        xc, with their channels and velocities."""
+        nonlocal live
+        ev = np.concatenate((np.full((len(xc), 1), tc), xc), axis=1)
+        keep = in_hull(cur.g.origin, cur.g.spacing, cur.obs.shape, ev)
+        for i in live[~keep]:
+            termination[i] = "left_domain"
+        vals, u = np.empty((0, 11)), np.empty((0, 4))
+        if keep.any():
+            vals, u, ok = _observe(cur, ev[keep], eps_sing)
+            for i in live[keep][~ok]:
+                termination[i] = "singular"
+            keep[keep] = ok
+        live = live[keep]
+        return keep, vals, u
+
+    keep, vals, u = observe(t, x)
+    x = x[keep]
+    _record(samples, live, t, x, vals, u)
+    for h in steps:
+        if not len(live):
+            break
+        # the last sample sits at (t, x): its u is this step's k1
+        ks = [u[:, 1:] / u[:, :1]]
+        for c in (0.5, 0.5, 1.0):
+            keep, _, uc = observe(t + c * h, x + c * h * ks[-1])
+            x = x[keep]
+            ks = [k[keep] for k in ks] + [uc[:, 1:] / uc[:, :1]]
+        k1, k2, k3, k4 = ks
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        keep, vals, u = observe(t, x)
+        x = x[keep]
+        _record(samples, live, t, x, vals, u)
+    return [Trajectory(samples=s, step=float(dt), termination=r)
+            for s, r in zip(samples, termination)]
+
+
+def integrate(field, x0, t0: float, t1: float, dt: float,
+              eps_sing: float = EPS_SINGULAR) -> Trajectory:
+    """Transport the point x0 (3,) from t0 to t1: integrate_many for one seed."""
+    return integrate_many(field, np.reshape(x0, (1, 3)), t0, t1, dt,
+                          eps_sing)[0]
 
 
 def continuity_residual(field, grid=None) -> np.ndarray:

@@ -207,6 +207,33 @@ def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_trajectories_interpolate_once_per_stage_for_all_seeds(
+    tmp_path, capsys, monkeypatch
+):
+    import polardirac.trajectories as trajectories
+
+    calls = []
+    real = trajectories.interp_values
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return real(*args)
+
+    monkeypatch.setattr(trajectories, "interp_values", counting)
+    points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5, 55.0)]
+    path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
+    code, out, _ = run_cli(capsys, "trajectories", path)
+    assert code == 0
+    trajs = json.loads(out)["trajectories"]
+    assert [t["termination"] for t in trajs] == ["completed"] * 3 + [
+        "left_domain"
+    ]
+    steps = max(t["samples"] for t in trajs) - 1
+    assert steps == 20
+    assert len(calls) == 1 + 4 * steps
+    assert calls == [3] * len(calls)  # the seed outside is never evaluated
+
+
 def test_trajectories_point_outside_grid(tmp_path, capsys):
     path = write_cfg(
         tmp_path, trajectories_cfg(tmp_path, [[0.0, 0.0, 55.0]])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from polardirac.fields import (
     GridField,
     gaussian_packet,
     grid_gradient,
+    interp_values,
     load_grid,
     plane_wave,
     sample,
@@ -173,6 +176,58 @@ def test_interp_out_of_bounds():
     g = sample(f, [0, -1, -1, -1], [0.1, 0.5, 0.5, 0.5], (5, 5, 5, 5))
     with pytest.raises(OutOfBounds):
         g.interp(np.array([0.0, 7.0, 0.0, 0.0]))
+
+
+def corner_loop_interp(origin, spacing, arr, pts):
+    """Reference multilinear interpolation at in-hull events pts (n, 4):
+    one gather per corner, corners in itertools.product order, each weight
+    the product of its per-axis weights in axis order."""
+    frac = (pts - origin) / spacing
+    per_axis = []
+    for ax in range(4):
+        n = arr.shape[ax]
+        if n == 1:
+            per_axis.append([(np.zeros(len(pts), dtype=int), 1.0)])
+            continue
+        i0 = np.clip(np.floor(frac[:, ax]).astype(int), 0, n - 2)
+        t = frac[:, ax] - i0
+        per_axis.append([(i0, 1.0 - t), (i0 + 1, t)])
+    trail = arr.shape[4:]
+    out = np.zeros((len(pts),) + trail, dtype=np.result_type(arr.dtype, float))
+    for corners in product(*per_axis):
+        w = np.ones(len(pts))
+        for c in corners:
+            w = w * c[1]
+        out += w.reshape((-1,) + (1,) * len(trail)) * arr[
+            tuple(c[0] for c in corners)
+        ]
+    return out
+
+
+def test_interp_matches_corner_loop_bitwise():
+    rng = np.random.default_rng(17)
+    for trial in range(60):
+        dims = tuple(int(n) for n in rng.choice([1, 2, 5], 4))
+        trail = [(), (11,), (4, 4)][trial % 3]
+        arr = rng.normal(size=dims + trail)
+        if trial % 2:
+            arr = arr + 1j * rng.normal(size=arr.shape)
+        arr[rng.random(arr.shape) < 0.2] = -0.0
+        origin = rng.normal(size=4)
+        spacing = rng.uniform(0.1, 2.0, 4)
+        frac = rng.uniform(0.0, 1.0, (20, 4)) * (np.array(dims) - 1)
+        on_site = rng.random(frac.shape) < 0.3  # sites and the far edge
+        frac[on_site] = np.round(frac[on_site])
+        pts = origin + frac * spacing
+        got = interp_values(origin, spacing, arr, pts)
+        want = corner_loop_interp(origin, spacing, arr, pts)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+        assert interp_values(origin, spacing, arr, pts[3]).tobytes() == \
+            want[3].tobytes()
+    for shape in ((0, 4), (2, 0, 4)):
+        out = interp_values(np.zeros(4), np.ones(4), arr, np.zeros(shape))
+        assert out.shape == shape[:-1] + arr.shape[4:]
 
 
 def test_grid_validation():

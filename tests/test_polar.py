@@ -4,7 +4,12 @@ import pytest
 
 from polardirac.bilinears import compute_bilinears
 from polardirac.clifford import BASIS, exp_lorentz, minkowski_dot
-from polardirac.errors import InvalidPolar, SingularSpinor, ZeroSpinor
+from polardirac.errors import (
+    InvalidPolar,
+    PreconditionViolated,
+    SingularSpinor,
+    ZeroSpinor,
+)
 from polardirac.polar import (
     REFERENCE,
     PolarData,
@@ -147,6 +152,18 @@ def test_singular_spinor_raises():
     # left-handed flag spinor: psi = (a, b, 0, 0) has Theta = Phi = 0
     with pytest.raises(SingularSpinor):
         decompose(np.array([1.0, 0.5j, 0.0, 0.0]))
+
+
+def test_non_finite_spinor_raises():
+    # NaN slips past the singular test mod2 <= eps_sing, so it is caught
+    # where the data enters, naming the first bad index
+    with pytest.raises(PreconditionViolated, match=r"component \(1,\)"):
+        decompose([1.0, np.nan, 1.0, 0.0])
+    psi = np.tile(REFERENCE, (2, 3, 1))
+    psi[1, 2, 3] = np.inf
+    psi[1, 1, 0] = np.nan * 1j
+    with pytest.raises(PreconditionViolated, match=r"component \(1, 1, 0\)"):
+        decompose(psi)
 
 
 def test_transformed_spinor_roundtrip_and_covariance():

@@ -11,6 +11,7 @@ from polardirac.errors import OutOfBounds, SingularSpinor
 from polardirac.fields import (
     GridField,
     convergence_order,
+    gaussian_packet,
     interp_values,
     plane_wave,
     sample,
@@ -23,6 +24,7 @@ from polardirac.trajectories import (
     Trajectory,
     continuity_residual,
     integrate,
+    integrate_many,
     momentum_along,
     velocity_at,
     write_csv,
@@ -404,3 +406,73 @@ def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
     steps = len(traj.samples) - 1
     assert steps == (10 if t1 == 0.5 else 11)
     assert len(calls) == 1 + 4 * steps
+
+
+def test_nan_coordinate_is_out_of_bounds():
+    # a NaN fails every comparison, so the hull test is written to pass
+    # only coordinates known to be inside
+    cur = CurrentField.from_grid(gaussian_packet(1.0, dims=(1, 9, 9, 9)))
+    with pytest.raises(OutOfBounds):
+        velocity_at(cur, [0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(OutOfBounds):
+        velocity_at(cur, [np.nan, 0.0, 0.0, 0.0])  # constant t axis
+    traj = integrate(cur, [np.nan, 0.0, 0.0], 0.0, 0.1, 0.01)
+    assert traj.termination == "left_domain"
+    assert traj.samples == []
+
+
+def three_fates_grid():
+    """Wave boosted along +z (chi = 0.8) over t in [-0.1, 1.5] and x, z in
+    [-1, 1], switched off where x >= 0.5 and z >= 0.375."""
+    chi = 0.8
+    p = np.array([np.cosh(chi), 0.0, 0.0, np.sinh(chi)])
+    g = sample(plane_wave(p), (-0.1, -1.0, 0.0, -1.0),
+               (0.2, 0.25, 1.0, 0.125), (9, 9, 1, 17))
+    values = g.values.copy()
+    values[:, 6:, :, 11:, :] = 0.0
+    return GridField(origin=g.origin, spacing=g.spacing, dims=g.dims,
+                     values=values)
+
+
+def test_integrate_many_matches_per_seed(tmp_path):
+    cur = CurrentField.from_grid(three_fates_grid())
+    points = [
+        (-0.5, 0.0, -0.9),  # completed
+        (-0.5, 0.0, 0.31),  # leaves through z = 1 at a k2 stage
+        (0.75, 0.0, 0.0),  # runs into the switched-off corner
+        (0.0, 0.0, 5.0),  # starts outside
+        (0.75, 0.0, 0.5),  # starts on a zero of the field
+        (-0.5, 0.0, -0.9),  # a repeated seed
+    ]
+    t0, t1, dt = 0.0, 1.4, 0.1
+    batch = integrate_many(cur, points, t0, t1, dt)
+    serial = [integrate(cur, pt, t0, t1, dt) for pt in points]
+    assert [t.termination for t in batch] == [
+        "completed", "left_domain", "singular", "left_domain", "singular",
+        "completed",
+    ]
+    assert [len(t.samples) for t in batch] == [15, 11, 6, 0, 0, 15]
+
+    lost = batch[1].samples[-1]
+    k1 = lost.u[3] / lost.u[0]
+    assert lost.x[2] < 1.0 < lost.x[2] + 0.5 * dt * k1
+
+    for b, s in zip(batch, serial):
+        assert b.termination == s.termination
+        assert len(b.samples) == len(s.samples)
+        assert np.array_equal(b.events(), s.events())
+        assert np.array_equal(b.velocities(), s.velocities())
+        for fb, fs in zip(b.samples, s.samples):
+            assert (fb.phi, fb.beta) == (fs.phi, fs.beta)
+            assert np.array_equal(fb.s, fs.s)
+    write_csv(batch, tmp_path / "batch.csv", combined=True)
+    write_csv(serial, tmp_path / "serial.csv", combined=True)
+    assert (tmp_path / "batch.csv").read_bytes() == \
+        (tmp_path / "serial.csv").read_bytes()
+
+
+def test_integrate_many_empty():
+    g, _ = boosted_grid(0.5)
+    assert integrate_many(g, [], 0.0, 1.0, 0.1) == []
+    with pytest.raises(ValueError):
+        integrate_many(g, [], 0.0, 1.0, 0.0)
