@@ -22,6 +22,7 @@ indices, with the derivative index mu always last.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,8 @@ class ExternalPotentials:
 
 @dataclass(frozen=True)
 class TransformField:
-    """The local transformation L(x) sampled on a grid, as 4x4 matrices."""
+    """The local transformation L(x) sampled on a grid, as 4x4 matrices;
+    log_derivative is computed on first use and kept, as on PolarFields."""
 
     matrices: np.ndarray
     origin: np.ndarray
@@ -126,6 +128,14 @@ class TransformField:
     @property
     def grid_shape(self) -> tuple:
         return self.matrices.shape[:-2]
+
+    @cached_property
+    def log_derivative(self) -> np.ndarray:
+        """X_mu = L^{-1} d_mu L on the grid, layout [..., row, col, mu]: the
+        input of goldstone_derivatives and of the flatness in curvatures."""
+        l_inv = np.linalg.inv(self.matrices)
+        dl = grid_gradient(self.matrices, self.spacing)
+        return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
 
 
 def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
@@ -192,13 +202,6 @@ class GoldstoneDerivatives:
         return self.dxi.shape[:-1]
 
 
-def _log_derivative(lf: TransformField) -> np.ndarray:
-    """X_mu = L^{-1} d_mu L on the grid, layout [..., row, col, mu]."""
-    l_inv = np.linalg.inv(lf.matrices)
-    dl = grid_gradient(lf.matrices, lf.spacing)
-    return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
-
-
 def _spin_matrix(t: np.ndarray) -> np.ndarray:
     """(1/2) T_{ab m} sigma^{ab} per direction m, layout [..., k, l, m]
     from components [..., a, b, m]: the inverse of _spin_components."""
@@ -259,7 +262,7 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
 
 def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
     """Grid-wide Goldstone derivative extraction with basis-leak check."""
-    x = _log_derivative(lf)
+    x = lf.log_derivative
     dxi, dxi_ab, leak = _project_log_derivative(x, lf.q)
     _check_leak(x, leak, lf)
     return GoldstoneDerivatives(
@@ -291,12 +294,15 @@ def goldstone_derivative(lf: TransformField, point):
 
 @dataclass(frozen=True)
 class ConnectionField:
-    """P_mu and R_{ij mu} on a grid (layouts (..., 4) and (..., 4, 4, 4))."""
+    """P_mu and R_{ij mu} on a grid (layouts (..., 4) and (..., 4, 4, 4)),
+    with the spin connection omega that was subtracted from R (None when
+    there was none); the curvatures of R read it."""
 
     P: np.ndarray
     R: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
+    omega: np.ndarray | None = None
 
     @property
     def grid_shape(self) -> tuple:
@@ -308,11 +314,13 @@ def build_connections(
 ) -> ConnectionField:
     """P = q (dxi - A), R_{ij mu} = (dxi)_{ij mu} - Omega_{ij mu}."""
     shape = gd.grid_shape
+    omega = ext.omega_field(shape)
     return ConnectionField(
         P=gd.q * (gd.dxi - ext.a_field(shape)),
-        R=gd.dxi_ab - ext.omega_field(shape),
+        R=gd.dxi_ab - omega,
         origin=gd.origin,
         spacing=gd.spacing,
+        omega=None if ext.Omega is None else omega,
     )
 
 
@@ -402,8 +410,9 @@ def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
 
 
 def _riemann(r_up, dr, omega) -> np.ndarray:
-    """riemann^i_{j mu nu} of curvatures from R^i_{j mu} and its grid
-    gradient dr, layout [i, j, nu, mu]; with G = L^{-1} dL in place of R
+    """riemann^i_{j mu nu} of curvatures from R^i_{j mu}, its grid
+    gradient dr, layout [i, j, nu, mu], and the cf.omega it carries (None
+    for none); with G = L^{-1} dL in place of R
     and omega None it is minus dG - dG + [G, G].  GridMismatch unless
     omega is None or lives on the grid of r_up."""
     cov = np.swapaxes(dr, -1, -2)  # [i, j, mu, nu]
@@ -424,34 +433,32 @@ class CurvatureData:
 
 
 def curvatures(
-    cf: ConnectionField,
-    q: float = 1.0,
-    omega: np.ndarray | None = None,
-    lfield: TransformField | None = None,
+    cf: ConnectionField, q: float = 1.0, lfield: TransformField | None = None
 ) -> CurvatureData:
     """Curvature tensors of the connections.
 
     riemann^i_{j mu nu} = -(grad_mu R^i_{j nu} - grad_nu R^i_{j mu}
                             + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}),
-    with grad acting on frame indices through omega when provided; it
-    vanishes identically for pure-gauge R and reproduces the curvature of
-    omega itself when the Goldstone part is trivial.
+    with grad acting on frame indices through cf.omega when R carries one;
+    it vanishes identically for pure-gauge R and reproduces the curvature
+    of omega itself when the Goldstone part is trivial.
 
     F is the gauge field strength, see field_strength.
 
     goldstone_flat (when an L field is supplied) is the pointwise max of
     |dG - dG + [G, G]| for G = L^{-1} dL, the same Riemann formula, which
-    is zero for any group-valued L up to discretization error.  omega and
-    the L field must live on the grid of cf, or GridMismatch is raised.
+    is zero for any group-valued L up to discretization error; G is the
+    cached lfield.log_derivative.  cf.omega and the L field must live on
+    the grid of cf, or GridMismatch is raised.
     """
     r_up = cf.R * _ETA_DIAG[:, None, None]
-    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing), omega)
+    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing), cf.omega)
     f = field_strength(grid_gradient(cf.P, cf.spacing), q)
 
     flat = None
     if lfield is not None:
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
-        gmat = _log_derivative(lfield)
+        gmat = lfield.log_derivative
         dg = grid_gradient(gmat, lfield.spacing)
         flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-4, -3, -2, -1))
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
@@ -507,9 +514,7 @@ class DivergenceConstraints:
 
 
 def divergence_constraints(
-    cf: ConnectionField,
-    omega: np.ndarray | None = None,
-    fd_tol: float | None = None,
+    cf: ConnectionField, fd_tol: float | None = None
 ) -> DivergenceConstraints:
     """The two flatness-induced divergence identities on B^mu and R^mu.
 
@@ -521,11 +526,11 @@ def divergence_constraints(
     is 0.1 h^2 times the size a curved connection of this magnitude would
     have, max|dR| + max|R|^2, floored at the roundoff eps (max|P| + 1/h)^2
     of the inputs' natural scale, which decides when R is zero to roundoff.
-    omega must live on the grid of cf, or GridMismatch is raised.
+    cf.omega must live on the grid of cf, or GridMismatch is raised.
     """
     r_first_up = cf.R * _ETA_DIAG[:, None, None]
     dr = grid_gradient(r_first_up, cf.spacing)
-    riemann_max = float(np.max(np.abs(_riemann(r_first_up, dr, omega))))
+    riemann_max = float(np.max(np.abs(_riemann(r_first_up, dr, cf.omega))))
     tol = fd_tol
     if tol is None:
         active = [cf.spacing[ax] for ax in range(4) if cf.grid_shape[ax] > 1]

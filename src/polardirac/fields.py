@@ -22,7 +22,7 @@ import numpy as np
 
 from .bilinears import compute_bilinears
 from .clifford import _flip, boost_matrices, minkowski_dot, rotation_matrices
-from .errors import MassMismatch, OffShell, OutOfBounds
+from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
 from .polar import REFERENCE, _axis_angle_from_z
 
 REST_SPINORS = {
@@ -130,7 +130,9 @@ class GridField:
     """Spinor values on a rectangular lattice.
 
     origin and spacing are per-axis (t, x, y, z); values has shape
-    dims + (4,).  Immutable by convention after construction.
+    dims + (4,).  A non-finite entry of any of the three raises
+    PreconditionViolated naming its index.  Immutable by convention after
+    construction.
     """
 
     origin: np.ndarray
@@ -149,6 +151,15 @@ class GridField:
         )
         if self.origin.shape != (4,) or self.spacing.shape != (4,):
             raise ValueError("origin and spacing must be 4-vectors")
+        for name in ("origin", "spacing", "values"):
+            arr = getattr(self, name)
+            finite = np.isfinite(arr)
+            if not finite.all():
+                where = tuple(int(i) for i in np.argwhere(~finite)[0])
+                raise PreconditionViolated(
+                    f"GridField {name} entry {where} is {arr[where]}: "
+                    "a grid field needs finite input"
+                )
         if np.any(self.spacing <= 0.0):
             raise ValueError("spacing must be positive")
         if len(self.dims) != 4:
@@ -324,26 +335,15 @@ def _phase_gradient(angle: np.ndarray, spacing) -> np.ndarray:
     return out
 
 
-def interior(dims, margin: int = 2) -> tuple:
-    """Slices selecting points at least `margin` sites from active-axis edges."""
-    out = []
-    for d in dims:
-        if d == 1:
-            out.append(slice(None))
-        else:
-            out.append(slice(margin, d - margin))
-    return tuple(out)
+def interior(dims) -> tuple:
+    """Slices selecting points at least 2 sites from active-axis edges."""
+    return tuple(slice(None) if d == 1 else slice(2, d - 2) for d in dims)
 
 
 EXACT_FLOOR = 1e-12
 
 
-def convergence_order(
-    coarse: np.ndarray,
-    fine: np.ndarray,
-    margin: int = 2,
-    floor: float = EXACT_FLOOR,
-):
+def convergence_order(coarse: np.ndarray, fine: np.ndarray):
     """Measured order of a residual under grid halving.
 
     The coarse grid is read from the first four axes of coarse.  The fine
@@ -351,16 +351,14 @@ def convergence_order(
     even-index sites coincide with the coarse sites; maxima are then
     compared over the identical physical interior.  Returns
     (order, max_coarse, max_fine); order is None when both maxima are below
-    `floor`, meaning the residual vanishes identically rather than at O(h^2).
+    EXACT_FLOOR, meaning the residual vanishes identically rather than at
+    O(h^2).
     """
     dims = coarse.shape[:4]
-    slf = tuple(
-        slice(None) if d == 1 else slice(2 * margin, 2 * (d - margin) - 1, 2)
-        for d in dims
-    )
-    mc = float(np.max(np.abs(coarse[interior(dims, margin)])))
+    slf = tuple(slice(None) if d == 1 else slice(4, 2 * d - 5, 2) for d in dims)
+    mc = float(np.max(np.abs(coarse[interior(dims)])))
     mf = float(np.max(np.abs(fine[slf])))
-    if mc < floor and mf < floor:
+    if mc < EXACT_FLOOR and mf < EXACT_FLOOR:
         return None, mc, mf
     return float(np.log2(mc / mf)), mc, mf
 
@@ -382,20 +380,18 @@ def gaussian_packet(
     K: float = 1.0,
     s_axis=(0.0, 0.0, 1.0),
     dims=(1, 25, 25, 25),
-    half_width: float | None = None,
 ) -> GridField:
     """Static module bump phi = K exp(-k r^2 / 16) at rest with fixed spin.
 
     beta = 0, u = (1,0,0,0), spin along s_axis, no Goldstone boost and a
-    constant spin-alignment rotation, zero phase.  The default box spans
-    +-half_width (default 2/sqrt(k)) around the origin on each spatial axis.
+    constant spin-alignment rotation, zero phase.  The box spans +-2/sqrt(k)
+    around the origin on each spatial axis.
     """
     if k <= 0.0 or K <= 0.0:
         raise ValueError("k and K must be positive")
     s_axis = np.asarray(s_axis, dtype=float)
     s_axis = s_axis / np.linalg.norm(s_axis)
-    if half_width is None:
-        half_width = 2.0 / np.sqrt(k)
+    half_width = 2.0 / np.sqrt(k)
     dims = tuple(int(d) for d in dims)
     spacing = np.array(
         [1.0]

@@ -111,11 +111,11 @@ def _require_charge(q) -> None:
         )
 
 
-def decompose(psi, q: float = 1.0, eps_sing: float = EPS_SINGULAR) -> PolarData:
+def decompose(psi, q: float = 1.0) -> PolarData:
     """Split spinors into module, chiral angle, Goldstone parameters, phase.
 
     Accepts shape (..., 4).  Raises SingularSpinor if any point has
-    Theta^2 + Phi^2 <= eps_sing (flag spinors are out of scope), and
+    Theta^2 + Phi^2 <= EPS_SINGULAR (flag spinors are out of scope), and
     PreconditionViolated unless q is finite and nonzero and every spinor
     component is finite.
     The result satisfies reconstruct(decompose(psi)) == psi to roundoff.
@@ -131,7 +131,7 @@ def decompose(psi, q: float = 1.0, eps_sing: float = EPS_SINGULAR) -> PolarData:
         )
     b = compute_bilinears(psi)
     mod2 = b.theta**2 + b.phi_scalar**2
-    if np.any(mod2 <= eps_sing):
+    if np.any(mod2 <= EPS_SINGULAR):
         raise SingularSpinor(
             f"Theta^2 + Phi^2 down to {float(np.min(mod2)):.3e}; "
             "polar decomposition undefined"

@@ -158,12 +158,12 @@ def _three_einsum_projection(x_mats, q):
 
 
 def test_projection_matches_einsum_oracle():
-    from polardirac.connections import _log_derivative, _project_log_derivative
+    from polardirac.connections import _project_log_derivative
 
     rng = np.random.default_rng(8)
     shape = (3, 3, 3, 4, 4, 4)
     x_random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    x_gauge = _log_derivative(gauge_boost_field(9)[0])
+    x_gauge = gauge_boost_field(9)[0].log_derivative
     for x_mats, q in [(x_random, 1.3), (x_gauge, 1.0)]:
         dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
         ref_dxi, ref_dxi_ab, ref_leak = _three_einsum_projection(x_mats, q)
@@ -245,12 +245,12 @@ def test_grid_mismatch():
         ExternalPotentials(Omega=np.zeros(4))
     # an omega that broadcasts against the grid does not live on it
     cf = build_connections(gd, ExternalPotentials())
-    omega = np.zeros((5, 1, 1, 4, 4, 4))
+    cf_off = dataclasses.replace(cf, omega=np.zeros((5, 1, 1, 4, 4, 4)))
     off_grid = r"omega shaped \(5, 1, 1, 4, 4, 4\) .* grid \(1, 5, 1, 1\)"
     with pytest.raises(GridMismatch, match=off_grid):
-        curvatures(cf, omega=omega)
+        curvatures(cf_off)
     with pytest.raises(GridMismatch, match=off_grid):
-        divergence_constraints(cf, omega=omega)
+        divergence_constraints(cf_off)
     other = (1, 7, 1, 1)
     lf_other = transform_from_params(
         np.zeros(other), np.zeros(other + (6,)), [0, 0, 0, 0], [1, 0.2, 1, 1], other
@@ -524,7 +524,7 @@ def test_riemann_from_connections_matches_omega_route():
         np.zeros(dims), np.zeros(dims + (6,)), origin, spacing, dims
     )
     cf = build_connections(goldstone_derivatives(lf), ExternalPotentials(Omega=om))
-    curv = curvatures(cf, omega=om)
+    curv = curvatures(cf)
     from polardirac.fields import grid_gradient
 
     om_up = np.einsum("ik,...kjm->...ijm", METRIC, om)
@@ -539,7 +539,7 @@ def test_riemann_from_connections_matches_omega_route():
     # with a nontrivial Goldstone part the match holds to FD accuracy
     lf2, _ = gauge_rotation_field(n)
     cf2 = build_connections(goldstone_derivatives(lf2), ExternalPotentials(Omega=om))
-    curv2 = curvatures(cf2, omega=om)
+    curv2 = curvatures(cf2)
     sl = interior(dims)
     assert np.max(np.abs((curv2.riemann - direct)[sl])) < 5e-3
 
@@ -675,12 +675,64 @@ def test_divergence_constraints_one_riemann(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(connections, "grid_gradient", counting)
-    for omega, fd_tol in ((None, None), (om, 1.0)):
+    for cf_case, fd_tol in ((cf, None), (dataclasses.replace(cf, omega=om), 1.0)):
         calls.clear()
-        res = divergence_constraints(cf, omega=omega, fd_tol=fd_tol)
+        res = divergence_constraints(cf_case, fd_tol=fd_tol)
         assert len(calls) == 2
-        riemann = curvatures(cf, omega=omega).riemann
+        riemann = curvatures(cf_case).riemann
         assert res.riemann_max == float(np.max(np.abs(riemann)))
+
+
+def test_flatness_reads_the_cached_log_derivative(monkeypatch):
+    # goldstone_derivatives builds X = L^{-1} dL once; the flatness reads
+    # that X and makes no further inverse, with the same bits as an X
+    # rebuilt from scratch
+    from polardirac.connections import _riemann
+
+    lf, _ = gauge_boost_field(9)
+    x = np.einsum(
+        "...ij,...jkm->...ikm",
+        np.linalg.inv(lf.matrices),
+        grid_gradient(lf.matrices, lf.spacing),
+    )
+    oracle = np.max(
+        np.abs(_riemann(x, grid_gradient(x, lf.spacing), None)),
+        axis=(-4, -3, -2, -1),
+    )
+    calls = []
+    real = np.linalg.inv
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    gd = goldstone_derivatives(lf)
+    assert len(calls) == 1
+    cf = build_connections(gd, ExternalPotentials())
+    calls.clear()
+    flat = curvatures(cf, lfield=lf).goldstone_flat
+    assert calls == []
+    assert np.array_equal(flat, oracle)
+
+
+def test_connection_carries_its_omega():
+    # R = dxi_ab - Omega and the curvature of R read the same Omega
+    from polardirac.connections import _riemann
+
+    lf, dims = gauge_rotation_field(9)
+    om = random_omega_field(
+        np.random.default_rng(5), dims, lf.origin, lf.spacing, amp=0.2
+    )
+    gd = goldstone_derivatives(lf)
+    cf = build_connections(gd, ExternalPotentials(Omega=om))
+    r_up = cf.R * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+    want = _riemann(r_up, grid_gradient(r_up, lf.spacing), om)
+    assert np.max(np.abs(want)) > 0.1
+    assert np.array_equal(curvatures(cf).riemann, want)
+    res = divergence_constraints(cf, fd_tol=np.inf)
+    assert res.riemann_max == float(np.max(np.abs(want)))
+    assert build_connections(gd, ExternalPotentials()).omega is None
 
 
 def _half_sigma_loop(t, psi):

@@ -5,7 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from polardirac.bilinears import compute_bilinears
-from polardirac.errors import MassMismatch, OffShell, OutOfBounds
+from polardirac.errors import (
+    MassMismatch,
+    OffShell,
+    OutOfBounds,
+    PreconditionViolated,
+)
 from polardirac.fields import (
     GridField,
     gaussian_packet,
@@ -237,6 +242,22 @@ def test_grid_validation():
         GridField([0, 0, 0, 0], [0, 1, 1, 1], (1, 1, 1, 1), np.zeros((1, 1, 1, 1, 4)))
     with pytest.raises(ValueError, match=r"dims must have 4 entries.*\(5, 5, 5\)"):
         GridField(np.zeros(4), np.ones(4), (5, 5, 5), np.zeros((5, 5, 5, 4)))
+
+
+def test_grid_field_rejects_non_finite():
+    # every entry is checked, since a NaN spacing also passes spacing > 0
+    g = gaussian_packet(1.0, dims=(1, 9, 9, 9))
+    values = g.values.copy()
+    values[0, 4, 4, 4, 1] = np.nan
+    with pytest.raises(
+        PreconditionViolated, match=r"values entry \(0, 4, 4, 4, 1\) is \(nan"
+    ):
+        GridField(g.origin, g.spacing, g.dims, values)
+    zeros = np.zeros((1, 5, 1, 1, 4))
+    with pytest.raises(PreconditionViolated, match=r"spacing entry \(1,\) is nan"):
+        GridField([0, 0, 0, 0], [1, np.nan, 1, 1], (1, 5, 1, 1), zeros)
+    with pytest.raises(PreconditionViolated, match=r"origin entry \(3,\) is inf"):
+        GridField([0, 0, 0, np.inf], [1, 1, 1, 1], (1, 5, 1, 1), zeros)
 
 
 def test_gaussian_packet_center_and_gradient():

@@ -155,7 +155,7 @@ def test_singular_spinor_raises():
 
 
 def test_non_finite_spinor_raises():
-    # NaN slips past the singular test mod2 <= eps_sing, so it is caught
+    # NaN slips past the singular test mod2 <= EPS_SINGULAR, so it is caught
     # where the data enters, naming the first bad index
     with pytest.raises(PreconditionViolated, match=r"component \(1,\)"):
         decompose([1.0, np.nan, 1.0, 0.0])
