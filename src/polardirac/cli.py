@@ -232,8 +232,8 @@ def load_config(path: str | None, overrides=()) -> dict:
 
 
 def _check_numbers(key: str, vec) -> None:
-    if not all(_type_ok(v, _NUM) for v in vec):
-        raise ConfigError(f"'{key}' entries must be numbers")
+    if not all(_type_ok(v, _NUM) and np.isfinite(v) for v in vec):
+        raise ConfigError(f"'{key}' entries must be finite numbers")
 
 
 def _check_semantics(cfg: dict) -> None:
@@ -256,6 +256,9 @@ def _check_semantics(cfg: dict) -> None:
                 f"unknown suite '{name}'; choose from {', '.join(SUITES)}"
             )
     tcfg = cfg["trajectories"]
+    for key in ("t0", "t1", "dt", "eps_sing"):
+        if not np.isfinite(tcfg[key]):
+            raise ConfigError(f"'trajectories.{key}' must be finite")
     if tcfg["dt"] <= 0:
         raise ConfigError("'trajectories.dt' must be positive")
     if tcfg["t1"] < tcfg["t0"]:
@@ -619,14 +622,14 @@ def suite_continuity(cfg: dict, rng) -> list:
 
     wave = plane_wave((m, 0.0, 0.0, 0.0), m=m)
     res = continuity_residual(
-        wave, ((0.0, 0.0, 0.0, 0.0), (0.1, 1.0, 1.0, 1.0), (9, 1, 1, 1))
+        sample(wave, (0.0, 0.0, 0.0, 0.0), (0.1, 1.0, 1.0, 1.0), (9, 1, 1, 1))
     )
     checks.append(_check("plane_wave_flat", np.max(np.abs(res)), tol))
 
     f = build_field(cfg)
     origin, spacing, dims = grid_spec(cfg)
-    coarse = continuity_residual(f, (origin, spacing, dims))
-    fine = continuity_residual(f, _refined(origin, spacing, dims))
+    coarse = continuity_residual(sample(f, origin, spacing, dims))
+    fine = continuity_residual(sample(f, *_refined(origin, spacing, dims)))
     order, mc, _ = convergence_order(coarse, fine)
     checks.append(_order_check("config_field_order", order, band))
     return checks
@@ -719,7 +722,7 @@ def run_trajectories(cfg: dict) -> int:
             {
                 "index": i,
                 "termination": t.termination,
-                "samples": len(t.samples),
+                "samples": len(t.rows),
                 "normalization_drift": d,
             }
             for i, (t, d) in enumerate(zip(trajs, drifts))

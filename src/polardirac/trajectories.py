@@ -10,7 +10,8 @@ normalization kinks near zeros of the density.  All seeds of a run
 advance together as one (N, 3) state, and each seed stops on its own
 when a stage point leaves the grid or turns singular.  The sample
 recorded at the end of a step is the next step's first stage, so each
-step costs four interpolations, made for all live seeds together.
+step costs four interpolations, made for all live seeds together.  A
+flow line is one table, Trajectory.rows, whose columns are CSV_FIELDS.
 
 Proper time is not stored; it is recoverable by quadrature from the
 recorded samples.  Paths follow u.  The momentum P along a stored path
@@ -28,15 +29,8 @@ import numpy as np
 from .bilinears import compute_bilinears
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
-from .errors import SingularSpinor
-from .fields import (
-    AnalyticField,
-    GridField,
-    grid_gradient,
-    in_hull,
-    interp_values,
-    sample,
-)
+from .errors import PreconditionViolated, SingularSpinor
+from .fields import GridField, grid_gradient, in_hull, interp_values
 from .polar import EPS_SINGULAR
 
 CSV_FIELDS = (
@@ -120,63 +114,47 @@ def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FlowSample:
-    """One recorded point of a flow line."""
-
-    t: float
-    x: np.ndarray  # spatial position, shape (3,)
-    phi: float
-    beta: float
-    u: np.ndarray  # unit velocity, shape (4,)
-    s: np.ndarray  # spin axial-vector, shape (4,)
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """A flow line: recorded samples, the step used, and why it stopped.
+    """A flow line: its recorded table, the step used, and why it stopped.
 
-    termination is one of "completed", "left_domain", "singular".
+    rows is a float64 array of shape (n, 14), one recorded sample per row,
+    with the columns of CSV_FIELDS.  termination is one of "completed",
+    "left_domain", "singular".
     """
 
-    samples: list
+    rows: np.ndarray
     step: float
     termination: str
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.rows[:, 0]
 
     def positions(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples]).reshape(-1, 3)
+        return self.rows[:, 1:4]
 
     def events(self) -> np.ndarray:
         """Sample events as rows (t, x, y, z)."""
-        return np.array(
-            [np.concatenate(([s.t], s.x)) for s in self.samples]
-        ).reshape(-1, 4)
+        return self.rows[:, :4]
 
     def velocities(self) -> np.ndarray:
-        return np.array([s.u for s in self.samples]).reshape(-1, 4)
+        return self.rows[:, 6:10]
 
     def normalization_drift(self) -> float:
         """max |u.u - 1| over the recorded samples (0.0 if empty)."""
-        if not self.samples:
+        if not len(self.rows):
             return 0.0
         u = self.velocities()
         return float(np.max(np.abs(minkowski_dot(u, u) - 1.0)))
 
 
-def _record(samples: list, live: np.ndarray, t: float, x: np.ndarray,
-            vals: np.ndarray, u: np.ndarray) -> None:
-    """Append one FlowSample at time t to the sample list of each live seed."""
+def _table(t: float, x: np.ndarray, vals: np.ndarray,
+           u: np.ndarray) -> np.ndarray:
+    """One row per seed at x (n, 3) at time t, in the order of CSV_FIELDS."""
     root = np.sqrt(vals[:, 10])
-    phi = np.sqrt(0.5 * root)
-    beta = np.arctan2(vals[:, 0], vals[:, 1])
-    s = vals[:, 6:10] / root[:, None]
-    for j, i in enumerate(live):
-        samples[i].append(FlowSample(
-            t=float(t), x=x[j], phi=float(phi[j]), beta=float(beta[j]),
-            u=u[j], s=s[j],
-        ))
+    return np.column_stack((
+        np.full(len(x), t), x, np.sqrt(0.5 * root),
+        np.arctan2(vals[:, 0], vals[:, 1]), u, vals[:, 6:10] / root[:, None],
+    ))
 
 
 def integrate_many(field, points, t0: float, t1: float, dt: float,
@@ -190,8 +168,12 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
     it, and the failure becomes its termination reason rather than an
     exception: leaving the grid hull gives "left_domain", a singular or
     non-timelike stage point gives "singular"; otherwise "completed".
-    Returns one Trajectory per point, in order.
+    Returns one Trajectory per point, in order.  Raises
+    PreconditionViolated naming a non-finite t0, t1 or dt.
     """
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if not np.isfinite(value):
+            raise PreconditionViolated(f"{name} must be finite, got {value}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     cur = _as_current(field)
@@ -204,7 +186,7 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
     if rem > 1e-12 * dt:
         steps.append(rem)
 
-    samples = [[] for _ in x]
+    ids, blocks = [], []  # per recorded step: the live seeds and their rows
     termination = ["completed"] * len(x)
     live = np.arange(len(x))  # seeds still moving, rows of every stage array
 
@@ -228,7 +210,8 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
 
     keep, vals, u = observe(t, x)
     x = x[keep]
-    _record(samples, live, t, x, vals, u)
+    ids.append(live)
+    blocks.append(_table(t, x, vals, u))
     for h in steps:
         if not len(live):
             break
@@ -243,9 +226,14 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
         t = t + h
         keep, vals, u = observe(t, x)
         x = x[keep]
-        _record(samples, live, t, x, vals, u)
-    return [Trajectory(samples=s, step=float(dt), termination=r)
-            for s, r in zip(samples, termination)]
+        ids.append(live)
+        blocks.append(_table(t, x, vals, u))
+    # a stable sort by seed keeps each seed's rows in time order
+    ids = np.concatenate(ids)
+    table = np.concatenate(blocks)[np.argsort(ids, kind="stable")]
+    ends = np.cumsum(np.bincount(ids, minlength=len(termination)))
+    return [Trajectory(rows=rows, step=float(dt), termination=r)
+            for rows, r in zip(np.split(table, ends[:-1]), termination)]
 
 
 def integrate(field, x0, t0: float, t1: float, dt: float,
@@ -255,18 +243,12 @@ def integrate(field, x0, t0: float, t1: float, dt: float,
                           eps_sing)[0]
 
 
-def continuity_residual(field, grid=None) -> np.ndarray:
-    """Divergence of the current, d_mu U^mu, at every grid site.
+def continuity_residual(field) -> np.ndarray:
+    """Divergence of the current, d_mu U^mu, at every site of a GridField
+    or CurrentField.
 
-    field may be a GridField or CurrentField (used as-is) or an
-    AnalyticField, sampled where grid = (origin, spacing, dims) says.
     Exact solutions give O(h^2) residuals; anything else reports honestly.
     """
-    if isinstance(field, AnalyticField):
-        if grid is None:
-            raise ValueError("sampling an analytic field needs a grid spec")
-        origin, spacing, dims = grid
-        field = sample(field, origin, spacing, dims)
     cur = _as_current(field)
     dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing)
     return np.einsum("...mm->...", dU)
@@ -282,17 +264,9 @@ def momentum_along(g: GridField, traj: Trajectory,
     if ext is None:
         ext = ExternalPotentials()
     _, _, _, cf = polar_pipeline(g, ext)
-    if not traj.samples:
+    if not len(traj.rows):
         return np.zeros((0, 4))
     return interp_values(g.origin, g.spacing, cf.P, traj.events())
-
-
-def _rows(traj: Trajectory):
-    for s in traj.samples:
-        yield [
-            repr(float(v))
-            for v in (s.t, *s.x, s.phi, s.beta, *s.u, *s.s)
-        ]
 
 
 def write_csv(trajectories, path, combined: bool = False) -> list:
@@ -305,25 +279,21 @@ def write_csv(trajectories, path, combined: bool = False) -> list:
     produce byte-identical files.
     """
     path = Path(path)
-    written = []
-    if combined:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(("trajectory",) + CSV_FIELDS)
-            for k, traj in enumerate(trajectories):
-                for row in _rows(traj):
-                    w.writerow([str(k)] + row)
-        written.append(path)
-        return written
-    stem, suffix = path.stem, path.suffix or ".csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    for k, traj in enumerate(trajectories):
-        target = path.parent / f"{stem}_{k:03d}{suffix}"
+    if combined:
+        header = ("trajectory",) + CSV_FIELDS
+        files = {path: [([str(k)], traj)
+                        for k, traj in enumerate(trajectories)]}
+    else:
+        header = CSV_FIELDS
+        stem, suffix = path.stem, path.suffix or ".csv"
+        files = {path.parent / f"{stem}_{k:03d}{suffix}": [([], traj)]
+                 for k, traj in enumerate(trajectories)}
+    for target, parts in files.items():
         with open(target, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_FIELDS)
-            for row in _rows(traj):
-                w.writerow(row)
-        written.append(target)
-    return written
+            w.writerow(header)
+            for lead, traj in parts:
+                w.writerows(lead + [repr(v) for v in row]
+                            for row in traj.rows.tolist())
+    return list(files)

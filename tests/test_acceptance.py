@@ -311,7 +311,7 @@ def test_criterion_07_continuity():
         h = 1.6 / (n - 1)
         dims = (n, 1, 1, n)
         res = continuity_residual(
-            f, ((0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), dims)
+            sample(f, (0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), dims)
         )
         data[n] = (res, dims)
     order, mc, _ = convergence_order(data[9][0], data[17][0])

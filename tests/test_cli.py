@@ -85,6 +85,12 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     ("trajectories", "grid.dims=[9,1,1,0]", "grid.dims"),
     ("trajectories", "trajectories.points=[[a,0,0]]", "trajectories.points[0]"),
     ("trajectories", "trajectories.t1=-1.0", "trajectories.t1"),
+    ("trajectories", "trajectories.dt=.nan", "trajectories.dt"),
+    ("trajectories", "trajectories.t0=.nan", "trajectories.t0"),
+    ("trajectories", "trajectories.t1=.inf", "trajectories.t1"),
+    ("trajectories", "trajectories.eps_sing=.nan", "trajectories.eps_sing"),
+    ("trajectories", "grid.origin=[0,.nan,0,0]", "grid.origin"),
+    ("trajectories", "grid.spacing=[.nan,1,1,0.2]", "grid.spacing"),
     ("decompose", "decompose.spinor=[a,0,0,0,1,0,0,0]", "decompose.spinor"),
     ("decompose", "couplings.X=0.5", "couplings.X"),
     ("decompose", "couplings.M_torsion=2.0", "couplings.M_torsion"),

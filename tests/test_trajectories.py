@@ -7,7 +7,11 @@ import pytest
 import polardirac.trajectories as trajectories
 from polardirac.bilinears import compute_bilinears
 from polardirac.clifford import minkowski_dot
-from polardirac.errors import OutOfBounds, SingularSpinor
+from polardirac.errors import (
+    OutOfBounds,
+    PreconditionViolated,
+    SingularSpinor,
+)
 from polardirac.fields import (
     GridField,
     convergence_order,
@@ -29,6 +33,12 @@ from polardirac.trajectories import (
     velocity_at,
     write_csv,
 )
+
+# columns of Trajectory.rows
+PHI, BETA = CSV_FIELDS.index("phi"), CSV_FIELDS.index("beta")
+X = slice(CSV_FIELDS.index("x"), CSV_FIELDS.index("z") + 1)
+U = slice(CSV_FIELDS.index("u0"), CSV_FIELDS.index("u3") + 1)
+S = slice(CSV_FIELDS.index("s0"), CSV_FIELDS.index("s3") + 1)
 
 
 def boosted_grid(chi, m=1.0, nt=9, nz=17, t_range=(-0.1, 1.1),
@@ -152,15 +162,15 @@ def test_integrate_rest_wave_is_static():
     x0 = (0.0, 0.0, 0.35)
     traj = integrate(g, x0, 0.0, 1.0, 0.05)
     assert traj.termination == "completed"
-    assert len(traj.samples) == 21
+    assert len(traj.rows) == 21
     npt.assert_allclose(traj.positions(), np.tile(x0, (21, 1)), atol=0.0)
     t = traj.times()
     assert np.all(np.diff(t) > 0.0)
     assert traj.normalization_drift() < 1e-8
     # recorded polar data matches the wave: phi = 1, beta = 0
-    assert abs(traj.samples[-1].phi - 1.0) < 1e-12
-    assert abs(traj.samples[-1].beta) < 1e-12
-    npt.assert_allclose(traj.samples[-1].s, [0, 0, 0, 1], atol=1e-12)
+    assert abs(traj.rows[-1, PHI] - 1.0) < 1e-12
+    assert abs(traj.rows[-1, BETA]) < 1e-12
+    npt.assert_allclose(traj.rows[-1, S], [0, 0, 0, 1], atol=1e-12)
 
 
 def test_integrate_boosted_wave_straight_line():
@@ -169,7 +179,7 @@ def test_integrate_boosted_wave_straight_line():
     z0 = -0.3
     traj = integrate(g, (0.0, 0.0, z0), 0.0, 1.0, 1e-3)
     assert traj.termination == "completed"
-    assert len(traj.samples) == 1001
+    assert len(traj.rows) == 1001
     expect = z0 + np.tanh(chi) * traj.times()
     err = np.max(np.abs(traj.positions()[:, 2] - expect))
     assert err < 1e-8
@@ -196,12 +206,12 @@ def test_integrate_left_domain():
     g, _ = boosted_grid(chi, z_range=(-0.5, 0.25))
     traj = integrate(g, (0.0, 0.0, 0.0), 0.0, 1.0, 0.01)
     assert traj.termination == "left_domain"
-    assert 0 < len(traj.samples) < 101
+    assert 0 < len(traj.rows) < 101
     assert traj.times()[-1] < 1.0
     # starting outside the hull: recorded immediately, no samples
     traj2 = integrate(g, (0.0, 0.0, 7.0), 0.0, 1.0, 0.01)
     assert traj2.termination == "left_domain"
-    assert traj2.samples == []
+    assert traj2.rows.shape == (0, len(CSV_FIELDS))
 
 
 def test_integrate_singular_termination():
@@ -213,7 +223,7 @@ def test_integrate_singular_termination():
                    values=values)
     traj = integrate(g2, (0.0, 0.0, 0.0), 0.0, 1.0, 0.01)
     assert traj.termination == "singular"
-    assert 0 < len(traj.samples) < 101
+    assert 0 < len(traj.rows) < 101
     assert traj.positions()[-1, 2] < 0.5
 
 
@@ -254,8 +264,7 @@ def continuity_on(n):
     extent = 1.6
     h = extent / (n - 1)
     g = sample(f, (0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), (n, 1, 1, n))
-    return continuity_residual(f, ((0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h),
-                                   (n, 1, 1, n))), g.dims
+    return continuity_residual(g), g.dims
 
 
 def test_continuity_superposition_second_order():
@@ -293,7 +302,7 @@ def test_momentum_along_boosted_wave():
     mom = momentum_along(g, traj)
     lower = np.array([p[0], 0.0, 0.0, -p[3]])
     # finite differencing the wave phase costs O((E h)^2 E) accuracy
-    npt.assert_allclose(mom, np.tile(lower, (len(traj.samples), 1)),
+    npt.assert_allclose(mom, np.tile(lower, (len(traj.rows), 1)),
                         atol=0.02)
 
 
@@ -303,15 +312,13 @@ def test_write_csv_per_trajectory(tmp_path):
              for z0 in (-0.2, 0.1)]
     paths = write_csv(trajs, tmp_path / "flow.csv")
     assert [p.name for p in paths] == ["flow_000.csv", "flow_001.csv"]
-    lines = paths[0].read_text().splitlines()
-    assert lines[0] == ",".join(CSV_FIELDS)
-    assert len(lines) == 1 + len(trajs[0].samples)
-    row = lines[1].split(",")
-    s = trajs[0].samples[0]
-    assert float(row[0]) == s.t
-    assert float(row[3]) == s.x[2]
-    assert float(row[4]) == s.phi
-    npt.assert_array_equal([float(v) for v in row[6:10]], s.u)
+    for path, traj in zip(paths, trajs):
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(CSV_FIELDS)
+        assert len(lines) == 1 + len(traj.rows)
+        parsed = np.array([[float(v) for v in line.split(",")]
+                           for line in lines[1:]])
+        assert np.array_equal(parsed, traj.rows)
 
 
 def test_write_csv_combined_and_deterministic(tmp_path):
@@ -321,20 +328,24 @@ def test_write_csv_combined_and_deterministic(tmp_path):
                  for z0 in (-0.2, 0.1)]
         out = tmp_path / f"{tag}.csv"
         write_csv(trajs, out, combined=True)
-        return out.read_bytes()
+        return out.read_bytes(), trajs
 
-    first = run("a")
-    second = run("b")
+    first, trajs = run("a")
+    second, _ = run("b")
     assert first == second
     text = first.decode()
     lines = text.splitlines()
-    assert lines[0].startswith("trajectory,")
-    ids = {line.split(",", 1)[0] for line in lines[1:]}
-    assert ids == {"0", "1"}
+    assert lines[0] == ",".join(("trajectory",) + CSV_FIELDS)
+    ids = [int(line.split(",", 1)[0]) for line in lines[1:]]
+    assert ids == [k for k, t in enumerate(trajs) for _ in t.rows]
+    parsed = np.array([[float(v) for v in line.split(",")[1:]]
+                       for line in lines[1:]])
+    assert np.array_equal(parsed, np.concatenate([t.rows for t in trajs]))
 
 
 def test_trajectory_helpers_empty():
-    traj = Trajectory(samples=[], step=0.1, termination="left_domain")
+    traj = Trajectory(rows=np.empty((0, len(CSV_FIELDS))), step=0.1,
+                      termination="left_domain")
     assert traj.normalization_drift() == 0.0
     assert traj.positions().shape == (0, 3)
     assert traj.events().shape == (0, 4)
@@ -378,16 +389,16 @@ def test_stacked_observables_match_per_channel_interpolation():
 
     traj = integrate(g, (0.0, 0.1, -0.2), 0.0, 0.5, 0.05)
     assert traj.termination == "completed"
-    for s in traj.samples:
-        event = np.concatenate(([s.t], s.x))
+    for row in traj.rows:
+        event = row[:4]
         m2 = float(interp(mod2, event))
         theta = float(interp(bil.theta, event))
         phi_s = float(interp(bil.phi_scalar, event))
-        assert s.phi == float(np.sqrt(0.5 * np.sqrt(m2)))
-        assert s.beta == float(np.arctan2(theta, phi_s))
-        assert np.array_equal(s.u, unit(event))
-        assert np.array_equal(s.s, interp(bil.S, event) / np.sqrt(m2))
-    assert np.ptp([s.beta for s in traj.samples]) > 1e-3
+        assert row[PHI] == float(np.sqrt(0.5 * np.sqrt(m2)))
+        assert row[BETA] == float(np.arctan2(theta, phi_s))
+        assert np.array_equal(row[U], unit(event))
+        assert np.array_equal(row[S], interp(bil.S, event) / np.sqrt(m2))
+    assert np.ptp(traj.rows[:, BETA]) > 1e-3
 
 
 @pytest.mark.parametrize("t1", [0.5, 0.52])
@@ -403,7 +414,7 @@ def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
     g = mixed_wave_grid()
     traj = integrate(g, (0.0, 0.1, -0.2), 0.0, t1, 0.05)
     assert traj.termination == "completed"
-    steps = len(traj.samples) - 1
+    steps = len(traj.rows) - 1
     assert steps == (10 if t1 == 0.5 else 11)
     assert len(calls) == 1 + 4 * steps
 
@@ -418,7 +429,7 @@ def test_nan_coordinate_is_out_of_bounds():
         velocity_at(cur, [np.nan, 0.0, 0.0, 0.0])  # constant t axis
     traj = integrate(cur, [np.nan, 0.0, 0.0], 0.0, 0.1, 0.01)
     assert traj.termination == "left_domain"
-    assert traj.samples == []
+    assert len(traj.rows) == 0
 
 
 def three_fates_grid():
@@ -451,24 +462,37 @@ def test_integrate_many_matches_per_seed(tmp_path):
         "completed", "left_domain", "singular", "left_domain", "singular",
         "completed",
     ]
-    assert [len(t.samples) for t in batch] == [15, 11, 6, 0, 0, 15]
+    assert [len(t.rows) for t in batch] == [15, 11, 6, 0, 0, 15]
 
-    lost = batch[1].samples[-1]
-    k1 = lost.u[3] / lost.u[0]
-    assert lost.x[2] < 1.0 < lost.x[2] + 0.5 * dt * k1
+    lost_x, lost_u = batch[1].rows[-1, X], batch[1].rows[-1, U]
+    k1 = lost_u[3] / lost_u[0]
+    assert lost_x[2] < 1.0 < lost_x[2] + 0.5 * dt * k1
 
     for b, s in zip(batch, serial):
         assert b.termination == s.termination
-        assert len(b.samples) == len(s.samples)
-        assert np.array_equal(b.events(), s.events())
-        assert np.array_equal(b.velocities(), s.velocities())
-        for fb, fs in zip(b.samples, s.samples):
-            assert (fb.phi, fb.beta) == (fs.phi, fs.beta)
-            assert np.array_equal(fb.s, fs.s)
+        assert b.rows.dtype == np.float64
+        assert b.rows.shape == s.rows.shape == (len(s.rows), len(CSV_FIELDS))
+        assert np.array_equal(b.rows, s.rows)
     write_csv(batch, tmp_path / "batch.csv", combined=True)
     write_csv(serial, tmp_path / "serial.csv", combined=True)
     assert (tmp_path / "batch.csv").read_bytes() == \
         (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("t0, t1, dt, name", [
+    (np.nan, 1.0, 0.1, "t0"),
+    (-np.inf, 1.0, 0.1, "t0"),
+    (0.0, np.inf, 0.1, "t1"),
+    (0.0, np.nan, 0.1, "t1"),
+    (0.0, 1.0, np.nan, "dt"),
+    (0.0, 1.0, np.inf, "dt"),
+])
+def test_non_finite_times_raise(t0, t1, dt, name):
+    g, _ = boosted_grid(0.5)
+    with pytest.raises(PreconditionViolated, match=f"^{name} must be finite"):
+        integrate_many(g, [(0.0, 0.0, 0.0)], t0, t1, dt)
+    with pytest.raises(PreconditionViolated, match=f"^{name} must be finite"):
+        integrate(g, (0.0, 0.0, 0.0), t0, t1, dt)
 
 
 def test_integrate_many_empty():
