@@ -24,7 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import PolarDiracError
+from .errors import BasisLeak, PolarDiracError
 
 # Pauli matrices, indexed 0..2 for sigma^1..sigma^3.
 PAULI = np.array(
@@ -225,11 +225,46 @@ def _chiral_exp(w) -> np.ndarray:
     In the chiral representation the generator is diag(-w.sigma/2, conj(w).sigma/2).
     """
     w = np.asarray(w, dtype=complex)
-    blocks = _exp_pauli(np.stack([-0.5 * w, 0.5 * np.conj(w)], axis=-2))
-    lam = np.zeros(w.shape[:-1] + (4, 4), dtype=complex)
-    lam[..., :2, :2] = blocks[..., 0, :, :]
-    lam[..., 2:, 2:] = blocks[..., 1, :, :]
-    return lam
+    return _chiral_join(_exp_pauli(np.stack([-0.5 * w, 0.5 * np.conj(w)], axis=-2)))
+
+
+def _chiral_join(blocks) -> np.ndarray:
+    """The block-diagonal 4x4 matrices of blocks [..., block, row, col]."""
+    mats = np.zeros(blocks.shape[:-3] + (4, 4), dtype=blocks.dtype)
+    mats[..., :2, :2] = blocks[..., 0, :, :]
+    mats[..., 2:, 2:] = blocks[..., 1, :, :]
+    return mats
+
+
+def _chiral_split(mats) -> np.ndarray:
+    """The two diagonal 2x2 blocks of chiral 4x4 matrices, (..., 4, 4) ->
+    (..., 2, 2, 2) with layout [..., block, row, col].
+
+    Every spin transformation exp((1/2) xi_{ab} sigma^{ab}) e^{i q alpha}
+    is block-diagonal in this representation.  BasisLeak names the
+    off-diagonal block and the first site where an entry is not exactly
+    zero: such a matrix is not of that form.
+    """
+    mats = np.asarray(mats)
+    upper, lower = mats[..., :2, 2:], mats[..., 2:, :2]
+    for name, off in (("upper-right", upper), ("lower-left", lower)):
+        bad = np.any(off != 0.0, axis=(-2, -1))
+        if bad.any():
+            site = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise BasisLeak(
+                f"off-diagonal chiral block {name} is nonzero at site {site}; "
+                "a spin transformation is block-diagonal"
+            )
+    return np.stack((mats[..., :2, :2], mats[..., 2:, 2:]), axis=-3)
+
+
+def _block_inverse(blocks) -> np.ndarray:
+    """Inverses of 2x2 matrices [..., row, col] by the adjugate over the
+    determinant."""
+    a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+    c, d = blocks[..., 1, 0], blocks[..., 1, 1]
+    adj = np.stack((np.stack((d, -b), axis=-1), np.stack((-c, a), axis=-1)), axis=-2)
+    return adj / (a * d - b * c)[..., None, None]
 
 
 def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _chiral_exp, _flip
-from .clifford import goldstone_matrices
+from .clifford import _block_inverse, _chiral_join, _chiral_split, goldstone_matrices
 from .errors import (
     BasisLeak,
     GridMismatch,
@@ -41,10 +41,15 @@ from .polar import PolarData, _require_charge, decompose
 # [(a b), (j i)]; only _spin_matrix and _spin_components read them
 _SIGMA_16 = BASIS.sigma.reshape(16, 16).T
 _SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
+# the same pair on the two diagonal chiral blocks, [(k i j), (a b)] and
+# [(a b), (k i j)]: the off-diagonal blocks of every sigma^{ab} are zero
+_SIGMA_8 = _chiral_split(BASIS.sigma).reshape(16, 8).T
+_SIGMA_CONJ_8 = np.conj(_SIGMA_8.T)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
-# the identity per direction, layout [row, col, mu]
+# the identity per direction, layout [row, col, mu], and per chiral block
 _EYE_M = np.eye(4)[:, :, None]
+_EYE_BLOCKS_M = np.eye(2)[:, :, None]
 
 
 def _require_on_grid(name, shape, grid_shape, tail) -> None:
@@ -118,7 +123,12 @@ class ExternalPotentials:
 @dataclass(frozen=True)
 class TransformField:
     """The local transformation L(x) sampled on a grid, as 4x4 matrices;
-    log_derivative is computed on first use and kept, as on PolarFields."""
+    log_derivative is computed on first use and kept, as on PolarFields.
+
+    L must be block-diagonal in the chiral representation, as every
+    e^{i q xi} exp((1/2) xi_{ab} sigma^{ab}) is: log_derivative raises
+    BasisLeak naming the block and the site of a nonzero off-diagonal entry.
+    """
 
     matrices: np.ndarray
     origin: np.ndarray
@@ -131,11 +141,13 @@ class TransformField:
 
     @cached_property
     def log_derivative(self) -> np.ndarray:
-        """X_mu = L^{-1} d_mu L on the grid, layout [..., row, col, mu]: the
-        input of goldstone_derivatives and of the flatness in curvatures."""
-        l_inv = np.linalg.inv(self.matrices)
-        dl = grid_gradient(self.matrices, self.spacing)
-        return np.einsum("...ij,...jkm->...ikm", l_inv, dl)
+        """X_mu = L^{-1} d_mu L on the grid in chiral block layout
+        [..., block, row, col, mu]: the two diagonal 2x2 blocks of the
+        block-diagonal 4x4 X, the input of goldstone_derivatives and of the
+        flatness in curvatures."""
+        blocks = _chiral_split(self.matrices)
+        dl = grid_gradient(blocks, self.spacing)
+        return np.einsum("...ij,...jkm->...ikm", _block_inverse(blocks), dl)
 
 
 def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
@@ -226,8 +238,9 @@ def _spin_components(mats: np.ndarray) -> np.ndarray:
 def _project_log_derivative(x_mats: np.ndarray, q: float):
     """Split X_mu = L^{-1} d_mu L into phase, spin and leak parts.
 
-    x_mats has shape (..., 4, 4, 4) with [row, col, mu].  The identity
-    part is the trace, the spin part is _spin_components, and the leak is
+    x_mats has shape (..., 4, 4, 4) with [row, col, mu]: the dense form
+    that the single-site goldstone_derivative builds.  The identity part
+    is the trace, the spin part is _spin_components, and the leak is
     what the two leave out of X.  PreconditionViolated unless q is
     finite and nonzero.
     """
@@ -239,16 +252,37 @@ def _project_log_derivative(x_mats: np.ndarray, q: float):
     return dxi, dxi_ab, leak
 
 
+def _project_blocks(x: np.ndarray, q: float):
+    """_project_log_derivative for X in chiral block layout
+    [..., block, row, col, mu]: dxi from the two block traces, dxi_ab with
+    the block-restricted sigma^{ab} pair, and the leak as the Frobenius
+    norm of the 8 block entries the two leave out, which is the dense
+    norm since the off-diagonal blocks of X and of sigma^{ab} are zero.
+    """
+    _require_charge(q)
+    grid = x.shape[:-4]
+    dxi = np.trace(x, axis1=-3, axis2=-2).sum(axis=-2).imag / (4.0 * q)
+    dxi_ab = np.real(_SIGMA_CONJ_8 @ x.reshape(grid + (8, 4)))
+    dxi_ab = dxi_ab.reshape(grid + (4, 4, 4))
+    spin = 0.5 * (_SIGMA_8 @ dxi_ab.reshape(grid + (16, 4))).reshape(x.shape)
+    recon = spin + 1j * q * dxi[..., None, None, None, :] * _EYE_BLOCKS_M
+    leak = np.linalg.norm((x - recon).reshape(grid + (8, 4)), axis=-2)
+    return dxi, dxi_ab, leak
+
+
 def _check_leak(x_mats, leak, lf: TransformField) -> None:
     """Raise BasisLeak where the out-of-algebra residual is too large.
 
-    x_mats and leak come from one site or a whole grid.  Finite
+    x_mats and leak come from one site (X dense, [row, col, mu]) or a
+    whole grid (X in block layout [..., block, row, col, mu]); |X_mu| is
+    the Frobenius norm over every axis but the grid and mu, equal in
+    both layouts since the off-diagonal blocks are zero.  Finite
     differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
     tolerance scales with the largest |X_mu|; the floor 1e-8 h^2 covers
     the near-constant case.
     """
-    norms = np.linalg.norm(x_mats, axis=(-3, -2))
+    norms = np.linalg.norm(x_mats.reshape(leak.shape[:-1] + (-1, 4)), axis=-2)
     scale = float(np.max(norms)) if norms.size else 0.0
     tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
     worst = np.max(leak.reshape(-1, 4), axis=0)
@@ -261,9 +295,10 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
 
 
 def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
-    """Grid-wide Goldstone derivative extraction with basis-leak check."""
+    """Grid-wide Goldstone derivative extraction with basis-leak check,
+    projecting the chiral block layout of lf.log_derivative."""
     x = lf.log_derivative
-    dxi, dxi_ab, leak = _project_log_derivative(x, lf.q)
+    dxi, dxi_ab, leak = _project_blocks(x, lf.q)
     _check_leak(x, leak, lf)
     return GoldstoneDerivatives(
         dxi=dxi,
@@ -448,8 +483,9 @@ def curvatures(
     goldstone_flat (when an L field is supplied) is the pointwise max of
     |dG - dG + [G, G]| for G = L^{-1} dL, the same Riemann formula, which
     is zero for any group-valued L up to discretization error; G is the
-    cached lfield.log_derivative.  cf.omega and the L field must live on
-    the grid of cf, or GridMismatch is raised.
+    cached lfield.log_derivative in chiral block layout, so the formula
+    runs per 2x2 block and the max is over both blocks.  cf.omega and the
+    L field must live on the grid of cf, or GridMismatch is raised.
     """
     r_up = cf.R * _ETA_DIAG[:, None, None]
     riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing), cf.omega)
@@ -460,7 +496,7 @@ def curvatures(
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = lfield.log_derivative
         dg = grid_gradient(gmat, lfield.spacing)
-        flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-4, -3, -2, -1))
+        flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-5, -4, -3, -2, -1))
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
 
@@ -587,7 +623,7 @@ def transform_connection_inputs(
     P' = P and R'_{ab} = (V^{-1})^c_a (V^{-1})^d_b R_{cd}.
     """
     s_mat, v_mat = goldstone_matrices(s_params)
-    s_inv = np.linalg.inv(s_mat)
+    s_inv = _chiral_join(_block_inverse(_chiral_split(s_mat)))
     phase = np.exp(1j * lf.q * np.asarray(zeta, dtype=float))
     l_new = phase[..., None, None] * (lf.matrices @ s_inv)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .bilinears import compute_bilinears
 from .clifford import (
     PAULI,
+    _chiral_exp,
     _exp_pauli,
     boost_matrices,
     goldstone_matrices,
@@ -158,7 +159,7 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     theta = _axis_angle_from_z(n)
 
     goldstone = np.concatenate([chi, theta], axis=-1)
-    m, _ = goldstone_matrices(goldstone)
+    m = _chiral_exp(chi) @ _chiral_exp(1j * theta)  # B(chi) R(theta)
     candidate = phi[..., None] * np.einsum(
         "...ij,...j->...i", chiral_phase(beta) @ m, REFERENCE
     )

@@ -168,12 +168,17 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
     it, and the failure becomes its termination reason rather than an
     exception: leaving the grid hull gives "left_domain", a singular or
     non-timelike stage point gives "singular"; otherwise "completed".
-    Returns one Trajectory per point, in order.  Raises
-    PreconditionViolated naming a non-finite t0, t1 or dt.
+    Returns one Trajectory per point, in order; t1 == t0 gives the start
+    sample alone.  Raises PreconditionViolated naming a non-finite t0, t1
+    or dt, or a t1 before t0.
     """
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not np.isfinite(value):
             raise PreconditionViolated(f"{name} must be finite, got {value}")
+    if t1 < t0:
+        raise PreconditionViolated(
+            f"t1 = {t1} precedes t0 = {t0}: flow lines run forward in time"
+        )
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     cur = _as_current(field)

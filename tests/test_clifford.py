@@ -5,11 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from scipy.linalg import expm
 
 import polardirac
 from polardirac.clifford import (
     BASIS,
+    _block_inverse,
+    _chiral_exp,
+    _chiral_join,
+    _chiral_split,
     assemble_generator,
     boost_matrices,
     build_basis,
@@ -18,6 +23,7 @@ from polardirac.clifford import (
     induced_vector,
     rotation_matrices,
 )
+from polardirac.errors import BasisLeak
 
 
 def test_build_basis_anticommutators():
@@ -195,6 +201,33 @@ def test_goldstone_matrices_compose_boost_then_rotation():
         npt.assert_allclose(v[n], vb @ vr, atol=1e-13)
         # consistency with the generic exponential route
         npt.assert_allclose(induced_vector(m[n]), v[n], atol=1e-11)
+
+
+def test_decompose_transform_matches_goldstone_matrices():
+    # decompose builds M from the two chiral exponentials without V; the
+    # matrix is bit for bit that of goldstone_matrices
+    rng = np.random.default_rng(14)
+    params = rng.uniform(-1.5, 1.5, size=(33, 33, 33, 6))
+    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
+    assert np.array_equal(m, goldstone_matrices(params)[0])
+
+
+def test_chiral_split_inverse_and_join():
+    rng = np.random.default_rng(15)
+    params = rng.uniform(-1.0, 1.0, size=(5, 6))
+    lam = np.exp(1j * rng.uniform(-3.0, 3.0, size=5))[:, None, None] * (
+        goldstone_matrices(params)[0]
+    )
+    blocks = _chiral_split(lam)
+    assert blocks.shape == (5, 2, 2, 2)
+    assert np.array_equal(_chiral_join(blocks), lam)
+    inv = _chiral_join(_block_inverse(blocks))
+    npt.assert_allclose(inv, np.linalg.inv(lam), rtol=0.0, atol=1e-13)
+    # the off-diagonal blocks of the inverse are exactly zero
+    assert not inv[:, :2, 2:].any() and not inv[:, 2:, :2].any()
+    lam[3, 2, 1] = 1e-300
+    with pytest.raises(BasisLeak, match=r"lower-left is nonzero at site \(3,\)"):
+        _chiral_split(lam)
 
 
 def test_generator_assembly_slots():

@@ -157,13 +157,22 @@ def _three_einsum_projection(x_mats, q):
     return dxi, dxi_ab, leak
 
 
+def _dense_log_derivative(x):
+    """X in chiral block layout [..., block, row, col, mu] as the dense
+    [..., row, col, mu], exact zeros off the two diagonal blocks."""
+    dense = np.zeros(x.shape[:-4] + (4, 4, 4), dtype=complex)
+    dense[..., :2, :2, :] = x[..., 0, :, :, :]
+    dense[..., 2:, 2:, :] = x[..., 1, :, :, :]
+    return dense
+
+
 def test_projection_matches_einsum_oracle():
     from polardirac.connections import _project_log_derivative
 
     rng = np.random.default_rng(8)
     shape = (3, 3, 3, 4, 4, 4)
     x_random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    x_gauge = gauge_boost_field(9)[0].log_derivative
+    x_gauge = _dense_log_derivative(gauge_boost_field(9)[0].log_derivative)
     for x_mats, q in [(x_random, 1.3), (x_gauge, 1.0)]:
         dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
         ref_dxi, ref_dxi_ab, ref_leak = _three_einsum_projection(x_mats, q)
@@ -683,21 +692,31 @@ def test_divergence_constraints_one_riemann(monkeypatch):
         assert res.riemann_max == float(np.max(np.abs(riemann)))
 
 
+def _block_log_derivative(lf):
+    """X = L^{-1} dL in chiral block layout, rebuilt from scratch: the two
+    diagonal blocks of L, their adjugate inverses, one batched product."""
+    blocks = np.stack((lf.matrices[..., :2, :2], lf.matrices[..., 2:, 2:]), axis=-3)
+    a, b = blocks[..., 0, 0], blocks[..., 0, 1]
+    c, d = blocks[..., 1, 0], blocks[..., 1, 1]
+    adj = np.stack((np.stack((d, -b), axis=-1), np.stack((-c, a), axis=-1)), axis=-2)
+    inv = adj / (a * d - b * c)[..., None, None]
+    return np.einsum(
+        "...ij,...jkm->...ikm", inv, grid_gradient(blocks, lf.spacing)
+    )
+
+
 def test_flatness_reads_the_cached_log_derivative(monkeypatch):
-    # goldstone_derivatives builds X = L^{-1} dL once; the flatness reads
-    # that X and makes no further inverse, with the same bits as an X
-    # rebuilt from scratch
+    # goldstone_derivatives builds X = L^{-1} dL once, on the two chiral
+    # blocks and with no np.linalg.inv; the flatness reads that X and
+    # makes no inverse either, with the same bits as an X rebuilt from
+    # scratch
     from polardirac.connections import _riemann
 
     lf, _ = gauge_boost_field(9)
-    x = np.einsum(
-        "...ij,...jkm->...ikm",
-        np.linalg.inv(lf.matrices),
-        grid_gradient(lf.matrices, lf.spacing),
-    )
+    x = _block_log_derivative(lf)
     oracle = np.max(
         np.abs(_riemann(x, grid_gradient(x, lf.spacing), None)),
-        axis=(-4, -3, -2, -1),
+        axis=(-5, -4, -3, -2, -1),
     )
     calls = []
     real = np.linalg.inv
@@ -708,12 +727,76 @@ def test_flatness_reads_the_cached_log_derivative(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counting)
     gd = goldstone_derivatives(lf)
-    assert len(calls) == 1
+    assert calls == []
+    assert np.array_equal(lf.log_derivative, x)
     cf = build_connections(gd, ExternalPotentials())
-    calls.clear()
     flat = curvatures(cf, lfield=lf).goldstone_flat
     assert calls == []
     assert np.array_equal(flat, oracle)
+
+
+def _random_gauge_field(rng, dims, spacing, q=1.0):
+    params = rng.uniform(-0.3, 0.3, size=dims + (6,))
+    xi = rng.uniform(-0.5, 0.5, size=dims)
+    return transform_from_params(xi, params, [0.0] * 4, spacing, dims, q=q)
+
+
+def test_block_goldstone_matches_dense_site_oracle():
+    # the block projection of the grid X against the dense 4x4 single-site
+    # route (np.linalg.inv, the site stencil and _project_log_derivative)
+    # at every site; the two differ by roundoff only, so the tolerance is
+    # 64 eps on the scale of X (measured: below 2 eps)
+    rng = np.random.default_rng(31)
+    cases = [
+        ((1, 5, 5, 5), [1.0, 0.5, 0.6, 0.7], 1.0),
+        ((5, 1, 1, 6), [0.4, 1.0, 1.0, 0.5], -1.7),
+    ]
+    for dims, spacing, q in cases:
+        lf = _random_gauge_field(rng, dims, spacing, q)
+        gd = goldstone_derivatives(lf)
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(lf.log_derivative))
+        for site in np.ndindex(*dims):
+            dxi, dxi_ab, leak = goldstone_derivative(lf, site)
+            npt.assert_allclose(gd.dxi[site], dxi, rtol=0.0, atol=tol)
+            npt.assert_allclose(gd.dxi_ab[site], dxi_ab, rtol=0.0, atol=tol)
+            npt.assert_allclose(gd.leak[site], leak, rtol=0.0, atol=tol)
+
+
+def test_block_flatness_matches_dense_oracle():
+    # the flatness on the chiral blocks against the dense 4x4 route it
+    # replaced: X = inv(L) dL, _riemann on the 4x4 X, max over four axes;
+    # roundoff tolerance 64 eps on the scale |dX| + |X|^2 of the terms
+    # (measured: below 9 eps)
+    from polardirac.connections import _riemann
+
+    for lf, _ in (gauge_boost_field(9), gauge_rotation_field(9)):
+        x = np.einsum(
+            "...ij,...jkm->...ikm",
+            np.linalg.inv(lf.matrices),
+            grid_gradient(lf.matrices, lf.spacing),
+        )
+        dx = grid_gradient(x, lf.spacing)
+        oracle = np.max(np.abs(_riemann(x, dx, None)), axis=(-4, -3, -2, -1))
+        cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+        flat = curvatures(cf, lfield=lf).goldstone_flat
+        tol = 64 * np.finfo(float).eps * (np.max(np.abs(dx)) + np.max(np.abs(x)) ** 2)
+        assert np.max(oracle) > 1e-4
+        npt.assert_allclose(flat, oracle, rtol=0.0, atol=tol)
+
+
+def test_off_diagonal_chiral_block_raises():
+    from polardirac.connections import TransformField
+
+    lf, _ = gauge_boost_field(5)
+    for block, entry in (("upper-right", (0, 3)), ("lower-left", (3, 1))):
+        mats = lf.matrices.copy()
+        mats[(0, 2, 1, 3) + entry] = 1e-3
+        bad = TransformField(matrices=mats, origin=lf.origin, spacing=lf.spacing)
+        match = rf"{block} is nonzero at site \(0, 2, 1, 3\)"
+        with pytest.raises(BasisLeak, match=match):
+            goldstone_derivatives(bad)
+        with pytest.raises(BasisLeak, match=match):
+            bad.log_derivative
 
 
 def test_connection_carries_its_omega():

@@ -495,6 +495,20 @@ def test_non_finite_times_raise(t0, t1, dt, name):
         integrate(g, (0.0, 0.0, 0.0), t0, t1, dt)
 
 
+def test_reversed_interval_raises():
+    # t1 < t0 used to return the start sample marked completed
+    g, _ = boosted_grid(0.5)
+    with pytest.raises(PreconditionViolated, match=r"t1 = 0.0 precedes t0 = 1.0"):
+        integrate(g, (0.0, 0.0, 0.0), 1.0, 0.0, 0.1)
+    with pytest.raises(PreconditionViolated, match=r"t1 = 0.4 precedes t0 = 0.5"):
+        integrate_many(g, [(0.0, 0.0, 0.0)] * 2, 0.5, 0.4, 0.1)
+    # an empty interval keeps its one start sample
+    traj = integrate(g, (0.0, 0.0, 0.0), 0.5, 0.5, 0.1)
+    assert traj.rows.shape == (1, len(CSV_FIELDS))
+    assert traj.termination == "completed"
+    assert traj.rows[0, 0] == 0.5
+
+
 def test_integrate_many_empty():
     g, _ = boosted_grid(0.5)
     assert integrate_many(g, [], 0.0, 1.0, 0.1) == []
