@@ -15,6 +15,10 @@ Boost/rotation parameters are packed as six reals (chi_x, chi_y, chi_z,
 theta_x, theta_y, theta_z) and enter the exponent through
 
     xi_{0k} = chi_k,   xi_{12} = theta_z,  xi_{23} = theta_x,  xi_{31} = theta_y.
+
+Every spin transformation is block-diagonal here, diag(A, A^{-dagger}) with
+A in SL(2,C); its vector image V is read off the upper block A alone, in
+_block_vector.
 """
 
 from __future__ import annotations
@@ -80,11 +84,6 @@ class CliffordBasis:
     metric: np.ndarray
     epsilon: np.ndarray
     epsilon_upper: np.ndarray
-
-    @property
-    def gamma_lower(self) -> np.ndarray:
-        """gamma_a = eta_{ab} gamma^b, shape (4, 4, 4)."""
-        return np.einsum("ab,bij->aij", self.metric, self.gamma)
 
 
 def build_basis() -> CliffordBasis:
@@ -153,6 +152,14 @@ BASIS = build_basis()
 # eps^{abcd} as a symmetric [(a b), (c d)] matrix; eps_{abcd} is its negative.
 # connections and dynamics contract index pairs of grid fields with it.
 _EPS_PAIRS = BASIS.epsilon_upper.reshape(16, 16)
+# V^a_b = (1/2) Re tr(sigmabar^a A sigmabar^b A^dagger), sigmabar = (I, -sigma_k),
+# is linear in A (x) A*: this real matrix maps its [j, k, i, l] entries
+# A_jk conj(A_il), as (real, imaginary) pairs, onto V flattened [a, b].
+_SIGMA_BAR = np.concatenate([_I2[None], -PAULI])
+_VECTOR_PAIRS = 0.5 * np.einsum("aij,bkl->jkilab", _SIGMA_BAR, _SIGMA_BAR)
+_VECTOR_PAIRS = np.stack(
+    (_VECTOR_PAIRS.real, -_VECTOR_PAIRS.imag), axis=4
+).reshape(32, 16)
 
 
 @dataclass(frozen=True)
@@ -172,35 +179,6 @@ class SpinorTransform:
     params: np.ndarray
     alpha: float = 0.0
     q: float = 1.0
-
-
-def assemble_generator(params) -> np.ndarray:
-    """(1/2) xi_{ab} sigma^{ab} summed over all index pairs.
-
-    params = (chi_x, chi_y, chi_z, theta_x, theta_y, theta_z).
-    """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (6,):
-        raise ValueError("expected 6 parameters (3 rapidities, 3 angles)")
-    chi, theta = params[:3], params[3:]
-    s = BASIS.sigma
-    gen = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        gen += chi[k] * s[0, k + 1]
-    gen += theta[2] * s[1, 2] + theta[0] * s[2, 3] + theta[1] * s[3, 1]
-    return gen
-
-
-def induced_vector(lam: np.ndarray) -> np.ndarray:
-    """Vector representation of a spinor transformation.
-
-    V^a_b = (1/4) Re tr(gamma_b Lambda^{-1} gamma^a Lambda).  Any overall
-    phase in lam cancels between Lambda^{-1} and Lambda.
-    """
-    lam_inv = np.linalg.inv(lam)
-    sandwich = np.einsum("ij,ajk,kl->ail", lam_inv, BASIS.gamma, lam)
-    v = 0.25 * np.einsum("bji,aij->ab", BASIS.gamma_lower, sandwich)
-    return np.real(v)
 
 
 def _exp_pauli(a) -> np.ndarray:
@@ -248,8 +226,8 @@ def _chiral_split(mats) -> np.ndarray:
     mats = np.asarray(mats)
     upper, lower = mats[..., :2, 2:], mats[..., 2:, :2]
     for name, off in (("upper-right", upper), ("lower-left", lower)):
-        bad = np.any(off != 0.0, axis=(-2, -1))
-        if bad.any():
+        if off.any():
+            bad = np.any(off, axis=(-2, -1))
             site = tuple(int(i) for i in np.argwhere(bad)[0])
             raise BasisLeak(
                 f"off-diagonal chiral block {name} is nonzero at site {site}; "
@@ -267,6 +245,26 @@ def _block_inverse(blocks) -> np.ndarray:
     return adj / (a * d - b * c)[..., None, None]
 
 
+def _block_vector(a) -> np.ndarray:
+    """Vector matrices V of upper chiral blocks A, (..., 2, 2) -> (..., 4, 4).
+
+    V^a_b = (1/2) Re tr(sigmabar^a A sigmabar^b A^dagger) is the image of
+    Lambda = diag(A, A^{-dagger}): Lambda^{-1} gamma^a Lambda = V^a_b gamma^b.
+    A must have |det A| = 1; a phase of A cancels against A*.
+    """
+    a = np.asarray(a, dtype=complex)
+    outer = a[..., :, :, None, None] * np.conj(a)[..., None, None, :, :]
+    pairs = outer.reshape(a.shape[:-2] + (16,)).view(float)
+    return (pairs @ _VECTOR_PAIRS).reshape(a.shape[:-2] + (4, 4))
+
+
+def induced_vector(lam: np.ndarray) -> np.ndarray:
+    """V of lam = e^{i q alpha} Lambda, (..., 4, 4) -> (..., 4, 4), with
+    Lambda^{-1} gamma^a Lambda = V^a_b gamma^b for Lambda in the spin group.
+    BasisLeak names a nonzero off-diagonal chiral block."""
+    return _block_vector(_chiral_split(lam)[..., 0, :, :])
+
+
 def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
     """Exponentiate boost/rotation parameters into a spinor transformation.
 
@@ -281,83 +279,31 @@ def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
     return SpinorTransform(
         matrix=phase * lam,
         lorentz=lam,
-        vector=induced_vector(lam),
+        vector=_block_vector(lam[:2, :2]),
         params=params,
         alpha=float(alpha),
         q=float(q),
     )
 
 
-def _unit_axis(vec: np.ndarray):
-    """Magnitude and safe unit axis of a batch of 3-vectors.
-
-    Zero vectors get the z axis, which is harmless because every use
-    multiplies the axis by a factor vanishing with the magnitude.
-    """
-    mag = np.linalg.norm(vec, axis=-1)
-    safe = np.where(mag[..., None] > 0.0, vec, [0.0, 0.0, 1.0])
-    axis = safe / np.linalg.norm(safe, axis=-1, keepdims=True)
-    return mag, axis
-
-
 def boost_matrices(chi) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form pure boost for a batch of rapidity vectors.
-
-    chi has shape (..., 3).  Returns (Lambda, V) with shapes (..., 4, 4);
-    Lambda is exp_lorentz((chi, 0)).lorentz batched over the grid, V is
-    written in closed form.
-    """
-    chi = np.asarray(chi, dtype=float)
-    lam = _chiral_exp(chi)
-    mag, axis = _unit_axis(chi)
-    chf, shf = np.cosh(mag), np.sinh(mag)
-    v = np.zeros(chi.shape[:-1] + (4, 4), dtype=float)
-    v[..., 0, 0] = chf
-    v[..., 0, 1:] = shf[..., None] * axis
-    v[..., 1:, 0] = shf[..., None] * axis
-    v[..., 1:, 1:] = np.eye(3) + (chf - 1.0)[..., None, None] * np.einsum(
-        "...i,...j->...ij", axis, axis
-    )
-    return lam, v
+    """Pure boost (Lambda, V), each (..., 4, 4), for rapidities chi (..., 3):
+    exp_lorentz((chi, 0)) batched over the grid."""
+    lam = _chiral_exp(np.asarray(chi, dtype=float))
+    return lam, _block_vector(lam[..., :2, :2])
 
 
 def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form pure rotation for a batch of angle vectors.
-
-    Active convention: theta = (0, 0, t) with t > 0 carries the x axis
-    toward the y axis in the vector representation.
-    """
-    theta = np.asarray(theta, dtype=float)
-    lam = _chiral_exp(1j * theta)
-    mag, axis = _unit_axis(theta)
-    cf, sf = np.cos(mag), np.sin(mag)
-    cross = np.zeros(theta.shape[:-1] + (3, 3), dtype=float)
-    cross[..., 0, 1] = -axis[..., 2]
-    cross[..., 0, 2] = axis[..., 1]
-    cross[..., 1, 0] = axis[..., 2]
-    cross[..., 1, 2] = -axis[..., 0]
-    cross[..., 2, 0] = -axis[..., 1]
-    cross[..., 2, 1] = axis[..., 0]
-    rot = (
-        cf[..., None, None] * np.eye(3)
-        + (1.0 - cf)[..., None, None]
-        * np.einsum("...i,...j->...ij", axis, axis)
-        + sf[..., None, None] * cross
-    )
-    v = np.zeros(theta.shape[:-1] + (4, 4), dtype=float)
-    v[..., 0, 0] = 1.0
-    v[..., 1:, 1:] = rot
-    return lam, v
+    """Pure rotation (Lambda, V) for angle vectors theta (..., 3).  Active:
+    theta = (0, 0, t), t > 0, carries the x axis toward the y axis."""
+    lam = _chiral_exp(1j * np.asarray(theta, dtype=float))
+    return lam, _block_vector(lam[..., :2, :2])
 
 
 def goldstone_matrices(params) -> tuple[np.ndarray, np.ndarray]:
-    """Boost-then-rotation transform M = B(chi) R(theta) for batched params.
-
-    params has shape (..., 6).  Returns (M, V(M)); this is the canonical
-    composition used by the polar decomposition, with the rotation acting
-    first on the reference spinor and the boost after it.
-    """
+    """M = B(chi) R(theta) and V(M) for params (..., 6): the canonical
+    boost-then-rotation of the polar decomposition, the rotation acting
+    first on the reference spinor and the boost after it."""
     params = np.asarray(params, dtype=float)
-    lb, vb = boost_matrices(params[..., :3])
-    lr, vr = rotation_matrices(params[..., 3:])
-    return lb @ lr, vb @ vr
+    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
+    return m, _block_vector(m[..., :2, :2])

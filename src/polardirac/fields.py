@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import _flip, boost_matrices, minkowski_dot, rotation_matrices
+from .clifford import _chiral_exp, _flip, minkowski_dot
 from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
 from .polar import REFERENCE, _axis_angle_from_z
 
@@ -89,8 +89,7 @@ def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
     pmag = np.linalg.norm(pvec)
     chi = np.arcsinh(pmag / m)
     axis = pvec / pmag if pmag > 0.0 else np.array([0.0, 0.0, 1.0])
-    lam, _ = boost_matrices(chi * axis)
-    amp = lam @ REST_SPINORS[bool(spin_up)]
+    amp = _chiral_exp(chi * axis) @ REST_SPINORS[bool(spin_up)]
     return AnalyticField(
         mass=float(m),
         momenta=p[None, :].copy(),
@@ -414,8 +413,7 @@ def gaussian_packet(
     r2 = np.sum(coords[..., 1:] ** 2, axis=-1)
     phi = K * np.exp(-k * r2 / 16.0)
     theta = _axis_angle_from_z(s_axis)
-    rot, _ = rotation_matrices(theta)
-    rest = rot @ REFERENCE
+    rest = _chiral_exp(1j * theta) @ REFERENCE
     values = phi[..., None] * rest
     return GridField(origin=origin, spacing=spacing, dims=dims, values=values)
 

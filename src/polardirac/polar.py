@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import (
-    PAULI,
-    _chiral_exp,
-    _exp_pauli,
-    boost_matrices,
-    goldstone_matrices,
-    minkowski_dot,
-)
+from .clifford import PAULI, _chiral_exp, _exp_pauli, minkowski_dot
 from .errors import (
     InvalidPolar,
     PreconditionViolated,
@@ -151,10 +144,8 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     udir = udir / np.linalg.norm(udir, axis=-1, keepdims=True)
     chi = chi_mag[..., None] * udir
 
-    # boost the spin back to the rest frame and read off its axis
-    _, v_inv = boost_matrices(-chi)
-    s_rest = np.einsum("...ab,...b->...a", v_inv, s)
-    n = s_rest[..., 1:]
+    # the rest-frame spin, s boosted by -u (exact as u.s = 0), and its axis
+    n = s[..., 1:] - (s[..., 0] / (1.0 + u[..., 0]))[..., None] * uvec
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     theta = _axis_angle_from_z(n)
 
@@ -185,7 +176,8 @@ def reconstruct(p: PolarData) -> np.ndarray:
         raise InvalidPolar(
             f"u/s normalization violated by {worst:.3e} (limit 1e-6)"
         )
-    m, _ = goldstone_matrices(np.asarray(p.goldstone, dtype=float))
+    params = np.asarray(p.goldstone, dtype=float)
+    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
     psi = np.einsum("...ij,...j->...i", chiral_phase(p.beta) @ m, REFERENCE)
     phase = np.exp(-1j * p.q * np.asarray(p.alpha, dtype=float))
     return np.asarray(p.phi, dtype=float)[..., None] * phase[..., None] * psi

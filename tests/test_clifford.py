@@ -15,7 +15,6 @@ from polardirac.clifford import (
     _chiral_exp,
     _chiral_join,
     _chiral_split,
-    assemble_generator,
     boost_matrices,
     build_basis,
     exp_lorentz,
@@ -24,6 +23,40 @@ from polardirac.clifford import (
     rotation_matrices,
 )
 from polardirac.errors import BasisLeak
+from polardirac.polar import (
+    REFERENCE,
+    PolarData,
+    _axis_angle_from_z,
+    chiral_phase,
+    decompose,
+    reconstruct,
+)
+
+
+def assemble_generator(params) -> np.ndarray:
+    """(1/2) xi_{ab} sigma^{ab} summed over all index pairs: the exponent
+    of the scipy expm oracle.
+
+    params = (chi_x, chi_y, chi_z, theta_x, theta_y, theta_z).
+    """
+    params = np.asarray(params, dtype=float)
+    chi, theta = params[:3], params[3:]
+    s = BASIS.sigma
+    gen = np.zeros((4, 4), dtype=complex)
+    for k in range(3):
+        gen += chi[k] * s[0, k + 1]
+    gen += theta[2] * s[1, 2] + theta[0] * s[2, 3] + theta[1] * s[3, 1]
+    return gen
+
+
+def sandwich_vector(lam) -> np.ndarray:
+    """Oracle for V: V^a_b = (1/4) Re tr(gamma_b Lambda^{-1} gamma^a Lambda)
+    on the full 4x4 matrices, batched over (..., 4, 4)."""
+    gamma_lower = np.einsum("ab,bij->aij", BASIS.metric, BASIS.gamma)
+    sandwich = np.einsum(
+        "...ij,ajk,...kl->...ail", np.linalg.inv(lam), BASIS.gamma, lam
+    )
+    return np.real(0.25 * np.einsum("bji,...aij->...ab", gamma_lower, sandwich))
 
 
 def test_build_basis_anticommutators():
@@ -139,7 +172,7 @@ def test_closed_form_boost_matches_expm():
     for n in range(20):
         lam = expm(assemble_generator(np.concatenate([chis[n], np.zeros(3)])))
         npt.assert_allclose(lam_batch[n], lam, atol=1e-12)
-        npt.assert_allclose(v_batch[n], induced_vector(lam), atol=1e-12)
+        npt.assert_allclose(v_batch[n], sandwich_vector(lam), atol=1e-12)
 
 
 def test_closed_form_rotation_matches_expm():
@@ -149,7 +182,7 @@ def test_closed_form_rotation_matches_expm():
     for n in range(20):
         lam = expm(assemble_generator(np.concatenate([np.zeros(3), thetas[n]])))
         npt.assert_allclose(lam_batch[n], lam, atol=1e-12)
-        npt.assert_allclose(v_batch[n], induced_vector(lam), atol=1e-12)
+        npt.assert_allclose(v_batch[n], sandwich_vector(lam), atol=1e-12)
 
 
 def test_exp_lorentz_matches_expm():
@@ -165,8 +198,12 @@ def test_exp_lorentz_matches_expm():
         params.append(np.concatenate([chi, theta]))
     for p in params:
         want = expm(assemble_generator(p))
-        npt.assert_allclose(exp_lorentz(p).lorentz, want, rtol=1e-13,
+        t = exp_lorentz(p)
+        npt.assert_allclose(t.lorentz, want, rtol=1e-13,
                             atol=1e-13 * np.max(np.abs(want)))
+        v_want = sandwich_vector(want)
+        npt.assert_allclose(t.vector, v_want, rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(v_want)))
 
 
 def test_cli_import_leaves_scipy_out():
@@ -199,17 +236,45 @@ def test_goldstone_matrices_compose_boost_then_rotation():
         lr, vr = rotation_matrices(params[n, 3:])
         npt.assert_allclose(m[n], lb @ lr, atol=1e-13)
         npt.assert_allclose(v[n], vb @ vr, atol=1e-13)
-        # consistency with the generic exponential route
-        npt.assert_allclose(induced_vector(m[n]), v[n], atol=1e-11)
+        # consistency with the gamma-sandwich oracle
+        npt.assert_allclose(sandwich_vector(m[n]), v[n], atol=1e-11)
+    # induced_vector reads the same V, batched, and an overall phase cancels
+    npt.assert_allclose(induced_vector(np.exp(0.7j) * m), v, atol=1e-13)
 
 
 def test_decompose_transform_matches_goldstone_matrices():
-    # decompose builds M from the two chiral exponentials without V; the
-    # matrix is bit for bit that of goldstone_matrices
+    # decompose and reconstruct build M from the two chiral exponentials
+    # without V; the matrix is bit for bit that of goldstone_matrices
     rng = np.random.default_rng(14)
     params = rng.uniform(-1.5, 1.5, size=(33, 33, 33, 6))
-    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
-    assert np.array_equal(m, goldstone_matrices(params)[0])
+    m, v = goldstone_matrices(params)
+    assert np.array_equal(
+        _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:]), m
+    )
+    ones, zeros = np.ones(params.shape[:-1]), np.zeros(params.shape[:-1])
+    pd = PolarData(phi=ones, beta=zeros, u=v[..., :, 0], s=v[..., :, 3],
+                   goldstone=params, alpha=zeros)
+    want = np.einsum("...ij,...j->...i", chiral_phase(zeros) @ m, REFERENCE)
+    assert np.array_equal(reconstruct(pd), want)
+
+
+def test_decompose_rest_spin_matches_boost_route():
+    # decompose reads the rest-frame spin as s - s^0 u/(1 + u^0); the
+    # boost route applies V(B(-chi)) to s.  With |chi| <= 2.6
+    # (u^0 <= 6.8) the rotation vectors agree to 1e-13; the roundoff of
+    # either route grows with u^0
+    rng = np.random.default_rng(21)
+    params = rng.uniform(-1.5, 1.5, size=(400, 6))
+    beta = rng.uniform(-3.0, 3.0, 400)
+    scale = rng.uniform(0.5, 2.0, 400) * np.exp(1j * rng.uniform(-3.0, 3.0, 400))
+    psi = scale[:, None] * np.einsum(
+        "nij,j->ni", chiral_phase(beta) @ goldstone_matrices(params)[0], REFERENCE
+    )
+    pd = decompose(psi)
+    v_back = sandwich_vector(_chiral_exp(-pd.goldstone[:, :3]))
+    n = np.einsum("nab,nb->na", v_back, pd.s)[:, 1:]
+    theta = _axis_angle_from_z(n / np.linalg.norm(n, axis=-1, keepdims=True))
+    npt.assert_allclose(pd.goldstone[:, 3:], theta, rtol=0.0, atol=1e-13)
 
 
 def test_chiral_split_inverse_and_join():
@@ -228,6 +293,31 @@ def test_chiral_split_inverse_and_join():
     lam[3, 2, 1] = 1e-300
     with pytest.raises(BasisLeak, match=r"lower-left is nonzero at site \(3,\)"):
         _chiral_split(lam)
+
+
+def test_induced_vector_rejects_off_diagonal_block():
+    lam = exp_lorentz([0.3, -0.2, 0.5, 0.1, 0.7, -0.4]).lorentz
+    lam[0, 3] = 1e-3
+    with pytest.raises(BasisLeak, match="upper-right is nonzero"):
+        induced_vector(lam)
+
+
+def test_vector_builders_make_no_inverse(monkeypatch):
+    # V is read off the upper chiral block, with no np.linalg.inv on the
+    # single-matrix or the grid path
+    calls = []
+    real = np.linalg.inv
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    params = np.random.default_rng(16).uniform(-1.0, 1.0, size=(3, 5, 6))
+    st = exp_lorentz(params[0, 0])
+    induced_vector(st.lorentz)
+    goldstone_matrices(params)
+    assert calls == []
 
 
 def test_generator_assembly_slots():
