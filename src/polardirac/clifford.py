@@ -300,10 +300,15 @@ def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     return lam, _block_vector(lam[..., :2, :2])
 
 
-def goldstone_matrices(params) -> tuple[np.ndarray, np.ndarray]:
-    """M = B(chi) R(theta) and V(M) for params (..., 6): the canonical
-    boost-then-rotation of the polar decomposition, the rotation acting
-    first on the reference spinor and the boost after it."""
+def _boost_rotation(params) -> np.ndarray:
+    """M = B(chi) R(theta), (..., 4, 4), for params (..., 6) = (chi, theta):
+    the canonical boost-then-rotation of the polar decomposition, the
+    rotation acting first on the reference spinor and the boost after it."""
     params = np.asarray(params, dtype=float)
-    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
+    return _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
+
+
+def goldstone_matrices(params) -> tuple[np.ndarray, np.ndarray]:
+    """M = _boost_rotation(params) and V(M) for params (..., 6)."""
+    m = _boost_rotation(params)
     return m, _block_vector(m[..., :2, :2])

@@ -26,8 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _chiral_exp, _flip
-from .clifford import _block_inverse, _chiral_join, _chiral_split, goldstone_matrices
+from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _block_inverse, _flip
+from .clifford import _boost_rotation, _chiral_exp, _chiral_join, _chiral_split
+from .clifford import goldstone_matrices
 from .errors import (
     BasisLeak,
     GridMismatch,
@@ -50,6 +51,8 @@ _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
 # the identity per direction, layout [row, col, mu], and per chiral block
 _EYE_M = np.eye(4)[:, :, None]
 _EYE_BLOCKS_M = np.eye(2)[:, :, None]
+# the largest leak of L^{-1} dL out of the algebra, as a fraction of max|X|
+_LEAK_FRACTION = 0.1
 
 
 def _require_on_grid(name, shape, grid_shape, tail) -> None:
@@ -128,16 +131,37 @@ class TransformField:
     L must be block-diagonal in the chiral representation, as every
     e^{i q xi} exp((1/2) xi_{ab} sigma^{ab}) is: log_derivative raises
     BasisLeak naming the block and the site of a nonzero off-diagonal entry.
+
+    beta, when given, is the chiral angle of the spinor field that L was
+    read from (grid shape, GridMismatch otherwise).  Where it wraps
+    between two neighbours, alpha takes up its 2 pi as pi / q and L
+    changes sign; log_derivative differences across such a cut with the
+    sign undone, and keeps the plain grid_gradient bits everywhere else.
     """
 
     matrices: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
     q: float = 1.0
+    beta: np.ndarray | None = None
 
     @property
     def grid_shape(self) -> tuple:
         return self.matrices.shape[:-2]
+
+    def _wrap_sign(self, ax: int) -> np.ndarray | None:
+        """(-1)^(wraps of beta before each site along axis ax), grid
+        shape, which makes sign * L continuous along ax; None when beta is
+        None or does not wrap along ax."""
+        if self.beta is None:
+            return None
+        _require_on_grid("beta", np.shape(self.beta), self.grid_shape, ())
+        jump = np.abs(np.diff(self.beta, axis=ax)) > np.pi
+        if not jump.any():
+            return None
+        first = np.zeros_like(np.take(jump, [0], axis=ax))
+        wraps = np.cumsum(np.concatenate([first, jump], axis=ax), axis=ax)
+        return 1.0 - 2.0 * (wraps % 2)
 
     @cached_property
     def log_derivative(self) -> np.ndarray:
@@ -147,6 +171,15 @@ class TransformField:
         flatness in curvatures."""
         blocks = _chiral_split(self.matrices)
         dl = grid_gradient(blocks, self.spacing)
+        for ax in range(4):
+            sign = self._wrap_sign(ax)
+            if sign is not None:
+                # a stencil on one side of every wrap keeps its bits, as
+                # sign^2 = 1 exactly
+                sign = sign[..., None, None, None]
+                dl[..., ax] = sign * np.gradient(
+                    sign * blocks, self.spacing[ax], axis=ax, edge_order=2
+                )
         return np.einsum("...ij,...jkm->...ikm", _block_inverse(blocks), dl)
 
 
@@ -165,6 +198,7 @@ def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=pd.q,
+        beta=pd.beta,
     )
 
 
@@ -181,11 +215,9 @@ def transform_from_params(
     params = np.asarray(params, dtype=float)
     _require_on_grid("xi", xi.shape, dims, ())
     _require_on_grid("params", params.shape, dims, (6,))
-    lb = _chiral_exp(params[..., :3])
-    lr = _chiral_exp(1j * params[..., 3:])
     phase = np.exp(1j * q * xi)
     return TransformField(
-        matrices=phase[..., None, None] * (lb @ lr),
+        matrices=phase[..., None, None] * _boost_rotation(params),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=q,
@@ -279,12 +311,17 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
     both layouts since the off-diagonal blocks are zero.  Finite
     differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
-    tolerance scales with the largest |X_mu|; the floor 1e-8 h^2 covers
-    the near-constant case.
+    tolerance scales with the largest |X_mu|, as 10 h^2 |X|^2 capped at
+    _LEAK_FRACTION |X|: a leak is at most about |X|, so without the cap
+    no leak of a coarse or rough field (10 h^2 |X| >= 1) could fail.  The
+    floor 1e-8 h^2, outside the cap, covers the near-constant case.
     """
     norms = np.linalg.norm(x_mats.reshape(leak.shape[:-1] + (-1, 4)), axis=-2)
     scale = float(np.max(norms)) if norms.size else 0.0
-    tol = lf.spacing**2 * max(1e-8, 10.0 * scale**2)
+    h2 = lf.spacing**2
+    tol = np.maximum(
+        1e-8 * h2, np.minimum(10.0 * h2 * scale**2, _LEAK_FRACTION * scale)
+    )
     worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
         if lf.grid_shape[ax] > 1 and worst[ax] > tol[ax]:
@@ -311,7 +348,8 @@ def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
 
 
 def goldstone_derivative(lf: TransformField, point):
-    """Single-site version: 2nd-order stencil at one grid index.
+    """Single-site version: 2nd-order stencil at one grid index, across a
+    wrap of lf.beta as log_derivative differences it.
 
     Returns (dxi, dxi_ab, leak) for the four directions at that site.
     """
@@ -319,12 +357,24 @@ def goldstone_derivative(lf: TransformField, point):
     l_inv = np.linalg.inv(lf.matrices[tuple(point)])
     for ax in range(4):
         if lf.grid_shape[ax] > 1:
-            x_mats[:, :, ax] = l_inv @ _site_fd(
-                lf.matrices, ax, point, lf.spacing[ax]
-            )
+            mats, l_ax, sign = lf.matrices, l_inv, lf._wrap_sign(ax)
+            if sign is not None:
+                mats = sign[..., None, None] * mats
+                l_ax = sign[tuple(point)] * l_inv
+            x_mats[:, :, ax] = l_ax @ _site_fd(mats, ax, point, lf.spacing[ax])
     dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
     _check_leak(x_mats, leak, lf)
     return dxi, dxi_ab, leak
+
+
+@dataclass(frozen=True)
+class SpinCurvature:
+    """The curvature of R on sl(2,C) 3-vectors, see _spin_curvature: K
+    has grid shape + (3, 4, 4), [k, mu, nu]; dr_max is max |d_nu R_{ij mu}|.
+    """
+
+    K: np.ndarray
+    dr_max: float
 
 
 @dataclass(frozen=True)
@@ -343,6 +393,12 @@ class ConnectionField:
     def grid_shape(self) -> tuple:
         return self.P.shape[:-1]
 
+    @cached_property
+    def curvature(self) -> SpinCurvature:
+        """The curvature of R, computed on first use and kept (read-only):
+        curvatures and divergence_constraints both read it."""
+        return _spin_curvature(self.R, self.omega, self.spacing)
+
 
 def build_connections(
     gd: GoldstoneDerivatives, ext: ExternalPotentials
@@ -359,14 +415,33 @@ def build_connections(
     )
 
 
+def _goldstone_layer(g: GridField, q: float):
+    """(PolarData, TransformField, GoldstoneDerivatives) of g for charge q:
+    decompose, L and L^{-1} dL, the part of polar_pipeline that A and
+    Omega do not enter.  Kept per q in g._memo with every array read-only,
+    so a second pipeline on the same grid repeats none of it and a write
+    into a shared array raises instead of reaching the next reader."""
+    layer = g._memo.get(q)
+    if layer is None:
+        pd = decompose(g.values, q=q)
+        lf = transform_from_polar(pd, g.origin, g.spacing)
+        gd = goldstone_derivatives(lf)
+        for arr in (
+            pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
+            lf.matrices, lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,
+        ):
+            arr.flags.writeable = False
+        layer = g._memo[q] = (pd, lf, gd)
+    return layer
+
+
 def polar_pipeline(g: GridField, ext: ExternalPotentials):
     """GridField -> (PolarData grid, TransformField, GoldstoneDerivatives,
-    ConnectionField): the standard route from spinor samples to tensors."""
-    pd = decompose(g.values, q=ext.q)
-    lf = transform_from_polar(pd, g.origin, g.spacing)
-    gd = goldstone_derivatives(lf)
-    cf = build_connections(gd, ext)
-    return pd, lf, gd, cf
+    ConnectionField): the standard route from spinor samples to tensors.
+    The first three are computed once per grid and charge (read-only, see
+    _goldstone_layer); the connections are built afresh for ext."""
+    pd, lf, gd = _goldstone_layer(g, ext.q)
+    return pd, lf, gd, build_connections(gd, ext)
 
 
 @dataclass(frozen=True)
@@ -444,20 +519,84 @@ def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
     return -(np.swapaxes(dp, -1, -2) - dp) / q
 
 
-def _riemann(r_up, dr, omega) -> np.ndarray:
-    """riemann^i_{j mu nu} of curvatures from R^i_{j mu}, its grid
-    gradient dr, layout [i, j, nu, mu], and the cf.omega it carries (None
-    for none); with G = L^{-1} dL in place of R
-    and omega None it is minus dG - dG + [G, G].  GridMismatch unless
-    omega is None or lives on the grid of r_up."""
-    cov = np.swapaxes(dr, -1, -2)  # [i, j, mu, nu]
+def _flatness(g, dg) -> np.ndarray:
+    """The Goldstone flatness of curvatures: the pointwise max over the
+    trailing axes and mu, nu of |d_mu G_nu - d_nu G_mu + [G_mu, G_nu]|,
+    from matrices G [..., i, j, mu] and their grid gradient dg
+    [..., i, j, nu, mu]; zero for G = L^{-1} dL of a group-valued L.  One
+    mu at a time, so the terms never stack up as (..., 4, 4) arrays."""
+    flat = 0.0
+    for mu in range(4):
+        row = dg[..., :, mu] - dg[..., mu, :]  # [..., i, j, nu]
+        row += np.einsum("...ik,...kjn->...ijn", g[..., mu], g)
+        row -= np.einsum("...ikn,...kj->...ijn", g, g[..., mu])
+        flat = np.maximum(flat, np.max(np.abs(row), axis=(-4, -3, -2, -1)))
+    return flat
+
+
+# the (i, j) of R_{ij mu} that c_mu packs: the boost planes 01, 02, 03
+# in its real part, the rotation planes 23, 31, 12 in its imaginary part
+_BOOST_ROWS, _BOOST_COLS = (0, 0, 0), (1, 2, 3)
+_ROT_ROWS, _ROT_COLS = (2, 3, 1), (3, 1, 2)
+
+
+def _spin_vectors(t: np.ndarray) -> np.ndarray:
+    """c_mu = (T_{01}, T_{02}, T_{03}) + i (T_{23}, T_{31}, T_{12}) of an
+    antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing)."""
+    c = np.empty(t.shape[:-3] + (3, t.shape[-1]), dtype=complex)
+    c.real = t[..., _BOOST_ROWS, _BOOST_COLS, :]
+    c.imag = t[..., _ROT_ROWS, _ROT_COLS, :]
+    return c
+
+
+def _cross_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_mu x b_nu for 3-vectors [..., k, mu], layout [..., k, mu, nu]."""
+    a1, a2 = a[..., (1, 2, 0), :, None], a[..., (2, 0, 1), :, None]
+    b1, b2 = b[..., (1, 2, 0), None, :], b[..., (2, 0, 1), None, :]
+    return a1 * b2 - a2 * b1
+
+
+def _spin_curvature(r, omega, spacing) -> SpinCurvature:
+    """The curvature of R_{ij mu} (with the omega it carries, or None) as
+    the sl(2,C) 3-vectors of ConnectionField.curvature.
+
+    With c_mu = _spin_vectors(R) and o_mu = _spin_vectors(omega),
+
+        K_{mu nu} = d_nu c_mu - d_mu c_nu + i c_mu x c_nu
+                    + i (o_mu x c_nu - o_nu x c_mu)
+
+    packs riemann_{ij mu nu} of curvatures, its first index lowered, the
+    same way: riemann^0_{k mu nu} = riemann^k_{0 mu nu} = Re K_k and
+    riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in (1, 2, 3).  That
+    is 3 x 16 complex numbers per site against 256 reals.  R must be
+    antisymmetric (NotAntisymmetric) and omega live on its grid
+    (GridMismatch).
+    """
+    _check_antisymmetric(r, "R must satisfy R_ij = -R_ji")
+    c = _spin_vectors(r)
+    dc = grid_gradient(c, spacing)  # [k, mu, nu] = d_nu c_mu
+    dr_max = max(float(np.max(np.abs(dc.real))), float(np.max(np.abs(dc.imag))))
+    k = dc - np.swapaxes(dc, -1, -2)
+    del dc
+    quad = _cross_pairs(c, c)
     if omega is not None:
-        _require_on_grid("omega", np.shape(omega), r_up.shape[:-3], (4, 4, 4))
-        om_up = omega * _ETA_DIAG[:, None, None]
-        cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
-        cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
-    quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
-    return -(cov - np.swapaxes(cov, -1, -2) + quad - np.swapaxes(quad, -1, -2))
+        _require_on_grid("omega", np.shape(omega), r.shape[:-3], (4, 4, 4))
+        oc = _cross_pairs(_spin_vectors(omega), c)
+        quad += oc - np.swapaxes(oc, -1, -2)
+    k += 1j * quad
+    k.flags.writeable = False
+    return SpinCurvature(K=k, dr_max=dr_max)
+
+
+def _unpack_riemann(k: np.ndarray) -> np.ndarray:
+    """riemann^i_{j mu nu} of curvatures, layout [..., i, j, mu, nu], from
+    the K of _spin_curvature: every entry is 0, +-Re K or +-Im K."""
+    out = np.zeros(k.shape[:-3] + (4, 4) + k.shape[-2:])
+    out[..., _BOOST_ROWS, _BOOST_COLS, :, :] = k.real
+    out[..., _BOOST_COLS, _BOOST_ROWS, :, :] = k.real
+    out[..., _ROT_ROWS, _ROT_COLS, :, :] = -k.imag
+    out[..., _ROT_COLS, _ROT_ROWS, :, :] = k.imag
+    return out
 
 
 @dataclass(frozen=True)
@@ -486,9 +625,11 @@ def curvatures(
     cached lfield.log_derivative in chiral block layout, so the formula
     runs per 2x2 block and the max is over both blocks.  cf.omega and the
     L field must live on the grid of cf, or GridMismatch is raised.
+
+    riemann is read off the cached cf.curvature, and built after the
+    flatness so that the two largest arrays never coexist.
     """
-    r_up = cf.R * _ETA_DIAG[:, None, None]
-    riemann = _riemann(r_up, grid_gradient(r_up, cf.spacing), cf.omega)
+    k = cf.curvature.K
     f = field_strength(grid_gradient(cf.P, cf.spacing), q)
 
     flat = None
@@ -496,8 +637,9 @@ def curvatures(
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = lfield.log_derivative
         dg = grid_gradient(gmat, lfield.spacing)
-        flat = np.max(np.abs(_riemann(gmat, dg, None)), axis=(-5, -4, -3, -2, -1))
-    return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
+        flat = _flatness(gmat, dg)
+        del dg
+    return CurvatureData(riemann=_unpack_riemann(k), F=f, goldstone_flat=flat)
 
 
 @dataclass(frozen=True)
@@ -564,14 +706,16 @@ def divergence_constraints(
     of the inputs' natural scale, which decides when R is zero to roundoff.
     cf.omega must live on the grid of cf, or GridMismatch is raised.
     """
-    r_first_up = cf.R * _ETA_DIAG[:, None, None]
-    dr = grid_gradient(r_first_up, cf.spacing)
-    riemann_max = float(np.max(np.abs(_riemann(r_first_up, dr, cf.omega))))
+    curv = cf.curvature
+    # max |riemann| of curvatures, whose entries are 0, +-Re K and +-Im K
+    riemann_max = max(
+        float(np.max(np.abs(curv.K.real))), float(np.max(np.abs(curv.K.imag)))
+    )
     tol = fd_tol
     if tol is None:
         active = [cf.spacing[ax] for ax in range(4) if cf.grid_shape[ax] > 1]
         h_min = min(active) if active else 1.0
-        curv_scale = float(np.max(np.abs(dr))) + float(np.max(np.abs(cf.R))) ** 2
+        curv_scale = curv.dr_max + float(np.max(np.abs(cf.R))) ** 2
         p_scale = float(np.max(np.abs(cf.P))) + 1.0 / h_min
         tol = max(0.1 * h_min**2 * curv_scale, np.finfo(float).eps * p_scale**2)
     if riemann_max > 100.0 * tol:
@@ -591,6 +735,7 @@ def divergence_constraints(
     # eps^{asmn} = -eps^{amsn}: one (a m), (s n) pair contraction per k
     pairs = cf.grid_shape + (4, 16)
     dual = cf.R.reshape(pairs) @ _EPS_PAIRS
+    r_first_up = cf.R * _ETA_DIAG[:, None, None]
     quad_b = -np.sum(dual * r_first_up.reshape(pairs), axis=(-2, -1))
     r_all_up = cf.R * _ETA_UP3
     rr = np.einsum("...amn,...amn->...", r_all_up, cf.R)

@@ -16,7 +16,7 @@ never degrade the interior order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,13 +131,15 @@ class GridField:
     origin and spacing are per-axis (t, x, y, z); values has shape
     dims + (4,).  A non-finite entry of any of the three raises
     PreconditionViolated naming its index.  Immutable by convention after
-    construction.
+    construction: _memo holds what connections.polar_pipeline derives from
+    the values, per charge q, for the life of the instance.
     """
 
     origin: np.ndarray
     spacing: np.ndarray
     dims: tuple
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))

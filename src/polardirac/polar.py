@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import PAULI, _chiral_exp, _exp_pauli, minkowski_dot
+from .clifford import PAULI, _boost_rotation, _exp_pauli, minkowski_dot
 from .errors import (
     InvalidPolar,
     PreconditionViolated,
@@ -150,7 +150,7 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     theta = _axis_angle_from_z(n)
 
     goldstone = np.concatenate([chi, theta], axis=-1)
-    m = _chiral_exp(chi) @ _chiral_exp(1j * theta)  # B(chi) R(theta)
+    m = _boost_rotation(goldstone)
     candidate = phi[..., None] * np.einsum(
         "...ij,...j->...i", chiral_phase(beta) @ m, REFERENCE
     )
@@ -176,8 +176,7 @@ def reconstruct(p: PolarData) -> np.ndarray:
         raise InvalidPolar(
             f"u/s normalization violated by {worst:.3e} (limit 1e-6)"
         )
-    params = np.asarray(p.goldstone, dtype=float)
-    m = _chiral_exp(params[..., :3]) @ _chiral_exp(1j * params[..., 3:])
+    m = _boost_rotation(p.goldstone)
     psi = np.einsum("...ij,...j->...i", chiral_phase(p.beta) @ m, REFERENCE)
     phase = np.exp(-1j * p.q * np.asarray(p.alpha, dtype=float))
     return np.asarray(p.phi, dtype=float)[..., None] * phase[..., None] * psi

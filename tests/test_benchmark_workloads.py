@@ -33,3 +33,30 @@ def test_warm_up_op_passes_its_checks(name, tmp_path, monkeypatch):
     assert work > 0
     result = WL.check(w, w.digest(raw), None)
     assert result["ok"], result["problems"]
+
+
+def test_pipeline_op_builds_each_layer_once(tmp_path, monkeypatch):
+    # per op: one decompose for the one spinor grid (the hub and the
+    # covariant check share it) and one curvature of R for the one
+    # ConnectionField that needs it; two ops count two of each, so no op
+    # reads a layer that an earlier op built
+    from polardirac import connections
+
+    counts = {"decompose": 0, "_spin_curvature": 0}
+
+    def counting(name):
+        real = getattr(connections, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(connections, name, counting(name))
+    w = WL.Pipeline(0, tmp_path)
+    for op in (1, 2):
+        _, raw = w.run(-1)
+        assert WL.check(w, w.digest(raw), None)["ok"]
+        assert counts == {"decompose": op, "_spin_curvature": op}

@@ -266,6 +266,9 @@ def test_grid_mismatch():
     )
     with pytest.raises(GridMismatch, match=r"L field shaped \(1, 7, 1, 1, 4, 4\)"):
         curvatures(cf, lfield=lf_other)
+    lf_beta = dataclasses.replace(lf, beta=np.zeros(other))
+    with pytest.raises(GridMismatch, match=r"beta shaped \(1, 7, 1, 1\)"):
+        goldstone_derivatives(lf_beta)
 
 
 def test_transform_from_params_rejects_dims_off_the_arrays():
@@ -521,6 +524,91 @@ def random_omega_field(rng, dims, origin, spacing, amp=0.3):
     return om
 
 
+def _dense_riemann(r_up, dr, omega):
+    """The dense Riemann kernel that curvatures and divergence_constraints
+    ran before the curvature of R moved to sl(2,C) 3-vectors, kept as the
+    oracle: riemann^i_{j mu nu} from R^i_{j mu}, its grid gradient dr
+    [i, j, nu, mu] and omega (None for none); with G = L^{-1} dL in place
+    of R and omega None it is minus dG - dG + [G, G]."""
+    cov = np.swapaxes(dr, -1, -2)  # [i, j, mu, nu]
+    if omega is not None:
+        om_up = omega * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+        cov = cov + np.einsum("...ikm,...kjn->...ijmn", om_up, r_up)
+        cov = cov - np.einsum("...kjm,...ikn->...ijmn", om_up, r_up)
+    quad = np.einsum("...ikm,...kjn->...ijmn", r_up, r_up)
+    return -(cov - np.swapaxes(cov, -1, -2) + quad - np.swapaxes(quad, -1, -2))
+
+
+def _random_antisymmetric(rng, dims, amp=1.0):
+    t = amp * rng.normal(size=dims + (4, 4, 4))
+    return t - np.swapaxes(t, -3, -2)
+
+
+@pytest.mark.parametrize("dims", [(1, 7, 8, 9), (7, 1, 1, 8), (6, 5, 1, 1)])
+def test_spin_curvature_matches_dense_oracle(dims):
+    # K packs the lowered dense Riemann tensor as (riemann_{0k}) +
+    # i (riemann_{23}, riemann_{31}, riemann_{12}), and the dense tensor of
+    # curvatures unpacks it; without and with Omega, on random
+    # antisymmetric R.  Both routes sum the same terms in another order, so
+    # the bound is 64 eps on the scale max|dR| + max|R| (max|R| + 2 max|Omega|)
+    # of those terms (measured: below 1 eps)
+    from polardirac.connections import _spin_curvature
+
+    rng = np.random.default_rng(sum(dims))
+    spacing = np.array([0.3, 0.25, 0.2, 0.35])
+    eta = np.array([1.0, -1.0, -1.0, -1.0])
+    r = _random_antisymmetric(rng, dims)
+    for om in (None, _random_antisymmetric(rng, dims, amp=0.7)):
+        r_up = r * eta[:, None, None]
+        dr = grid_gradient(r_up, spacing)
+        oracle = _dense_riemann(r_up, dr, om)
+        om_max = 0.0 if om is None else np.max(np.abs(om))
+        r_max = np.max(np.abs(r))
+        scale = np.max(np.abs(dr)) + r_max * (r_max + 2 * om_max)
+        tol = 64 * np.finfo(float).eps * scale
+        low = oracle * eta[:, None, None, None]
+        packed = low[..., 0, 1:, :, :] + 1j * np.stack(
+            (low[..., 2, 3, :, :], low[..., 3, 1, :, :], low[..., 1, 2, :, :]),
+            axis=-3,
+        )
+        curv = _spin_curvature(r, om, spacing)
+        assert np.max(np.abs(oracle)) > 1.0
+        npt.assert_allclose(curv.K, packed, rtol=0.0, atol=tol)
+        assert curv.dr_max == pytest.approx(np.max(np.abs(dr)), rel=1e-15)
+        cf = ConnectionField(
+            P=np.zeros(dims + (4,)), R=r, origin=np.zeros(4), spacing=spacing,
+            omega=om,
+        )
+        riemann = curvatures(cf).riemann
+        npt.assert_allclose(riemann, oracle, rtol=0.0, atol=tol)
+        res = divergence_constraints(cf, fd_tol=np.inf)
+        assert res.riemann_max == float(np.max(np.abs(riemann)))
+
+
+def test_spin_curvature_is_computed_once_and_read_only(monkeypatch):
+    # curvatures and divergence_constraints read one cached curvature of R
+    from polardirac import connections
+
+    lf, _ = gauge_boost_field(9)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    calls = []
+    real = connections._spin_curvature
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_spin_curvature", counting)
+    curvatures(cf, lfield=lf)
+    divergence_constraints(cf)
+    curvatures(cf)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        cf.curvature.K[0, 0, 0, 0] = 1.0
+    with pytest.raises(NotAntisymmetric):
+        curvatures(dataclasses.replace(cf, R=np.abs(cf.R)))
+
+
 def test_riemann_from_connections_matches_omega_route():
     rng = np.random.default_rng(21)
     n = 9
@@ -710,12 +798,10 @@ def test_flatness_reads_the_cached_log_derivative(monkeypatch):
     # blocks and with no np.linalg.inv; the flatness reads that X and
     # makes no inverse either, with the same bits as an X rebuilt from
     # scratch
-    from polardirac.connections import _riemann
-
     lf, _ = gauge_boost_field(9)
     x = _block_log_derivative(lf)
     oracle = np.max(
-        np.abs(_riemann(x, grid_gradient(x, lf.spacing), None)),
+        np.abs(_dense_riemann(x, grid_gradient(x, lf.spacing), None)),
         axis=(-5, -4, -3, -2, -1),
     )
     calls = []
@@ -741,34 +827,64 @@ def _random_gauge_field(rng, dims, spacing, q=1.0):
     return transform_from_params(xi, params, [0.0] * 4, spacing, dims, q=q)
 
 
+_ROUGH_CASES = [
+    ((1, 5, 5, 5), [1.0, 0.5, 0.6, 0.7], 1.0),
+    ((5, 1, 1, 6), [0.4, 1.0, 1.0, 0.5], -1.7),
+]
+
+
 def test_block_goldstone_matches_dense_site_oracle():
     # the block projection of the grid X against the dense 4x4 single-site
     # route (np.linalg.inv, the site stencil and _project_log_derivative)
     # at every site; the two differ by roundoff only, so the tolerance is
-    # 64 eps on the scale of X (measured: below 2 eps)
+    # 64 eps on the scale of X (measured: below 2 eps).  These rough
+    # fields fail the leak check (see the next test), so both sides are
+    # the projections alone
+    from polardirac.connections import _project_blocks, _project_log_derivative
+    from polardirac.fields import _site_fd
+
     rng = np.random.default_rng(31)
-    cases = [
-        ((1, 5, 5, 5), [1.0, 0.5, 0.6, 0.7], 1.0),
-        ((5, 1, 1, 6), [0.4, 1.0, 1.0, 0.5], -1.7),
-    ]
-    for dims, spacing, q in cases:
+    for dims, spacing, q in _ROUGH_CASES:
         lf = _random_gauge_field(rng, dims, spacing, q)
-        gd = goldstone_derivatives(lf)
+        dxi_g, dxi_ab_g, leak_g = _project_blocks(lf.log_derivative, q)
         tol = 64 * np.finfo(float).eps * np.max(np.abs(lf.log_derivative))
         for site in np.ndindex(*dims):
-            dxi, dxi_ab, leak = goldstone_derivative(lf, site)
-            npt.assert_allclose(gd.dxi[site], dxi, rtol=0.0, atol=tol)
-            npt.assert_allclose(gd.dxi_ab[site], dxi_ab, rtol=0.0, atol=tol)
-            npt.assert_allclose(gd.leak[site], leak, rtol=0.0, atol=tol)
+            x_mats = np.zeros((4, 4, 4), dtype=complex)
+            l_inv = np.linalg.inv(lf.matrices[site])
+            for ax in range(4):
+                if dims[ax] > 1:
+                    x_mats[:, :, ax] = l_inv @ _site_fd(
+                        lf.matrices, ax, site, lf.spacing[ax]
+                    )
+            dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
+            npt.assert_allclose(dxi_g[site], dxi, rtol=0.0, atol=tol)
+            npt.assert_allclose(dxi_ab_g[site], dxi_ab, rtol=0.0, atol=tol)
+            npt.assert_allclose(leak_g[site], leak, rtol=0.0, atol=tol)
+
+
+def test_leak_check_rejects_coarse_random_fields():
+    # random group elements at h 0.4-1: the leak reaches half of |X|
+    # (3.0 against max|X_mu| 5.9 on the first field, 8.4 against 13.0 on
+    # the second), where the uncapped tolerance 10 h^2 max|X|^2 let every
+    # leak through
+    from polardirac.connections import _project_blocks
+
+    rng = np.random.default_rng(31)
+    for dims, spacing, q in _ROUGH_CASES:
+        lf = _random_gauge_field(rng, dims, spacing, q)
+        with pytest.raises(BasisLeak, match="not a group-valued field"):
+            goldstone_derivatives(lf)
+        leak = _project_blocks(lf.log_derivative, q)[2]
+        worst = np.unravel_index(np.argmax(leak), leak.shape)[:4]
+        with pytest.raises(BasisLeak, match="not a group-valued field"):
+            goldstone_derivative(lf, worst)
 
 
 def test_block_flatness_matches_dense_oracle():
     # the flatness on the chiral blocks against the dense 4x4 route it
-    # replaced: X = inv(L) dL, _riemann on the 4x4 X, max over four axes;
-    # roundoff tolerance 64 eps on the scale |dX| + |X|^2 of the terms
-    # (measured: below 9 eps)
-    from polardirac.connections import _riemann
-
+    # replaced: X = inv(L) dL, _dense_riemann on the 4x4 X, max over four
+    # axes; roundoff tolerance 64 eps on the scale |dX| + |X|^2 of the
+    # terms (measured: below 9 eps)
     for lf, _ in (gauge_boost_field(9), gauge_rotation_field(9)):
         x = np.einsum(
             "...ij,...jkm->...ikm",
@@ -776,7 +892,7 @@ def test_block_flatness_matches_dense_oracle():
             grid_gradient(lf.matrices, lf.spacing),
         )
         dx = grid_gradient(x, lf.spacing)
-        oracle = np.max(np.abs(_riemann(x, dx, None)), axis=(-4, -3, -2, -1))
+        oracle = np.max(np.abs(_dense_riemann(x, dx, None)), axis=(-4, -3, -2, -1))
         cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
         flat = curvatures(cf, lfield=lf).goldstone_flat
         tol = 64 * np.finfo(float).eps * (np.max(np.abs(dx)) + np.max(np.abs(x)) ** 2)
@@ -800,9 +916,8 @@ def test_off_diagonal_chiral_block_raises():
 
 
 def test_connection_carries_its_omega():
-    # R = dxi_ab - Omega and the curvature of R read the same Omega
-    from polardirac.connections import _riemann
-
+    # R = dxi_ab - Omega and the curvature of R read the same Omega: the
+    # dense oracle with that Omega, to 1e-13 of its largest entry
     lf, dims = gauge_rotation_field(9)
     om = random_omega_field(
         np.random.default_rng(5), dims, lf.origin, lf.spacing, amp=0.2
@@ -810,11 +925,13 @@ def test_connection_carries_its_omega():
     gd = goldstone_derivatives(lf)
     cf = build_connections(gd, ExternalPotentials(Omega=om))
     r_up = cf.R * np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
-    want = _riemann(r_up, grid_gradient(r_up, lf.spacing), om)
-    assert np.max(np.abs(want)) > 0.1
-    assert np.array_equal(curvatures(cf).riemann, want)
+    want = _dense_riemann(r_up, grid_gradient(r_up, lf.spacing), om)
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    riemann = curvatures(cf).riemann
+    npt.assert_allclose(riemann, want, rtol=0.0, atol=1e-13 * scale)
     res = divergence_constraints(cf, fd_tol=np.inf)
-    assert res.riemann_max == float(np.max(np.abs(want)))
+    assert res.riemann_max == float(np.max(np.abs(riemann)))
     assert build_connections(gd, ExternalPotentials()).omega is None
 
 
@@ -842,13 +959,66 @@ def _nabla_loop(g, ext):
     return nabla
 
 
+def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
+    # decompose, L and L^{-1} dL run once per grid and q: the hub and the
+    # covariant check share them, a fresh copy of the grid and another q
+    # do not, and a different ext with the same q rebuilds only P and R
+    from polardirac import connections
+    from polardirac.dynamics import PolarFields
+    from polardirac.fields import load_grid, save_grid
+
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
+    save_grid(g, tmp_path / "g.grid")
+    calls = []
+    real = connections.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("q"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(connections, "decompose", counting)
+    ext = ExternalPotentials()
+    g1 = load_grid(tmp_path / "g.grid")
+    pf = PolarFields.from_grid(g1, ext)
+    covariant_derivative_check(g1, ext)
+    assert calls == [1.0]
+    a = np.full(g1.dims + (4,), 0.3)
+    _, _, gd, cf = polar_pipeline(g1, ExternalPotentials(A=a))
+    assert calls == [1.0]
+    assert np.array_equal(cf.P, pf.cf.P - 0.3)
+    assert cf.R is not pf.cf.R
+    g2 = load_grid(tmp_path / "g.grid")
+    PolarFields.from_grid(g2, ext)
+    assert calls == [1.0, 1.0]
+    PolarFields.from_grid(g2, ExternalPotentials(q=-2.0))
+    assert calls == [1.0, 1.0, -2.0]
+    assert polar_pipeline(g2, ExternalPotentials(q=-2.0))[2].q == -2.0
+    assert calls == [1.0, 1.0, -2.0]
+
+
+def test_goldstone_layer_arrays_refuse_writes():
+    # the kept arrays are shared by every later pipeline on the grid
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
+    pd, lf, gd, cf = polar_pipeline(g, ExternalPotentials())
+    kept = (
+        pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
+        lf.matrices, lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,
+    )
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.0
+    cf.P[0, 0, 0, 0, 0] = 1.0  # the connections are built per call
+
+
 def test_covariant_gradient_omega_term_matches_site_loop():
     from polardirac.dynamics import dirac_residual
     from polardirac.fields import GridField
 
     rng = np.random.default_rng(71)
     dims = (5, 5, 5, 5)
-    psi = np.array([1.0, 0.2, 0.6, 0.1]) + 0.3 * (
+    # noise the grid resolves: at 0.3 h|X| reached 24 and the leak 0.98
+    # of |X|, which the Goldstone layer rejects with BasisLeak
+    psi = np.array([1.0, 0.2, 0.6, 0.1]) + 0.03 * (
         rng.normal(size=dims + (4,)) + 1j * rng.normal(size=dims + (4,))
     )
     g = GridField([0, 0, 0, 0], [0.2, 0.3, 0.25, 0.3], dims, psi)

@@ -12,8 +12,10 @@ from polardirac.connections import (
     covariant_derivative_check,
     curvatures,
     divergence_constraints,
+    goldstone_derivative,
     goldstone_derivatives,
     irreducible_split,
+    polar_pipeline,
     transform_from_params,
 )
 from polardirac.dynamics import (
@@ -788,6 +790,31 @@ def test_beta_branch_cut_is_read_across():
     res_plain = covariant_derivative_check(chiral_phase_grid(1.0), ext).spinor
     npt.assert_allclose(res_cut, res_plain, atol=1e-12)
     assert np.max(res_cut) < 1e-3
+
+
+def test_momentum_is_read_across_the_beta_cut():
+    # where beta wraps, alpha takes up its 2 pi as pi and L changes sign;
+    # the Goldstone layer differences L with that sign undone, so P of a
+    # moving chiral-phase field is the same with and without the cut (the
+    # two sites next to the cut read P = 0 against 0.699 before)
+    def moving(beta_mid):
+        g = chiral_phase_grid(beta_mid)
+        x = g.meshgrid()[..., 1]
+        values = g.values * np.exp(-0.7j * x)[..., None]
+        return GridField(g.origin, g.spacing, g.dims, values)
+
+    pf_cut = PolarFields.from_grid(moving(3.2))
+    pf_plain = PolarFields.from_grid(moving(1.0))
+    assert np.min(pf_cut.beta) < 0.0 < np.max(pf_cut.beta)
+    assert np.min(pf_cut.cf.P[..., 1]) > 0.69
+    npt.assert_allclose(pf_cut.cf.P, pf_plain.cf.P, rtol=0.0, atol=1e-13)
+    npt.assert_allclose(pf_cut.cf.R, pf_plain.cf.R, rtol=0.0, atol=1e-13)
+    # the single-site route reads the wrap the same way
+    _, lf, gd, _ = polar_pipeline(moving(3.2), ExternalPotentials())
+    for i in range(lf.grid_shape[1]):
+        dxi, dxi_ab, _ = goldstone_derivative(lf, (0, i, 0, 0))
+        npt.assert_allclose(dxi, gd.dxi[0, i, 0, 0], rtol=0.0, atol=1e-13)
+        npt.assert_allclose(dxi_ab, gd.dxi_ab[0, i, 0, 0], rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------- nonrel H
