@@ -300,6 +300,22 @@ def rotation_matrices(theta) -> tuple[np.ndarray, np.ndarray]:
     return lam, _block_vector(lam[..., :2, :2])
 
 
+def _axis_angle_from_z(n: np.ndarray) -> np.ndarray:
+    """Rotation vector theta with R(theta) e_3 = n for unit 3-vectors n.
+
+    Rotates about e_3 x n; at the antipodal point n = -e_3 the axis is
+    degenerate and the x axis is chosen.
+    """
+    axis = np.stack(
+        [-n[..., 1], n[..., 0], np.zeros_like(n[..., 0])], axis=-1
+    )
+    mag = np.linalg.norm(axis, axis=-1)
+    omega = np.arctan2(mag, n[..., 2])
+    safe = np.where(mag[..., None] > 1e-300, axis, [1.0, 0.0, 0.0])
+    safe = safe / np.linalg.norm(safe, axis=-1, keepdims=True)
+    return omega[..., None] * safe
+
+
 def _boost_rotation(params) -> np.ndarray:
     """M = B(chi) R(theta), (..., 4, 4), for params (..., 6) = (chi, theta):
     the canonical boost-then-rotation of the polar decomposition, the

@@ -35,7 +35,8 @@ from .errors import (
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, _phase_gradient, _site_fd, grid_gradient
+from .fields import GridField, _phase_gradient, _site_fd, _sitewise
+from .fields import grid_gradient
 from .polar import PolarData, _require_charge, decompose
 
 # sigma^{ab}_{kl} as a [(k l), (a b)] matrix and conj(sigma^{ab}_{ji}) as
@@ -66,11 +67,25 @@ def _require_on_grid(name, shape, grid_shape, tail) -> None:
         )
 
 
+def _amax_sites(a: np.ndarray, tail: int) -> np.ndarray:
+    """max |a| over the last tail axes, per site."""
+    return np.max(np.abs(a), axis=tuple(range(-tail, 0)))
+
+
 def _check_antisymmetric(t: np.ndarray, message: str) -> None:
     """Raise NotAntisymmetric(message) unless t_{ij...} = -t_{ji...} on the
-    axes (-3, -2), to 1e-12 of max(1, max|t|)."""
-    scale = max(1.0, float(np.max(np.abs(t))) if t.size else 1.0)
-    if np.max(np.abs(t + np.swapaxes(t, -3, -2))) > 1e-12 * scale:
+    axes (-3, -2), to 1e-12 of max(1, max|t|): the two maxima are taken
+    over the maxima of the sites of the grid t.shape[:-3]."""
+    size, asym = _sitewise(
+        lambda t: (
+            _amax_sites(t, 3),
+            _amax_sites(t + np.swapaxes(t, -3, -2), 3),
+        ),
+        t.shape[:-3],
+        t,
+    )
+    scale = max(1.0, float(np.max(size)) if t.size else 1.0)
+    if np.max(asym) > 1e-12 * scale:
         raise NotAntisymmetric(message)
 
 
@@ -180,7 +195,12 @@ class TransformField:
                 dl[..., ax] = sign * np.gradient(
                     sign * blocks, self.spacing[ax], axis=ax, edge_order=2
                 )
-        return np.einsum("...ij,...jkm->...ikm", _block_inverse(blocks), dl)
+        return _sitewise(
+            lambda b, d: np.einsum("...ij,...jkm->...ikm", _block_inverse(b), d),
+            self.grid_shape,
+            blocks,
+            dl,
+        )
 
 
 def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
@@ -189,12 +209,17 @@ def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
     With this wiring the rest plane wave e^{-imt}(1,0,1,0) has
     d_mu xi = (m/q) delta_mu^0 and hence P = (m, 0, 0, 0).
     """
-    chi = pd.goldstone[..., :3]
-    theta = pd.goldstone[..., 3:]
-    m_inv = _chiral_exp(1j * -theta) @ _chiral_exp(-chi)  # R(-theta) B(-chi)
-    phase = np.exp(1j * pd.q * np.asarray(pd.alpha, dtype=float))
+    alpha = np.asarray(pd.alpha, dtype=float)
+
+    def sites(goldstone, alpha):
+        chi = goldstone[..., :3]
+        theta = goldstone[..., 3:]
+        m_inv = _chiral_exp(1j * -theta) @ _chiral_exp(-chi)  # R(-theta) B(-chi)
+        phase = np.exp(1j * pd.q * alpha)
+        return phase[..., None, None] * m_inv
+
     return TransformField(
-        matrices=phase[..., None, None] * m_inv,
+        matrices=_sitewise(sites, alpha.shape, pd.goldstone, alpha),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=pd.q,
@@ -302,13 +327,19 @@ def _project_blocks(x: np.ndarray, q: float):
     return dxi, dxi_ab, leak
 
 
-def _check_leak(x_mats, leak, lf: TransformField) -> None:
+def _x_norms(x_mats, leak) -> np.ndarray:
+    """|X_mu| per site, shaped as leak: the Frobenius norm of X over every
+    axis but the grid and mu, for one site (X dense, [row, col, mu]) or a
+    grid (X in block layout [..., block, row, col, mu]), equal in both
+    layouts since the off-diagonal blocks are zero."""
+    return np.linalg.norm(x_mats.reshape(leak.shape[:-1] + (-1, 4)), axis=-2)
+
+
+def _check_leak(norms, leak, lf: TransformField) -> None:
     """Raise BasisLeak where the out-of-algebra residual is too large.
 
-    x_mats and leak come from one site (X dense, [row, col, mu]) or a
-    whole grid (X in block layout [..., block, row, col, mu]); |X_mu| is
-    the Frobenius norm over every axis but the grid and mu, equal in
-    both layouts since the off-diagonal blocks are zero.  Finite
+    norms and leak are |X_mu| (see _x_norms) and the leak, per site and
+    mu, of one site or a whole grid.  Finite
     differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
     tolerance scales with the largest |X_mu|, as 10 h^2 |X|^2 capped at
@@ -316,7 +347,6 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
     no leak of a coarse or rough field (10 h^2 |X| >= 1) could fail.  The
     floor 1e-8 h^2, outside the cap, covers the near-constant case.
     """
-    norms = np.linalg.norm(x_mats.reshape(leak.shape[:-1] + (-1, 4)), axis=-2)
     scale = float(np.max(norms)) if norms.size else 0.0
     h2 = lf.spacing**2
     tol = np.maximum(
@@ -334,9 +364,12 @@ def _check_leak(x_mats, leak, lf: TransformField) -> None:
 def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
     """Grid-wide Goldstone derivative extraction with basis-leak check,
     projecting the chiral block layout of lf.log_derivative."""
-    x = lf.log_derivative
-    dxi, dxi_ab, leak = _project_blocks(x, lf.q)
-    _check_leak(x, leak, lf)
+    def sites(x):
+        dxi, dxi_ab, leak = _project_blocks(x, lf.q)
+        return dxi, dxi_ab, leak, _x_norms(x, leak)
+
+    dxi, dxi_ab, leak, norms = _sitewise(sites, lf.grid_shape, lf.log_derivative)
+    _check_leak(norms, leak, lf)
     return GoldstoneDerivatives(
         dxi=dxi,
         dxi_ab=dxi_ab,
@@ -363,7 +396,7 @@ def goldstone_derivative(lf: TransformField, point):
                 l_ax = sign[tuple(point)] * l_inv
             x_mats[:, :, ax] = l_ax @ _site_fd(mats, ax, point, lf.spacing[ax])
     dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
-    _check_leak(x_mats, leak, lf)
+    _check_leak(_x_norms(x_mats, leak), leak, lf)
     return dxi, dxi_ab, leak
 
 
@@ -407,8 +440,10 @@ def build_connections(
     shape = gd.grid_shape
     omega = ext.omega_field(shape)
     return ConnectionField(
-        P=gd.q * (gd.dxi - ext.a_field(shape)),
-        R=gd.dxi_ab - omega,
+        P=_sitewise(
+            lambda dxi, a: gd.q * (dxi - a), shape, gd.dxi, ext.a_field(shape)
+        ),
+        R=_sitewise(lambda dxi_ab, om: dxi_ab - om, shape, gd.dxi_ab, omega),
         origin=gd.origin,
         spacing=gd.spacing,
         omega=None if ext.Omega is None else omega,
@@ -463,10 +498,15 @@ def _covariant_gradient(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     on the grid, layout [..., k, mu]; the Omega term is skipped when Omega
     is None."""
     a = ext.a_field(g.dims)
+    om = () if ext.Omega is None else (ext.omega_field(g.dims),)
+
+    def sites(nabla, a, psi, *om):
+        if om:
+            nabla = nabla + _spin_action(om[0], psi)
+        return nabla + 1j * ext.q * a[..., None, :] * psi[..., :, None]
+
     nabla = grid_gradient(g.values, g.spacing)
-    if ext.Omega is not None:
-        nabla = nabla + _spin_action(ext.omega_field(g.dims), g.values)
-    return nabla + 1j * ext.q * a[..., None, :] * g.values[..., :, None]
+    return _sitewise(sites, g.dims, nabla, a, g.values, *om)
 
 
 def covariant_derivative_check(
@@ -481,32 +521,40 @@ def covariant_derivative_check(
     left.  Returns per-point, per-direction norms.
     """
     pd, lf, gd, cf = polar_pipeline(g, ext)
-    om = None if ext.Omega is None else ext.omega_field(g.dims)
+    om = () if ext.Omega is None else (ext.omega_field(g.dims),)
     nabla_psi = _covariant_gradient(g, ext)
-
     dbeta = _phase_gradient(pd.beta, g.spacing)
     dlnphi = grid_gradient(np.log(pd.phi), g.spacing)
-    pi_psi = np.einsum("ij,...j->...i", BASIS.pi, g.values)
-    rhs = (
-        -0.5j * dbeta[..., None, :] * pi_psi[..., :, None]
-        + dlnphi[..., None, :] * g.values[..., :, None]
-        - 1j * cf.P[..., None, :] * g.values[..., :, None]
-        - _spin_action(cf.R, g.values)
+    ds = grid_gradient(_flip(pd.s), g.spacing)
+    du = grid_gradient(_flip(pd.u), g.spacing)
+
+    def sites(psi, nabla_psi, dbeta, dlnphi, p, r, s, ds, u, du, *om):
+        pi_psi = np.einsum("ij,...j->...i", BASIS.pi, psi)
+        rhs = (
+            -0.5j * dbeta[..., None, :] * pi_psi[..., :, None]
+            + dlnphi[..., None, :] * psi[..., :, None]
+            - 1j * p[..., None, :] * psi[..., :, None]
+            - _spin_action(r, psi)
+        )
+
+        def transport(vec, dlow):
+            if om:
+                dlow = dlow - np.einsum("...jim,...j->...im", om[0], vec)
+            rhs_t = np.einsum("...jim,...j->...im", r, vec)
+            return np.linalg.norm(dlow - rhs_t, axis=-2)
+
+        return (
+            np.linalg.norm(nabla_psi - rhs, axis=-2),
+            transport(s, ds),
+            transport(u, du),
+        )
+
+    spinor, s_transport, u_transport = _sitewise(
+        sites, g.dims, g.values, nabla_psi, dbeta, dlnphi, cf.P, cf.R,
+        pd.s, ds, pd.u, du, *om,
     )
-    res_spinor = np.linalg.norm(nabla_psi - rhs, axis=-2)
-
-    def transport(vec):
-        low = _flip(vec)
-        dlow = grid_gradient(low, g.spacing)
-        if om is not None:
-            dlow = dlow - np.einsum("...jim,...j->...im", om, vec)
-        rhs_t = np.einsum("...jim,...j->...im", cf.R, vec)
-        return np.linalg.norm(dlow - rhs_t, axis=-2)
-
     return CovariantChecks(
-        spinor=res_spinor,
-        s_transport=transport(pd.s),
-        u_transport=transport(pd.u),
+        spinor=spinor, s_transport=s_transport, u_transport=u_transport
     )
 
 
@@ -573,17 +621,34 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
     (GridMismatch).
     """
     _check_antisymmetric(r, "R must satisfy R_ij = -R_ji")
-    c = _spin_vectors(r)
-    dc = grid_gradient(c, spacing)  # [k, mu, nu] = d_nu c_mu
-    dr_max = max(float(np.max(np.abs(dc.real))), float(np.max(np.abs(dc.imag))))
-    k = dc - np.swapaxes(dc, -1, -2)
-    del dc
-    quad = _cross_pairs(c, c)
+    grid = r.shape[:-3]
+    om = ()
     if omega is not None:
-        _require_on_grid("omega", np.shape(omega), r.shape[:-3], (4, 4, 4))
-        oc = _cross_pairs(_spin_vectors(omega), c)
-        quad += oc - np.swapaxes(oc, -1, -2)
-    k += 1j * quad
+        _require_on_grid("omega", np.shape(omega), grid, (4, 4, 4))
+        om = (omega,)
+    c = _sitewise(_spin_vectors, grid, r)
+    dc = grid_gradient(c, spacing)  # [k, mu, nu] = d_nu c_mu
+    dr_max = max(
+        float(np.max(m))
+        for m in _sitewise(
+            lambda dc: (_amax_sites(dc.real, 3), _amax_sites(dc.imag, 3)),
+            grid,
+            dc,
+        )
+    )
+    k = _sitewise(lambda dc: dc - np.swapaxes(dc, -1, -2), grid, dc)
+    del dc
+
+    def sites(c, *om):
+        quad = _cross_pairs(c, c)
+        if om:
+            oc = _cross_pairs(_spin_vectors(om[0]), c)
+            quad += oc - np.swapaxes(oc, -1, -2)
+        return quad
+
+    quad = _sitewise(sites, grid, c, *om)
+    quad *= 1j  # in place: no third whole-grid array; the bits of 1j * quad
+    k += quad
     k.flags.writeable = False
     return SpinCurvature(K=k, dr_max=dr_max)
 
@@ -637,9 +702,10 @@ def curvatures(
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = lfield.log_derivative
         dg = grid_gradient(gmat, lfield.spacing)
-        flat = _flatness(gmat, dg)
+        flat = _sitewise(_flatness, cf.grid_shape, gmat, dg)
         del dg
-    return CurvatureData(riemann=_unpack_riemann(k), F=f, goldstone_flat=flat)
+    riemann = _sitewise(_unpack_riemann, cf.grid_shape, k)
+    return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
 
 @dataclass(frozen=True)
@@ -661,11 +727,15 @@ def irreducible_split(r) -> IrreducibleSplit:
     _check_antisymmetric(
         r, "input must be antisymmetric in its first two indices"
     )
-    ra = np.trace(_flip(r), axis1=-2, axis2=-1)
-    r_all_up = r * _ETA_UP3
-    ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
-    trace_part, axial_part = _split_parts(ra, ba_low)
-    return IrreducibleSplit(Pi=r - trace_part - axial_part, Ra=ra, Ba=ba_low)
+
+    def sites(r):
+        ra = np.trace(_flip(r), axis1=-2, axis2=-1)
+        r_all_up = r * _ETA_UP3
+        ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
+        trace_part, axial_part = _split_parts(ra, ba_low)
+        return r - trace_part - axial_part, ra, ba_low
+
+    return IrreducibleSplit(*_sitewise(sites, r.shape[:-3], r))
 
 
 def _split_parts(ra, ba_low):
@@ -707,16 +777,30 @@ def divergence_constraints(
     cf.omega must live on the grid of cf, or GridMismatch is raised.
     """
     curv = cf.curvature
-    # max |riemann| of curvatures, whose entries are 0, +-Re K and +-Im K
-    riemann_max = max(
-        float(np.max(np.abs(curv.K.real))), float(np.max(np.abs(curv.K.imag)))
+    # max |riemann| of curvatures, whose entries are 0, +-Re K and +-Im K,
+    # and max |R| and max |P|, each the max over the maxima of the sites
+    k_re, k_im, r_max, p_max = (
+        float(np.max(m))
+        for m in _sitewise(
+            lambda k, r, p: (
+                _amax_sites(k.real, 3),
+                _amax_sites(k.imag, 3),
+                _amax_sites(r, 3),
+                _amax_sites(p, 1),
+            ),
+            cf.grid_shape,
+            curv.K,
+            cf.R,
+            cf.P,
+        )
     )
+    riemann_max = max(k_re, k_im)
     tol = fd_tol
     if tol is None:
         active = [cf.spacing[ax] for ax in range(4) if cf.grid_shape[ax] > 1]
         h_min = min(active) if active else 1.0
-        curv_scale = curv.dr_max + float(np.max(np.abs(cf.R))) ** 2
-        p_scale = float(np.max(np.abs(cf.P))) + 1.0 / h_min
+        curv_scale = curv.dr_max + r_max**2
+        p_scale = p_max + 1.0 / h_min
         tol = max(0.1 * h_min**2 * curv_scale, np.finfo(float).eps * p_scale**2)
     if riemann_max > 100.0 * tol:
         raise PreconditionViolated(
@@ -732,17 +816,21 @@ def divergence_constraints(
         axis1=-2,
         axis2=-1,
     )
-    # eps^{asmn} = -eps^{amsn}: one (a m), (s n) pair contraction per k
-    pairs = cf.grid_shape + (4, 16)
-    dual = cf.R.reshape(pairs) @ _EPS_PAIRS
-    r_first_up = cf.R * _ETA_DIAG[:, None, None]
-    quad_b = -np.sum(dual * r_first_up.reshape(pairs), axis=(-2, -1))
-    r_all_up = cf.R * _ETA_UP3
-    rr = np.einsum("...amn,...amn->...", r_all_up, cf.R)
-    bb = np.sum(ba_up * sp.Ba, axis=-1)
-    rvrv = np.sum(ra_up * sp.Ra, axis=-1)
-    res_b = div[..., 0] - 0.5 * quad_b
-    res_r = div[..., 1] + 0.5 * (0.5 * rr + bb - rvrv)
+
+    def sites(r, ba, ra, div):
+        # eps^{asmn} = -eps^{amsn}: one (a m), (s n) pair contraction per k
+        pairs = r.shape[:-3] + (4, 16)
+        dual = r.reshape(pairs) @ _EPS_PAIRS
+        r_first_up = r * _ETA_DIAG[:, None, None]
+        quad_b = -np.sum(dual * r_first_up.reshape(pairs), axis=(-2, -1))
+        rr = np.einsum("...amn,...amn->...", r * _ETA_UP3, r)
+        bb = np.sum(_flip(ba) * ba, axis=-1)
+        rvrv = np.sum(_flip(ra) * ra, axis=-1)
+        res_b = div[..., 0] - 0.5 * quad_b
+        res_r = div[..., 1] + 0.5 * (0.5 * rr + bb - rvrv)
+        return res_b, res_r
+
+    res_b, res_r = _sitewise(sites, cf.grid_shape, cf.R, sp.Ba, sp.Ra, div)
     return DivergenceConstraints(
         resB=res_b, resR=res_r, riemann_max=riemann_max, fd_tol=tol
     )

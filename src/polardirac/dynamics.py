@@ -23,13 +23,14 @@ from .connections import (
     ConnectionField,
     ExternalPotentials,
     IrreducibleSplit,
+    _amax_sites,
     _covariant_gradient,
     field_strength,
     irreducible_split,
     polar_pipeline,
 )
 from .errors import PreconditionViolated
-from .fields import GridField, _phase_gradient, grid_gradient
+from .fields import GridField, _phase_gradient, _sitewise, grid_gradient
 
 _GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
 # W^{mn} = W_{mn} * _ETA_UP2: both indices raised
@@ -95,9 +96,7 @@ class PolarFields:
     def spin_plane(self) -> np.ndarray:
         """W_{ij} = eps_{ijab} u^a s^b, grid + (4, 4): the eps-dual of the
         plane u ^ s (not the torsion vector ext.W)."""
-        us = self.u[..., :, None] * self.s[..., None, :]
-        pairs = us.reshape(us.shape[:-2] + (16,))
-        return -(pairs @ _EPS_PAIRS).reshape(us.shape)
+        return _sitewise(_spin_plane, self.grid_shape, self.u, self.s)
 
     @cached_property
     def sigma_m(self) -> "SigmaM":
@@ -120,6 +119,13 @@ class PolarFields:
         return field_strength(self.dP, self.ext.q)
 
 
+def _spin_plane(u, s):
+    """PolarFields.spin_plane of u and s."""
+    us = u[..., :, None] * s[..., None, :]
+    pairs = us.reshape(us.shape[:-2] + (16,))
+    return -(pairs @ _EPS_PAIRS).reshape(us.shape)
+
+
 def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     """Pointwise norm of i gamma^mu nabla_mu psi - X W_mu gamma^mu pi psi - m psi.
 
@@ -127,12 +133,15 @@ def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     gauge potential; plain grid differencing supplies the partials, so the
     result on an exact solution is pure O(h^2) discretization error.
     """
+    def sites(nabla, w, psi):
+        kinetic = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla)
+        w_slash = np.tensordot(w, _GAMMA_PI, axes=1)
+        torsion = ext.X * np.einsum("...ac,...c->...a", w_slash, psi)
+        lhs = kinetic - torsion - ext.m * psi
+        return np.linalg.norm(lhs, axis=-1)
+
     nabla = _covariant_gradient(g, ext)
-    kinetic = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla)
-    w_slash = np.tensordot(ext.w_field(g.dims), _GAMMA_PI, axes=1)
-    torsion = ext.X * np.einsum("...ac,...c->...a", w_slash, g.values)
-    lhs = kinetic - torsion - ext.m * g.values
-    return np.linalg.norm(lhs, axis=-1)
+    return _sitewise(sites, g.dims, nabla, ext.w_field(g.dims), g.values)
 
 
 @dataclass(frozen=True)
@@ -158,14 +167,16 @@ class SigmaM:
 
 
 def sigma_m_potentials(pf: PolarFields) -> SigmaM:
-    p = pf.cf.P[..., None, None, :]
-    sigma_full = pf.cf.R - 2.0 * p * pf.spin_plane[..., None]
-    pairs = sigma_full.reshape(sigma_full.shape[:-3] + (16, 4))
-    m_full = (0.5 * (_EPS_PAIRS @ pairs)).reshape(sigma_full.shape)
-    sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
-    m_vec = _flip(np.einsum("...abb->...a", m_full))
+    def sites(p, r, spin_plane):
+        sigma_full = r - 2.0 * p[..., None, None, :] * spin_plane[..., None]
+        pairs = sigma_full.reshape(sigma_full.shape[:-3] + (16, 4))
+        m_full = (0.5 * (_EPS_PAIRS @ pairs)).reshape(sigma_full.shape)
+        sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
+        m_vec = _flip(np.einsum("...abb->...a", m_full))
+        return sigma_full, m_full, sigma_vec, m_vec
+
     return SigmaM(
-        Sigma_full=sigma_full, M_full=m_full, Sigma_vec=sigma_vec, M_vec=m_vec
+        *_sitewise(sites, pf.grid_shape, pf.cf.P, pf.cf.R, pf.spin_plane)
     )
 
 
@@ -229,25 +240,33 @@ def hj_residuals(pf: PolarFields, qp: QuantumPotentials) -> HJResiduals:
     Built independently of polar_dirac_residuals; the two agree exactly
     (res_hj = -res_polar / 2), which the tests assert as a cross-check.
     """
-    p_up = _flip(pf.cf.P)  # raise the lower-index connection vector
-    s_low = _flip(pf.s)
-    u_low = _flip(pf.u)
-    pu = np.einsum("...m,...m->...", pf.cf.P, pf.u)
-    ps = np.einsum("...m,...m->...", pf.cf.P, pf.s)
-    cos_b = np.cos(pf.beta)
-    sin_b = np.sin(pf.beta)
-    res1 = (
-        pu[..., None] * s_low
-        - ps[..., None] * u_low
-        - qp.Y
-        - pf.ext.m * s_low * cos_b[..., None]
-    )
-    res2 = (
-        np.einsum("...mr,...r->...m", pf.spin_plane, p_up)
-        + qp.Z
-        - pf.ext.m * s_low * sin_b[..., None]
-    )
-    return HJResiduals(res1=res1, res2=res2)
+    m = pf.ext.m
+
+    def sites(p, s, u, beta, y, z, spin_plane):
+        p_up = _flip(p)  # raise the lower-index connection vector
+        s_low = _flip(s)
+        u_low = _flip(u)
+        pu = np.einsum("...m,...m->...", p, u)
+        ps = np.einsum("...m,...m->...", p, s)
+        cos_b = np.cos(beta)
+        sin_b = np.sin(beta)
+        res1 = (
+            pu[..., None] * s_low
+            - ps[..., None] * u_low
+            - y
+            - m * s_low * cos_b[..., None]
+        )
+        res2 = (
+            np.einsum("...mr,...r->...m", spin_plane, p_up)
+            + z
+            - m * s_low * sin_b[..., None]
+        )
+        return res1, res2
+
+    return HJResiduals(*_sitewise(
+        sites, pf.grid_shape, pf.cf.P, pf.s, pf.u, pf.beta, qp.Y, qp.Z,
+        pf.spin_plane,
+    ))
 
 
 def guidance_momentum(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
@@ -259,16 +278,21 @@ def guidance_momentum(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
     For any configuration solving the first-order pair this reproduces the
     connection-derived P.
     """
-    yu = np.einsum("...m,...m->...", qp.Y, pf.u)
-    ys = np.einsum("...m,...m->...", qp.Y, pf.s)
-    cos_b = np.cos(pf.beta)
-    p_up = (
-        pf.ext.m * cos_b[..., None] * pf.u
-        + yu[..., None] * pf.s
-        - ys[..., None] * pf.u
-        - np.einsum("...m,...mr->...r", qp.Z, pf.spin_plane * _ETA_UP2)
+    def sites(y, z, u, s, beta, spin_plane):
+        yu = np.einsum("...m,...m->...", y, u)
+        ys = np.einsum("...m,...m->...", y, s)
+        cos_b = np.cos(beta)
+        p_up = (
+            pf.ext.m * cos_b[..., None] * u
+            + yu[..., None] * s
+            - ys[..., None] * u
+            - np.einsum("...m,...mr->...r", z, spin_plane * _ETA_UP2)
+        )
+        return _flip(p_up)
+
+    return _sitewise(
+        sites, pf.grid_shape, qp.Y, qp.Z, pf.u, pf.s, pf.beta, pf.spin_plane
     )
-    return _flip(p_up)
 
 
 @dataclass(frozen=True)
@@ -297,7 +321,9 @@ def second_order_residuals(
     vector).  With X = 0 the effective equation is exactly
     -phi times the general one evaluated on zero-beta inputs.
     """
-    r_max = float(np.max(np.abs(pf.cf.R)))
+    r_max = float(
+        np.max(_sitewise(lambda r: _amax_sites(r, 3), pf.grid_shape, pf.cf.R))
+    )
     if r_max > _R_TOL:
         raise PreconditionViolated(
             f"max |R| = {r_max:.3e} > {_R_TOL:.3e}: the standard balance "
@@ -309,40 +335,41 @@ def second_order_residuals(
     m, x_coup, mt = ext.m, ext.X, ext.M_torsion
 
     box_phi = _box(pf.phi, pf.spacing)
-    box_over_phi = box_phi / pf.phi
-
     sig_up = _flip(sm.Sigma_vec)
     div_sigma = np.trace(grid_gradient(sig_up, pf.spacing), axis1=-2, axis2=-1)
-    sig_sq = _mink_sq(sm.Sigma_vec)
-    m_sq = _mink_sq(sm.M_vec)
-    wm = np.einsum("...m,...m->...", w, _flip(sm.M_vec))
-    w_sq = _mink_sq(w)
 
-    res_general = (
-        0.25 * _mink_sq(pf.dbeta)
-        - m**2
-        - box_over_phi
-        + 0.25 * (-2.0 * div_sigma + sig_sq - m_sq + 4.0 * x_coup * wm
-                  - 4.0 * x_coup**2 * w_sq)
-    )
+    def sites(box_phi, phi, div_sigma, sigma_vec, m_vec, w, dbeta, f,
+              spin_plane, p, s):
+        box_over_phi = box_phi / phi
+        sig_sq = _mink_sq(sigma_vec)
+        m_sq = _mink_sq(m_vec)
+        wm = np.einsum("...m,...m->...", w, _flip(m_vec))
+        w_sq = _mink_sq(w)
 
-    f_term = np.einsum("...mn,...mn->...", pf.F, pf.spin_plane * _ETA_UP2)
-    res_standard = (
-        _mink_sq(pf.cf.P) - m**2 - 0.5 * ext.q * f_term - box_over_phi
-    )
+        res_general = (
+            0.25 * _mink_sq(dbeta)
+            - m**2
+            - box_over_phi
+            + 0.25 * (-2.0 * div_sigma + sig_sq - m_sq + 4.0 * x_coup * wm
+                      - 4.0 * x_coup**2 * w_sq)
+        )
 
-    ms = np.einsum("...m,...m->...", _flip(sm.M_vec), pf.s)
-    res_effective = (
-        box_phi
-        - 4.0 * x_coup**4 / mt**4 * pf.phi**5
-        - 2.0 * x_coup**2 / mt**2 * ms * pf.phi**3
-        + 0.25 * (2.0 * div_sigma - sig_sq + m_sq + 4.0 * m**2) * pf.phi
-    )
-    return SecondOrderResiduals(
-        res_general=res_general,
-        res_standard=res_standard,
-        res_effective=res_effective,
-    )
+        f_term = np.einsum("...mn,...mn->...", f, spin_plane * _ETA_UP2)
+        res_standard = _mink_sq(p) - m**2 - 0.5 * ext.q * f_term - box_over_phi
+
+        ms = np.einsum("...m,...m->...", _flip(m_vec), s)
+        res_effective = (
+            box_phi
+            - 4.0 * x_coup**4 / mt**4 * phi**5
+            - 2.0 * x_coup**2 / mt**2 * ms * phi**3
+            + 0.25 * (2.0 * div_sigma - sig_sq + m_sq + 4.0 * m**2) * phi
+        )
+        return res_general, res_standard, res_effective
+
+    return SecondOrderResiduals(*_sitewise(
+        sites, pf.grid_shape, box_phi, pf.phi, div_sigma, sm.Sigma_vec,
+        sm.M_vec, w, pf.dbeta, pf.F, pf.spin_plane, pf.cf.P, pf.s,
+    ))
 
 
 @dataclass(frozen=True)
@@ -351,38 +378,54 @@ class EnergyTensor:
     E: np.ndarray  # grid + (4, 4, 4), upper indices [rho, sigma, kappa]
 
 
-def _spin_energy(pf: PolarFields, qp: QuantumPotentials) -> np.ndarray:
+def _spin_energy(y, z, u, r, ba, phi) -> np.ndarray:
     """Spin part of the matter energy, symmetric in (r, s) by construction:
     E^{rsk} = phi^2 (H^{rsk} + H^{srk} - 2 Y^k u^r u^s), B the axial vector of R,
     H^{rsk} = eta^{rk} (Y - B/2)^s + u^r (Y.u eta^{sk} + eps^{mnsk} Z_m u_n)
-              - (1/4) eps^{rank} R_{an}{}^s."""
-    y_up = _flip(qp.Y)
-    yu = np.einsum("...m,...m->...", qp.Y, pf.u)
-    zu = qp.Z[..., :, None] * _flip(pf.u)[..., None, :]
+              - (1/4) eps^{rank} R_{an}{}^s,
+    from the quantum potentials Y, Z, the velocity u, R, B and phi."""
+    y_up = _flip(y)
+    yu = np.einsum("...m,...m->...", y, u)
+    zu = z[..., :, None] * _flip(u)[..., None, :]
     eps_zu = (zu.reshape(yu.shape + (16,)) @ _EPS_PAIRS).reshape(zu.shape)
     inner = yu[..., None, None] * METRIC + eps_zu  # Y.u eta^{sk} + eps Z u
     dual = (  # eps^{rank} R_{an}{}^s / 4, eps^{rank} = eps^{anrk}, [s, r, k]
-        np.swapaxes(_flip(pf.cf.R).reshape(yu.shape + (16, 4)), -1, -2)
+        np.swapaxes(_flip(r).reshape(yu.shape + (16, 4)), -1, -2)
         @ (0.25 * _EPS_PAIRS)
-    ).reshape(pf.cf.R.shape)
-    e = METRIC[:, None, :] * (y_up - 0.5 * _flip(pf.split.Ba))[..., None, :, None]
-    e += pf.u[..., :, None, None] * inner[..., None, :, :]
+    ).reshape(r.shape)
+    e = METRIC[:, None, :] * (y_up - 0.5 * _flip(ba))[..., None, :, None]
+    e += u[..., :, None, None] * inner[..., None, :, :]
     e -= np.swapaxes(dual, -3, -2)
     e += np.swapaxes(e, -3, -2)  # H + H^T: numpy buffers the overlap
-    uu = pf.u[..., :, None] * pf.u[..., None, :]
+    uu = u[..., :, None] * u[..., None, :]
     e -= uu[..., None] * (2.0 * y_up)[..., None, None, :]
-    return pf.phi[..., None, None, None] ** 2 * e
+    return phi[..., None, None, None] ** 2 * e
 
 
 def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
     """Matter energy tensor (plus field parts if external A/W given) and the
     spinless Newton-law residual u^n d_n P^s - q F^{s a} u_a (upper index).
     """
-    e = _spin_energy(pf, qp)
-    mass = 2.0 * pf.phi**2 * pf.ext.m * np.cos(pf.beta)
-    t = mass[..., None, None] * np.einsum(
-        "...s,...r->...rs", pf.u, pf.u
-    ) + np.einsum("...rsk,...k->...rs", e, _flip(pf.s))
+    ext = pf.ext
+
+    def sites(y, z, u, r, ba, phi, beta, s, dp, f):
+        e = _spin_energy(y, z, u, r, ba, phi)
+        mass = 2.0 * phi**2 * ext.m * np.cos(beta)
+        t = mass[..., None, None] * np.einsum(
+            "...s,...r->...rs", u, u
+        ) + np.einsum("...rsk,...k->...rs", e, _flip(s))
+        dp_up = dp * _ETA_DIAG[:, None]  # [..., s, n] = d_n P^s
+        advect = np.einsum("...sn,...n->...s", dp_up, u)
+        f_conn_up = _flip(f * _ETA_DIAG[:, None])
+        newton = advect - ext.q * np.einsum(
+            "...sa,...a->...s", f_conn_up, _flip(u)
+        )
+        return e, t, newton
+
+    e, t, newton = _sitewise(
+        sites, pf.grid_shape, qp.Y, qp.Z, pf.u, pf.cf.R, pf.split.Ba,
+        pf.phi, pf.beta, pf.s, pf.dP, pf.F,
+    )
 
     def add_field_energy(t, v_low):
         """t + F^2 eta/4 - F^{ra} F^s_a for F_{mn} = d_m v_n - d_n v_m."""
@@ -395,7 +438,6 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
             "...ra,...sa->...rs", f_up, f_mixed
         )
 
-    ext = pf.ext
     if ext.A is not None:
         t = add_field_energy(t, ext.a_field(pf.grid_shape))
     if ext.W is not None:
@@ -406,13 +448,6 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
             np.einsum("...r,...s->...rs", w_up, w_up)
             - 0.5 * _mink_sq(w_low)[..., None, None] * METRIC
         )
-
-    dp_up = pf.dP * _ETA_DIAG[:, None]  # [..., s, n] = d_n P^s
-    advect = np.einsum("...sn,...n->...s", dp_up, pf.u)
-    f_conn_up = _flip(pf.F * _ETA_DIAG[:, None])
-    newton = advect - ext.q * np.einsum(
-        "...sa,...a->...s", f_conn_up, _flip(pf.u)
-    )
     return EnergyTensor(T=t, E=e), newton
 
 

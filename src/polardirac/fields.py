@@ -16,14 +16,17 @@ never degrade the interior order.
 
 from __future__ import annotations
 
+import contextvars
+import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import _chiral_exp, _flip, minkowski_dot
+from .clifford import _axis_angle_from_z, _chiral_exp, _flip, minkowski_dot
 from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
-from .polar import REFERENCE, _axis_angle_from_z
 
 REST_SPINORS = {
     True: np.array([1.0, 0.0, 1.0, 0.0], dtype=complex),
@@ -255,13 +258,19 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
     spacing = np.asarray(spacing, dtype=float)
     arr = np.asarray(arr)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
     pts = x.reshape(-1, 4)
     inside = in_hull(origin, spacing, arr.shape, pts)
     if not inside.all():
         raise OutOfBounds(
             f"event {pts[np.argmin(inside)].tolist()} outside the grid hull"
         )
+    out = _interp(origin, spacing, arr, pts)
+    return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1] + arr.shape[4:])
+
+
+def _interp(origin, spacing, arr, pts) -> np.ndarray:
+    """interp_values at events pts (n, 4) already known to lie in the hull
+    (see in_hull), shape (n,) + arr.shape[4:]."""
     frac = (pts - origin) / spacing
     # flat site index and weight of each of the 2^k corners around every
     # event, k the number of axes longer than 1; the weight is the product
@@ -289,7 +298,148 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
     out = np.zeros((len(pts),) + trail, dtype=terms.dtype)
     for k in range(terms.shape[1]):
         out += terms[:, k]
-    return out[0] if scalar else out.reshape(x.shape[:-1] + trail)
+    return out
+
+
+# Every grid evaluator is site-local apart from the stencil of
+# grid_gradient, so it splits over slabs of a grid axis with no change in
+# the arithmetic at any site.  _slabs runs the slabs on one thread per CPU
+# this process may run on (numpy releases the GIL in its array loops),
+# the calling thread included, started per call and joined before it
+# returns: about 0.1 ms a call, and no thread outlives it.  Grids below
+# _SLAB_MIN_SITES sites run inline.  Threads cost a few MB (stacks,
+# allocator arenas) whatever the grid, and slabs save memory in
+# proportion to it: on 2 CPUs the perfbench pipeline chain peaked 5 MB
+# (6 %) higher threaded at 17^3 sites, the same at 21^3 and 4-9 % lower
+# from 25^3 (15,625 sites) up.
+_SLAB_MIN_SITES = 16384
+_SLAB_SITES = 4096  # about this many sites per slab, and >= 1 slab per thread
+_slab_state = threading.local()  # .inside: this thread is running a slab
+
+
+def _slab_workers() -> int:
+    """Threads per _slabs call: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _slab_edges(grid_shape, workers: int):
+    """(axis, edges): _slabs cuts grid_shape along its first largest axis
+    into the slabs edges[i] <= index < edges[i + 1], at least one per
+    worker and about _SLAB_SITES sites each."""
+    axis = int(np.argmax(grid_shape))
+    n = grid_shape[axis]
+    count = min(n, max(workers, -(-math.prod(grid_shape) // _SLAB_SITES)))
+    return axis, [n * i // count for i in range(count + 1)]
+
+
+def _slabs(slab_fn, grid_shape):
+    """slab_fn over slabs of the largest axis of grid_shape, on threads.
+
+    slab_fn(sl) computes the part of a result on the sites sl, an index
+    tuple (slice(None),) * axis + (slice(lo, hi),), and returns an array or
+    a tuple of arrays led by those sites' grid axes.  Each part is copied
+    into one output per returned array, shaped grid_shape + its trailing
+    axes, so the outputs hold the bits that slab_fn(()), the whole grid in
+    one call, returns.  That inline call is made instead where grid_shape
+    is not a 4-axis grid (single points), has fewer than _SLAB_MIN_SITES
+    sites, the process may run on one CPU only, or the caller is itself
+    running a slab (a nested call).  Every slab runs under a copy of the
+    caller's context, so an np.errstate of the caller holds in it too.  An
+    exception raised in slabs is raised here once all of them have
+    stopped: the one of the lowest slab.
+    """
+    sites = math.prod(grid_shape)
+    if (
+        len(grid_shape) != 4
+        or sites < _SLAB_MIN_SITES
+        or getattr(_slab_state, "inside", False)
+    ):
+        return slab_fn(())
+    workers = _slab_workers()
+    if workers == 1:
+        return slab_fn(())
+    axis, edges = _slab_edges(grid_shape, workers)
+    todo = iter(range(len(edges) - 1))
+    lock = threading.Lock()
+    # the calling thread allocates the outputs, so that no long-lived
+    # array lands in another thread's allocator arena; slabs done before
+    # that wait in early
+    outs, early, errors = [], [], {}
+    single = []  # [whether slab_fn returns one array], once outs exist
+
+    def parts(res):
+        return (res,) if isinstance(res, np.ndarray) else res
+
+    def allocate(res):
+        single.append(isinstance(res, np.ndarray))
+        outs.extend(
+            np.empty(tuple(grid_shape) + part.shape[4:], part.dtype)
+            for part in parts(res)
+        )
+
+    def put(sl, res):
+        for out, part in zip(outs, parts(res)):
+            out[sl] = part
+
+    def work(caller):
+        while True:
+            with lock:
+                i = next(todo, None)
+                if i is None or errors:
+                    return
+            sl = (slice(None),) * axis + (slice(edges[i], edges[i + 1]),)
+            try:
+                res = slab_fn(sl)
+            except Exception as exc:  # raised by the calling thread below
+                with lock:
+                    errors[i] = exc
+                return
+            with lock:
+                if caller and not outs:
+                    allocate(res)
+                if not outs:
+                    early.append((sl, res))
+                    continue
+            put(sl, res)
+
+    def helper():
+        _slab_state.inside = True
+        work(False)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+        for _ in range(min(workers, len(edges) - 1) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    _slab_state.inside = True
+    try:
+        work(True)
+    finally:
+        _slab_state.inside = False
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    if not outs:  # the other threads took every slab
+        allocate(early[0][1])
+    for sl, res in early:
+        put(sl, res)
+    return outs[0] if single[0] else tuple(outs)
+
+
+def _sitewise(kernel, grid_shape, *grids):
+    """kernel(*grids) for a site-local kernel, computed by _slabs.
+
+    grids are arrays led by the grid axes grid_shape; kernel must compute
+    each site from that site's entries alone and return an array, or a
+    tuple of arrays, led by the grid axes of its inputs.  Everything else
+    kernel needs it takes from its closure, unsliced.  Kernels call no
+    public function of the package: a slab may run on another thread.
+    """
+    return _slabs(lambda sl: kernel(*(g[sl] for g in grids)), grid_shape)
 
 
 def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
@@ -302,11 +452,33 @@ def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
     spacing = np.asarray(spacing, dtype=float)
     arr = np.asarray(arr)
     dtype = arr.dtype if np.issubdtype(arr.dtype, np.inexact) else float
-    out = np.zeros(arr.shape + (4,), dtype=dtype)
-    for ax in range(4):
-        if arr.shape[ax] > 1:
-            out[..., ax] = np.gradient(arr, spacing[ax], axis=ax, edge_order=2)
-    return out
+
+    def slab(sl):
+        out = np.zeros(arr[sl].shape + (4,), dtype=dtype)
+        for ax in range(4):
+            n = arr.shape[ax]
+            if n == 1:
+                continue
+            if ax != len(sl) - 1:
+                out[..., ax] = np.gradient(
+                    arr[sl], spacing[ax], axis=ax, edge_order=2
+                )
+                continue
+            # along the slab axis, difference the slab widened by a site
+            # each way within the grid, so that every stencil it keeps is
+            # whole; an edge stencil reads three sites
+            lo, hi = sl[ax].start, sl[ax].stop
+            wide_lo, wide_hi = max(lo - 1, 0), min(hi + 1, n)
+            if wide_hi - wide_lo < 3:  # a one-site slab at an edge
+                wide_lo, wide_hi = min(wide_lo, n - 3), max(wide_hi, 3)
+            wide = sl[:ax] + (slice(wide_lo, wide_hi),)
+            keep = sl[:ax] + (slice(lo - wide_lo, hi - wide_lo),)
+            out[..., ax] = np.gradient(
+                arr[wide], spacing[ax], axis=ax, edge_order=2
+            )[keep]
+        return out
+
+    return _slabs(slab, arr.shape[:4])
 
 
 def _phase_gradient(angle: np.ndarray, spacing) -> np.ndarray:
@@ -415,7 +587,7 @@ def gaussian_packet(
     r2 = np.sum(coords[..., 1:] ** 2, axis=-1)
     phi = K * np.exp(-k * r2 / 16.0)
     theta = _axis_angle_from_z(s_axis)
-    rest = _chiral_exp(1j * theta) @ REFERENCE
+    rest = _chiral_exp(1j * theta) @ REST_SPINORS[True]
     values = phi[..., None] * rest
     return GridField(origin=origin, spacing=spacing, dims=dims, values=values)
 

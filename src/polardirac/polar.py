@@ -18,18 +18,21 @@ into alpha, which makes the roundtrip exact rather than merely projective.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import PAULI, _boost_rotation, _exp_pauli, minkowski_dot
+from .clifford import PAULI, _axis_angle_from_z, _boost_rotation, _exp_pauli
+from .clifford import minkowski_dot
 from .errors import (
     InvalidPolar,
     PreconditionViolated,
     SingularSpinor,
     ZeroSpinor,
 )
+from .fields import _sitewise
 
 #: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
 REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
@@ -70,6 +73,11 @@ class NonRelDeviation:
 
 def chiral_phase(beta) -> np.ndarray:
     """e^{-i beta pi / 2} as a batched diagonal matrix, shape (..., 4, 4)."""
+    return _chiral_phase(beta)
+
+
+def _chiral_phase(beta) -> np.ndarray:
+    """chiral_phase, for the slab kernels of decompose."""
     beta = np.asarray(beta, dtype=float)
     up = np.exp(0.5j * beta)
     out = np.zeros(beta.shape + (4, 4), dtype=complex)
@@ -77,22 +85,6 @@ def chiral_phase(beta) -> np.ndarray:
         out[..., k, k] = up
         out[..., k + 2, k + 2] = np.conj(up)
     return out
-
-
-def _axis_angle_from_z(n: np.ndarray) -> np.ndarray:
-    """Rotation vector theta with R(theta) e_3 = n for unit 3-vectors n.
-
-    Rotates about e_3 x n; at the antipodal point n = -e_3 the axis is
-    degenerate and the x axis is chosen.
-    """
-    axis = np.stack(
-        [-n[..., 1], n[..., 0], np.zeros_like(n[..., 0])], axis=-1
-    )
-    mag = np.linalg.norm(axis, axis=-1)
-    omega = np.arctan2(mag, n[..., 2])
-    safe = np.where(mag[..., None] > 1e-300, axis, [1.0, 0.0, 0.0])
-    safe = safe / np.linalg.norm(safe, axis=-1, keepdims=True)
-    return omega[..., None] * safe
 
 
 def _require_charge(q) -> None:
@@ -130,12 +122,23 @@ def decompose(psi, q: float = 1.0) -> PolarData:
             f"Theta^2 + Phi^2 down to {float(np.min(mod2)):.3e}; "
             "polar decomposition undefined"
         )
+    parts = _sitewise(
+        functools.partial(_polar_sites, q=q),
+        psi.shape[:-1], psi, b.theta, b.phi_scalar, b.U, b.S, mod2,
+    )
+    return PolarData(*parts, q=q)
+
+
+def _polar_sites(psi, big_theta, big_phi, U, S, mod2, q):
+    """(phi, beta, u, s, goldstone, alpha) of decompose at each site, from
+    the spinors, their bilinears Theta, Phi, U, S and Theta^2 + Phi^2,
+    which must exceed EPS_SINGULAR."""
     rho = np.sqrt(mod2)  # = 2 phi^2 = sqrt(U.U)
     phi = np.sqrt(0.5 * rho)
-    beta = np.arctan2(b.theta, b.phi_scalar)
+    beta = np.arctan2(big_theta, big_phi)
     beta = np.where(beta == -np.pi, np.pi, beta)
-    u = b.U / rho[..., None]
-    s = b.S / rho[..., None]
+    u = U / rho[..., None]
+    s = S / rho[..., None]
 
     uvec = u[..., 1:]
     umag = np.linalg.norm(uvec, axis=-1)
@@ -152,14 +155,12 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     goldstone = np.concatenate([chi, theta], axis=-1)
     m = _boost_rotation(goldstone)
     candidate = phi[..., None] * np.einsum(
-        "...ij,...j->...i", chiral_phase(beta) @ m, REFERENCE
+        "...ij,...j->...i", _chiral_phase(beta) @ m, REFERENCE
     )
     overlap = np.sum(np.conj(candidate) * psi, axis=-1)
     norm = np.sum(np.abs(candidate) ** 2, axis=-1)
     alpha = -np.angle(overlap / norm) / q
-    return PolarData(
-        phi=phi, beta=beta, u=u, s=s, goldstone=goldstone, alpha=alpha, q=q
-    )
+    return phi, beta, u, s, goldstone, alpha
 
 
 def reconstruct(p: PolarData) -> np.ndarray:

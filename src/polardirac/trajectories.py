@@ -30,7 +30,7 @@ from .bilinears import compute_bilinears
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
 from .errors import PreconditionViolated, SingularSpinor
-from .fields import GridField, grid_gradient, in_hull, interp_values
+from .fields import GridField, _interp, grid_gradient, in_hull, interp_values
 from .polar import EPS_SINGULAR
 
 CSV_FIELDS = (
@@ -79,15 +79,14 @@ def _as_current(field) -> CurrentField:
     return CurrentField.from_grid(field)
 
 
-def _observe(cur: CurrentField, ev: np.ndarray, eps_sing: float):
-    """Interpolated channels and unit velocity u at events ev (n, 4).
+def _observe(vals: np.ndarray, eps_sing: float):
+    """Unit velocity u from interpolated channels vals (n, 11).
 
-    Returns (vals, u, ok).  ok marks the events where u is defined: a
+    Returns (vals, u, ok).  ok marks the rows where u is defined: a
     regular spinor (Theta^2 + Phi^2 > eps_sing) with a timelike current.
     vals and u hold those rows only, so nothing is computed on the
-    others.  Raises OutOfBounds outside the grid hull.
+    others.
     """
-    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, ev)
     U = vals[:, 2:6]
     norm2 = minkowski_dot(U, U)
     ok = (vals[:, 10] > eps_sing) & (norm2 > 0.0)
@@ -105,7 +104,9 @@ def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     ev = x.reshape(-1, 4)
-    _, u, ok = _observe(_as_current(field), ev, eps_sing)
+    cur = _as_current(field)
+    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, ev)
+    _, u, ok = _observe(vals, eps_sing)
     if not ok.all():
         raise SingularSpinor(
             f"no timelike current at event {ev[np.argmin(ok)].tolist()}"
@@ -206,7 +207,9 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
             termination[i] = "left_domain"
         vals, u = np.empty((0, 11)), np.empty((0, 4))
         if keep.any():
-            vals, u, ok = _observe(cur, ev[keep], eps_sing)
+            # the hull test above is the only one: _interp makes none
+            vals = _interp(cur.g.origin, cur.g.spacing, cur.obs, ev[keep])
+            vals, u, ok = _observe(vals, eps_sing)
             for i in live[keep][~ok]:
                 termination[i] = "singular"
             keep[keep] = ok

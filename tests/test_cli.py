@@ -219,13 +219,13 @@ def test_trajectories_interpolate_once_per_stage_for_all_seeds(
     import polardirac.trajectories as trajectories
 
     calls = []
-    real = trajectories.interp_values
+    real = trajectories._interp
 
     def counting(*args):
         calls.append(len(args[3]))
         return real(*args)
 
-    monkeypatch.setattr(trajectories, "interp_values", counting)
+    monkeypatch.setattr(trajectories, "_interp", counting)
     points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5, 55.0)]
     path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
     code, out, _ = run_cli(capsys, "trajectories", path)

@@ -1,0 +1,485 @@
+"""The slab helper of fields: bit-identical outputs, the same errors and
+global decisions as one inline call, and no public call off the calling
+thread.
+
+Every grid evaluator below runs once on slabs and once with them forced
+off (a site threshold above the grid), and every array it returns must be
+equal bit for bit: the slabs change where a site is computed, never how.
+The slabs are forced onto two threads, so the threaded path runs on any
+machine.
+"""
+
+import dataclasses
+import importlib.util
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import polardirac as pdc
+from polardirac import connections, fields
+from polardirac.errors import (
+    BasisLeak,
+    NotAntisymmetric,
+    PreconditionViolated,
+    SingularSpinor,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+OFF = 2**62  # a site threshold above every grid: everything inline
+
+
+def _load(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Two slab threads, whatever the CPUs of this machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return 2
+
+
+def _both(monkeypatch, fn, min_sites=None):
+    """fn() on slabs, then fn() inline; min_sites sets the threshold of
+    the first run."""
+    if min_sites is not None:
+        monkeypatch.setattr(fields, "_SLAB_MIN_SITES", min_sites)
+    sliced = fn()
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_SLAB_MIN_SITES", OFF)
+        inline = fn()
+    return sliced, inline
+
+
+def _leaves(obj, name=""):
+    """(name, value) of every array and float inside obj."""
+    if isinstance(obj, np.ndarray):
+        yield name, obj
+    elif isinstance(obj, float):
+        yield name, np.float64(obj)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _leaves(getattr(obj, f.name), f"{name}.{f.name}")
+    elif isinstance(obj, (tuple, list)):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{name}[{i}]")
+
+
+def _assert_identical(sliced, inline):
+    a, b = dict(_leaves(sliced)), dict(_leaves(inline))
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key].dtype == b[key].dtype, key
+        assert np.array_equal(a[key], b[key], equal_nan=True), key
+
+
+def _wave_grid(dims):
+    """Two plane waves on dims over [0, 0.8] per active axis: regular, with
+    nonzero P, R and beta."""
+    f = pdc.superpose(
+        [
+            pdc.plane_wave((1.0, 0.0, 0.0, 0.0)),
+            pdc.plane_wave((np.sqrt(1.38), 0.3, -0.2, 0.5), spin_up=False),
+        ],
+        [1.0, 0.45 + 0.2j],
+    )
+    spacing = [0.8 / (d - 1) if d > 1 else 1.0 for d in dims]
+    return pdc.sample(f, (0.0,) * 4, spacing, dims)
+
+
+def _externals(rng, dims):
+    omega = 0.2 * rng.normal(size=dims + (4, 4, 4))
+    return pdc.ExternalPotentials(
+        A=0.3 * rng.normal(size=dims + (4,)),
+        Omega=omega - np.swapaxes(omega, -3, -2),
+        W=0.3 * rng.normal(size=dims + (4,)),
+        q=1.3,
+        X=0.4,
+    )
+
+
+def _gauge_field(seed, dims):
+    rng = np.random.default_rng(seed)
+    spacing = [0.8 / (d - 1) if d > 1 else 1.0 for d in dims]
+    coords = np.stack(
+        np.meshgrid(
+            *[spacing[i] * np.arange(dims[i]) for i in range(4)], indexing="ij"
+        ),
+        axis=-1,
+    )
+    k = rng.uniform(0.5, 1.5, (6, 4))
+    params = 0.25 * np.sin(coords @ k.T + rng.uniform(0, 6, 6))
+    xi = 0.4 * np.sin(coords[..., 1] - coords[..., 3])
+    return pdc.transform_from_params(xi, params, (0.0,) * 4, spacing, dims)
+
+
+def _chain(g, lf, exts):
+    """Every grid evaluator of the chain on the spinor grid g, the gauge
+    field lf and each of the external fields exts."""
+    out = {}
+    for label, e in exts.items():
+        pf = pdc.PolarFields.from_grid(g, e)
+        qp = pdc.quantum_potentials(pf)
+        out[label] = [
+            pdc.polar_pipeline(g, e),
+            [getattr(pf, k) for k in (
+                "dbeta", "dlnphi2", "spin_plane", "sigma_m", "split", "dP", "F",
+            )],
+            qp,
+            pdc.polar_dirac_residuals(pf),
+            pdc.hj_residuals(pf, qp),
+            pdc.guidance_momentum(pf, qp),
+            pdc.energy_and_newton(pf, qp),
+            pdc.covariant_derivative_check(g, e),
+            pdc.dirac_residual(g, e),
+            pdc.curvatures(pf.cf, q=e.q, lfield=pdc.polar_pipeline(g, e)[1]),
+            pdc.divergence_constraints(pf.cf, fd_tol=np.inf),
+            pdc.grid_gradient(pf.cf.R, g.spacing),
+        ]
+        try:
+            out[label].append(pdc.second_order_residuals(pf, qp))
+        except PreconditionViolated as exc:  # R is not zero here
+            out[label].append(str(exc))
+    gd = pdc.goldstone_derivatives(lf)
+    cf = pdc.build_connections(gd, exts["ext"])
+    out["gauge"] = [
+        gd,
+        cf,
+        cf.curvature,
+        pdc.curvatures(cf, q=lf.q, lfield=lf),
+        pdc.divergence_constraints(cf, fd_tol=np.inf),
+    ]
+    return out
+
+
+def _check_chain(monkeypatch, dims, min_sites=None, plain=True):
+    """_chain on slabs and inline, with external fields and (if plain)
+    without."""
+    exts = {"ext": _externals(np.random.default_rng(sum(dims)), dims)}
+    if plain:
+        exts["plain"] = pdc.ExternalPotentials()
+    sliced, inline = _both(
+        monkeypatch,
+        lambda: _chain(_wave_grid(dims), _gauge_field(sum(dims), dims), exts),
+        min_sites,
+    )
+    for label in exts:
+        assert isinstance(sliced[label][-1], type(inline[label][-1]))
+        if isinstance(inline[label][-1], str):
+            assert sliced[label][-1] == inline[label][-1]
+    _assert_identical(sliced, inline)
+
+
+def _dispatches(monkeypatch):
+    """Count the calls that are cut into slabs."""
+    calls = []
+    real = fields._slab_workers
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(fields, "_slab_workers", counting)
+    return calls
+
+
+def test_chain_is_bit_identical_on_the_full_grid(monkeypatch, two_threads):
+    dims = (1, 33, 33, 33)
+    assert np.prod(dims) >= fields._SLAB_MIN_SITES
+    calls = _dispatches(monkeypatch)
+    # the external fields take every branch; the smaller grids below run
+    # the chain without them too
+    _check_chain(monkeypatch, dims, plain=False)
+    assert calls
+
+
+def test_chain_is_bit_identical_on_uneven_and_inner_axis_slabs(
+    monkeypatch, two_threads
+):
+    # 31 sites along the inner z axis, cut into slabs whose width does not
+    # divide it
+    dims = (1, 7, 9, 31)
+    monkeypatch.setattr(fields, "_SLAB_SITES", 300)
+    axis, edges = fields._slab_edges(dims, two_threads)
+    widths = np.diff(edges)
+    assert axis == 3 and len(set(widths)) > 1 and 31 % (len(edges) - 1)
+    calls = _dispatches(monkeypatch)
+    _check_chain(monkeypatch, dims, min_sites=1)
+    assert calls
+
+
+def test_chain_is_bit_identical_on_a_time_and_z_grid(monkeypatch, two_threads):
+    dims = (41, 1, 1, 41)
+    monkeypatch.setattr(fields, "_SLAB_SITES", 200)
+    assert fields._slab_edges(dims, two_threads)[0] == 0
+    calls = _dispatches(monkeypatch)
+    _check_chain(monkeypatch, dims, min_sites=1)
+    assert calls
+
+
+def test_small_grids_and_single_points_run_inline(monkeypatch, two_threads):
+    dims = (1, 9, 9, 9)
+    assert np.prod(dims) < fields._SLAB_MIN_SITES
+    calls = _dispatches(monkeypatch)
+    _check_chain(monkeypatch, dims)
+    r = np.random.default_rng(1).normal(size=(4, 4, 4))
+    r = r - np.swapaxes(r, 0, 1)
+    sp = pdc.irreducible_split(r)
+    assert np.allclose(pdc.reassemble_split(sp), r, rtol=0.0, atol=1e-15)
+    pdc.decompose(np.array([1.0, 0.2j, 0.5, 0.1]))
+    assert calls == []
+
+
+def test_one_cpu_runs_everything_inline(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    g = _wave_grid((1, 33, 33, 33))
+    ran = set()
+    real = connections._project_blocks
+
+    def recording(*args):
+        ran.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_project_blocks", recording)
+    sliced, inline = _both(monkeypatch, lambda: pdc.PolarFields.from_grid(g))
+    assert ran == {threading.get_ident()}
+    _assert_identical(
+        [sliced.phi, sliced.cf, sliced.spin_plane],
+        [inline.phi, inline.cf, inline.spin_plane],
+    )
+
+
+def _second_slab_site(dims):
+    """A grid index in the first plane of the second slab."""
+    axis, edges = fields._slab_edges(dims, 2)
+    site = [d // 2 for d in dims]
+    site[axis] = edges[1]
+    return tuple(site)
+
+
+def _raised(monkeypatch, fn, kind):
+    """The messages of kind raised by fn() on slabs and inline."""
+    def run():
+        with pytest.raises(kind) as info:
+            fn()
+        return str(info.value)
+
+    return _both(monkeypatch, run)
+
+
+DIMS = (1, 33, 33, 33)
+
+
+def test_decompose_errors_match_the_inline_call(monkeypatch, two_threads):
+    site = _second_slab_site(DIMS)
+    psi = _wave_grid(DIMS).values.copy()
+    psi[site] = 0.0
+    sliced, inline = _raised(monkeypatch, lambda: pdc.decompose(psi), SingularSpinor)
+    assert sliced == inline
+    psi[site] = [1.0, np.nan, 0.0, 0.0]
+    sliced, inline = _raised(
+        monkeypatch, lambda: pdc.decompose(psi), PreconditionViolated
+    )
+    assert sliced == inline and str(site)[:-1] in sliced
+
+
+def test_basis_leak_matches_the_inline_call(monkeypatch, two_threads):
+    lf = _gauge_field(3, DIMS)
+    mats = lf.matrices.copy()
+    mats[_second_slab_site(DIMS)] *= 1.5  # not a group element
+    bad = dataclasses.replace(lf, matrices=mats)
+    sliced, inline = _raised(
+        monkeypatch,
+        lambda: pdc.goldstone_derivatives(dataclasses.replace(bad)),
+        BasisLeak,
+    )
+    assert sliced == inline
+
+
+def test_not_antisymmetric_matches_the_inline_call(monkeypatch, two_threads):
+    r = np.zeros(DIMS + (4, 4, 4))
+    r[_second_slab_site(DIMS) + (0, 1, 2)] = 1.0
+    sliced, inline = _raised(
+        monkeypatch, lambda: pdc.irreducible_split(r), NotAntisymmetric
+    )
+    assert sliced == inline
+
+
+def test_divergence_decisions_match_the_inline_call(monkeypatch, two_threads):
+    lf = _gauge_field(4, DIMS)
+    cf = pdc.build_connections(
+        pdc.goldstone_derivatives(lf), pdc.ExternalPotentials()
+    )
+
+    def fd_tol():
+        fresh = dataclasses.replace(cf)  # no cached curvature
+        dc = pdc.divergence_constraints(fresh)
+        return dc.fd_tol, dc.riemann_max
+
+    sliced, inline = _both(monkeypatch, fd_tol)
+    assert sliced == inline
+    r = cf.R.copy()
+    r[_second_slab_site(DIMS) + (0, 1)] += 0.5  # a curved spike
+    r[_second_slab_site(DIMS) + (1, 0)] -= 0.5
+    curved = dataclasses.replace(cf, R=r)
+    sliced, inline = _raised(
+        monkeypatch,
+        lambda: pdc.divergence_constraints(dataclasses.replace(curved)),
+        PreconditionViolated,
+    )
+    assert sliced == inline
+
+
+def test_errstate_of_the_caller_holds_in_the_slabs(monkeypatch, two_threads):
+    monkeypatch.setattr(fields, "_SLAB_MIN_SITES", 1)
+    a = np.ones(DIMS)
+    a[_second_slab_site(DIMS)] = 0.0
+
+    def kernel(a):
+        return 1.0 / a
+
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            fields._sitewise(kernel, DIMS, a)
+    lf = _gauge_field(5, DIMS)
+    mats = lf.matrices.copy()
+    mats[_second_slab_site(DIMS)] = 0.0  # a singular L
+    for min_sites in (1, OFF):
+        monkeypatch.setattr(fields, "_SLAB_MIN_SITES", min_sites)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            dataclasses.replace(lf, matrices=mats).log_derivative
+
+
+def test_nested_slab_calls_run_inline(monkeypatch, two_threads):
+    monkeypatch.setattr(fields, "_SLAB_MIN_SITES", 1)
+    dims = (1, 9, 9, 20)
+    a = np.arange(np.prod(dims), dtype=float).reshape(dims)
+    inner_calls = []
+
+    def inner(x):
+        inner_calls.append(x.shape)
+        return 2.0 * x
+
+    def outer(x):
+        # a whole slab, grid-shaped, so the nested call would qualify
+        return fields._sitewise(inner, x.shape, x) + 1.0
+
+    result = {}
+    worker = threading.Thread(
+        target=lambda: result.setdefault("out", fields._sitewise(outer, dims, a)),
+        daemon=True,  # a deadlock fails the test instead of hanging it
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "nested slab call deadlocked"
+    assert np.array_equal(result["out"], 2.0 * a + 1.0)
+    _, edges = fields._slab_edges(dims, two_threads)
+    # one inline inner call per outer slab, each on a whole slab
+    assert sorted(s[3] for s in inner_calls) == sorted(np.diff(edges))
+
+
+def test_slabs_survive_many_callers_and_switches(monkeypatch):
+    # more threads than cores, three dispatching threads and a short switch
+    # interval: a lost or doubled slab leaves np.empty garbage or a wrong sum
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(fields, "_SLAB_MIN_SITES", 1)
+    monkeypatch.setattr(fields, "_SLAB_SITES", 10)
+    dims = (1, 6, 7, 50)
+    a = np.random.default_rng(6).normal(size=dims + (3,))
+    want = (np.sin(a), a.sum(axis=-1))
+    bad = []
+
+    def caller():
+        for _ in range(20):
+            got = fields._sitewise(lambda x: (np.sin(x), x.sum(axis=-1)), dims, a)
+            if not all(np.array_equal(g, w) for g, w in zip(got, want)):
+                bad.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for t in callers:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in callers:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert bad == []
+
+
+def test_pipeline_op_makes_every_public_call_on_the_calling_thread(
+    tmp_path, monkeypatch, two_threads
+):
+    # the layer functions wrapped as perfbench/tracer.py wraps them, under
+    # every binding: a public call from a slab thread would corrupt the
+    # tracer's one span stack
+    tracer = _load("tracer")
+    workloads = _load("workloads")
+    threads = set()
+
+    def wrap(fn):
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return recording
+
+    wrappers = {}
+    for layer in tracer.LAYERS:
+        module = sys.modules[f"{tracer.PACKAGE}.{layer}"]
+        for _, fn in tracer._public_functions(module):
+            wrappers[id(fn)] = wrap(fn)
+    for modname, module in list(sys.modules.items()):
+        if modname != "polardirac" and not modname.startswith("polardirac."):
+            continue
+        for name, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, name, wrappers[id(value)])
+            elif isinstance(value, dict):
+                for key, item in list(value.items()):
+                    if id(item) in wrappers:
+                        monkeypatch.setitem(value, key, wrappers[id(item)])
+    slab_threads = set()
+    real = connections._project_blocks
+
+    def recording(*args):
+        slab_threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_project_blocks", recording)
+    w = workloads.Pipeline(0, tmp_path)
+    _, raw = w.run(0)  # the 33^3 op
+    assert workloads.check(w, w.digest(raw), None)["ok"]
+    assert threads == {threading.get_ident()}
+    # the slabs did run on other threads too (started per call)
+    assert len(slab_threads - {threading.get_ident()}) >= 1
+
+
+def test_import_starts_no_thread_and_no_executor():
+    code = (
+        "import sys, threading\n"
+        "import polardirac, polardirac.cli\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout.split()
+    assert out == ["1", "False"]

@@ -403,20 +403,27 @@ def test_stacked_observables_match_per_channel_interpolation():
 
 @pytest.mark.parametrize("t1", [0.5, 0.52])
 def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
-    calls = []
-    real = trajectories.interp_values
+    # one interpolation and one hull test per stage: the integrator tests
+    # the hull itself and interpolates with the unchecked fields._interp
+    calls = {"_interp": 0, "in_hull": 0}
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(name):
+        real = getattr(trajectories, name)
 
-    monkeypatch.setattr(trajectories, "interp_values", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trajectories, name, counting(name))
     g = mixed_wave_grid()
     traj = integrate(g, (0.0, 0.1, -0.2), 0.0, t1, 0.05)
     assert traj.termination == "completed"
     steps = len(traj.rows) - 1
     assert steps == (10 if t1 == 0.5 else 11)
-    assert len(calls) == 1 + 4 * steps
+    assert calls == {"_interp": 1 + 4 * steps, "in_hull": 1 + 4 * steps}
 
 
 def test_nan_coordinate_is_out_of_bounds():
