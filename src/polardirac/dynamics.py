@@ -133,15 +133,18 @@ def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
     gauge potential; plain grid differencing supplies the partials, so the
     result on an exact solution is pure O(h^2) discretization error.
     """
-    def sites(nabla, w, psi):
+    def sites(dpsi, psi, a, w, *om):
+        nabla = _covariant_gradient(dpsi, psi, a, ext.q, *om)
         kinetic = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla)
         w_slash = np.tensordot(w, _GAMMA_PI, axes=1)
         torsion = ext.X * np.einsum("...ac,...c->...a", w_slash, psi)
         lhs = kinetic - torsion - ext.m * psi
         return np.linalg.norm(lhs, axis=-1)
 
-    nabla = _covariant_gradient(g, ext)
-    return _sitewise(sites, g.dims, nabla, ext.w_field(g.dims), g.values)
+    dpsi = grid_gradient(g.values, g.spacing)
+    om = () if ext.Omega is None else (ext.omega_field(g.dims),)
+    a, w = ext.a_field(g.dims), ext.w_field(g.dims)
+    return _sitewise(sites, g.dims, dpsi, g.values, a, w, *om)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinears import compute_bilinears
 from .clifford import _axis_angle_from_z, _chiral_exp, _flip, minkowski_dot
 from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
 
@@ -188,8 +187,7 @@ class GridField:
 
     def meshgrid(self) -> np.ndarray:
         """Event coordinates at every site, shape dims + (4,)."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack(grids, axis=-1)
+        return _lattice_events(self.origin, self.spacing, self.dims)
 
     def at(self, x) -> np.ndarray:
         return self.interp(x)
@@ -206,6 +204,20 @@ class GridField:
         if self.dims[axis] == 1:
             return np.zeros(4, dtype=complex)
         return _site_fd(self.values, axis, point, self.spacing[axis])
+
+
+def _lattice_events(origin, spacing, dims) -> np.ndarray:
+    """Event coordinates (t, x, y, z) at every site of the lattice with
+    that origin, spacing and dims, shape dims + (4,)."""
+    origin = np.asarray(origin, dtype=float)
+    spacing = np.asarray(spacing, dtype=float)
+    if origin.shape != (4,) or spacing.shape != (4,) or len(dims) != 4:
+        raise ValueError(
+            "origin, spacing and dims need 4 entries (t, x, y, z), got "
+            f"{origin.tolist()}, {spacing.tolist()} and {tuple(dims)}"
+        )
+    axes = [o + h * np.arange(n) for o, h, n in zip(origin, spacing, dims)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
@@ -314,7 +326,7 @@ def _interp(origin, spacing, arr, pts) -> np.ndarray:
 # from 25^3 (15,625 sites) up.
 _SLAB_MIN_SITES = 16384
 _SLAB_SITES = 4096  # about this many sites per slab, and >= 1 slab per thread
-_slab_state = threading.local()  # .inside: this thread is running a slab
+_in_slab = contextvars.ContextVar("_in_slab", default=False)  # nested: inline
 
 
 def _slab_workers() -> int:
@@ -338,96 +350,72 @@ def _slabs(slab_fn, grid_shape):
     """slab_fn over slabs of the largest axis of grid_shape, on threads.
 
     slab_fn(sl) computes the part of a result on the sites sl, an index
-    tuple (slice(None),) * axis + (slice(lo, hi),), and returns an array or
-    a tuple of arrays led by those sites' grid axes.  Each part is copied
-    into one output per returned array, shaped grid_shape + its trailing
-    axes, so the outputs hold the bits that slab_fn(()), the whole grid in
-    one call, returns.  That inline call is made instead where grid_shape
-    is not a 4-axis grid (single points), has fewer than _SLAB_MIN_SITES
-    sites, the process may run on one CPU only, or the caller is itself
-    running a slab (a nested call).  Every slab runs under a copy of the
-    caller's context, so an np.errstate of the caller holds in it too.  An
-    exception raised in slabs is raised here once all of them have
-    stopped: the one of the lowest slab.
+    tuple (slice(None),) * axis + (slice(lo, hi),): an array or a tuple of
+    arrays led by those sites' grid axes.  The parts fill outputs shaped
+    grid_shape + their trailing axes, with the bits of slab_fn(()), the
+    whole grid in one call.  That call is made instead for a grid_shape
+    of other than 4 axes or under _SLAB_MIN_SITES sites, on one CPU and
+    in a nested call.  The calling thread takes slab 0, starts the helper
+    threads, computes slab 0 and allocates the outputs from it, so none
+    lands in a helper's allocator arena; a helper that finishes a slab
+    before then waits.  Helpers run in a copy of the caller's context (its
+    np.errstate holds).  An exception raised in slabs is raised here once
+    all have stopped: the one of the lowest slab.
     """
-    sites = math.prod(grid_shape)
-    if (
-        len(grid_shape) != 4
-        or sites < _SLAB_MIN_SITES
-        or getattr(_slab_state, "inside", False)
-    ):
-        return slab_fn(())
-    workers = _slab_workers()
-    if workers == 1:
+    inline = len(grid_shape) != 4 or math.prod(grid_shape) < _SLAB_MIN_SITES
+    if inline or _in_slab.get() or (workers := _slab_workers()) == 1:
         return slab_fn(())
     axis, edges = _slab_edges(grid_shape, workers)
-    todo = iter(range(len(edges) - 1))
-    lock = threading.Lock()
-    # the calling thread allocates the outputs, so that no long-lived
-    # array lands in another thread's allocator arena; slabs done before
-    # that wait in early
-    outs, early, errors = [], [], {}
-    single = []  # [whether slab_fn returns one array], once outs exist
+    lead = (slice(None),) * axis
+    slabs = [lead + (slice(*ends),) for ends in zip(edges, edges[1:])]
+    todo = iter(range(1, len(slabs)))  # slab 0 is the calling thread's
+    lock, allocated = threading.Lock(), threading.Event()
+    outs, errors = [], {}
 
-    def parts(res):
-        return (res,) if isinstance(res, np.ndarray) else res
-
-    def allocate(res):
-        single.append(isinstance(res, np.ndarray))
-        outs.extend(
-            np.empty(tuple(grid_shape) + part.shape[4:], part.dtype)
-            for part in parts(res)
-        )
-
-    def put(sl, res):
-        for out, part in zip(outs, parts(res)):
-            out[sl] = part
-
-    def work(caller):
+    def work():
         while True:
             with lock:
                 i = next(todo, None)
                 if i is None or errors:
                     return
-            sl = (slice(None),) * axis + (slice(edges[i], edges[i + 1]),)
             try:
-                res = slab_fn(sl)
+                res = slab_fn(slabs[i])
             except Exception as exc:  # raised by the calling thread below
                 with lock:
                     errors[i] = exc
                 return
-            with lock:
-                if caller and not outs:
-                    allocate(res)
-                if not outs:
-                    early.append((sl, res))
-                    continue
-            put(sl, res)
+            allocated.wait()
+            if not outs:  # slab 0 raised
+                return
+            for out, part in zip(outs, (res,) if single else res):
+                out[slabs[i]] = part
 
-    def helper():
-        _slab_state.inside = True
-        work(False)
-
+    token = _in_slab.set(True)  # before the helpers copy the context
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-        for _ in range(min(workers, len(edges) - 1) - 1)
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(min(workers, len(slabs)) - 1)
     ]
     for thread in threads:
         thread.start()
-    _slab_state.inside = True
     try:
-        work(True)
+        first = slab_fn(slabs[0])
+        single = isinstance(first, np.ndarray)
+        parts = (first,) if single else first
+        outs.extend(
+            np.empty(tuple(grid_shape) + p.shape[4:], p.dtype) for p in parts
+        )
+        allocated.set()
+        for out, part in zip(outs, parts):
+            out[slabs[0]] = part
+        work()
     finally:
-        _slab_state.inside = False
+        allocated.set()  # also when slab 0 raised: no helper waits forever
+        _in_slab.reset(token)
         for thread in threads:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    if not outs:  # the other threads took every slab
-        allocate(early[0][1])
-    for sl, res in early:
-        put(sl, res)
-    return outs[0] if single[0] else tuple(outs)
+    return outs[0] if single else tuple(outs)
 
 
 def _sitewise(kernel, grid_shape, *grids):
@@ -538,13 +526,7 @@ def convergence_order(coarse: np.ndarray, fine: np.ndarray):
 
 def sample(f: AnalyticField, origin, spacing, dims) -> GridField:
     """Evaluate an analytic field on a lattice (exact at every site)."""
-    g = GridField(
-        origin=origin,
-        spacing=spacing,
-        dims=tuple(dims),
-        values=np.zeros(tuple(dims) + (4,), dtype=complex),
-    )
-    values = f.at(g.meshgrid())
+    values = f.at(_lattice_events(origin, spacing, dims))
     return GridField(origin=origin, spacing=spacing, dims=tuple(dims), values=values)
 
 
@@ -577,42 +559,13 @@ def gaussian_packet(
         [0.0]
         + [-half_width if dims[i] > 1 else 0.0 for i in (1, 2, 3)]
     )
-    shell = GridField(
-        origin=origin,
-        spacing=spacing,
-        dims=dims,
-        values=np.zeros(dims + (4,), dtype=complex),
-    )
-    coords = shell.meshgrid()
+    coords = _lattice_events(origin, spacing, dims)
     r2 = np.sum(coords[..., 1:] ** 2, axis=-1)
     phi = K * np.exp(-k * r2 / 16.0)
     theta = _axis_angle_from_z(s_axis)
     rest = _chiral_exp(1j * theta) @ REST_SPINORS[True]
     values = phi[..., None] * rest
     return GridField(origin=origin, spacing=spacing, dims=dims, values=values)
-
-
-@dataclass(frozen=True)
-class SingularScan:
-    count: int
-    min_mod2: float
-    indices: np.ndarray
-
-
-def scan_singular(g: GridField, threshold: float = 1e-12) -> SingularScan:
-    """Locate lattice sites where Theta^2 + Phi^2 dips below a threshold.
-
-    Reporting, not raising: superpositions legitimately develop nodes and
-    callers need to know where before running the polar pipeline.
-    """
-    b = compute_bilinears(g.values)
-    mod2 = b.theta**2 + b.phi_scalar**2
-    mask = mod2 <= threshold
-    return SingularScan(
-        count=int(np.sum(mask)),
-        min_mod2=float(np.min(mod2)),
-        indices=np.argwhere(mask),
-    )
 
 
 GRID_MAGIC = "polardirac-grid v1"

@@ -20,7 +20,6 @@ from polardirac.fields import (
     plane_wave,
     sample,
     save_grid,
-    scan_singular,
     superpose,
 )
 from polardirac.polar import decompose
@@ -242,6 +241,13 @@ def test_grid_validation():
         GridField([0, 0, 0, 0], [0, 1, 1, 1], (1, 1, 1, 1), np.zeros((1, 1, 1, 1, 4)))
     with pytest.raises(ValueError, match=r"dims must have 4 entries.*\(5, 5, 5\)"):
         GridField(np.zeros(4), np.ones(4), (5, 5, 5), np.zeros((5, 5, 5, 4)))
+    # sample evaluates the field before it builds its GridField, so it
+    # checks the lattice itself
+    wave = plane_wave([1.0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"4 entries.*\(5, 5, 5\)"):
+        sample(wave, np.zeros(4), np.ones(4), (5, 5, 5))
+    with pytest.raises(ValueError, match=r"origin.*4"):
+        sample(wave, np.zeros(3), np.ones(4), (5, 5, 5, 5))
 
 
 def test_grid_field_rejects_non_finite():
@@ -283,24 +289,6 @@ def test_gaussian_packet_spin_axis():
     npt.assert_allclose(p.s, [0, 1, 0, 0], atol=1e-12)
     npt.assert_allclose(p.u, [1, 0, 0, 0], atol=1e-12)
     npt.assert_allclose(p.beta, 0.0, atol=1e-12)
-
-
-def test_scan_singular_counterpropagating():
-    m = 1.0
-    pz = 0.8
-    e = np.hypot(m, pz)
-    f = superpose(
-        [plane_wave([e, 0, 0, pz]), plane_wave([e, 0, 0, -pz])], [1.0, 1.0]
-    )
-    g = sample(f, [0, -3, -3, -3], [0.3, 0.75, 0.75, 0.75], (9, 9, 9, 9))
-    scan_ok = scan_singular(g, threshold=1e-12)
-    # this superposition never becomes exactly singular but dips toward
-    # its positive floor; a generous threshold must flag those dips
-    floor = (4.0 - 4.0 * np.cosh(np.arcsinh(pz / m))) ** 2
-    assert scan_ok.min_mod2 >= floor - 1e-9
-    scan_loose = scan_singular(g, threshold=floor * 4.0)
-    assert scan_loose.count > 0
-    assert scan_loose.indices.shape[1] == 4
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -483,3 +483,100 @@ def test_import_starts_no_thread_and_no_executor():
         check=True,
     ).stdout.split()
     assert out == ["1", "False"]
+
+
+@pytest.mark.parametrize("later", ["second", "last"])
+def test_slab_0_error_wins_once_every_helper_stopped(
+    monkeypatch, two_threads, later
+):
+    # slab 0, the calling thread's, raises once the helper is done with
+    # slab 1: either slab 1 raised first, or it succeeded and the helper
+    # waits for outputs that slab 0 never allocates, and must stop
+    monkeypatch.setattr(fields, "_SLAB_MIN_SITES", 1)
+    axis, edges = fields._slab_edges(DIMS, two_threads)
+    marks = {0: 1.0, 1: 2.0} if later == "second" else {
+        0: 1.0, 1: 3.0, len(edges) - 2: 2.0,
+    }
+    a = np.zeros(DIMS)
+    for i, mark in marks.items():
+        site = [0] * 4
+        site[axis] = edges[i]
+        a[tuple(site)] = mark
+    slab_1_done = threading.Event()
+    slab_0_threads = []
+
+    def kernel(x):
+        if (x == 1.0).any():
+            slab_0_threads.append(threading.get_ident())
+            slab_1_done.wait(timeout=30)
+            raise ValueError("slab 0")
+        if (x >= 2.0).any():
+            slab_1_done.set()
+        if (x == 2.0).any():
+            raise ValueError("later slab")
+        return x
+
+    before = set(threading.enumerate())
+    result = {}
+
+    def dispatch():
+        result["caller"] = threading.get_ident()
+        try:
+            fields._sitewise(kernel, DIMS, a)
+        except ValueError as exc:
+            result["error"] = str(exc)
+
+    caller = threading.Thread(target=dispatch, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the slab error path deadlocked"
+    assert slab_1_done.is_set()
+    assert result["error"] == "slab 0"
+    assert slab_0_threads == [result["caller"]]
+    assert set(threading.enumerate()) == before
+
+
+def test_every_whole_grid_output_is_allocated_on_the_calling_thread(
+    monkeypatch, two_threads
+):
+    # an output allocated on a helper would land in that thread's malloc
+    # arena and make the peak RSS of a run swing from run to run
+    threads = []
+    real = np.empty
+
+    def recording(shape, *args, **kwargs):
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if shape[:4] == DIMS:
+            threads.append(threading.get_ident())
+        return real(shape, *args, **kwargs)
+
+    exts = {"ext": _externals(np.random.default_rng(7), DIMS)}
+    g, lf = _wave_grid(DIMS), _gauge_field(7, DIMS)
+    monkeypatch.setattr(np, "empty", recording)
+    _chain(g, lf, exts)
+    assert threads and set(threads) == {threading.get_ident()}
+
+
+def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
+    # slab dispatches per evaluator on a 33^3 grid: one per gradient and
+    # one per site-local pass
+    g = _wave_grid(DIMS)
+    ext = _externals(np.random.default_rng(8), DIMS)
+    # the Goldstone layer is kept on g, so the counts below leave it out
+    _, _, gd, cf = pdc.polar_pipeline(g, ext)
+    calls = _dispatches(monkeypatch)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    # P and R in one pass
+    assert count(pdc.build_connections, gd, ext) == 1
+    # the antisymmetry check, c, its gradient, then K and max |dR| at once
+    assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 4
+    # P and R, five gradients, then the covariant gradient and all three
+    # residuals in one kernel
+    assert count(pdc.covariant_derivative_check, g, ext) == 7
+    # the gradient of psi, then the covariant gradient and the residual
+    assert count(pdc.dirac_residual, g, ext) == 2
