@@ -47,6 +47,9 @@ _SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
 # [(a b), (k i j)]: the off-diagonal blocks of every sigma^{ab} are zero
 _SIGMA_8 = _chiral_split(BASIS.sigma).reshape(16, 8).T
 _SIGMA_CONJ_8 = np.conj(_SIGMA_8.T)
+# eps_{ijka} as an [a, (i j k)] matrix: eps_{ijka} B^a is one product with
+# a single nonzero term per entry
+_EPS_AXIAL = np.moveaxis(BASIS.epsilon, -1, 0).reshape(4, 64)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
 # the identity per direction, layout [row, col, mu], and per chiral block
@@ -54,6 +57,9 @@ _EYE_M = np.eye(4)[:, :, None]
 _EYE_BLOCKS_M = np.eye(2)[:, :, None]
 # the largest leak of L^{-1} dL out of the algebra, as a fraction of max|X|
 _LEAK_FRACTION = 0.1
+# sites per product table of _flatness, 2 MB: one table over a whole 17^3
+# grid doubled the traced peak of curvatures(lfield=...) to 31 MB
+_FLAT_CHUNK = 1024
 
 
 def _require_on_grid(name, shape, grid_shape, tail) -> None:
@@ -517,13 +523,9 @@ def covariant_derivative_check(
     """
     pd, lf, gd, cf = polar_pipeline(g, ext)
     om = () if ext.Omega is None else (ext.omega_field(g.dims),)
-    dpsi = grid_gradient(g.values, g.spacing)
     dbeta = _phase_gradient(pd.beta, g.spacing)
-    dlnphi = grid_gradient(np.log(pd.phi), g.spacing)
-    ds = grid_gradient(_flip(pd.s), g.spacing)
-    du = grid_gradient(_flip(pd.u), g.spacing)
 
-    def sites(psi, dpsi, a, dbeta, dlnphi, p, r, s, ds, u, du, *om):
+    def sites(dpsi, dlnphi, ds, du, psi, a, dbeta, p, r, s, u, *om):
         nabla_psi = _covariant_gradient(dpsi, psi, a, ext.q, *om)
         pi_psi = np.einsum("ij,...j->...i", BASIS.pi, psi)
         rhs = (
@@ -546,8 +548,10 @@ def covariant_derivative_check(
         )
 
     spinor, s_transport, u_transport = _sitewise(
-        sites, g.dims, g.values, dpsi, ext.a_field(g.dims), dbeta, dlnphi,
-        cf.P, cf.R, pd.s, ds, pd.u, du, *om,
+        sites, g.dims, g.values, ext.a_field(g.dims), dbeta, cf.P, cf.R,
+        pd.s, pd.u, *om,
+        gradients=(g.values, np.log(pd.phi), _flip(pd.s), _flip(pd.u)),
+        spacing=g.spacing,
     )
     return CovariantChecks(
         spinor=spinor, s_transport=s_transport, u_transport=u_transport
@@ -563,19 +567,27 @@ def field_strength(dp: np.ndarray, q: float = 1.0) -> np.ndarray:
     return -(np.swapaxes(dp, -1, -2) - dp) / q
 
 
-def _flatness(g, dg) -> np.ndarray:
-    """The Goldstone flatness of curvatures: the pointwise max over the
-    trailing axes and mu, nu of |d_mu G_nu - d_nu G_mu + [G_mu, G_nu]|,
-    from matrices G [..., i, j, mu] and their grid gradient dg
-    [..., i, j, nu, mu]; zero for G = L^{-1} dL of a group-valued L.  One
-    mu at a time, so the terms never stack up as (..., 4, 4) arrays."""
-    flat = 0.0
-    for mu in range(4):
-        row = dg[..., :, mu] - dg[..., mu, :]  # [..., i, j, nu]
-        row += np.einsum("...ik,...kjn->...ijn", g[..., mu], g)
-        row -= np.einsum("...ikn,...kj->...ijn", g, g[..., mu])
-        flat = np.maximum(flat, np.max(np.abs(row), axis=(-4, -3, -2, -1)))
-    return flat
+def _flatness(dg, g) -> np.ndarray:
+    """The Goldstone flatness of curvatures: the pointwise max over block,
+    i, j, mu and nu of |d_mu G_nu - d_nu G_mu + [G_mu, G_nu]|, from
+    matrices G [..., block, i, j, mu] and their grid gradient dg
+    [..., block, i, j, nu, mu]; zero for G = L^{-1} dL of a group-valued L.
+    Per chunk of _FLAT_CHUNK sites, the 16 products G_mu G_nu make one
+    table Q and the difference is ((dg)^T - dg) + Q - Q^T over (mu, nu),
+    so no whole-slab table exists."""
+    sites = g.shape[:-4]
+    g = g.reshape((-1,) + g.shape[-4:])
+    dg = dg.reshape((-1,) + dg.shape[-5:])
+    flat = np.empty(len(g))
+    for lo in range(0, len(g), _FLAT_CHUNK):
+        chunk = slice(lo, lo + _FLAT_CHUNK)
+        d = np.swapaxes(dg[chunk], -1, -2) - dg[chunk]
+        q = np.einsum("...ikm,...kjn->...ijmn", g[chunk], g[chunk])
+        d += q
+        d -= np.swapaxes(q, -1, -2)
+        del q  # before |d| and the next chunk
+        flat[chunk] = np.max(np.abs(d), axis=(-5, -4, -3, -2, -1))
+    return flat.reshape(sites)
 
 
 # the (i, j) of R_{ij mu} that c_mu packs: the boost planes 01, 02, 03
@@ -623,9 +635,8 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
         _require_on_grid("omega", np.shape(omega), grid, (4, 4, 4))
         om = (omega,)
     c = _sitewise(_spin_vectors, grid, r)
-    dc = grid_gradient(c, spacing)  # [k, mu, nu] = d_nu c_mu
 
-    def sites(c, dc, *om):
+    def sites(dc, c, *om):  # dc [k, mu, nu] = d_nu c_mu
         # dr and the linear part first: with quad ahead of them, verify's
         # peak RSS read 5 MB higher (the same traced peak, another heap
         # layout)
@@ -639,7 +650,7 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
         k += quad
         return k, dr
 
-    k, dr = _sitewise(sites, grid, c, dc, *om)
+    k, dr = _sitewise(sites, grid, c, *om, gradients=(c,), spacing=spacing)
     k.flags.writeable = False
     return SpinCurvature(K=k, dr_max=float(np.max(dr)))
 
@@ -692,9 +703,10 @@ def curvatures(
     if lfield is not None:
         _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
         gmat = lfield.log_derivative
-        dg = grid_gradient(gmat, lfield.spacing)
-        flat = _sitewise(_flatness, cf.grid_shape, gmat, dg)
-        del dg
+        flat = _sitewise(
+            _flatness, cf.grid_shape, gmat,
+            gradients=(gmat,), spacing=lfield.spacing,
+        )
     riemann = _sitewise(_unpack_riemann, cf.grid_shape, k)
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
@@ -734,7 +746,8 @@ def _split_parts(ra, ba_low):
     trace_part = (
         ra[..., :, None, None] * METRIC - ra[..., None, :, None] * METRIC[:, None]
     ) / 3.0
-    axial_part = np.einsum("ijka,...a->...ijk", BASIS.epsilon, _flip(ba_low)) / 3.0
+    axial = (_flip(ba_low) @ _EPS_AXIAL).reshape(ba_low.shape[:-1] + (4, 4, 4))
+    axial_part = axial / 3.0
     return trace_part, axial_part
 
 

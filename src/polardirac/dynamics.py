@@ -141,10 +141,12 @@ def dirac_residual(g: GridField, ext: ExternalPotentials) -> np.ndarray:
         lhs = kinetic - torsion - ext.m * psi
         return np.linalg.norm(lhs, axis=-1)
 
-    dpsi = grid_gradient(g.values, g.spacing)
     om = () if ext.Omega is None else (ext.omega_field(g.dims),)
     a, w = ext.a_field(g.dims), ext.w_field(g.dims)
-    return _sitewise(sites, g.dims, dpsi, g.values, a, w, *om)
+    return _sitewise(
+        sites, g.dims, g.values, a, w, *om,
+        gradients=(g.values,), spacing=g.spacing,
+    )
 
 
 @dataclass(frozen=True)

@@ -418,7 +418,38 @@ def _slabs(slab_fn, grid_shape):
     return outs[0] if single else tuple(outs)
 
 
-def _sitewise(kernel, grid_shape, *grids):
+def _slab_gradient(arr: np.ndarray, spacing, sl) -> np.ndarray:
+    """grid_gradient(arr, spacing)[sl] for the sites sl of a _slabs call
+    (() for the whole grid), read from arr[sl] and a one-site halo along
+    the slab axis."""
+    spacing = np.asarray(spacing, dtype=float)
+    dtype = arr.dtype if np.issubdtype(arr.dtype, np.inexact) else float
+    out = np.zeros(arr[sl].shape + (4,), dtype=dtype)
+    for ax in range(4):
+        n = arr.shape[ax]
+        if n == 1:
+            continue
+        if ax != len(sl) - 1:
+            out[..., ax] = np.gradient(
+                arr[sl], spacing[ax], axis=ax, edge_order=2
+            )
+            continue
+        # along the slab axis, difference the slab widened by a site each
+        # way within the grid, so that every stencil it keeps is whole; an
+        # edge stencil reads three sites
+        lo, hi = sl[ax].start, sl[ax].stop
+        wide_lo, wide_hi = max(lo - 1, 0), min(hi + 1, n)
+        if wide_hi - wide_lo < 3:  # a one-site slab at an edge
+            wide_lo, wide_hi = min(wide_lo, n - 3), max(wide_hi, 3)
+        wide = sl[:ax] + (slice(wide_lo, wide_hi),)
+        keep = sl[:ax] + (slice(lo - wide_lo, hi - wide_lo),)
+        out[..., ax] = np.gradient(
+            arr[wide], spacing[ax], axis=ax, edge_order=2
+        )[keep]
+    return out
+
+
+def _sitewise(kernel, grid_shape, *grids, gradients=(), spacing=None):
     """kernel(*grids) for a site-local kernel, computed by _slabs.
 
     grids are arrays led by the grid axes grid_shape; kernel must compute
@@ -426,8 +457,17 @@ def _sitewise(kernel, grid_shape, *grids):
     tuple of arrays, led by the grid axes of its inputs.  Everything else
     kernel needs it takes from its closure, unsliced.  Kernels call no
     public function of the package: a slab may run on another thread.
+
+    With gradients, a tuple of grid arrays, the kernel is called as
+    kernel(*dgrads, *grids): first the grid_gradient by spacing of each,
+    differenced on the slab alone (_slab_gradient), so that no whole-grid
+    gradient is built.
     """
-    return _slabs(lambda sl: kernel(*(g[sl] for g in grids)), grid_shape)
+    def slab(sl):
+        dgrads = [_slab_gradient(d, spacing, sl) for d in gradients]
+        return kernel(*dgrads, *(g[sl] for g in grids))
+
+    return _slabs(slab, grid_shape)
 
 
 def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
@@ -437,36 +477,8 @@ def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
     along.  Returns arr.shape + (4,) with the coordinate index mu last;
     axes of extent 1 contribute zeros.
     """
-    spacing = np.asarray(spacing, dtype=float)
     arr = np.asarray(arr)
-    dtype = arr.dtype if np.issubdtype(arr.dtype, np.inexact) else float
-
-    def slab(sl):
-        out = np.zeros(arr[sl].shape + (4,), dtype=dtype)
-        for ax in range(4):
-            n = arr.shape[ax]
-            if n == 1:
-                continue
-            if ax != len(sl) - 1:
-                out[..., ax] = np.gradient(
-                    arr[sl], spacing[ax], axis=ax, edge_order=2
-                )
-                continue
-            # along the slab axis, difference the slab widened by a site
-            # each way within the grid, so that every stencil it keeps is
-            # whole; an edge stencil reads three sites
-            lo, hi = sl[ax].start, sl[ax].stop
-            wide_lo, wide_hi = max(lo - 1, 0), min(hi + 1, n)
-            if wide_hi - wide_lo < 3:  # a one-site slab at an edge
-                wide_lo, wide_hi = min(wide_lo, n - 3), max(wide_hi, 3)
-            wide = sl[:ax] + (slice(wide_lo, wide_hi),)
-            keep = sl[:ax] + (slice(lo - wide_lo, hi - wide_lo),)
-            out[..., ax] = np.gradient(
-                arr[wide], spacing[ax], axis=ax, edge_order=2
-            )[keep]
-        return out
-
-    return _slabs(slab, arr.shape[:4])
+    return _slabs(lambda sl: _slab_gradient(arr, spacing, sl), arr.shape[:4])
 
 
 def _phase_gradient(angle: np.ndarray, spacing) -> np.ndarray:

@@ -754,9 +754,9 @@ def test_divergence_constraints_accepts_roundoff_flat_gaussian():
 
 
 def test_divergence_constraints_one_riemann(monkeypatch):
-    # one gradient of R feeds both the Riemann tensor and the tolerance
-    # scale, plus one of the stacked (B^a, R^a) for the two divergences:
-    # two grid_gradient calls in all
+    # the curvature of R differences c inside its own slab pass, so the
+    # one grid_gradient call is that of the stacked (B^a, R^a) for the two
+    # divergences
     from polardirac import connections
 
     lf, dims = gauge_boost_field(9)
@@ -775,7 +775,7 @@ def test_divergence_constraints_one_riemann(monkeypatch):
     for cf_case, fd_tol in ((cf, None), (dataclasses.replace(cf, omega=om), 1.0)):
         calls.clear()
         res = divergence_constraints(cf_case, fd_tol=fd_tol)
-        assert len(calls) == 2
+        assert len(calls) == 1
         riemann = curvatures(cf_case).riemann
         assert res.riemann_max == float(np.max(np.abs(riemann)))
 
@@ -819,6 +819,69 @@ def test_flatness_reads_the_cached_log_derivative(monkeypatch):
     flat = curvatures(cf, lfield=lf).goldstone_flat
     assert calls == []
     assert np.array_equal(flat, oracle)
+
+
+def test_slab_flatness_matches_the_dense_oracle_bits(monkeypatch):
+    # the flatness differences X inside each slab and takes the products
+    # G_mu G_nu as one table per chunk of sites; on 26^3 sites in slabs
+    # of 4 or 5 x-rows (2,704 or 3,380 sites, no multiple of the chunk)
+    # on two threads it keeps the bits of the dense oracle on the whole grid
+    import os
+
+    from polardirac import connections, fields
+
+    lf, dims = gauge_boost_field(26)
+    x = lf.log_derivative
+    dx = grid_gradient(x, lf.spacing)
+    oracle = np.stack(
+        [
+            np.max(
+                np.abs(_dense_riemann(x[:, i], dx[:, i], None)),
+                axis=(-5, -4, -3, -2, -1),
+            )
+            for i in range(dims[1])
+        ],
+        axis=1,
+    )
+    del dx
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(fields, "_SLAB_SITES", 3000)
+    assert np.prod(dims) >= fields._SLAB_MIN_SITES
+    _, edges = fields._slab_edges(dims, 2)
+    sites = np.diff(edges) * dims[2] * dims[3]
+    assert np.all(sites % connections._FLAT_CHUNK)
+    calls = []
+    real = connections._flatness
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_flatness", counting)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    flat = curvatures(cf, lfield=lf).goldstone_flat
+    assert len(calls) == len(sites)
+    assert np.max(oracle) > 1e-5
+    assert np.array_equal(flat, oracle)
+
+
+def test_flatness_memory_peak():
+    # on 17^3 sites (inline) the traced peak of curvatures(lfield=...)
+    # with K kept stays within 10 % of the 15.9 MB of the flatness that
+    # took one mu at a time (numpy 2.4); one product table over the whole
+    # grid peaks at 31 MB
+    import tracemalloc
+
+    lf, _ = gauge_boost_field(17)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    cf.curvature
+    tracemalloc.start()
+    try:
+        curvatures(cf, lfield=lf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 15.9e6
 
 
 def _random_gauge_field(rng, dims, spacing, q=1.0):

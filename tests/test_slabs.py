@@ -73,11 +73,14 @@ def _leaves(obj, name=""):
     elif isinstance(obj, (tuple, list)):
         for i, item in enumerate(obj):
             yield from _leaves(item, f"{name}[{i}]")
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from _leaves(item, f"{name}.{key}")
 
 
 def _assert_identical(sliced, inline):
     a, b = dict(_leaves(sliced)), dict(_leaves(inline))
-    assert a.keys() == b.keys()
+    assert a and a.keys() == b.keys()
     for key in a:
         assert a[key].dtype == b[key].dtype, key
         assert np.array_equal(a[key], b[key], equal_nan=True), key
@@ -558,25 +561,32 @@ def test_every_whole_grid_output_is_allocated_on_the_calling_thread(
 
 
 def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
-    # slab dispatches per evaluator on a 33^3 grid: one per gradient and
-    # one per site-local pass
+    # slab dispatches per evaluator on a 33^3 grid: one per whole-grid
+    # gradient and one per site-local pass, which differences the
+    # gradients it reads on its own slab
     g = _wave_grid(DIMS)
     ext = _externals(np.random.default_rng(8), DIMS)
     # the Goldstone layer is kept on g, so the counts below leave it out
-    _, _, gd, cf = pdc.polar_pipeline(g, ext)
+    _, lf, gd, cf = pdc.polar_pipeline(g, ext)
+    cf.curvature  # K is kept on cf, so curvatures below reads it
     calls = _dispatches(monkeypatch)
 
-    def count(fn, *args):
+    def count(fn, *args, **kwargs):
         calls.clear()
-        fn(*args)
+        fn(*args, **kwargs)
         return len(calls)
 
     # P and R in one pass
     assert count(pdc.build_connections, gd, ext) == 1
-    # the antisymmetry check, c, its gradient, then K and max |dR| at once
-    assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 4
-    # P and R, five gradients, then the covariant gradient and all three
-    # residuals in one kernel
-    assert count(pdc.covariant_derivative_check, g, ext) == 7
-    # the gradient of psi, then the covariant gradient and the residual
-    assert count(pdc.dirac_residual, g, ext) == 2
+    # the antisymmetry check, c, then the gradient of c, K and max |dR|
+    # at once
+    assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 3
+    # P and R, the gradient of beta across its cut, then the gradients of
+    # psi, ln phi, s and u, the covariant gradient and all three residuals
+    # in one kernel
+    assert count(pdc.covariant_derivative_check, g, ext) == 3
+    # the gradient of psi, the covariant gradient and the residual at once
+    assert count(pdc.dirac_residual, g, ext) == 1
+    # the gradient of P, the gradient of X with the flatness, the dense
+    # Riemann tensor
+    assert count(pdc.curvatures, cf, lfield=lf) == 3
