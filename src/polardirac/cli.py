@@ -577,7 +577,7 @@ def suite_curvature(cfg: dict, rng) -> list:
         cd = curvatures(cf, q=lf.q, lfield=lf)
         return {
             "F": np.abs(cd.F),
-            "riemann": np.max(np.abs(cd.riemann), axis=(-4, -3, -2, -1)),
+            "riemann": cd.riemann,
             "flat": cd.goldstone_flat,
         }
 
@@ -589,7 +589,7 @@ def suite_curvature(cfg: dict, rng) -> list:
     g = _wave_grid(m, 0.4, 9)
     _, _, _, cf = polar_pipeline(g, ExternalPotentials(q=q, m=m))
     cd = curvatures(cf, q=q)
-    worst = max(float(np.max(np.abs(cf.R))), float(np.max(np.abs(cd.riemann))))
+    worst = max(float(np.max(np.abs(cf.R))), float(np.max(cd.riemann)))
     checks.append(_check("wave_spin_connection", worst, tol))
     return checks
 

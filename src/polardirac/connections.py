@@ -35,8 +35,8 @@ from .errors import (
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, _phase_gradient, _site_fd, _sitewise
-from .fields import grid_gradient
+from .fields import GridField, _phase_gradient, _site_fd, _site_location
+from .fields import _sitewise, grid_gradient
 from .polar import PolarData, _require_charge, decompose
 
 # sigma^{ab}_{kl} as a [(k l), (a b)] matrix and conj(sigma^{ab}_{ji}) as
@@ -78,10 +78,12 @@ def _amax_sites(a: np.ndarray, tail: int) -> np.ndarray:
     return np.max(np.abs(a), axis=tuple(range(-tail, 0)))
 
 
-def _check_antisymmetric(t: np.ndarray, message: str) -> None:
+def _check_antisymmetric(t, message: str, origin=None, spacing=None) -> None:
     """Raise NotAntisymmetric(message) unless t_{ij...} = -t_{ji...} on the
     axes (-3, -2), to 1e-12 of max(1, max|t|): the two maxima are taken
-    over the maxima of the sites of the grid t.shape[:-3]."""
+    over the maxima of the sites of the grid t.shape[:-3].  The message
+    names the first site that fails, with its event when the origin and
+    spacing of the grid are given."""
     size, asym = _sitewise(
         lambda t: (
             _amax_sites(t, 3),
@@ -91,8 +93,10 @@ def _check_antisymmetric(t: np.ndarray, message: str) -> None:
         t,
     )
     scale = max(1.0, float(np.max(size)) if t.size else 1.0)
-    if np.max(asym) > 1e-12 * scale:
-        raise NotAntisymmetric(message)
+    bad = asym > 1e-12 * scale
+    if np.any(bad):
+        where = _site_location(np.argwhere(bad)[0], origin, spacing)
+        raise NotAntisymmetric(f"{message}; it fails at {where}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,8 @@ class ExternalPotentials:
 @dataclass(frozen=True)
 class TransformField:
     """The local transformation L(x) sampled on a grid, as 4x4 matrices;
-    log_derivative is computed on first use and kept, as on PolarFields.
+    log_derivative is computed on first use and kept (read-only), as on
+    PolarFields.
 
     L must be block-diagonal in the chiral representation, as every
     e^{i q xi} exp((1/2) xi_{ab} sigma^{ab}) is: log_derivative raises
@@ -189,7 +194,7 @@ class TransformField:
         """X_mu = L^{-1} d_mu L on the grid in chiral block layout
         [..., block, row, col, mu]: the two diagonal 2x2 blocks of the
         block-diagonal 4x4 X, the input of goldstone_derivatives and of the
-        flatness in curvatures."""
+        flatness in curvatures; read-only, as every reader shares it."""
         blocks = _chiral_split(self.matrices)
         dl = grid_gradient(blocks, self.spacing)
         for ax in range(4):
@@ -201,12 +206,14 @@ class TransformField:
                 dl[..., ax] = sign * np.gradient(
                     sign * blocks, self.spacing[ax], axis=ax, edge_order=2
                 )
-        return _sitewise(
+        x = _sitewise(
             lambda b, d: np.einsum("...ij,...jkm->...ikm", _block_inverse(b), d),
             self.grid_shape,
             blocks,
             dl,
         )
+        x.flags.writeable = False
+        return x
 
 
 def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
@@ -435,7 +442,12 @@ class ConnectionField:
     @cached_property
     def curvature(self) -> SpinCurvature:
         """The curvature of R, computed on first use and kept (read-only):
-        curvatures and divergence_constraints both read it."""
+        curvatures and divergence_constraints both read it.  R must be
+        antisymmetric: NotAntisymmetric names the first site where it is
+        not."""
+        _check_antisymmetric(
+            self.R, "R must satisfy R_ij = -R_ji", self.origin, self.spacing
+        )
         return _spin_curvature(self.R, self.omega, self.spacing)
 
 
@@ -463,15 +475,17 @@ def _goldstone_layer(g: GridField, q: float):
     decompose, L and L^{-1} dL, the part of polar_pipeline that A and
     Omega do not enter.  Kept per q in g._memo with every array read-only,
     so a second pipeline on the same grid repeats none of it and a write
-    into a shared array raises instead of reaching the next reader."""
+    into a shared array raises instead of reaching the next reader.  The
+    kept L holds no X = L^{-1} dL: gd is read from a copy of it that is
+    dropped, and a reader of lf.log_derivative builds X afresh."""
     layer = g._memo.get(q)
     if layer is None:
         pd = decompose(g.values, q=q)
         lf = transform_from_polar(pd, g.origin, g.spacing)
-        gd = goldstone_derivatives(lf)
+        gd = goldstone_derivatives(replace(lf))
         for arr in (
             pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
-            lf.matrices, lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,
+            lf.matrices, gd.dxi, gd.dxi_ab, gd.leak,
         ):
             arr.flags.writeable = False
         layer = g._memo[q] = (pd, lf, gd)
@@ -621,14 +635,13 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
         K_{mu nu} = d_nu c_mu - d_mu c_nu + i c_mu x c_nu
                     + i (o_mu x c_nu - o_nu x c_mu)
 
-    packs riemann_{ij mu nu} of curvatures, its first index lowered, the
-    same way: riemann^0_{k mu nu} = riemann^k_{0 mu nu} = Re K_k and
-    riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in (1, 2, 3).  That
-    is 3 x 16 complex numbers per site against 256 reals.  R must be
-    antisymmetric (NotAntisymmetric) and omega live on its grid
-    (GridMismatch).
+    packs the Riemann tensor riemann_{ij mu nu}, its first index lowered,
+    the same way: riemann^0_{k mu nu} = riemann^k_{0 mu nu} = Re K_k and
+    riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in (1, 2, 3), and
+    every other entry is zero.  That is 3 x 16 complex numbers per site
+    against 256 reals.  R must be antisymmetric (ConnectionField.curvature
+    checks it) and omega live on its grid (GridMismatch).
     """
-    _check_antisymmetric(r, "R must satisfy R_ij = -R_ji")
     grid = r.shape[:-3]
     om = ()
     if omega is not None:
@@ -655,20 +668,15 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
     return SpinCurvature(K=k, dr_max=float(np.max(dr)))
 
 
-def _unpack_riemann(k: np.ndarray) -> np.ndarray:
-    """riemann^i_{j mu nu} of curvatures, layout [..., i, j, mu, nu], from
-    the K of _spin_curvature: every entry is 0, +-Re K or +-Im K."""
-    out = np.zeros(k.shape[:-3] + (4, 4) + k.shape[-2:])
-    out[..., _BOOST_ROWS, _BOOST_COLS, :, :] = k.real
-    out[..., _BOOST_COLS, _BOOST_ROWS, :, :] = k.real
-    out[..., _ROT_ROWS, _ROT_COLS, :, :] = -k.imag
-    out[..., _ROT_COLS, _ROT_ROWS, :, :] = k.imag
-    return out
+def _riemann_sites(k: np.ndarray) -> np.ndarray:
+    """max |riemann^i_{j mu nu}| over i, j, mu and nu per site, from the K
+    of _spin_curvature: the Riemann entries are 0, +-Re K and +-Im K."""
+    return np.maximum(_amax_sites(k.real, 3), _amax_sites(k.imag, 3))
 
 
 @dataclass(frozen=True)
 class CurvatureData:
-    riemann: np.ndarray  # grid + (4, 4, 4, 4), [i, j, mu, nu]
+    riemann: np.ndarray  # grid shape: max |riemann^i_{j mu nu}| per site
     F: np.ndarray  # grid + (4, 4), [mu, nu]
     goldstone_flat: np.ndarray | None  # grid shape, or None
 
@@ -682,7 +690,10 @@ def curvatures(
                             + R^i_{k mu} R^k_{j nu} - R^i_{k nu} R^k_{j mu}),
     with grad acting on frame indices through cf.omega when R carries one;
     it vanishes identically for pure-gauge R and reproduces the curvature
-    of omega itself when the Goldstone part is trivial.
+    of omega itself when the Goldstone part is trivial.  riemann holds its
+    largest |entry| per site, grid shaped, read off the cached
+    cf.curvature: every reader takes a max of it, and the dense tensor
+    would take 256 reals per site.
 
     F is the gauge field strength, see field_strength.
 
@@ -692,9 +703,6 @@ def curvatures(
     cached lfield.log_derivative in chiral block layout, so the formula
     runs per 2x2 block and the max is over both blocks.  cf.omega and the
     L field must live on the grid of cf, or GridMismatch is raised.
-
-    riemann is read off the cached cf.curvature, and built after the
-    flatness so that the two largest arrays never coexist.
     """
     k = cf.curvature.K
     f = field_strength(grid_gradient(cf.P, cf.spacing), q)
@@ -707,13 +715,13 @@ def curvatures(
             _flatness, cf.grid_shape, gmat,
             gradients=(gmat,), spacing=lfield.spacing,
         )
-    riemann = _sitewise(_unpack_riemann, cf.grid_shape, k)
+    riemann = _sitewise(_riemann_sites, cf.grid_shape, k)
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
 
 @dataclass(frozen=True)
 class IrreducibleSplit:
-    Pi: np.ndarray
+    Pi: np.ndarray | None  # None on PolarFields.split
     Ra: np.ndarray
     Ba: np.ndarray
 
@@ -730,15 +738,16 @@ def irreducible_split(r) -> IrreducibleSplit:
     _check_antisymmetric(
         r, "input must be antisymmetric in its first two indices"
     )
+    return IrreducibleSplit(*_sitewise(_split_sites, r.shape[:-3], r))
 
-    def sites(r):
-        ra = np.trace(_flip(r), axis1=-2, axis2=-1)
-        r_all_up = r * _ETA_UP3
-        ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
-        trace_part, axial_part = _split_parts(ra, ba_low)
-        return r - trace_part - axial_part, ra, ba_low
 
-    return IrreducibleSplit(*_sitewise(sites, r.shape[:-3], r))
+def _split_sites(r):
+    """(Pi, R_a, B_a) of irreducible_split at the sites of a kernel."""
+    ra = np.trace(_flip(r), axis1=-2, axis2=-1)
+    r_all_up = r * _ETA_UP3
+    ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
+    trace_part, axial_part = _split_parts(ra, ba_low)
+    return r - trace_part - axial_part, ra, ba_low
 
 
 def _split_parts(ra, ba_low):
@@ -778,27 +787,19 @@ def divergence_constraints(
     is 0.1 h^2 times the size a curved connection of this magnitude would
     have, max|dR| + max|R|^2, floored at the roundoff eps (max|P| + 1/h)^2
     of the inputs' natural scale, which decides when R is zero to roundoff.
-    cf.omega must live on the grid of cf, or GridMismatch is raised.
+    The error names the site of the largest curvature.  cf.omega must live
+    on the grid of cf, or GridMismatch is raised.
     """
     curv = cf.curvature
-    # max |riemann| of curvatures, whose entries are 0, +-Re K and +-Im K,
-    # and max |R| and max |P|, each the max over the maxima of the sites
-    k_re, k_im, r_max, p_max = (
-        float(np.max(m))
-        for m in _sitewise(
-            lambda k, r, p: (
-                _amax_sites(k.real, 3),
-                _amax_sites(k.imag, 3),
-                _amax_sites(r, 3),
-                _amax_sites(p, 1),
-            ),
-            cf.grid_shape,
-            curv.K,
-            cf.R,
-            cf.P,
-        )
+    # max |riemann| of curvatures, max |R| and max |P| per site
+    riemann, r_max, p_max = _sitewise(
+        lambda k, r, p: (_riemann_sites(k), _amax_sites(r, 3), _amax_sites(p, 1)),
+        cf.grid_shape,
+        curv.K,
+        cf.R,
+        cf.P,
     )
-    riemann_max = max(k_re, k_im)
+    riemann_max, r_max, p_max = (float(np.max(m)) for m in (riemann, r_max, p_max))
     tol = fd_tol
     if tol is None:
         active = [cf.spacing[ax] for ax in range(4) if cf.grid_shape[ax] > 1]
@@ -807,13 +808,15 @@ def divergence_constraints(
         p_scale = p_max + 1.0 / h_min
         tol = max(0.1 * h_min**2 * curv_scale, np.finfo(float).eps * p_scale**2)
     if riemann_max > 100.0 * tol:
+        worst = np.unravel_index(np.argmax(riemann), riemann.shape)
         raise PreconditionViolated(
-            f"curvature of R is {riemann_max:.3e}, beyond 100 x {tol:.3e}; "
+            f"curvature of R is {riemann_max:.3e}, beyond 100 x {tol:.3e}, "
+            f"at {_site_location(worst, cf.origin, cf.spacing)}; "
             "the divergence identities only hold for flat connections"
         )
-    sp = irreducible_split(cf.R)
-    ba_up = _flip(sp.Ba)
-    ra_up = _flip(sp.Ra)
+    ra, ba = _sitewise(lambda r: _split_sites(r)[1:], cf.grid_shape, cf.R)
+    ba_up = _flip(ba)
+    ra_up = _flip(ra)
     # div B and div R from one gradient of the stacked pair (B^a, R^a)
     div = np.trace(
         grid_gradient(np.stack((ba_up, ra_up), axis=-2), cf.spacing),
@@ -834,7 +837,7 @@ def divergence_constraints(
         res_r = div[..., 1] + 0.5 * (0.5 * rr + bb - rvrv)
         return res_b, res_r
 
-    res_b, res_r = _sitewise(sites, cf.grid_shape, cf.R, sp.Ba, sp.Ra, div)
+    res_b, res_r = _sitewise(sites, cf.grid_shape, cf.R, ba, ra, div)
     return DivergenceConstraints(
         resB=res_b, resR=res_r, riemann_max=riemann_max, fd_tol=tol
     )

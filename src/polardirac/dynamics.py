@@ -24,9 +24,10 @@ from .connections import (
     ExternalPotentials,
     IrreducibleSplit,
     _amax_sites,
+    _check_antisymmetric,
     _covariant_gradient,
+    _split_sites,
     field_strength,
-    irreducible_split,
     polar_pipeline,
 )
 from .errors import PreconditionViolated
@@ -57,6 +58,9 @@ class PolarFields:
     The derived fields (dbeta, dlnphi2, spin_plane, sigma_m, split, dP,
     F) are computed on first use and kept for the life of the instance;
     dataclasses.replace returns a new instance that computes them afresh.
+    sigma_m and split keep only their vectors, the part the evaluators
+    read: the full tensors (Sigma_full, M_full, Pi) are None here, and
+    sigma_m_potentials and irreducible_split return them.
     """
 
     phi: np.ndarray
@@ -100,13 +104,22 @@ class PolarFields:
 
     @cached_property
     def sigma_m(self) -> "SigmaM":
-        """sigma_m_potentials of these fields."""
-        return sigma_m_potentials(self)
+        """Sigma_vec and M_vec of sigma_m_potentials of these fields."""
+        vecs = _sitewise(
+            lambda *a: _sigma_m_sites(*a)[2:],
+            self.grid_shape, self.cf.P, self.cf.R, self.spin_plane,
+        )
+        return SigmaM(None, None, *vecs)
 
     @cached_property
     def split(self) -> IrreducibleSplit:
-        """irreducible_split of the connection R."""
-        return irreducible_split(self.cf.R)
+        """Ra and Ba of irreducible_split of the connection R."""
+        cf = self.cf
+        _check_antisymmetric(
+            cf.R, "R must satisfy R_ij = -R_ji", cf.origin, cf.spacing
+        )
+        vecs = _sitewise(lambda r: _split_sites(r)[1:], self.grid_shape, cf.R)
+        return IrreducibleSplit(None, *vecs)
 
     @cached_property
     def dP(self) -> np.ndarray:
@@ -165,24 +178,27 @@ class SigmaM:
     polar first-order equations close on exact plane-wave solutions.
     """
 
-    Sigma_full: np.ndarray
-    M_full: np.ndarray
+    Sigma_full: np.ndarray | None  # None on PolarFields.sigma_m
+    M_full: np.ndarray | None
     Sigma_vec: np.ndarray
     M_vec: np.ndarray
 
 
 def sigma_m_potentials(pf: PolarFields) -> SigmaM:
-    def sites(p, r, spin_plane):
-        sigma_full = r - 2.0 * p[..., None, None, :] * spin_plane[..., None]
-        pairs = sigma_full.reshape(sigma_full.shape[:-3] + (16, 4))
-        m_full = (0.5 * (_EPS_PAIRS @ pairs)).reshape(sigma_full.shape)
-        sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
-        m_vec = _flip(np.einsum("...abb->...a", m_full))
-        return sigma_full, m_full, sigma_vec, m_vec
+    return SigmaM(*_sitewise(
+        _sigma_m_sites, pf.grid_shape, pf.cf.P, pf.cf.R, pf.spin_plane
+    ))
 
-    return SigmaM(
-        *_sitewise(sites, pf.grid_shape, pf.cf.P, pf.cf.R, pf.spin_plane)
-    )
+
+def _sigma_m_sites(p, r, spin_plane):
+    """(Sigma_full, M_full, Sigma_vec, M_vec) of sigma_m_potentials at the
+    sites of a kernel."""
+    sigma_full = r - 2.0 * p[..., None, None, :] * spin_plane[..., None]
+    pairs = sigma_full.reshape(sigma_full.shape[:-3] + (16, 4))
+    m_full = (0.5 * (_EPS_PAIRS @ pairs)).reshape(sigma_full.shape)
+    sigma_vec = np.trace(_flip(sigma_full), axis1=-2, axis2=-1)
+    m_vec = _flip(np.einsum("...abb->...a", m_full))
+    return sigma_full, m_full, sigma_vec, m_vec
 
 
 @dataclass(frozen=True)

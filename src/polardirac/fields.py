@@ -220,6 +220,17 @@ def _lattice_events(origin, spacing, dims) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def _site_location(index, origin=None, spacing=None) -> str:
+    """'grid index (i, j, k, l)' of a site, with ', event (t, x, y, z) =
+    [...]' when the lattice origin (and spacing) are given, for errors."""
+    index = tuple(int(i) for i in index)
+    where = f"grid index {index}"
+    if origin is None:
+        return where
+    event = np.asarray(origin, dtype=float) + np.asarray(spacing) * index
+    return f"{where}, event (t, x, y, z) = {event.tolist()}"
+
+
 def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
     """GridField.fd for any arr with the grid on its first four axes.
 

@@ -215,7 +215,7 @@ def test_criterion_05_connection_curvature_suite():
         cd = curvatures(cf, q=lf.q, lfield=lf)
         data[n] = {
             "F": np.abs(cd.F),
-            "riemann": np.abs(cd.riemann),
+            "riemann": cd.riemann,
             "flat": cd.goldstone_flat,
         }
     for key in ("F", "riemann", "flat"):

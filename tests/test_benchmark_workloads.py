@@ -39,13 +39,15 @@ def test_pipeline_op_builds_each_layer_once(tmp_path, monkeypatch):
     # per op: one decompose for the one spinor grid (the hub and the
     # covariant check share it) and one curvature of R for the one
     # ConnectionField that needs it; two ops count two of each, so no op
-    # reads a layer that an earlier op built
+    # reads a layer that an earlier op built.  No op unpacks the dense
+    # Riemann tensor: a _unpack_riemann that came back into connections
+    # would be counted here
     from polardirac import connections
 
-    counts = {"decompose": 0, "_spin_curvature": 0}
+    counts = {"decompose": 0, "_spin_curvature": 0, "_unpack_riemann": 0}
 
     def counting(name):
-        real = getattr(connections, name)
+        real = getattr(connections, name, None)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -54,9 +56,49 @@ def test_pipeline_op_builds_each_layer_once(tmp_path, monkeypatch):
         return wrapper
 
     for name in counts:
-        monkeypatch.setattr(connections, name, counting(name))
+        monkeypatch.setattr(connections, name, counting(name), raising=False)
     w = WL.Pipeline(0, tmp_path)
     for op in (1, 2):
         _, raw = w.run(-1)
         assert WL.check(w, w.digest(raw), None)["ok"]
-        assert counts == {"decompose": op, "_spin_curvature": op}
+        assert counts == {"decompose": op, "_spin_curvature": op, "_unpack_riemann": 0}
+
+
+def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
+    # after the gaussian half of a pipeline op (9^3), the hub holds no
+    # rank-3 per-site tensor beside the connection R itself (the full
+    # Sigma, M and Pi are slab temporaries), and the grid's memo keeps no
+    # X = L^{-1} dL
+    import dataclasses
+
+    import numpy as np
+
+    import polardirac as pdc
+
+    seen = {}
+    load_grid, from_grid = pdc.load_grid, pdc.PolarFields.from_grid
+
+    def loading(path):
+        seen["g"] = load_grid(path)
+        return seen["g"]
+
+    def building(g, ext=None):
+        seen["pf"] = from_grid(g, ext)
+        return seen["pf"]
+
+    monkeypatch.setattr(pdc, "load_grid", loading)
+    monkeypatch.setattr(pdc.PolarFields, "from_grid", building)
+    w = WL.Pipeline(0, tmp_path)
+    w._gaussian(w.warm_inputs[0])
+    pf, g = seen["pf"], seen["g"]
+    assert {"sigma_m", "split", "spin_plane", "dP"} <= vars(pf).keys()
+    grid_rank = len(pf.grid_shape)
+    for name, value in vars(pf).items():
+        if name in ("cf", "ext"):
+            continue
+        parts = vars(value) if dataclasses.is_dataclass(value) else {name: value}
+        for part, arr in parts.items():
+            if isinstance(arr, np.ndarray):
+                assert arr.ndim - grid_rank < 3, (name, part, arr.shape)
+    (_, lf, _), = g._memo.values()
+    assert "log_derivative" not in vars(lf)

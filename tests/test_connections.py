@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -539,6 +540,25 @@ def _dense_riemann(r_up, dr, omega):
     return -(cov - np.swapaxes(cov, -1, -2) + quad - np.swapaxes(quad, -1, -2))
 
 
+def _unpack_riemann(k):
+    """riemann^i_{j mu nu}, layout [..., i, j, mu, nu], from the K of
+    _spin_curvature, the oracle of K and of the per-site max that
+    curvatures keeps: every entry is 0, +-Re K or +-Im K."""
+    from polardirac.connections import _BOOST_COLS, _BOOST_ROWS, _ROT_COLS, _ROT_ROWS
+
+    out = np.zeros(k.shape[:-3] + (4, 4) + k.shape[-2:])
+    out[..., _BOOST_ROWS, _BOOST_COLS, :, :] = k.real
+    out[..., _BOOST_COLS, _BOOST_ROWS, :, :] = k.real
+    out[..., _ROT_ROWS, _ROT_COLS, :, :] = -k.imag
+    out[..., _ROT_COLS, _ROT_ROWS, :, :] = k.imag
+    return out
+
+
+def _site_max(riemann):
+    """max |riemann^i_{j mu nu}| over i, j, mu and nu per site."""
+    return np.max(np.abs(riemann), axis=(-4, -3, -2, -1))
+
+
 def _random_antisymmetric(rng, dims, amp=1.0):
     t = amp * rng.normal(size=dims + (4, 4, 4))
     return t - np.swapaxes(t, -3, -2)
@@ -547,11 +567,12 @@ def _random_antisymmetric(rng, dims, amp=1.0):
 @pytest.mark.parametrize("dims", [(1, 7, 8, 9), (7, 1, 1, 8), (6, 5, 1, 1)])
 def test_spin_curvature_matches_dense_oracle(dims):
     # K packs the lowered dense Riemann tensor as (riemann_{0k}) +
-    # i (riemann_{23}, riemann_{31}, riemann_{12}), and the dense tensor of
-    # curvatures unpacks it; without and with Omega, on random
-    # antisymmetric R.  Both routes sum the same terms in another order, so
-    # the bound is 64 eps on the scale max|dR| + max|R| (max|R| + 2 max|Omega|)
-    # of those terms (measured: below 1 eps)
+    # i (riemann_{23}, riemann_{31}, riemann_{12}), _unpack_riemann
+    # unpacks it, and curvatures keeps its per-site max; without and with
+    # Omega, on random antisymmetric R.  Both routes sum the same terms in
+    # another order, so the bound is 64 eps on the scale
+    # max|dR| + max|R| (max|R| + 2 max|Omega|) of those terms (measured:
+    # below 1 eps)
     from polardirac.connections import _spin_curvature
 
     rng = np.random.default_rng(sum(dims))
@@ -579,10 +600,77 @@ def test_spin_curvature_matches_dense_oracle(dims):
             P=np.zeros(dims + (4,)), R=r, origin=np.zeros(4), spacing=spacing,
             omega=om,
         )
-        riemann = curvatures(cf).riemann
+        riemann = _unpack_riemann(cf.curvature.K)
         npt.assert_allclose(riemann, oracle, rtol=0.0, atol=tol)
+        assert np.array_equal(curvatures(cf).riemann, _site_max(riemann))
         res = divergence_constraints(cf, fd_tol=np.inf)
         assert res.riemann_max == float(np.max(np.abs(riemann)))
+
+
+def test_curvatures_riemann_is_the_site_max_of_the_dense_oracle():
+    # curvatures keeps max |riemann^i_{j mu nu}| per site, grid shaped:
+    # the bits of the per-site max of the dense tensor unpacked from K,
+    # and within roundoff of the per-site max of the dense kernel (64 eps
+    # on the scale of its terms, as in the test above); on a pure-gauge
+    # field and on one whose connection carries an Omega
+    lf, dims = gauge_boost_field(9)
+    gd = goldstone_derivatives(lf)
+    om = random_omega_field(
+        np.random.default_rng(9), dims, lf.origin, lf.spacing, amp=0.2
+    )
+    eta = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+    for ext in (ExternalPotentials(), ExternalPotentials(Omega=om)):
+        cf = build_connections(gd, ext)
+        riemann = curvatures(cf, lfield=lf).riemann
+        assert riemann.shape == dims
+        assert np.array_equal(riemann, _site_max(_unpack_riemann(cf.curvature.K)))
+        r_up = cf.R * eta
+        dr = grid_gradient(r_up, lf.spacing)
+        om_max = 0.0 if cf.omega is None else np.max(np.abs(om))
+        r_max = np.max(np.abs(cf.R))
+        scale = np.max(np.abs(dr)) + r_max * (r_max + 2 * om_max)
+        oracle = _site_max(_dense_riemann(r_up, dr, cf.omega))
+        assert np.max(oracle) > 1e-4
+        npt.assert_allclose(
+            riemann, oracle, rtol=0.0, atol=64 * np.finfo(float).eps * scale
+        )
+
+
+def test_not_antisymmetric_names_the_site():
+    # the first site where R_ij != -R_ji, with its event when the grid's
+    # origin and spacing are known
+    dims = (1, 5, 5, 5)
+    r = np.zeros(dims + (4, 4, 4))
+    r[0, 3, 0, 4, 1, 2, 0] = 1.0
+    r[0, 2, 1, 3, 0, 1, 2] = 1.0
+    cf = ConnectionField(
+        P=np.zeros(dims + (4,)),
+        R=r,
+        origin=np.array([0.5, -1.0, -1.0, -1.0]),
+        spacing=np.array([1.0, 0.25, 0.5, 0.5]),
+    )
+    where = r"grid index \(0, 2, 1, 3\), event \(t, x, y, z\) = "
+    with pytest.raises(NotAntisymmetric, match=where + r"\[0.5, -0.5, -0.5, 0.5\]"):
+        curvatures(cf)
+    with pytest.raises(NotAntisymmetric, match=r"at grid index \(0, 2, 1, 3\)$"):
+        irreducible_split(r)
+
+
+def test_divergence_precondition_names_the_most_curved_site():
+    # the site of the largest per-site |riemann|, with its event
+    lf, dims = gauge_boost_field(9)
+    om = random_omega_field(
+        np.random.default_rng(8), dims, lf.origin, lf.spacing, amp=0.1
+    )
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials(Omega=om))
+    cf = dataclasses.replace(cf, origin=np.array([2.0, -1.0, -1.0, -1.0]))
+    riemann = curvatures(cf).riemann
+    worst = np.unravel_index(np.argmax(riemann), dims)
+    assert np.sum(riemann == riemann[worst]) == 1
+    event = (cf.origin + cf.spacing * np.array(worst)).tolist()
+    where = f"at grid index {tuple(int(i) for i in worst)}, event (t, x, y, z) = {event}"
+    with pytest.raises(PreconditionViolated, match=re.escape(where)):
+        divergence_constraints(cf, fd_tol=1e-4)
 
 
 def test_spin_curvature_is_computed_once_and_read_only(monkeypatch):
@@ -632,13 +720,16 @@ def test_riemann_from_connections_matches_omega_route():
         + np.einsum("...ikm,...kjn->...ijmn", om_up, om_up)
         - np.einsum("...ikn,...kjm->...ijmn", om_up, om_up)
     )
-    npt.assert_allclose(curv.riemann, direct, atol=1e-11)
+    riemann = _unpack_riemann(cf.curvature.K)
+    npt.assert_allclose(riemann, direct, atol=1e-11)
+    assert np.array_equal(curv.riemann, _site_max(riemann))
     # with a nontrivial Goldstone part the match holds to FD accuracy
     lf2, _ = gauge_rotation_field(n)
     cf2 = build_connections(goldstone_derivatives(lf2), ExternalPotentials(Omega=om))
-    curv2 = curvatures(cf2)
+    riemann2 = _unpack_riemann(cf2.curvature.K)
     sl = interior(dims)
-    assert np.max(np.abs((curv2.riemann - direct)[sl])) < 5e-3
+    assert np.max(np.abs((riemann2 - direct)[sl])) < 5e-3
+    assert np.array_equal(curvatures(cf2).riemann, _site_max(riemann2))
 
 
 def test_irreducible_split_pure_parts():
@@ -991,8 +1082,9 @@ def test_connection_carries_its_omega():
     want = _dense_riemann(r_up, grid_gradient(r_up, lf.spacing), om)
     scale = np.max(np.abs(want))
     assert scale > 0.1
-    riemann = curvatures(cf).riemann
+    riemann = _unpack_riemann(cf.curvature.K)
     npt.assert_allclose(riemann, want, rtol=0.0, atol=1e-13 * scale)
+    assert np.array_equal(curvatures(cf).riemann, _site_max(riemann))
     res = divergence_constraints(cf, fd_tol=np.inf)
     assert res.riemann_max == float(np.max(np.abs(riemann)))
     assert build_connections(gd, ExternalPotentials()).omega is None
@@ -1060,9 +1152,11 @@ def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
 
 
 def test_goldstone_layer_arrays_refuse_writes():
-    # the kept arrays are shared by every later pipeline on the grid
+    # the kept arrays are shared by every later pipeline on the grid; the
+    # kept L holds no X, and an X rebuilt on demand is read-only too
     g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
     pd, lf, gd, cf = polar_pipeline(g, ExternalPotentials())
+    assert "log_derivative" not in vars(lf)
     kept = (
         pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
         lf.matrices, lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,

@@ -569,6 +569,7 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
     # the Goldstone layer is kept on g, so the counts below leave it out
     _, lf, gd, cf = pdc.polar_pipeline(g, ext)
     cf.curvature  # K is kept on cf, so curvatures below reads it
+    lf.log_derivative  # X, built on demand, is kept on lf likewise
     calls = _dispatches(monkeypatch)
 
     def count(fn, *args, **kwargs):
@@ -578,15 +579,15 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
 
     # P and R in one pass
     assert count(pdc.build_connections, gd, ext) == 1
-    # the antisymmetry check, c, then the gradient of c, K and max |dR|
-    # at once
-    assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 3
+    # c, then the gradient of c, K and max |dR| at once; the antisymmetry
+    # check of R is ConnectionField.curvature's
+    assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 2
     # P and R, the gradient of beta across its cut, then the gradients of
     # psi, ln phi, s and u, the covariant gradient and all three residuals
     # in one kernel
     assert count(pdc.covariant_derivative_check, g, ext) == 3
     # the gradient of psi, the covariant gradient and the residual at once
     assert count(pdc.dirac_residual, g, ext) == 1
-    # the gradient of P, the gradient of X with the flatness, the dense
-    # Riemann tensor
+    # the gradient of P, the gradient of X with the flatness, the
+    # per-site max of the Riemann tensor
     assert count(pdc.curvatures, cf, lfield=lf) == 3
