@@ -43,18 +43,18 @@ from .polar import PolarData, _require_charge, decompose
 # [(a b), (j i)]; only _spin_matrix and _spin_components read them
 _SIGMA_16 = BASIS.sigma.reshape(16, 16).T
 _SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
-# the same pair on the two diagonal chiral blocks, [(k i j), (a b)] and
-# [(a b), (k i j)]: the off-diagonal blocks of every sigma^{ab} are zero
-_SIGMA_8 = _chiral_split(BASIS.sigma).reshape(16, 8).T
-_SIGMA_CONJ_8 = np.conj(_SIGMA_8.T)
+# the (i, j) of T_{ij mu} that the sl(2,C) 3-vector c_mu packs: the boost
+# planes 01, 02, 03 in its real part, the rotation planes 23, 31, 12 in its
+# imaginary part
+_BOOST_ROWS, _BOOST_COLS = (0, 0, 0), (1, 2, 3)
+_ROT_ROWS, _ROT_COLS = (2, 3, 1), (3, 1, 2)
 # eps_{ijka} as an [a, (i j k)] matrix: eps_{ijka} B^a is one product with
 # a single nonzero term per entry
 _EPS_AXIAL = np.moveaxis(BASIS.epsilon, -1, 0).reshape(4, 64)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
-# the identity per direction, layout [row, col, mu], and per chiral block
+# the identity per direction, layout [row, col, mu]
 _EYE_M = np.eye(4)[:, :, None]
-_EYE_BLOCKS_M = np.eye(2)[:, :, None]
 # the largest leak of L^{-1} dL out of the algebra, as a fraction of max|X|
 _LEAK_FRACTION = 0.1
 # sites per product table of _flatness, 2 MB: one table over a whole 17^3
@@ -269,7 +269,10 @@ class GoldstoneDerivatives:
     dxi has grid shape + (4,); dxi_ab grid shape + (4, 4, 4) with layout
     [a, b, mu], antisymmetric in ab; leak records the Frobenius norm of
     whatever part of the numerical log-derivative falls outside the
-    algebra span, per point and direction.
+    algebra span, per point and direction.  On the chiral blocks X_u and
+    X_l of X that is the departure of X_l from -X_u^dag, which holds
+    exactly in the algebra, so for a group-valued L the leak is
+    discretization error (see _goldstone_sites).
     """
 
     dxi: np.ndarray
@@ -322,43 +325,87 @@ def _project_log_derivative(x_mats: np.ndarray, q: float):
     return dxi, dxi_ab, leak
 
 
-def _project_blocks(x: np.ndarray, q: float):
-    """_project_log_derivative for X in chiral block layout
-    [..., block, row, col, mu]: dxi from the two block traces, dxi_ab with
-    the block-restricted sigma^{ab} pair, and the leak as the Frobenius
-    norm of the 8 block entries the two leave out, which is the dense
-    norm since the off-diagonal blocks of X and of sigma^{ab} are zero.
+def _spin_vectors(t: np.ndarray) -> np.ndarray:
+    """c_mu = (T_{01}, T_{02}, T_{03}) + i (T_{23}, T_{31}, T_{12}) of an
+    antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing).  In the
+    chiral representation (1/2) T_{ab mu} sigma^{ab} is
+    diag(-c_mu.sigma / 2, conj(c_mu).sigma / 2)."""
+    c = np.empty(t.shape[:-3] + (3, t.shape[-1]), dtype=complex)
+    c.real = t[..., _BOOST_ROWS, _BOOST_COLS, :]
+    c.imag = t[..., _ROT_ROWS, _ROT_COLS, :]
+    return c
+
+
+def _pauli_components(e: np.ndarray) -> np.ndarray:
+    """(a_0, a_1, a_2, a_3) of 2x2 matrices e = a_0 I + a_k sigma_k, on
+    the first axis, from their entries (e_00, e_01, e_10, e_11) there:
+    a_0 = (e_00 + e_11)/2, a_1 = (e_01 + e_10)/2, a_2 = i (e_01 - e_10)/2
+    and a_3 = (e_00 - e_11)/2."""
+    e00, e01, e10, e11 = e
+    return 0.5 * np.stack((e00 + e11, e01 + e10, 1j * (e01 - e10), e00 - e11))
+
+
+def _goldstone_sites(x: np.ndarray, q: float):
+    """(dxi, dxi_ab, leak, |X_mu|) of goldstone_derivatives at the sites of
+    a kernel, from X in chiral block layout [..., block, row, col, mu].
+
+    With (a_0, a) the Pauli components of the upper block X_u and (b_0, b)
+    those of the lower block X_l, an algebra element
+    i q dxi I + (1/2) dxi_{ab} sigma^{ab} has a_0 = b_0 = i q dxi,
+    a = -c / 2 and b = conj(c) / 2 for c = _spin_vectors(dxi_ab).  The
+    projection onto it, orthogonal under Re tr(A^dag B), reads
+
+        dxi = Im(a_0 + b_0) / (2 q),   c = conj(b) - a,
+
+    that is dxi_{0k} = Re(b_k - a_k) and dxi_{ij} = -Im(a_k + b_k) for
+    (i, j, k) cyclic.  The leak, the Frobenius norm of the part of X that
+    it leaves out, is the departure of X_l from -X_u^dag:
+
+        leak^2 = 2 (Re a_0)^2 + 2 (Re b_0)^2 + (Im a_0 - Im b_0)^2
+                 + sum_k |a_k + conj(b_k)|^2,
+
+    read here off the components of X_u + X_l and X_l - X_u (a + b and
+    b - a), with no reconstruction of X.  The kernel first copies each
+    entry of X to one contiguous [site, mu] array.
     """
-    _require_charge(q)
-    grid = x.shape[:-4]
-    dxi = np.trace(x, axis1=-3, axis2=-2).sum(axis=-2).imag / (4.0 * q)
-    dxi_ab = np.real(_SIGMA_CONJ_8 @ x.reshape(grid + (8, 4)))
-    dxi_ab = dxi_ab.reshape(grid + (4, 4, 4))
-    spin = 0.5 * (_SIGMA_8 @ dxi_ab.reshape(grid + (16, 4))).reshape(x.shape)
-    recon = spin + 1j * q * dxi[..., None, None, None, :] * _EYE_BLOCKS_M
-    leak = np.linalg.norm((x - recon).reshape(grid + (8, 4)), axis=-2)
-    return dxi, dxi_ab, leak
+    grid, dirs = x.shape[:-4], x.shape[-1]
+    entries = np.ascontiguousarray(np.moveaxis(x.reshape((-1, 8, dirs)), 1, 0))
+    upper, lower = entries[:4], entries[4:]
+    plus = _pauli_components(upper + lower)
+    minus = _pauli_components(lower - upper)
+    dxi = plus[0].imag / (2.0 * q)
+    boost, rot = minus[1:].real, -plus[1:].imag
+    planes = np.zeros((4, 4) + boost.shape[1:])  # [a, b, site, mu]
+    planes[_BOOST_ROWS, _BOOST_COLS] = boost
+    planes[_BOOST_COLS, _BOOST_ROWS] = -boost
+    planes[_ROT_ROWS, _ROT_COLS] = rot
+    planes[_ROT_COLS, _ROT_ROWS] = -rot
+    dxi_ab = np.ascontiguousarray(np.moveaxis(planes, 2, 0))
+    leak = np.sqrt(
+        np.sum(plus.real**2 + minus.imag**2, axis=0) + minus[0].real ** 2
+    )
+    norms = np.linalg.norm(entries, axis=0)
+    return (
+        dxi.reshape(grid + (dirs,)),
+        dxi_ab.reshape(grid + (4, 4, dirs)),
+        leak.reshape(grid + (dirs,)),
+        norms.reshape(grid + (dirs,)),
+    )
 
 
-def _x_norms(x_mats, leak) -> np.ndarray:
-    """|X_mu| per site, shaped as leak: the Frobenius norm of X over every
-    axis but the grid and mu, for one site (X dense, [row, col, mu]) or a
-    grid (X in block layout [..., block, row, col, mu]), equal in both
-    layouts since the off-diagonal blocks are zero."""
-    return np.linalg.norm(x_mats.reshape(leak.shape[:-1] + (-1, 4)), axis=-2)
-
-
-def _check_leak(norms, leak, lf: TransformField) -> None:
+def _check_leak(norms, leak, lf: TransformField, at=()) -> None:
     """Raise BasisLeak where the out-of-algebra residual is too large.
 
-    norms and leak are |X_mu| (see _x_norms) and the leak, per site and
-    mu, of one site or a whole grid.  Finite
-    differences of a genuine group field leak out of the algebra at
+    norms and leak are |X_mu| (the Frobenius norm of X_mu) and the leak,
+    per site and mu, of a whole grid, or of the one site at grid index at.
+    Finite differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
     tolerance scales with the largest |X_mu|, as 10 h^2 |X|^2 capped at
     _LEAK_FRACTION |X|: a leak is at most about |X|, so without the cap
     no leak of a coarse or rough field (10 h^2 |X| >= 1) could fail.  The
-    floor 1e-8 h^2, outside the cap, covers the near-constant case.
+    floor 1e-8 h^2, outside the cap, covers the near-constant case.  The
+    error names the grid index and event of the largest leak on the
+    failing axis.
     """
     scale = float(np.max(norms)) if norms.size else 0.0
     h2 = lf.spacing**2
@@ -368,20 +415,25 @@ def _check_leak(norms, leak, lf: TransformField) -> None:
     worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
         if lf.grid_shape[ax] > 1 and worst[ax] > tol[ax]:
+            on_axis = leak[..., ax]
+            site = tuple(at) + np.unravel_index(np.argmax(on_axis), on_axis.shape)
             raise BasisLeak(
                 f"log-derivative leak {worst[ax]:.3e} along axis {ax} "
-                f"exceeds {tol[ax]:.3e}; L is not a group-valued field"
+                f"exceeds {tol[ax]:.3e} at "
+                f"{_site_location(site, lf.origin, lf.spacing)}; "
+                "L is not a group-valued field"
             )
 
 
 def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
     """Grid-wide Goldstone derivative extraction with basis-leak check,
-    projecting the chiral block layout of lf.log_derivative."""
-    def sites(x):
-        dxi, dxi_ab, leak = _project_blocks(x, lf.q)
-        return dxi, dxi_ab, leak, _x_norms(x, leak)
-
-    dxi, dxi_ab, leak, norms = _sitewise(sites, lf.grid_shape, lf.log_derivative)
+    read off the Pauli components of the chiral blocks of
+    lf.log_derivative (see _goldstone_sites).  PreconditionViolated unless
+    lf.q is finite and nonzero."""
+    _require_charge(lf.q)
+    dxi, dxi_ab, leak, norms = _sitewise(
+        lambda x: _goldstone_sites(x, lf.q), lf.grid_shape, lf.log_derivative
+    )
     _check_leak(norms, leak, lf)
     return GoldstoneDerivatives(
         dxi=dxi,
@@ -409,7 +461,7 @@ def goldstone_derivative(lf: TransformField, point):
                 l_ax = sign[tuple(point)] * l_inv
             x_mats[:, :, ax] = l_ax @ _site_fd(mats, ax, point, lf.spacing[ax])
     dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
-    _check_leak(_x_norms(x_mats, leak), leak, lf)
+    _check_leak(np.linalg.norm(x_mats, axis=(0, 1)), leak, lf, point)
     return dxi, dxi_ab, leak
 
 
@@ -510,9 +562,28 @@ class CovariantChecks:
     u_transport: np.ndarray
 
 
+def _pauli_action(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(c_mu . sigma) v per direction mu, layout [..., row, mu], for
+    3-vectors c [..., k, mu] and 2-spinors v [..., row]."""
+    c1, c2, c3 = c[..., 0, :], c[..., 1, :], c[..., 2, :]
+    v0, v1 = v[..., 0, None], v[..., 1, None]
+    return np.stack(
+        (c3 * v0 + (c1 - 1j * c2) * v1, (c1 + 1j * c2) * v0 - c3 * v1), axis=-2
+    )
+
+
 def _spin_action(t: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(1/2) T_{ab m} sigma^{ab} psi per direction m, layout [..., k, m]."""
-    return np.einsum("...klm,...l->...km", _spin_matrix(t), psi)
+    """(1/2) T_{ab m} sigma^{ab} psi per direction m, layout [..., k, m],
+    for an antisymmetric T: [-(c.sigma) psi_L / 2; (conj(c).sigma) psi_R / 2]
+    with c = _spin_vectors(T), no 4x4 matrix built."""
+    c = _spin_vectors(t)
+    return np.concatenate(
+        (
+            -0.5 * _pauli_action(c, psi[..., :2]),
+            0.5 * _pauli_action(np.conj(c), psi[..., 2:]),
+        ),
+        axis=-2,
+    )
 
 
 def _covariant_gradient(dpsi, psi, a, q, *om) -> np.ndarray:
@@ -602,21 +673,6 @@ def _flatness(dg, g) -> np.ndarray:
         del q  # before |d| and the next chunk
         flat[chunk] = np.max(np.abs(d), axis=(-5, -4, -3, -2, -1))
     return flat.reshape(sites)
-
-
-# the (i, j) of R_{ij mu} that c_mu packs: the boost planes 01, 02, 03
-# in its real part, the rotation planes 23, 31, 12 in its imaginary part
-_BOOST_ROWS, _BOOST_COLS = (0, 0, 0), (1, 2, 3)
-_ROT_ROWS, _ROT_COLS = (2, 3, 1), (3, 1, 2)
-
-
-def _spin_vectors(t: np.ndarray) -> np.ndarray:
-    """c_mu = (T_{01}, T_{02}, T_{03}) + i (T_{23}, T_{31}, T_{12}) of an
-    antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing)."""
-    c = np.empty(t.shape[:-3] + (3, t.shape[-1]), dtype=complex)
-    c.real = t[..., _BOOST_ROWS, _BOOST_COLS, :]
-    c.imag = t[..., _ROT_ROWS, _ROT_COLS, :]
-    return c
 
 
 def _cross_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -741,11 +797,18 @@ def irreducible_split(r) -> IrreducibleSplit:
     return IrreducibleSplit(*_sitewise(_split_sites, r.shape[:-3], r))
 
 
-def _split_sites(r):
-    """(Pi, R_a, B_a) of irreducible_split at the sites of a kernel."""
+def _split_vectors(r):
+    """(R_a, B_a) of irreducible_split at the sites of a kernel, without
+    Pi: the split that PolarFields.split and divergence_constraints read."""
     ra = np.trace(_flip(r), axis1=-2, axis2=-1)
     r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
+    return ra, ba_low
+
+
+def _split_sites(r):
+    """(Pi, R_a, B_a) of irreducible_split at the sites of a kernel."""
+    ra, ba_low = _split_vectors(r)
     trace_part, axial_part = _split_parts(ra, ba_low)
     return r - trace_part - axial_part, ra, ba_low
 
@@ -814,7 +877,7 @@ def divergence_constraints(
             f"at {_site_location(worst, cf.origin, cf.spacing)}; "
             "the divergence identities only hold for flat connections"
         )
-    ra, ba = _sitewise(lambda r: _split_sites(r)[1:], cf.grid_shape, cf.R)
+    ra, ba = _sitewise(_split_vectors, cf.grid_shape, cf.R)
     ba_up = _flip(ba)
     ra_up = _flip(ra)
     # div B and div R from one gradient of the stacked pair (B^a, R^a)

@@ -26,12 +26,13 @@ from .connections import (
     _amax_sites,
     _check_antisymmetric,
     _covariant_gradient,
-    _split_sites,
+    _split_vectors,
     field_strength,
     polar_pipeline,
 )
 from .errors import PreconditionViolated
-from .fields import GridField, _phase_gradient, _sitewise, grid_gradient
+from .fields import GridField, _phase_gradient, _site_location, _sitewise
+from .fields import grid_gradient
 
 _GAMMA_PI = BASIS.gamma @ BASIS.pi  # gamma^m pi, layout [m, a, c]
 # W^{mn} = W_{mn} * _ETA_UP2: both indices raised
@@ -118,7 +119,7 @@ class PolarFields:
         _check_antisymmetric(
             cf.R, "R must satisfy R_ij = -R_ji", cf.origin, cf.spacing
         )
-        vecs = _sitewise(lambda r: _split_sites(r)[1:], self.grid_shape, cf.R)
+        vecs = _sitewise(_split_vectors, self.grid_shape, cf.R)
         return IrreducibleSplit(None, *vecs)
 
     @cached_property
@@ -342,13 +343,15 @@ def second_order_residuals(
     vector).  With X = 0 the effective equation is exactly
     -phi times the general one evaluated on zero-beta inputs.
     """
-    r_max = float(
-        np.max(_sitewise(lambda r: _amax_sites(r, 3), pf.grid_shape, pf.cf.R))
-    )
+    cf = pf.cf
+    r_sites = _sitewise(lambda r: _amax_sites(r, 3), pf.grid_shape, cf.R)
+    r_max = float(np.max(r_sites))
     if r_max > _R_TOL:
+        worst = np.unravel_index(np.argmax(r_sites), r_sites.shape)
         raise PreconditionViolated(
-            f"max |R| = {r_max:.3e} > {_R_TOL:.3e}: the standard balance "
-            "equation assumes a vanishing tensorial connection"
+            f"max |R| = {r_max:.3e} > {_R_TOL:.3e} at "
+            f"{_site_location(worst, cf.origin, cf.spacing)}: the standard "
+            "balance equation assumes a vanishing tensorial connection"
         )
     sm = pf.sigma_m
     ext = pf.ext

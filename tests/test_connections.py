@@ -8,6 +8,7 @@ import pytest
 from polardirac.clifford import (
     BASIS,
     METRIC,
+    _chiral_split,
     boost_matrices,
     rotation_matrices,
 )
@@ -43,7 +44,7 @@ from polardirac.fields import (
     sample,
     superpose,
 )
-from polardirac.polar import decompose
+from polardirac.polar import _require_charge, decompose
 
 
 def coords_for(origin, spacing, dims):
@@ -988,19 +989,19 @@ _ROUGH_CASES = [
 
 
 def test_block_goldstone_matches_dense_site_oracle():
-    # the block projection of the grid X against the dense 4x4 single-site
-    # route (np.linalg.inv, the site stencil and _project_log_derivative)
-    # at every site; the two differ by roundoff only, so the tolerance is
-    # 64 eps on the scale of X (measured: below 2 eps).  These rough
-    # fields fail the leak check (see the next test), so both sides are
-    # the projections alone
-    from polardirac.connections import _project_blocks, _project_log_derivative
+    # the Pauli-component projection of the grid X against the dense 4x4
+    # single-site route (np.linalg.inv, the site stencil and
+    # _project_log_derivative) at every site; the two differ by roundoff
+    # only, so the tolerance is 64 eps on the scale of X (measured: below
+    # 2 eps).  These rough fields fail the leak check (see the next test),
+    # so both sides are the projections alone
+    from polardirac.connections import _goldstone_sites, _project_log_derivative
     from polardirac.fields import _site_fd
 
     rng = np.random.default_rng(31)
     for dims, spacing, q in _ROUGH_CASES:
         lf = _random_gauge_field(rng, dims, spacing, q)
-        dxi_g, dxi_ab_g, leak_g = _project_blocks(lf.log_derivative, q)
+        dxi_g, dxi_ab_g, leak_g, _ = _goldstone_sites(lf.log_derivative, q)
         tol = 64 * np.finfo(float).eps * np.max(np.abs(lf.log_derivative))
         for site in np.ndindex(*dims):
             x_mats = np.zeros((4, 4, 4), dtype=complex)
@@ -1021,17 +1022,143 @@ def test_leak_check_rejects_coarse_random_fields():
     # (3.0 against max|X_mu| 5.9 on the first field, 8.4 against 13.0 on
     # the second), where the uncapped tolerance 10 h^2 max|X|^2 let every
     # leak through
-    from polardirac.connections import _project_blocks
+    from polardirac.connections import _goldstone_sites
 
     rng = np.random.default_rng(31)
     for dims, spacing, q in _ROUGH_CASES:
         lf = _random_gauge_field(rng, dims, spacing, q)
         with pytest.raises(BasisLeak, match="not a group-valued field"):
             goldstone_derivatives(lf)
-        leak = _project_blocks(lf.log_derivative, q)[2]
+        leak = _goldstone_sites(lf.log_derivative, q)[2]
         worst = np.unravel_index(np.argmax(leak), leak.shape)[:4]
         with pytest.raises(BasisLeak, match="not a group-valued field"):
             goldstone_derivative(lf, worst)
+
+
+def test_leak_error_names_the_worst_site():
+    # one site of a smooth gauge field scaled by 1.5 is not a group
+    # element; both routes name the grid index and event of the largest
+    # leak on the failing axis, a neighbour of that site along the axis
+    from polardirac.connections import _goldstone_sites
+    from polardirac.fields import _site_location
+
+    lf, _ = gauge_boost_field(9)
+    site = (0, 4, 3, 5)
+    mats = lf.matrices.copy()
+    mats[site] *= 1.5
+    bad = dataclasses.replace(lf, matrices=mats)
+    with pytest.raises(BasisLeak, match="not a group-valued field") as info:
+        goldstone_derivatives(bad)
+    message = str(info.value)
+    ax = int(re.search(r"along axis (\d)", message).group(1))
+    leak = _goldstone_sites(bad.log_derivative, bad.q)[2][..., ax]
+    worst = np.unravel_index(np.argmax(leak), leak.shape)
+    where = _site_location(worst, lf.origin, lf.spacing)
+    assert f"at {where};" in message and "event (t, x, y, z)" in message
+    step = np.subtract(worst, site)
+    assert abs(step[ax]) == 1 and np.count_nonzero(step) == 1
+    with pytest.raises(BasisLeak, match=re.escape(f"at {where};")):
+        goldstone_derivative(bad, worst)
+
+
+# the block projection that the Pauli-component kernel replaced, kept
+# verbatim as the oracle of its leak: sigma^{ab} restricted to the two
+# chiral blocks, and X minus its reconstruction from dxi and dxi_ab
+_SIGMA_8 = _chiral_split(BASIS.sigma).reshape(16, 8).T
+_SIGMA_CONJ_8 = np.conj(_SIGMA_8.T)
+_EYE_BLOCKS_M = np.eye(2)[:, :, None]
+
+
+def _project_blocks(x: np.ndarray, q: float):
+    """_project_log_derivative for X in chiral block layout
+    [..., block, row, col, mu]: dxi from the two block traces, dxi_ab with
+    the block-restricted sigma^{ab} pair, and the leak as the Frobenius
+    norm of the 8 block entries the two leave out, which is the dense
+    norm since the off-diagonal blocks of X and of sigma^{ab} are zero.
+    """
+    _require_charge(q)
+    grid = x.shape[:-4]
+    dxi = np.trace(x, axis1=-3, axis2=-2).sum(axis=-2).imag / (4.0 * q)
+    dxi_ab = np.real(_SIGMA_CONJ_8 @ x.reshape(grid + (8, 4)))
+    dxi_ab = dxi_ab.reshape(grid + (4, 4, 4))
+    spin = 0.5 * (_SIGMA_8 @ dxi_ab.reshape(grid + (16, 4))).reshape(x.shape)
+    recon = spin + 1j * q * dxi[..., None, None, None, :] * _EYE_BLOCKS_M
+    leak = np.linalg.norm((x - recon).reshape(grid + (8, 4)), axis=-2)
+    return dxi, dxi_ab, leak
+
+
+def test_closed_form_leak_matches_the_reconstruction():
+    # the leak identity, leak^2 = 2 (Re a_0)^2 + 2 (Re b_0)^2
+    # + (Im a_0 - Im b_0)^2 + sum_k |a_k + conj b_k|^2, against the norm of
+    # X minus its reconstruction, on random X far from the algebra and on
+    # the X of a gauge field; dxi and dxi_ab against the same oracle, all
+    # to 64 eps of max|X| (measured: below 2 eps), and |X_mu| as its
+    # Frobenius norm
+    from polardirac.connections import _goldstone_sites
+
+    rng = np.random.default_rng(8)
+    shape = (2, 3, 4, 5, 2, 2, 2, 4)
+    xs = [
+        rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        gauge_boost_field(9)[0].log_derivative,
+        gauge_rotation_field(9)[0].log_derivative,
+    ]
+    shares = []
+    for x, q in zip(xs, (-1.7, 1.0, 0.6)):
+        dxi, dxi_ab, leak, norms = _goldstone_sites(x, q)
+        tol = 64 * np.finfo(float).eps * np.max(np.abs(x))
+        for got, want in zip((dxi, dxi_ab, leak), _project_blocks(x, q)):
+            npt.assert_allclose(got, want, rtol=0.0, atol=tol)
+        assert np.array_equal(dxi_ab, -np.swapaxes(dxi_ab, -3, -2))
+        npt.assert_array_equal(
+            norms, np.linalg.norm(x.reshape(x.shape[:-4] + (8, 4)), axis=-2)
+        )
+        shares.append(np.max(leak) / np.max(norms))
+    # random X lies far outside the algebra, the gauge X close to it
+    assert shares[0] > 0.5 and max(shares[1:]) < 0.05
+
+
+def test_spin_action_matches_the_spin_matrix_oracle():
+    # [-(c.sigma) psi_L / 2; (conj(c).sigma) psi_R / 2] against the 4x4
+    # (1/2) T_ab sigma^ab of _spin_matrix applied by einsum, on random
+    # antisymmetric T and psi, and through dirac_residual with Omega
+    # against the same residual with the Omega term taken that way; 64 eps
+    # of the scale of each side (measured: below 1 eps)
+    from polardirac.connections import _spin_action, _spin_matrix
+    from polardirac.dynamics import dirac_residual
+    from polardirac.fields import GridField
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(12)
+    t = rng.normal(size=(3, 5, 4, 4, 4))
+    t = t - np.swapaxes(t, -3, -2)
+    psi = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+    want = np.einsum("...klm,...l->...km", _spin_matrix(t), psi)
+    scale = np.max(np.abs(t)) * np.max(np.abs(psi))
+    npt.assert_allclose(_spin_action(t, psi), want, rtol=0.0, atol=64 * eps * scale)
+
+    dims = (5, 6, 5, 1)
+    psi = np.array([1.0, 0.2, 0.6, 0.1]) + 0.03 * (
+        rng.normal(size=dims + (4,)) + 1j * rng.normal(size=dims + (4,))
+    )
+    g = GridField([0, 0, 0, 0], [0.2, 0.3, 0.25, 0.3], dims, psi)
+    om = rng.normal(size=dims + (4, 4, 4))
+    om = om - np.swapaxes(om, -3, -2)
+    a = rng.normal(size=dims + (4,))
+    ext = ExternalPotentials(A=a, Omega=om, q=1.3, m=0.9)
+    nabla = (
+        grid_gradient(psi, g.spacing)
+        + np.einsum("...klm,...l->...km", _spin_matrix(om), psi)
+        + 1j * ext.q * a[..., None, :] * psi[..., :, None]
+    )
+    lhs = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla) - ext.m * psi
+    scale = np.max(np.abs(nabla)) + np.max(np.abs(psi))
+    npt.assert_allclose(
+        dirac_residual(g, ext),
+        np.linalg.norm(lhs, axis=-1),
+        rtol=0.0,
+        atol=64 * eps * scale,
+    )
 
 
 def test_block_flatness_matches_dense_oracle():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -669,6 +670,21 @@ def test_second_order_requires_small_connection():
     r = r - np.swapaxes(r, -3, -2)
     pf = const_pf(dims, [1, 0.25, 0.25, 1], R=r)
     with pytest.raises(PreconditionViolated):
+        second_order_residuals(pf, quantum_potentials(pf))
+
+
+def test_second_order_precondition_names_the_largest_connection():
+    # R is nonzero at two sites; the error names the grid index and event
+    # of the larger one
+    dims = (1, 5, 5, 1)
+    r = np.zeros(dims + (4, 4, 4))
+    for site, value in (((0, 1, 3, 0), 1e-6), ((0, 3, 2, 0), 3e-6)):
+        r[site + (0, 2, 1)] = value
+        r[site + (2, 0, 1)] = -value
+    pf = const_pf(dims, [1, 0.25, 0.25, 1], R=r, origin=(0.5, -1.0, 0.0, 2.0))
+    where = "grid index (0, 3, 2, 0), event (t, x, y, z) = [0.5, -0.25, 0.5, 2.0]"
+    match = re.escape(f"3.000e-06 > 1.000e-08 at {where}:")
+    with pytest.raises(PreconditionViolated, match=match):
         second_order_residuals(pf, quantum_potentials(pf))
 
 

@@ -247,13 +247,13 @@ def test_one_cpu_runs_everything_inline(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     g = _wave_grid((1, 33, 33, 33))
     ran = set()
-    real = connections._project_blocks
+    real = connections._goldstone_sites
 
     def recording(*args):
         ran.add(threading.get_ident())
         return real(*args)
 
-    monkeypatch.setattr(connections, "_project_blocks", recording)
+    monkeypatch.setattr(connections, "_goldstone_sites", recording)
     sliced, inline = _both(monkeypatch, lambda: pdc.PolarFields.from_grid(g))
     assert ran == {threading.get_ident()}
     _assert_identical(
@@ -456,13 +456,13 @@ def test_pipeline_op_makes_every_public_call_on_the_calling_thread(
                     if id(item) in wrappers:
                         monkeypatch.setitem(value, key, wrappers[id(item)])
     slab_threads = set()
-    real = connections._project_blocks
+    real = connections._goldstone_sites
 
     def recording(*args):
         slab_threads.add(threading.get_ident())
         return real(*args)
 
-    monkeypatch.setattr(connections, "_project_blocks", recording)
+    monkeypatch.setattr(connections, "_goldstone_sites", recording)
     w = workloads.Pipeline(0, tmp_path)
     _, raw = w.run(0)  # the 33^3 op
     assert workloads.check(w, w.digest(raw), None)["ok"]
