@@ -21,6 +21,7 @@ import numpy as np
 
 from .clifford import BASIS, minkowski_dot
 from .errors import ImaginaryResidue
+from .fields import _site_location
 
 IMAG_TOL = 1e-10
 
@@ -58,18 +59,21 @@ class Bilinears:
 def compute_bilinears(psi) -> Bilinears:
     """Evaluate Theta, Phi, U, S for one spinor or a whole grid of them.
 
-    psi has shape (..., 4).  Raises ImaginaryResidue if any observable
-    picks up an imaginary part beyond tolerance (absolute for unit-scale
-    spinors, relative above that), which would signal a broken basis.
+    psi has shape (..., 4).  Raises ImaginaryResidue, naming the site, if
+    any observable picks up an imaginary part beyond tolerance (absolute
+    for unit-scale spinors, relative above that), which would signal a
+    broken basis.
     """
     psi = np.asarray(psi, dtype=complex)
     vals = np.einsum("...i,kij,...j->...k", psi.conj(), _STACK, psi)
     scale = np.maximum(1.0, np.sum(np.abs(psi) ** 2, axis=-1))
     bad = np.abs(vals.imag) > IMAG_TOL * scale[..., None]
     if np.any(bad):
-        worst = float(np.max(np.abs(vals.imag)))
+        excess = np.where(bad, np.abs(vals.imag), 0.0)
+        worst = np.unravel_index(np.argmax(excess), excess.shape)
         raise ImaginaryResidue(
-            f"bilinear imaginary residue {worst:.3e} exceeds tolerance"
+            f"bilinear imaginary residue {excess[worst]:.3e} exceeds "
+            f"tolerance at {_site_location(worst[:-1])}"
         )
     vals = vals.real
     return Bilinears(

@@ -27,22 +27,17 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _block_inverse, _flip
-from .clifford import _boost_rotation, _chiral_exp, _chiral_join, _chiral_split
-from .clifford import goldstone_matrices
+from .clifford import _boost_rotation, _chiral_exp, _chiral_split
 from .errors import (
     BasisLeak,
     GridMismatch,
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, _phase_gradient, _site_fd, _site_location
+from .fields import GridField, _phase_gradient, _site_location
 from .fields import _sitewise, grid_gradient
 from .polar import PolarData, _require_charge, decompose
 
-# sigma^{ab}_{kl} as a [(k l), (a b)] matrix and conj(sigma^{ab}_{ji}) as
-# [(a b), (j i)]; only _spin_matrix and _spin_components read them
-_SIGMA_16 = BASIS.sigma.reshape(16, 16).T
-_SIGMA_CONJ_16 = np.conj(BASIS.sigma).reshape(16, 16)
 # the (i, j) of T_{ij mu} that the sl(2,C) 3-vector c_mu packs: the boost
 # planes 01, 02, 03 in its real part, the rotation planes 23, 31, 12 in its
 # imaginary part
@@ -53,8 +48,6 @@ _ROT_ROWS, _ROT_COLS = (2, 3, 1), (3, 1, 2)
 _EPS_AXIAL = np.moveaxis(BASIS.epsilon, -1, 0).reshape(4, 64)
 # R^{ijk} = R_{ijk} * _ETA_UP3[i, j, k]: all three frame indices raised
 _ETA_UP3 = _ETA_DIAG[:, None, None] * _ETA_DIAG[None, :, None] * _ETA_DIAG
-# the identity per direction, layout [row, col, mu]
-_EYE_M = np.eye(4)[:, :, None]
 # the largest leak of L^{-1} dL out of the algebra, as a fraction of max|X|
 _LEAK_FRACTION = 0.1
 # sites per product table of _flatness, 2 MB: one table over a whole 17^3
@@ -76,6 +69,11 @@ def _require_on_grid(name, shape, grid_shape, tail) -> None:
 def _amax_sites(a: np.ndarray, tail: int) -> np.ndarray:
     """max |a| over the last tail axes, per site."""
     return np.max(np.abs(a), axis=tuple(range(-tail, 0)))
+
+
+def _amax_complex(a: np.ndarray, tail: int) -> np.ndarray:
+    """max(max |Re a|, max |Im a|) over the last tail axes, per site."""
+    return np.maximum(_amax_sites(a.real, tail), _amax_sites(a.imag, tail))
 
 
 def _check_antisymmetric(t, message: str, origin=None, spacing=None) -> None:
@@ -287,44 +285,6 @@ class GoldstoneDerivatives:
         return self.dxi.shape[:-1]
 
 
-def _spin_matrix(t: np.ndarray) -> np.ndarray:
-    """(1/2) T_{ab m} sigma^{ab} per direction m, layout [..., k, l, m]
-    from components [..., a, b, m]: the inverse of _spin_components."""
-    shape = t.shape
-    stacked = t.reshape(shape[:-3] + (16, shape[-1]))
-    return 0.5 * (_SIGMA_16 @ stacked).reshape(shape)
-
-
-def _spin_components(mats: np.ndarray) -> np.ndarray:
-    """Components T_{ab m} = Re tr(sigma^{ab dag} M_m) per direction m,
-    layout [..., a, b, m] from matrices [..., row, col, m].
-
-    The sigma^{ab} (a < b) are orthonormal under tr(A^dag B) and orthogonal
-    to the identity, so for M_m = i c I + (1/2) T_{ab m} sigma^{ab} this is
-    a plain projection that returns T.
-    """
-    shape = mats.shape
-    stacked = mats.reshape(shape[:-3] + (16, shape[-1]))
-    return np.real(_SIGMA_CONJ_16 @ stacked).reshape(shape)
-
-
-def _project_log_derivative(x_mats: np.ndarray, q: float):
-    """Split X_mu = L^{-1} d_mu L into phase, spin and leak parts.
-
-    x_mats has shape (..., 4, 4, 4) with [row, col, mu]: the dense form
-    that the single-site goldstone_derivative builds.  The identity part
-    is the trace, the spin part is _spin_components, and the leak is
-    what the two leave out of X.  PreconditionViolated unless q is
-    finite and nonzero.
-    """
-    _require_charge(q)
-    dxi = np.trace(x_mats, axis1=-3, axis2=-2).imag / (4.0 * q)
-    dxi_ab = _spin_components(x_mats)
-    recon = _spin_matrix(dxi_ab) + 1j * q * dxi[..., None, None, :] * _EYE_M
-    leak = np.linalg.norm(x_mats - recon, axis=(-3, -2))
-    return dxi, dxi_ab, leak
-
-
 def _spin_vectors(t: np.ndarray) -> np.ndarray:
     """c_mu = (T_{01}, T_{02}, T_{03}) + i (T_{23}, T_{31}, T_{12}) of an
     antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing).  In the
@@ -393,11 +353,11 @@ def _goldstone_sites(x: np.ndarray, q: float):
     )
 
 
-def _check_leak(norms, leak, lf: TransformField, at=()) -> None:
+def _check_leak(norms, leak, lf: TransformField) -> None:
     """Raise BasisLeak where the out-of-algebra residual is too large.
 
     norms and leak are |X_mu| (the Frobenius norm of X_mu) and the leak,
-    per site and mu, of a whole grid, or of the one site at grid index at.
+    per site and mu, of the grid of lf.
     Finite differences of a genuine group field leak out of the algebra at
     O(h^2 |X|^2) through the quadratic exponential terms, so the per-axis
     tolerance scales with the largest |X_mu|, as 10 h^2 |X|^2 capped at
@@ -416,7 +376,7 @@ def _check_leak(norms, leak, lf: TransformField, at=()) -> None:
     for ax in range(4):
         if lf.grid_shape[ax] > 1 and worst[ax] > tol[ax]:
             on_axis = leak[..., ax]
-            site = tuple(at) + np.unravel_index(np.argmax(on_axis), on_axis.shape)
+            site = np.unravel_index(np.argmax(on_axis), on_axis.shape)
             raise BasisLeak(
                 f"log-derivative leak {worst[ax]:.3e} along axis {ax} "
                 f"exceeds {tol[ax]:.3e} at "
@@ -445,33 +405,15 @@ def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
     )
 
 
-def goldstone_derivative(lf: TransformField, point):
-    """Single-site version: 2nd-order stencil at one grid index, across a
-    wrap of lf.beta as log_derivative differences it.
-
-    Returns (dxi, dxi_ab, leak) for the four directions at that site.
-    """
-    x_mats = np.zeros((4, 4, 4), dtype=complex)
-    l_inv = np.linalg.inv(lf.matrices[tuple(point)])
-    for ax in range(4):
-        if lf.grid_shape[ax] > 1:
-            mats, l_ax, sign = lf.matrices, l_inv, lf._wrap_sign(ax)
-            if sign is not None:
-                mats = sign[..., None, None] * mats
-                l_ax = sign[tuple(point)] * l_inv
-            x_mats[:, :, ax] = l_ax @ _site_fd(mats, ax, point, lf.spacing[ax])
-    dxi, dxi_ab, leak = _project_log_derivative(x_mats, lf.q)
-    _check_leak(np.linalg.norm(x_mats, axis=(0, 1)), leak, lf, point)
-    return dxi, dxi_ab, leak
-
-
 @dataclass(frozen=True)
 class SpinCurvature:
     """The curvature of R on sl(2,C) 3-vectors, see _spin_curvature: K
-    has grid shape + (3, 4, 4), [k, mu, nu]; dr_max is max |d_nu R_{ij mu}|.
+    has grid shape + (3, 4, 4), [k, mu, nu]; riemann, grid shaped, is
+    max |riemann^i_{j mu nu}| per site; dr_max is max |d_nu R_{ij mu}|.
     """
 
     K: np.ndarray
+    riemann: np.ndarray
     dr_max: float
 
 
@@ -695,8 +637,10 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
     the same way: riemann^0_{k mu nu} = riemann^k_{0 mu nu} = Re K_k and
     riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in (1, 2, 3), and
     every other entry is zero.  That is 3 x 16 complex numbers per site
-    against 256 reals.  R must be antisymmetric (ConnectionField.curvature
-    checks it) and omega live on its grid (GridMismatch).
+    against 256 reals, and the largest |riemann| of a site is the largest
+    |Re K| or |Im K| there, taken in the same pass.  R must be
+    antisymmetric (ConnectionField.curvature checks it) and omega live on
+    its grid (GridMismatch).
     """
     grid = r.shape[:-3]
     om = ()
@@ -709,7 +653,7 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
         # dr and the linear part first: with quad ahead of them, verify's
         # peak RSS read 5 MB higher (the same traced peak, another heap
         # layout)
-        dr = np.maximum(_amax_sites(dc.real, 3), _amax_sites(dc.imag, 3))
+        dr = _amax_complex(dc, 3)
         k = dc - np.swapaxes(dc, -1, -2)
         quad = _cross_pairs(c, c)
         if om:
@@ -717,17 +661,14 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
             quad += oc - np.swapaxes(oc, -1, -2)
         quad *= 1j
         k += quad
-        return k, dr
+        return k, _amax_complex(k, 3), dr
 
-    k, dr = _sitewise(sites, grid, c, *om, gradients=(c,), spacing=spacing)
+    k, riemann, dr = _sitewise(
+        sites, grid, c, *om, gradients=(c,), spacing=spacing
+    )
     k.flags.writeable = False
-    return SpinCurvature(K=k, dr_max=float(np.max(dr)))
-
-
-def _riemann_sites(k: np.ndarray) -> np.ndarray:
-    """max |riemann^i_{j mu nu}| over i, j, mu and nu per site, from the K
-    of _spin_curvature: the Riemann entries are 0, +-Re K and +-Im K."""
-    return np.maximum(_amax_sites(k.real, 3), _amax_sites(k.imag, 3))
+    riemann.flags.writeable = False
+    return SpinCurvature(K=k, riemann=riemann, dr_max=float(np.max(dr)))
 
 
 @dataclass(frozen=True)
@@ -747,9 +688,9 @@ def curvatures(
     with grad acting on frame indices through cf.omega when R carries one;
     it vanishes identically for pure-gauge R and reproduces the curvature
     of omega itself when the Goldstone part is trivial.  riemann holds its
-    largest |entry| per site, grid shaped, read off the cached
-    cf.curvature: every reader takes a max of it, and the dense tensor
-    would take 256 reals per site.
+    largest |entry| per site, grid shaped: the read-only
+    cf.curvature.riemann itself, since every reader takes a max of it, and
+    the dense tensor would take 256 reals per site.
 
     F is the gauge field strength, see field_strength.
 
@@ -760,7 +701,7 @@ def curvatures(
     runs per 2x2 block and the max is over both blocks.  cf.omega and the
     L field must live on the grid of cf, or GridMismatch is raised.
     """
-    k = cf.curvature.K
+    riemann = cf.curvature.riemann
     f = field_strength(grid_gradient(cf.P, cf.spacing), q)
 
     flat = None
@@ -771,7 +712,6 @@ def curvatures(
             _flatness, cf.grid_shape, gmat,
             gradients=(gmat,), spacing=lfield.spacing,
         )
-    riemann = _sitewise(_riemann_sites, cf.grid_shape, k)
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)
 
 
@@ -854,11 +794,10 @@ def divergence_constraints(
     on the grid of cf, or GridMismatch is raised.
     """
     curv = cf.curvature
-    # max |riemann| of curvatures, max |R| and max |P| per site
-    riemann, r_max, p_max = _sitewise(
-        lambda k, r, p: (_riemann_sites(k), _amax_sites(r, 3), _amax_sites(p, 1)),
+    riemann = curv.riemann  # the max |riemann| per site of curvatures
+    r_max, p_max = _sitewise(
+        lambda r, p: (_amax_sites(r, 3), _amax_sites(p, 1)),
         cf.grid_shape,
-        curv.K,
         cf.R,
         cf.P,
     )
@@ -904,39 +843,3 @@ def divergence_constraints(
     return DivergenceConstraints(
         resB=res_b, resR=res_r, riemann_max=riemann_max, fd_tol=tol
     )
-
-
-def transform_connection_inputs(
-    lf: TransformField,
-    ext: ExternalPotentials,
-    s_params: np.ndarray,
-    zeta: np.ndarray,
-    dzeta: np.ndarray,
-):
-    """Apply a local frame/gauge change to (L, Omega, A).
-
-    s_params (grid + (6,)) generates the spin transformation S(x); zeta is
-    the local phase with analytic gradient dzeta, both on the grid of lf.
-    The new field content is
-
-        L' = e^{i q zeta} L S^{-1},  A' = A + d zeta,
-        Omega'_mat = S Omega_mat S^{-1} - (dS) S^{-1},
-
-    and the function returns (L', ext', V(S)) so the caller can verify
-    P' = P and R'_{ab} = (V^{-1})^c_a (V^{-1})^d_b R_{cd}.
-    """
-    s_mat, v_mat = goldstone_matrices(s_params)
-    s_inv = _chiral_join(_block_inverse(_chiral_split(s_mat)))
-    phase = np.exp(1j * lf.q * np.asarray(zeta, dtype=float))
-    l_new = phase[..., None, None] * (lf.matrices @ s_inv)
-
-    shape = lf.grid_shape
-    om_mat = _spin_matrix(ext.omega_field(shape))
-    ds = grid_gradient(s_mat, lf.spacing)
-    om_new_mat = np.einsum(
-        "...ij,...jkm,...kl->...ilm", s_mat, om_mat, s_inv
-    ) - np.einsum("...ijm,...jk->...ikm", ds, s_inv)
-    ext_new = replace(
-        ext, A=ext.a_field(shape) + dzeta, Omega=_spin_components(om_new_mat)
-    )
-    return replace(lf, matrices=l_new), ext_new, v_mat

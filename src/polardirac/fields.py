@@ -196,15 +196,6 @@ class GridField:
         """Multilinear interpolation at events x of shape (..., 4)."""
         return interp_values(self.origin, self.spacing, self.values, x)
 
-    def fd(self, axis: int, point) -> np.ndarray:
-        """2nd-order derivative of the spinor along one axis at a site index.
-
-        Central in the interior, one-sided 2nd-order at the two edge layers.
-        """
-        if self.dims[axis] == 1:
-            return np.zeros(4, dtype=complex)
-        return _site_fd(self.values, axis, point, self.spacing[axis])
-
 
 def _lattice_events(origin, spacing, dims) -> np.ndarray:
     """Event coordinates (t, x, y, z) at every site of the lattice with
@@ -229,27 +220,6 @@ def _site_location(index, origin=None, spacing=None) -> str:
         return where
     event = np.asarray(origin, dtype=float) + np.asarray(spacing) * index
     return f"{where}, event (t, x, y, z) = {event.tolist()}"
-
-
-def _site_fd(arr: np.ndarray, axis: int, point, h: float) -> np.ndarray:
-    """GridField.fd for any arr with the grid on its first four axes.
-
-    Written out site by site, apart from np.gradient, so that it can serve
-    as an oracle for grid_gradient.
-    """
-    i = point[axis]
-    n = arr.shape[axis]
-
-    def grab(j):
-        q = list(point)
-        q[axis] = j
-        return arr[tuple(q)]
-
-    if 0 < i < n - 1:
-        return (grab(i + 1) - grab(i - 1)) / (2.0 * h)
-    if i == 0:
-        return (-3.0 * grab(0) + 4.0 * grab(1) - grab(2)) / (2.0 * h)
-    return (3.0 * grab(n - 1) - 4.0 * grab(n - 2) + grab(n - 3)) / (2.0 * h)
 
 
 def in_hull(origin, spacing, shape, x) -> np.ndarray:

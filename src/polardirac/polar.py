@@ -32,7 +32,7 @@ from .errors import (
     SingularSpinor,
     ZeroSpinor,
 )
-from .fields import _sitewise
+from .fields import _site_location, _sitewise
 
 #: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
 REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
@@ -100,8 +100,9 @@ def _require_charge(q) -> None:
 def decompose(psi, q: float = 1.0) -> PolarData:
     """Split spinors into module, chiral angle, Goldstone parameters, phase.
 
-    Accepts shape (..., 4).  Raises SingularSpinor if any point has
-    Theta^2 + Phi^2 <= EPS_SINGULAR (flag spinors are out of scope), and
+    Accepts shape (..., 4).  Raises SingularSpinor, naming the site of the
+    smallest Theta^2 + Phi^2, if any point has Theta^2 + Phi^2 <=
+    EPS_SINGULAR (flag spinors are out of scope), and
     PreconditionViolated unless q is finite and nonzero and every spinor
     component is finite.
     The result satisfies reconstruct(decompose(psi)) == psi to roundoff.
@@ -118,9 +119,10 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     b = compute_bilinears(psi)
     mod2 = b.theta**2 + b.phi_scalar**2
     if np.any(mod2 <= EPS_SINGULAR):
+        worst = np.unravel_index(np.argmin(mod2), mod2.shape)
         raise SingularSpinor(
-            f"Theta^2 + Phi^2 down to {float(np.min(mod2)):.3e}; "
-            "polar decomposition undefined"
+            f"Theta^2 + Phi^2 down to {float(mod2[worst]):.3e} at "
+            f"{_site_location(worst)}; polar decomposition undefined"
         )
     parts = _sitewise(
         functools.partial(_polar_sites, q=q),
@@ -164,7 +166,11 @@ def _polar_sites(psi, big_theta, big_phi, U, S, mod2, q):
 
 
 def reconstruct(p: PolarData) -> np.ndarray:
-    """Rebuild the spinor phi e^{-iq alpha} e^{-i beta pi/2} M (1,0,1,0)^T."""
+    """Rebuild the spinor phi e^{-iq alpha} e^{-i beta pi/2} M (1,0,1,0)^T.
+
+    Raises InvalidPolar, naming the worst site, unless u.u = 1, s.s = -1
+    and u.s = 0 hold to 1e-6.
+    """
     u = np.asarray(p.u, dtype=float)
     s = np.asarray(p.s, dtype=float)
     bad_u = np.abs(minkowski_dot(u, u) - 1.0)
@@ -174,8 +180,11 @@ def reconstruct(p: PolarData) -> np.ndarray:
         float(np.max(bad_u)), float(np.max(bad_s)), float(np.max(bad_us))
     )
     if worst > 1e-6:
+        bad = np.maximum(np.maximum(bad_u, bad_s), bad_us)
+        site = np.unravel_index(np.argmax(bad), bad.shape)
         raise InvalidPolar(
-            f"u/s normalization violated by {worst:.3e} (limit 1e-6)"
+            f"u/s normalization violated by {worst:.3e} (limit 1e-6) at "
+            f"{_site_location(site)}"
         )
     m = _boost_rotation(p.goldstone)
     psi = np.einsum("...ij,...j->...i", chiral_phase(p.beta) @ m, REFERENCE)

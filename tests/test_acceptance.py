@@ -32,7 +32,6 @@ from polardirac.connections import (
     irreducible_split,
     polar_pipeline,
     reassemble_split,
-    transform_connection_inputs,
     transform_from_params,
 )
 from polardirac.dynamics import (
@@ -61,6 +60,8 @@ from polardirac.polar import (
     reconstruct,
 )
 from polardirac.trajectories import continuity_residual, integrate, write_csv
+
+from oracles import transform_connection_inputs
 
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
 REF = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)

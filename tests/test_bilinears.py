@@ -114,3 +114,16 @@ def test_imaginary_residue_guard(monkeypatch):
     monkeypatch.setattr(mod, "_STACK", broken)
     with pytest.raises(ImaginaryResidue):
         mod.compute_bilinears(REF)
+
+
+def test_imaginary_residue_names_the_site(monkeypatch):
+    # on a grid the error names the one site whose observables pick it up
+    import polardirac.bilinears as mod
+
+    broken = mod._STACK.copy()
+    broken[1] = broken[1] + 1e-4j * np.eye(4)
+    monkeypatch.setattr(mod, "_STACK", broken)
+    psi = np.zeros((2, 3, 4, 4), dtype=complex)
+    psi[1, 0, 2] = REF
+    with pytest.raises(ImaginaryResidue, match=r"at grid index \(1, 0, 2\)$"):
+        mod.compute_bilinears(psi)

@@ -20,12 +20,10 @@ from polardirac.connections import (
     curvatures,
     divergence_constraints,
     field_strength,
-    goldstone_derivative,
     goldstone_derivatives,
     irreducible_split,
     polar_pipeline,
     reassemble_split,
-    transform_connection_inputs,
     transform_from_params,
     transform_from_polar,
 )
@@ -45,6 +43,13 @@ from polardirac.fields import (
     superpose,
 )
 from polardirac.polar import _require_charge, decompose
+
+from oracles import (
+    goldstone_derivative,
+    spin_components,
+    spin_matrix,
+    transform_connection_inputs,
+)
 
 
 def coords_for(origin, spacing, dims):
@@ -147,49 +152,11 @@ def test_point_op_matches_grid_op():
         npt.assert_allclose(dxi_ab, gd.dxi_ab[point], atol=1e-12)
 
 
-def _three_einsum_projection(x_mats, q):
-    """The einsum projection the shared sigma pair replaced, kept verbatim."""
-    tr = np.einsum("...iim->...m", x_mats)
-    dxi = tr.imag / (4.0 * q)
-    dxi_ab = np.real(np.einsum("abji,...jim->...abm", np.conj(BASIS.sigma), x_mats))
-    recon = 1j * q * np.einsum("...m,ij->...ijm", dxi, np.eye(4)) + 0.5 * (
-        np.einsum("...abm,abij->...ijm", dxi_ab, BASIS.sigma)
-    )
-    leak = np.linalg.norm(x_mats - recon, axis=(-3, -2))
-    return dxi, dxi_ab, leak
-
-
-def _dense_log_derivative(x):
-    """X in chiral block layout [..., block, row, col, mu] as the dense
-    [..., row, col, mu], exact zeros off the two diagonal blocks."""
-    dense = np.zeros(x.shape[:-4] + (4, 4, 4), dtype=complex)
-    dense[..., :2, :2, :] = x[..., 0, :, :, :]
-    dense[..., 2:, 2:, :] = x[..., 1, :, :, :]
-    return dense
-
-
-def test_projection_matches_einsum_oracle():
-    from polardirac.connections import _project_log_derivative
-
-    rng = np.random.default_rng(8)
-    shape = (3, 3, 3, 4, 4, 4)
-    x_random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    x_gauge = _dense_log_derivative(gauge_boost_field(9)[0].log_derivative)
-    for x_mats, q in [(x_random, 1.3), (x_gauge, 1.0)]:
-        dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
-        ref_dxi, ref_dxi_ab, ref_leak = _three_einsum_projection(x_mats, q)
-        npt.assert_array_equal(dxi, ref_dxi)
-        npt.assert_array_equal(dxi_ab, ref_dxi_ab)
-        npt.assert_allclose(leak, ref_leak, rtol=0.0, atol=1e-15)
-
-
 def test_spin_components_invert_spin_matrix():
-    from polardirac.connections import _spin_components, _spin_matrix
-
     rng = np.random.default_rng(9)
     t = rng.uniform(-1.0, 1.0, size=(3, 3, 3, 4, 4, 4))
     t = t - np.swapaxes(t, -3, -2)
-    npt.assert_allclose(_spin_components(_spin_matrix(t)), t, rtol=0.0, atol=1e-15)
+    npt.assert_allclose(spin_components(spin_matrix(t)), t, rtol=0.0, atol=1e-15)
 
 
 def test_basis_leak_detection():
@@ -211,8 +178,6 @@ def test_basis_leak_detection():
     )
     with pytest.raises(BasisLeak):
         goldstone_derivatives(lf)
-    with pytest.raises(BasisLeak):
-        goldstone_derivative(lf, (0, 4, 0, 0))
 
 
 def test_build_connections_trivial_and_plane_phase():
@@ -300,8 +265,6 @@ def test_zero_charge_raises_naming_q():
         decompose(np.array([1.0, 0.0, 1.0, 0.0]), q=0.0)
     with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
         goldstone_derivatives(lf0)
-    with pytest.raises(PreconditionViolated, match="charge q = 0.0"):
-        goldstone_derivative(lf0, (0, 2, 0, 0))
 
 
 def test_omega_antisymmetry_enforced():
@@ -635,6 +598,20 @@ def test_curvatures_riemann_is_the_site_max_of_the_dense_oracle():
         npt.assert_allclose(
             riemann, oracle, rtol=0.0, atol=64 * np.finfo(float).eps * scale
         )
+
+
+def test_riemann_max_is_taken_once_per_connection():
+    # the slab pass that builds K also takes its per-site max, which
+    # curvatures hands out as is and divergence_constraints reads, so
+    # neither makes a second pass over K; it is read-only, as K is
+    lf, _ = gauge_boost_field(9)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    riemann = cf.curvature.riemann
+    assert curvatures(cf).riemann is riemann
+    assert curvatures(cf, lfield=lf).riemann is riemann
+    assert not riemann.flags.writeable
+    dc = divergence_constraints(cf, fd_tol=np.inf)
+    assert dc.riemann_max == float(np.max(riemann))
 
 
 def test_not_antisymmetric_names_the_site():
@@ -990,13 +967,12 @@ _ROUGH_CASES = [
 
 def test_block_goldstone_matches_dense_site_oracle():
     # the Pauli-component projection of the grid X against the dense 4x4
-    # single-site route (np.linalg.inv, the site stencil and
-    # _project_log_derivative) at every site; the two differ by roundoff
-    # only, so the tolerance is 64 eps on the scale of X (measured: below
-    # 2 eps).  These rough fields fail the leak check (see the next test),
-    # so both sides are the projections alone
-    from polardirac.connections import _goldstone_sites, _project_log_derivative
-    from polardirac.fields import _site_fd
+    # single-site oracle (np.linalg.inv, the site stencil and the einsum
+    # projection) at every site; the two differ by roundoff only, so the
+    # tolerance is 64 eps on the scale of X (measured: below 2 eps).  These
+    # rough fields fail the leak check (see the next test), so both sides
+    # are the projections alone
+    from polardirac.connections import _goldstone_sites
 
     rng = np.random.default_rng(31)
     for dims, spacing, q in _ROUGH_CASES:
@@ -1004,14 +980,7 @@ def test_block_goldstone_matches_dense_site_oracle():
         dxi_g, dxi_ab_g, leak_g, _ = _goldstone_sites(lf.log_derivative, q)
         tol = 64 * np.finfo(float).eps * np.max(np.abs(lf.log_derivative))
         for site in np.ndindex(*dims):
-            x_mats = np.zeros((4, 4, 4), dtype=complex)
-            l_inv = np.linalg.inv(lf.matrices[site])
-            for ax in range(4):
-                if dims[ax] > 1:
-                    x_mats[:, :, ax] = l_inv @ _site_fd(
-                        lf.matrices, ax, site, lf.spacing[ax]
-                    )
-            dxi, dxi_ab, leak = _project_log_derivative(x_mats, q)
+            dxi, dxi_ab, leak = goldstone_derivative(lf, site)
             npt.assert_allclose(dxi_g[site], dxi, rtol=0.0, atol=tol)
             npt.assert_allclose(dxi_ab_g[site], dxi_ab, rtol=0.0, atol=tol)
             npt.assert_allclose(leak_g[site], leak, rtol=0.0, atol=tol)
@@ -1022,22 +991,16 @@ def test_leak_check_rejects_coarse_random_fields():
     # (3.0 against max|X_mu| 5.9 on the first field, 8.4 against 13.0 on
     # the second), where the uncapped tolerance 10 h^2 max|X|^2 let every
     # leak through
-    from polardirac.connections import _goldstone_sites
-
     rng = np.random.default_rng(31)
     for dims, spacing, q in _ROUGH_CASES:
         lf = _random_gauge_field(rng, dims, spacing, q)
         with pytest.raises(BasisLeak, match="not a group-valued field"):
             goldstone_derivatives(lf)
-        leak = _goldstone_sites(lf.log_derivative, q)[2]
-        worst = np.unravel_index(np.argmax(leak), leak.shape)[:4]
-        with pytest.raises(BasisLeak, match="not a group-valued field"):
-            goldstone_derivative(lf, worst)
 
 
 def test_leak_error_names_the_worst_site():
     # one site of a smooth gauge field scaled by 1.5 is not a group
-    # element; both routes name the grid index and event of the largest
+    # element; the error names the grid index and event of the largest
     # leak on the failing axis, a neighbour of that site along the axis
     from polardirac.connections import _goldstone_sites
     from polardirac.fields import _site_location
@@ -1057,8 +1020,6 @@ def test_leak_error_names_the_worst_site():
     assert f"at {where};" in message and "event (t, x, y, z)" in message
     step = np.subtract(worst, site)
     assert abs(step[ax]) == 1 and np.count_nonzero(step) == 1
-    with pytest.raises(BasisLeak, match=re.escape(f"at {where};")):
-        goldstone_derivative(bad, worst)
 
 
 # the block projection that the Pauli-component kernel replaced, kept
@@ -1120,11 +1081,11 @@ def test_closed_form_leak_matches_the_reconstruction():
 
 def test_spin_action_matches_the_spin_matrix_oracle():
     # [-(c.sigma) psi_L / 2; (conj(c).sigma) psi_R / 2] against the 4x4
-    # (1/2) T_ab sigma^ab of _spin_matrix applied by einsum, on random
+    # (1/2) T_ab sigma^ab of the spin_matrix oracle applied by einsum, on random
     # antisymmetric T and psi, and through dirac_residual with Omega
     # against the same residual with the Omega term taken that way; 64 eps
     # of the scale of each side (measured: below 1 eps)
-    from polardirac.connections import _spin_action, _spin_matrix
+    from polardirac.connections import _spin_action
     from polardirac.dynamics import dirac_residual
     from polardirac.fields import GridField
 
@@ -1133,7 +1094,7 @@ def test_spin_action_matches_the_spin_matrix_oracle():
     t = rng.normal(size=(3, 5, 4, 4, 4))
     t = t - np.swapaxes(t, -3, -2)
     psi = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
-    want = np.einsum("...klm,...l->...km", _spin_matrix(t), psi)
+    want = np.einsum("...klm,...l->...km", spin_matrix(t), psi)
     scale = np.max(np.abs(t)) * np.max(np.abs(psi))
     npt.assert_allclose(_spin_action(t, psi), want, rtol=0.0, atol=64 * eps * scale)
 
@@ -1148,7 +1109,7 @@ def test_spin_action_matches_the_spin_matrix_oracle():
     ext = ExternalPotentials(A=a, Omega=om, q=1.3, m=0.9)
     nabla = (
         grid_gradient(psi, g.spacing)
-        + np.einsum("...klm,...l->...km", _spin_matrix(om), psi)
+        + np.einsum("...klm,...l->...km", spin_matrix(om), psi)
         + 1j * ext.q * a[..., None, :] * psi[..., :, None]
     )
     lhs = 1j * np.einsum("mab,...bm->...a", BASIS.gamma, nabla) - ext.m * psi

@@ -13,7 +13,6 @@ from polardirac.connections import (
     covariant_derivative_check,
     curvatures,
     divergence_constraints,
-    goldstone_derivative,
     goldstone_derivatives,
     irreducible_split,
     polar_pipeline,
@@ -45,6 +44,8 @@ from polardirac.fields import (
     plane_wave,
     sample,
 )
+
+from oracles import goldstone_derivative
 
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -829,7 +830,7 @@ def test_momentum_is_read_across_the_beta_cut():
     assert np.min(pf_cut.cf.P[..., 1]) > 0.69
     npt.assert_allclose(pf_cut.cf.P, pf_plain.cf.P, rtol=0.0, atol=1e-13)
     npt.assert_allclose(pf_cut.cf.R, pf_plain.cf.R, rtol=0.0, atol=1e-13)
-    # the single-site route reads the wrap the same way
+    # the dense single-site oracle reads the wrap the same way
     _, lf, gd, _ = polar_pipeline(moving(3.2), ExternalPotentials())
     for i in range(lf.grid_shape[1]):
         dxi, dxi_ab, _ = goldstone_derivative(lf, (0, i, 0, 0))

@@ -106,6 +106,16 @@ def test_reconstruct_rejects_bad_normalization():
         reconstruct(p)
 
 
+def test_invalid_polar_names_the_worst_site():
+    # two sites off the mass shell of u; the error names the worse one
+    p = decompose(np.tile(REFERENCE, (3, 4, 1)))
+    u = p.u.copy()
+    u[0, 3, 0] = 1.01
+    u[2, 1, 0] = 1.1
+    with pytest.raises(InvalidPolar, match=r"at grid index \(2, 1\)$"):
+        reconstruct(PolarData(p.phi, p.beta, u, p.s, p.goldstone, p.alpha))
+
+
 def test_roundtrip_500_random_spinors():
     rng = np.random.default_rng(99)
     psi = random_regular_spinors(rng, 600)[:500]
@@ -152,6 +162,16 @@ def test_singular_spinor_raises():
     # left-handed flag spinor: psi = (a, b, 0, 0) has Theta = Phi = 0
     with pytest.raises(SingularSpinor):
         decompose(np.array([1.0, 0.5j, 0.0, 0.0]))
+
+
+def test_singular_spinor_names_the_smallest_site():
+    # both sites are singular; the error names the flag spinor, whose
+    # Theta^2 + Phi^2 is the smaller, not the first site in order
+    psi = np.tile(REFERENCE, (3, 4, 1))
+    psi[0, 2] = 1e-7 * REFERENCE  # Theta^2 + Phi^2 = 4e-28
+    psi[1, 3] = [1.0, 0.5j, 0.0, 0.0]  # Theta^2 + Phi^2 = 0
+    with pytest.raises(SingularSpinor, match=r"at grid index \(1, 3\);"):
+        decompose(psi)
 
 
 def test_non_finite_spinor_raises():

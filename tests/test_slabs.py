@@ -579,8 +579,8 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
 
     # P and R in one pass
     assert count(pdc.build_connections, gd, ext) == 1
-    # c, then the gradient of c, K and max |dR| at once; the antisymmetry
-    # check of R is ConnectionField.curvature's
+    # c, then the gradient of c, K, its per-site max and max |dR| at once;
+    # the antisymmetry check of R is ConnectionField.curvature's
     assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 2
     # P and R, the gradient of beta across its cut, then the gradients of
     # psi, ln phi, s and u, the covariant gradient and all three residuals
@@ -588,6 +588,6 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
     assert count(pdc.covariant_derivative_check, g, ext) == 3
     # the gradient of psi, the covariant gradient and the residual at once
     assert count(pdc.dirac_residual, g, ext) == 1
-    # the gradient of P, the gradient of X with the flatness, the
-    # per-site max of the Riemann tensor
-    assert count(pdc.curvatures, cf, lfield=lf) == 3
+    # the gradient of P, then the gradient of X with the flatness; the
+    # per-site max of the Riemann tensor comes with K
+    assert count(pdc.curvatures, cf, lfield=lf) == 2
