@@ -715,6 +715,7 @@ def run_trajectories(cfg: dict) -> int:
         trajs, cfg["output"]["csv"], combined=bool(cfg["output"]["combined"])
     )
     drifts = [t.normalization_drift() for t in trajs]
+    ends = [t.termination for t in trajs]
     doc = {
         "command": "trajectories",
         "seed": cfg["seed"],
@@ -724,9 +725,11 @@ def run_trajectories(cfg: dict) -> int:
                 "termination": t.termination,
                 "samples": len(t.rows),
                 "normalization_drift": d,
+                "stop_event": t.events()[-1].tolist() if len(t.rows) else None,
             }
             for i, (t, d) in enumerate(zip(trajs, drifts))
         ],
+        "terminations": {r: ends.count(r) for r in set(ends)},
         "max_normalization_drift": max(drifts) if drifts else 0.0,
         "csv_files": [str(p) for p in paths],
         "passed": True,

@@ -170,13 +170,11 @@ class SpinorTransform:
     lorentz : Lambda alone, exp((1/2) xi_{ab} sigma^{ab}).
     vector : real 4x4 matrix V with Lambda^{-1} gamma^a Lambda = V^a_b gamma^b,
         acting on vectors as U' = V @ U.
-    params : the six generating parameters (chi, theta).
     """
 
     matrix: np.ndarray
     lorentz: np.ndarray
     vector: np.ndarray
-    params: np.ndarray
     alpha: float = 0.0
     q: float = 1.0
 
@@ -280,7 +278,6 @@ def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
         matrix=phase * lam,
         lorentz=lam,
         vector=_block_vector(lam[:2, :2]),
-        params=params,
         alpha=float(alpha),
         q=float(q),
     )

@@ -407,12 +407,9 @@ def goldstone_derivatives(lf: TransformField) -> GoldstoneDerivatives:
 
 @dataclass(frozen=True)
 class SpinCurvature:
-    """The curvature of R on sl(2,C) 3-vectors, see _spin_curvature: K
-    has grid shape + (3, 4, 4), [k, mu, nu]; riemann, grid shaped, is
-    max |riemann^i_{j mu nu}| per site; dr_max is max |d_nu R_{ij mu}|.
-    """
+    """The curvature of R, see _spin_curvature: riemann, grid shaped, is
+    max |riemann^i_{j mu nu}| per site; dr_max is max |d_nu R_{ij mu}|."""
 
-    K: np.ndarray
     riemann: np.ndarray
     dr_max: float
 
@@ -448,19 +445,17 @@ class ConnectionField:
 def build_connections(
     gd: GoldstoneDerivatives, ext: ExternalPotentials
 ) -> ConnectionField:
-    """P = q (dxi - A), R_{ij mu} = (dxi)_{ij mu} - Omega_{ij mu}."""
+    """P = q (dxi - A), R_{ij mu} = (dxi)_{ij mu} - Omega_{ij mu}.  Without
+    Omega, R is gd.dxi_ab itself and shares its memory (read-only on the
+    polar_pipeline chain)."""
     shape = gd.grid_shape
-    omega = ext.omega_field(shape)
-    p, r = _sitewise(
-        lambda dxi, a, dxi_ab, om: (gd.q * (dxi - a), dxi_ab - om),
-        shape, gd.dxi, ext.a_field(shape), gd.dxi_ab, omega,
-    )
+    dxi = gd.dxi if ext.A is None else gd.dxi - ext.a_field(shape)
+    r, omega = gd.dxi_ab, None
+    if ext.Omega is not None:
+        omega = ext.omega_field(shape)
+        r = _sitewise(np.subtract, shape, gd.dxi_ab, omega)
     return ConnectionField(
-        P=p,
-        R=r,
-        origin=gd.origin,
-        spacing=gd.spacing,
-        omega=None if ext.Omega is None else omega,
+        P=gd.q * dxi, R=r, origin=gd.origin, spacing=gd.spacing, omega=omega
     )
 
 
@@ -549,7 +544,7 @@ def covariant_derivative_check(
     left.  Returns per-point, per-direction norms.
     """
     pd, lf, gd, cf = polar_pipeline(g, ext)
-    om = () if ext.Omega is None else (ext.omega_field(g.dims),)
+    om = () if cf.omega is None else (cf.omega,)
     dbeta = _phase_gradient(pd.beta, g.spacing)
 
     def sites(dpsi, dlnphi, ds, du, psi, a, dbeta, p, r, s, u, *om):
@@ -624,21 +619,35 @@ def _cross_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b2 - a2 * b1
 
 
-def _spin_curvature(r, omega, spacing) -> SpinCurvature:
-    """The curvature of R_{ij mu} (with the omega it carries, or None) as
-    the sl(2,C) 3-vectors of ConnectionField.curvature.
-
-    With c_mu = _spin_vectors(R) and o_mu = _spin_vectors(omega),
+def _curvature_vectors(dc, c, *om) -> np.ndarray:
+    """K_{mu nu} of _spin_curvature at the sites of a kernel, layout
+    [..., k, mu, nu], from c_mu = _spin_vectors(R), its grid gradient dc
+    [..., k, mu, nu] = d_nu c_mu and the omega of R, when there is one,
+    with o_mu = _spin_vectors(omega):
 
         K_{mu nu} = d_nu c_mu - d_mu c_nu + i c_mu x c_nu
-                    + i (o_mu x c_nu - o_nu x c_mu)
+                    + i (o_mu x c_nu - o_nu x c_mu).
+    """
+    k = dc - np.swapaxes(dc, -1, -2)
+    quad = _cross_pairs(c, c)
+    if om:
+        oc = _cross_pairs(_spin_vectors(om[0]), c)
+        quad += oc - np.swapaxes(oc, -1, -2)
+    quad *= 1j
+    k += quad
+    return k
 
-    packs the Riemann tensor riemann_{ij mu nu}, its first index lowered,
-    the same way: riemann^0_{k mu nu} = riemann^k_{0 mu nu} = Re K_k and
-    riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in (1, 2, 3), and
-    every other entry is zero.  That is 3 x 16 complex numbers per site
-    against 256 reals, and the largest |riemann| of a site is the largest
-    |Re K| or |Im K| there, taken in the same pass.  R must be
+
+def _spin_curvature(r, omega, spacing) -> SpinCurvature:
+    """The curvature of R_{ij mu} (with the omega it carries, or None) as
+    the sl(2,C) 3-vectors K of _curvature_vectors, kept as per-site maxima.
+
+    K packs the Riemann tensor riemann_{ij mu nu}, its first index
+    lowered, the way c packs R: riemann^0_{k mu nu} = riemann^k_{0 mu nu}
+    = Re K_k and riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in
+    (1, 2, 3), and every other entry is zero.  So the largest |riemann| of
+    a site is the largest |Re K| or |Im K| there, taken in the slab pass
+    that builds K, and K itself is a slab temporary.  R must be
     antisymmetric (ConnectionField.curvature checks it) and omega live on
     its grid (GridMismatch).
     """
@@ -649,26 +658,17 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
         om = (omega,)
     c = _sitewise(_spin_vectors, grid, r)
 
-    def sites(dc, c, *om):  # dc [k, mu, nu] = d_nu c_mu
-        # dr and the linear part first: with quad ahead of them, verify's
-        # peak RSS read 5 MB higher (the same traced peak, another heap
-        # layout)
+    def sites(dc, c, *om):
+        # dr before K: with K first, verify's peak RSS read 5 MB higher
+        # (the same traced peak, another heap layout)
         dr = _amax_complex(dc, 3)
-        k = dc - np.swapaxes(dc, -1, -2)
-        quad = _cross_pairs(c, c)
-        if om:
-            oc = _cross_pairs(_spin_vectors(om[0]), c)
-            quad += oc - np.swapaxes(oc, -1, -2)
-        quad *= 1j
-        k += quad
-        return k, _amax_complex(k, 3), dr
+        return _amax_complex(_curvature_vectors(dc, c, *om), 3), dr
 
-    k, riemann, dr = _sitewise(
+    riemann, dr = _sitewise(
         sites, grid, c, *om, gradients=(c,), spacing=spacing
     )
-    k.flags.writeable = False
     riemann.flags.writeable = False
-    return SpinCurvature(K=k, riemann=riemann, dr_max=float(np.max(dr)))
+    return SpinCurvature(riemann=riemann, dr_max=float(np.max(dr)))
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,8 @@ class AnalyticField:
 
     mass: float
     momenta: np.ndarray  # (n, 4), upper index
-    spins: tuple
     coefficients: np.ndarray  # (n,) complex
     amplitudes: np.ndarray  # (n, 4) complex
-
-    @property
-    def kind(self) -> str:
-        return "plane_wave" if len(self.momenta) == 1 else "superposition"
 
     def at(self, x) -> np.ndarray:
         """Spinor values at events x, shape (..., 4) -> (..., 4)."""
@@ -95,7 +90,6 @@ def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
     return AnalyticField(
         mass=float(m),
         momenta=p[None, :].copy(),
-        spins=(bool(spin_up),),
         coefficients=np.array([1.0 + 0.0j]),
         amplitudes=amp[None, :],
     )
@@ -112,7 +106,6 @@ def superpose(fields, coeffs) -> AnalyticField:
         if abs(f.mass - mass) > 1e-12 * max(1.0, abs(mass)):
             raise MassMismatch(f"masses {f.mass} and {mass} differ")
     momenta = np.concatenate([f.momenta for f in fields])
-    spins = sum((f.spins for f in fields), ())
     amplitudes = np.concatenate([f.amplitudes for f in fields])
     coefficients = np.concatenate(
         [c * f.coefficients for c, f in zip(coeffs, fields)]
@@ -120,7 +113,6 @@ def superpose(fields, coeffs) -> AnalyticField:
     return AnalyticField(
         mass=mass,
         momenta=momenta,
-        spins=spins,
         coefficients=coefficients,
         amplitudes=amplitudes,
     )
@@ -178,12 +170,6 @@ class GridField:
             raise ValueError(
                 f"values shape {self.values.shape} != dims {self.dims} + (4,)"
             )
-
-    def axes(self) -> list:
-        return [
-            self.origin[i] + self.spacing[i] * np.arange(self.dims[i])
-            for i in range(4)
-        ]
 
     def meshgrid(self) -> np.ndarray:
         """Event coordinates at every site, shape dims + (4,)."""

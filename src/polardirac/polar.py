@@ -131,14 +131,19 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     return PolarData(*parts, q=q)
 
 
+def _chiral_angle(theta, phi) -> np.ndarray:
+    """beta = arg(Phi + i Theta) in (-pi, pi]: -pi is read as pi."""
+    beta = np.arctan2(theta, phi)
+    return np.where(beta == -np.pi, np.pi, beta)
+
+
 def _polar_sites(psi, big_theta, big_phi, U, S, mod2, q):
     """(phi, beta, u, s, goldstone, alpha) of decompose at each site, from
     the spinors, their bilinears Theta, Phi, U, S and Theta^2 + Phi^2,
     which must exceed EPS_SINGULAR."""
     rho = np.sqrt(mod2)  # = 2 phi^2 = sqrt(U.U)
     phi = np.sqrt(0.5 * rho)
-    beta = np.arctan2(big_theta, big_phi)
-    beta = np.where(beta == -np.pi, np.pi, beta)
+    beta = _chiral_angle(big_theta, big_phi)
     u = U / rho[..., None]
     s = S / rho[..., None]
 

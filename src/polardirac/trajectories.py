@@ -31,7 +31,7 @@ from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
 from .errors import PreconditionViolated, SingularSpinor
 from .fields import GridField, _interp, grid_gradient, in_hull, interp_values
-from .polar import EPS_SINGULAR
+from .polar import EPS_SINGULAR, _chiral_angle
 
 CSV_FIELDS = (
     "t",
@@ -116,7 +116,7 @@ def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A flow line: its recorded table, the step used, and why it stopped.
+    """A flow line: its recorded table and why it stopped.
 
     rows is a float64 array of shape (n, 14), one recorded sample per row,
     with the columns of CSV_FIELDS.  termination is one of "completed",
@@ -124,7 +124,6 @@ class Trajectory:
     """
 
     rows: np.ndarray
-    step: float
     termination: str
 
     def times(self) -> np.ndarray:
@@ -154,7 +153,8 @@ def _table(t: float, x: np.ndarray, vals: np.ndarray,
     root = np.sqrt(vals[:, 10])
     return np.column_stack((
         np.full(len(x), t), x, np.sqrt(0.5 * root),
-        np.arctan2(vals[:, 0], vals[:, 1]), u, vals[:, 6:10] / root[:, None],
+        _chiral_angle(vals[:, 0], vals[:, 1]), u,
+        vals[:, 6:10] / root[:, None],
     ))
 
 
@@ -240,7 +240,7 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
     ids = np.concatenate(ids)
     table = np.concatenate(blocks)[np.argsort(ids, kind="stable")]
     ends = np.cumsum(np.bincount(ids, minlength=len(termination)))
-    return [Trajectory(rows=rows, step=float(dt), termination=r)
+    return [Trajectory(rows=rows, termination=r)
             for rows, r in zip(np.split(table, ends[:-1]), termination)]
 
 

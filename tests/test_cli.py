@@ -194,6 +194,32 @@ def test_trajectories_sixteen_static(tmp_path, capsys):
     assert float(last[4]) == points[-1][2]
 
 
+def test_trajectories_summary_counts_reasons_and_stop_events(
+    tmp_path, capsys
+):
+    # a wave moving up z at 0.6: the seed at z = 0.5 leaves the box before
+    # t1, the one at -0.5 completes, the one outside has no samples; each
+    # stop event is the (t, x, y, z) of the seed's last CSV row
+    points = [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.0, 0.0, 55.0]]
+    cfg = trajectories_cfg(tmp_path, points, momentum=(1.25, 0.0, 0.0, 0.75))
+    code, out, _ = run_cli(capsys, "trajectories", write_cfg(tmp_path, cfg))
+    assert code == 0
+    doc = json.loads(out)
+    trajs = doc["trajectories"]
+    assert [t["termination"] for t in trajs] == [
+        "left_domain", "completed", "left_domain"
+    ]
+    assert doc["terminations"] == {"completed": 1, "left_domain": 2}
+    rows = [line.split(",") for line in
+            (tmp_path / "flow.csv").read_text().splitlines()[1:]]
+    for i in (0, 1):
+        last = [r for r in rows if r[0] == str(i)][-1]
+        assert trajs[i]["stop_event"] == [float(v) for v in last[1:5]]
+    assert 0.0 < trajs[0]["stop_event"][0] < 1.0
+    assert trajs[1]["stop_event"][0] == pytest.approx(1.0)
+    assert trajs[2]["samples"] == 0 and trajs[2]["stop_event"] is None
+
+
 def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
     import polardirac.trajectories as trajectories
 

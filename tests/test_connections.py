@@ -506,7 +506,7 @@ def _dense_riemann(r_up, dr, omega):
 
 def _unpack_riemann(k):
     """riemann^i_{j mu nu}, layout [..., i, j, mu, nu], from the K of
-    _spin_curvature, the oracle of K and of the per-site max that
+    _curvature_vectors, the oracle of K and of the per-site max that
     curvatures keeps: every entry is 0, +-Re K or +-Im K."""
     from polardirac.connections import _BOOST_COLS, _BOOST_ROWS, _ROT_COLS, _ROT_ROWS
 
@@ -516,6 +516,17 @@ def _unpack_riemann(k):
     out[..., _ROT_ROWS, _ROT_COLS, :, :] = -k.imag
     out[..., _ROT_COLS, _ROT_ROWS, :, :] = k.imag
     return out
+
+
+def _curvature_k(r, omega, spacing):
+    """K of the curvature of R, [..., k, mu, nu], which _spin_curvature
+    builds in its slab pass and does not keep: _curvature_vectors on the
+    whole-grid gradient of c = _spin_vectors(R)."""
+    from polardirac.connections import _curvature_vectors, _spin_vectors
+
+    c = _spin_vectors(r)
+    om = () if omega is None else (omega,)
+    return _curvature_vectors(grid_gradient(c, spacing), c, *om)
 
 
 def _site_max(riemann):
@@ -558,13 +569,14 @@ def test_spin_curvature_matches_dense_oracle(dims):
         )
         curv = _spin_curvature(r, om, spacing)
         assert np.max(np.abs(oracle)) > 1.0
-        npt.assert_allclose(curv.K, packed, rtol=0.0, atol=tol)
+        k = _curvature_k(r, om, spacing)
+        npt.assert_allclose(k, packed, rtol=0.0, atol=tol)
         assert curv.dr_max == pytest.approx(np.max(np.abs(dr)), rel=1e-15)
         cf = ConnectionField(
             P=np.zeros(dims + (4,)), R=r, origin=np.zeros(4), spacing=spacing,
             omega=om,
         )
-        riemann = _unpack_riemann(cf.curvature.K)
+        riemann = _unpack_riemann(k)
         npt.assert_allclose(riemann, oracle, rtol=0.0, atol=tol)
         assert np.array_equal(curvatures(cf).riemann, _site_max(riemann))
         res = divergence_constraints(cf, fd_tol=np.inf)
@@ -587,7 +599,8 @@ def test_curvatures_riemann_is_the_site_max_of_the_dense_oracle():
         cf = build_connections(gd, ext)
         riemann = curvatures(cf, lfield=lf).riemann
         assert riemann.shape == dims
-        assert np.array_equal(riemann, _site_max(_unpack_riemann(cf.curvature.K)))
+        k = _curvature_k(cf.R, cf.omega, cf.spacing)
+        assert np.array_equal(riemann, _site_max(_unpack_riemann(k)))
         r_up = cf.R * eta
         dr = grid_gradient(r_up, lf.spacing)
         om_max = 0.0 if cf.omega is None else np.max(np.abs(om))
@@ -603,7 +616,7 @@ def test_curvatures_riemann_is_the_site_max_of_the_dense_oracle():
 def test_riemann_max_is_taken_once_per_connection():
     # the slab pass that builds K also takes its per-site max, which
     # curvatures hands out as is and divergence_constraints reads, so
-    # neither makes a second pass over K; it is read-only, as K is
+    # neither makes a second pass over K; it is read-only
     lf, _ = gauge_boost_field(9)
     cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
     riemann = cf.curvature.riemann
@@ -670,7 +683,7 @@ def test_spin_curvature_is_computed_once_and_read_only(monkeypatch):
     curvatures(cf)
     assert len(calls) == 1
     with pytest.raises(ValueError, match="read-only"):
-        cf.curvature.K[0, 0, 0, 0] = 1.0
+        cf.curvature.riemann[0, 0, 0, 0] = 1.0
     with pytest.raises(NotAntisymmetric):
         curvatures(dataclasses.replace(cf, R=np.abs(cf.R)))
 
@@ -698,13 +711,13 @@ def test_riemann_from_connections_matches_omega_route():
         + np.einsum("...ikm,...kjn->...ijmn", om_up, om_up)
         - np.einsum("...ikn,...kjm->...ijmn", om_up, om_up)
     )
-    riemann = _unpack_riemann(cf.curvature.K)
+    riemann = _unpack_riemann(_curvature_k(cf.R, om, spacing))
     npt.assert_allclose(riemann, direct, atol=1e-11)
     assert np.array_equal(curv.riemann, _site_max(riemann))
     # with a nontrivial Goldstone part the match holds to FD accuracy
     lf2, _ = gauge_rotation_field(n)
     cf2 = build_connections(goldstone_derivatives(lf2), ExternalPotentials(Omega=om))
-    riemann2 = _unpack_riemann(cf2.curvature.K)
+    riemann2 = _unpack_riemann(_curvature_k(cf2.R, om, spacing))
     sl = interior(dims)
     assert np.max(np.abs((riemann2 - direct)[sl])) < 5e-3
     assert np.array_equal(curvatures(cf2).riemann, _site_max(riemann2))
@@ -936,9 +949,9 @@ def test_slab_flatness_matches_the_dense_oracle_bits(monkeypatch):
 
 def test_flatness_memory_peak():
     # on 17^3 sites (inline) the traced peak of curvatures(lfield=...)
-    # with K kept stays within 10 % of the 15.9 MB of the flatness that
-    # took one mu at a time (numpy 2.4); one product table over the whole
-    # grid peaks at 31 MB
+    # with the curvature of R kept stays within 10 % of the 15.9 MB of the
+    # flatness that took one mu at a time (numpy 2.4); one product table
+    # over the whole grid peaks at 31 MB
     import tracemalloc
 
     lf, _ = gauge_boost_field(17)
@@ -1170,12 +1183,54 @@ def test_connection_carries_its_omega():
     want = _dense_riemann(r_up, grid_gradient(r_up, lf.spacing), om)
     scale = np.max(np.abs(want))
     assert scale > 0.1
-    riemann = _unpack_riemann(cf.curvature.K)
+    riemann = _unpack_riemann(_curvature_k(cf.R, om, lf.spacing))
     npt.assert_allclose(riemann, want, rtol=0.0, atol=1e-13 * scale)
     assert np.array_equal(curvatures(cf).riemann, _site_max(riemann))
     res = divergence_constraints(cf, fd_tol=np.inf)
     assert res.riemann_max == float(np.max(np.abs(riemann)))
     assert build_connections(gd, ExternalPotentials()).omega is None
+
+
+def test_connections_without_omega_keep_the_goldstone_r():
+    # R = dxi_ab - Omega: with no Omega, R is the layer's dxi_ab itself;
+    # with an Omega it is a new array, their difference
+    lf, dims = gauge_rotation_field(9)
+    gd = goldstone_derivatives(lf)
+    cf = build_connections(gd, ExternalPotentials())
+    assert cf.R is gd.dxi_ab and cf.omega is None
+    om = random_omega_field(
+        np.random.default_rng(6), dims, lf.origin, lf.spacing, amp=0.2
+    )
+    cf_om = build_connections(gd, ExternalPotentials(Omega=om))
+    assert not np.shares_memory(cf_om.R, gd.dxi_ab)
+    assert np.array_equal(cf_om.R, gd.dxi_ab - om)
+    assert np.array_equal(cf_om.P, cf.P)
+
+
+def test_connections_without_background_allocate_only_p():
+    # no zero Omega or A grid and no copy of dxi_ab: the traced peak stays
+    # below an eighth of dxi_ab (P itself is a sixteenth)
+    import tracemalloc
+
+    lf, _ = gauge_boost_field(17)
+    gd = goldstone_derivatives(lf)
+    tracemalloc.start()
+    try:
+        cf = build_connections(gd, ExternalPotentials())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cf.P.nbytes <= peak < gd.dxi_ab.nbytes / 8
+
+
+def test_curvature_keeps_no_tensor():
+    # K is a slab temporary: the kept curvature holds grid-shaped arrays
+    # and scalars only
+    lf, dims = gauge_boost_field(9)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    curv = cf.curvature
+    for f in dataclasses.fields(curv):
+        assert np.shape(getattr(curv, f.name)) in ((), dims), f.name
 
 
 def _half_sigma_loop(t, psi):
@@ -1205,7 +1260,8 @@ def _nabla_loop(g, ext):
 def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
     # decompose, L and L^{-1} dL run once per grid and q: the hub and the
     # covariant check share them, a fresh copy of the grid and another q
-    # do not, and a different ext with the same q rebuilds only P and R
+    # do not, and a different ext with the same q rebuilds only P: with
+    # no Omega, R is the layer's own dxi_ab
     from polardirac import connections
     from polardirac.dynamics import PolarFields
     from polardirac.fields import load_grid, save_grid
@@ -1229,7 +1285,8 @@ def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
     _, _, gd, cf = polar_pipeline(g1, ExternalPotentials(A=a))
     assert calls == [1.0]
     assert np.array_equal(cf.P, pf.cf.P - 0.3)
-    assert cf.R is not pf.cf.R
+    assert cf.P is not pf.cf.P
+    assert cf.R is gd.dxi_ab and pf.cf.R is gd.dxi_ab
     g2 = load_grid(tmp_path / "g.grid")
     PolarFields.from_grid(g2, ext)
     assert calls == [1.0, 1.0]

@@ -841,6 +841,54 @@ def test_momentum_is_read_across_the_beta_cut():
 # ---------------------------------------------------------------- nonrel H
 
 
+def test_chart_change_moves_only_the_chart_bound_outputs():
+    # psi fixes L only up to a rotation about the spin axis paired with a
+    # phase: A -> A diag(e^{iq delta}, e^{-iq delta}) and alpha -> alpha +
+    # delta give the same psi, so L' = e^{iq delta} diag(D^-1, D^-1) L with
+    # D = diag(e^{iq delta}, e^{-iq delta}).  The residual pairs, T, the
+    # Newton force and the guidance momentum less P must not see it; R
+    # moves only in the spin plane W, and P by half of R's W-plane
+    # coefficient (R's shift over W_ij W^ij)
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 17, 17, 17))
+    ext = ExternalPotentials()
+    pd, lf, _, cf = polar_pipeline(g, ext)
+    x = g.meshgrid()
+    delta = 0.8 * np.sin(0.9 * x[..., 1] - 0.6 * x[..., 2]) + 0.5 * np.cos(
+        0.7 * x[..., 3]
+    )
+    e = np.exp(1j * ext.q * delta)
+    rows = np.stack((1.0 / e, e, 1.0 / e, e), axis=-1)  # diag(D^-1, D^-1)
+    lf2 = dataclasses.replace(
+        lf, matrices=(e[..., None] * rows)[..., None] * lf.matrices
+    )
+    cf2 = build_connections(goldstone_derivatives(lf2), ext)
+    pf = PolarFields(phi=pd.phi, beta=pd.beta, u=pd.u, s=pd.s, cf=cf, ext=ext)
+    pf2 = dataclasses.replace(pf, cf=cf2)
+
+    def invariants(pf):
+        qp = quantum_potentials(pf)
+        first, hj = polar_dirac_residuals(pf), hj_residuals(pf, qp)
+        et, newton = energy_and_newton(pf, qp)
+        guide = guidance_momentum(pf, qp) - pf.cf.P
+        return first.res1, first.res2, hj.res1, hj.res2, et.T, newton, guide
+
+    for a, b in zip(invariants(pf), invariants(pf2)):
+        npt.assert_allclose(b, a, rtol=0.0, atol=1e-13)
+    w = pf.spin_plane
+    w_up = w * ETA[:, None] * ETA
+    dr = cf2.R - cf.R
+    coef = np.einsum("...ijm,...ij->...m", dr, w_up) / np.einsum(
+        "...ij,...ij->...", w, w_up
+    )[..., None]
+    assert np.max(np.abs(dr)) > 0.5
+    npt.assert_allclose(
+        dr, coef[..., None, None, :] * w[..., None], rtol=0.0, atol=1e-13
+    )
+    dp = cf2.P - cf.P
+    assert np.max(np.abs(dp)) > 0.5
+    npt.assert_allclose(dp, 0.5 * coef, rtol=0.0, atol=1e-13)
+
+
 def test_nonrel_hamiltonian_trivial():
     assert nonrel_hamiltonian([0, 0, 0], [0, 0, 1], [0, 0, 0]) == 0.0
 

@@ -568,7 +568,7 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
     ext = _externals(np.random.default_rng(8), DIMS)
     # the Goldstone layer is kept on g, so the counts below leave it out
     _, lf, gd, cf = pdc.polar_pipeline(g, ext)
-    cf.curvature  # K is kept on cf, so curvatures below reads it
+    cf.curvature  # kept on cf, so curvatures below reads its Riemann max
     lf.log_derivative  # X, built on demand, is kept on lf likewise
     calls = _dispatches(monkeypatch)
 
@@ -577,8 +577,11 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
         fn(*args, **kwargs)
         return len(calls)
 
-    # P and R in one pass
+    # P whole-grid and R = dxi_ab - Omega in one pass; without Omega, R is
+    # dxi_ab and there is no pass
     assert count(pdc.build_connections, gd, ext) == 1
+    no_omega = dataclasses.replace(ext, Omega=None)
+    assert count(pdc.build_connections, gd, no_omega) == 0
     # c, then the gradient of c, K, its per-site max and max |dR| at once;
     # the antisymmetry check of R is ConnectionField.curvature's
     assert count(connections._spin_curvature, cf.R, cf.omega, cf.spacing) == 2

@@ -21,7 +21,7 @@ from polardirac.fields import (
     sample,
     superpose,
 )
-from polardirac.polar import PolarData, reconstruct
+from polardirac.polar import PolarData, chiral_phase, decompose, reconstruct
 from polardirac.trajectories import (
     CSV_FIELDS,
     CurrentField,
@@ -227,6 +227,20 @@ def test_integrate_singular_termination():
     assert traj.positions()[-1, 2] < 0.5
 
 
+def test_csv_beta_takes_pi_at_the_cut():
+    # the chiral angle of the flow-line table follows decompose on the
+    # branch cut: beta = pi, never -pi
+    psi = chiral_phase(-np.pi) @ np.array([1.0, 0.0, 1.0, 0.0])
+    dims = (9, 1, 1, 1)
+    g = GridField(origin=np.zeros(4), spacing=[0.1, 1.0, 1.0, 1.0],
+                  dims=dims, values=np.broadcast_to(psi, dims + (4,)))
+    assert np.all(decompose(g.values).beta == np.pi)
+    traj = integrate(g, (0.0, 0.0, 0.0), 0.0, 0.5, 0.1)
+    assert traj.termination == "completed"
+    assert len(traj.rows) == 6
+    assert np.all(traj.rows[:, BETA] == np.pi)
+
+
 def test_fan_stays_ordered():
     chi = 0.5
     g, _ = boosted_grid(chi)
@@ -344,7 +358,7 @@ def test_write_csv_combined_and_deterministic(tmp_path):
 
 
 def test_trajectory_helpers_empty():
-    traj = Trajectory(rows=np.empty((0, len(CSV_FIELDS))), step=0.1,
+    traj = Trajectory(rows=np.empty((0, len(CSV_FIELDS))),
                       termination="left_domain")
     assert traj.normalization_drift() == 0.0
     assert traj.positions().shape == (0, 3)
