@@ -587,7 +587,7 @@ def suite_curvature(cfg: dict, rng) -> list:
     # connection, and hence its curvature, vanish exactly
     m = float(cfg["couplings"]["m"])
     g = _wave_grid(m, 0.4, 9)
-    _, _, _, cf = polar_pipeline(g, ExternalPotentials(q=q, m=m))
+    _, _, cf = polar_pipeline(g, ExternalPotentials(q=q, m=m))
     cd = curvatures(cf, q=q)
     worst = max(float(np.max(np.abs(cf.R))), float(np.max(cd.riemann)))
     checks.append(_check("wave_spin_connection", worst, tol))

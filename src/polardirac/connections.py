@@ -21,7 +21,7 @@ indices, with the derivative index mu always last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -129,10 +129,12 @@ class ExternalPotentials:
             )
 
     def _field(self, name, grid_shape, tail) -> np.ndarray:
-        """The named field on the grid; GridMismatch if it lives elsewhere."""
-        shape = tuple(grid_shape) + tail
+        """The named field on the grid; GridMismatch if it lives elsewhere.
+        An absent field is a read-only zero-stride view, not a zero grid."""
         value = getattr(self, name)
-        arr = np.zeros(shape) if value is None else np.asarray(value, dtype=float)
+        if value is None:
+            return np.broadcast_to(0.0, tuple(grid_shape) + tail)
+        arr = np.asarray(value, dtype=float)
         _require_on_grid(f"external field {name}", arr.shape, grid_shape, tail)
         return arr
 
@@ -380,8 +382,8 @@ def _check_leak(norms, leak, lf: TransformField) -> None:
             raise BasisLeak(
                 f"log-derivative leak {worst[ax]:.3e} along axis {ax} "
                 f"exceeds {tol[ax]:.3e} at "
-                f"{_site_location(site, lf.origin, lf.spacing)}; "
-                "L is not a group-valued field"
+                f"{_site_location(site, lf.origin, lf.spacing)}; the grid "
+                "does not resolve L, or L is not a group-valued field"
             )
 
 
@@ -460,34 +462,32 @@ def build_connections(
 
 
 def _goldstone_layer(g: GridField, q: float):
-    """(PolarData, TransformField, GoldstoneDerivatives) of g for charge q:
-    decompose, L and L^{-1} dL, the part of polar_pipeline that A and
-    Omega do not enter.  Kept per q in g._memo with every array read-only,
-    so a second pipeline on the same grid repeats none of it and a write
-    into a shared array raises instead of reaching the next reader.  The
-    kept L holds no X = L^{-1} dL: gd is read from a copy of it that is
-    dropped, and a reader of lf.log_derivative builds X afresh."""
+    """(PolarData, GoldstoneDerivatives) of g for charge q: decompose, L
+    and L^{-1} dL, the part of polar_pipeline that A and Omega do not
+    enter.  Kept per q in g._memo with every array read-only, so a second
+    pipeline on the same grid repeats none of it and a write into a shared
+    array raises instead of reaching the next reader.  L and its X are not
+    kept; transform_from_polar(pd, g.origin, g.spacing) rebuilds L."""
     layer = g._memo.get(q)
     if layer is None:
         pd = decompose(g.values, q=q)
         lf = transform_from_polar(pd, g.origin, g.spacing)
-        gd = goldstone_derivatives(replace(lf))
+        gd = goldstone_derivatives(lf)
         for arr in (
             pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
-            lf.matrices, gd.dxi, gd.dxi_ab, gd.leak,
+            gd.dxi, gd.dxi_ab, gd.leak,
         ):
             arr.flags.writeable = False
-        layer = g._memo[q] = (pd, lf, gd)
+        layer = g._memo[q] = (pd, gd)
     return layer
 
 
 def polar_pipeline(g: GridField, ext: ExternalPotentials):
-    """GridField -> (PolarData grid, TransformField, GoldstoneDerivatives,
-    ConnectionField): the standard route from spinor samples to tensors.
-    The first three are computed once per grid and charge (read-only, see
-    _goldstone_layer); the connections are built afresh for ext."""
-    pd, lf, gd = _goldstone_layer(g, ext.q)
-    return pd, lf, gd, build_connections(gd, ext)
+    """GridField -> (PolarData grid, GoldstoneDerivatives, ConnectionField):
+    the standard route from spinor samples to tensors; the first two are
+    kept per grid and charge (see _goldstone_layer), the last built per ext."""
+    pd, gd = _goldstone_layer(g, ext.q)
+    return pd, gd, build_connections(gd, ext)
 
 
 @dataclass(frozen=True)
@@ -543,7 +543,7 @@ def covariant_derivative_check(
     all with the full covariant gradient (Omega and A included) on the
     left.  Returns per-point, per-direction norms.
     """
-    pd, lf, gd, cf = polar_pipeline(g, ext)
+    pd, _, cf = polar_pipeline(g, ext)
     om = () if cf.omega is None else (cf.omega,)
     dbeta = _phase_gradient(pd.beta, g.spacing)
 

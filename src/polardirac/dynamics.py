@@ -76,7 +76,7 @@ class PolarFields:
         """Decompose a sampled spinor field and extract its connections."""
         if ext is None:
             ext = ExternalPotentials()
-        pd, lf, gd, cf = polar_pipeline(g, ext)
+        pd, _, cf = polar_pipeline(g, ext)
         return cls(phi=pd.phi, beta=pd.beta, u=pd.u, s=pd.s, cf=cf, ext=ext)
 
     @property

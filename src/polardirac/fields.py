@@ -125,8 +125,8 @@ class GridField:
     origin and spacing are per-axis (t, x, y, z); values has shape
     dims + (4,).  A non-finite entry of any of the three raises
     PreconditionViolated naming its index.  Immutable by convention after
-    construction: _memo holds what connections.polar_pipeline derives from
-    the values, per charge q, for the life of the instance.
+    construction: _memo keeps the polar data and Goldstone derivatives
+    (not L) that connections.polar_pipeline reads off the values, per q.
     """
 
     origin: np.ndarray

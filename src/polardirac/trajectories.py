@@ -171,7 +171,7 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
     non-timelike stage point gives "singular"; otherwise "completed".
     Returns one Trajectory per point, in order; t1 == t0 gives the start
     sample alone.  Raises PreconditionViolated naming a non-finite t0, t1
-    or dt, or a t1 before t0.
+    or dt, a t1 before t0, or a dt that is not positive.
     """
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not np.isfinite(value):
@@ -181,7 +181,7 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
             f"t1 = {t1} precedes t0 = {t0}: flow lines run forward in time"
         )
     if dt <= 0.0:
-        raise ValueError("dt must be positive")
+        raise PreconditionViolated(f"dt must be positive, got {dt}")
     cur = _as_current(field)
     x = np.array(points, dtype=float).reshape(-1, 3)
     t = float(t0)
@@ -271,7 +271,7 @@ def momentum_along(g: GridField, traj: Trajectory,
     """
     if ext is None:
         ext = ExternalPotentials()
-    _, _, _, cf = polar_pipeline(g, ext)
+    _, _, cf = polar_pipeline(g, ext)
     if not len(traj.rows):
         return np.zeros((0, 4))
     return interp_values(g.origin, g.spacing, cf.P, traj.events())

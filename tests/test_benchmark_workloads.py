@@ -67,8 +67,8 @@ def test_pipeline_op_builds_each_layer_once(tmp_path, monkeypatch):
 def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
     # after the gaussian half of a pipeline op (9^3), the hub holds no
     # rank-3 per-site tensor beside the connection R itself (the full
-    # Sigma, M and Pi are slab temporaries), and the grid's memo keeps no
-    # X = L^{-1} dL
+    # Sigma, M and Pi are slab temporaries), and the grid's memo keeps
+    # only the polar data and the Goldstone derivatives: no L, no X
     import dataclasses
 
     import numpy as np
@@ -100,5 +100,7 @@ def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
         for part, arr in parts.items():
             if isinstance(arr, np.ndarray):
                 assert arr.ndim - grid_rank < 3, (name, part, arr.shape)
-    (_, lf, _), = g._memo.values()
-    assert "log_derivative" not in vars(lf)
+    (layer,) = g._memo.values()
+    assert [type(part) for part in layer] == [
+        pdc.PolarData, pdc.GoldstoneDerivatives
+    ]

@@ -15,6 +15,7 @@ from polardirac.clifford import (
 from polardirac.connections import (
     ConnectionField,
     ExternalPotentials,
+    TransformField,
     build_connections,
     covariant_derivative_check,
     curvatures,
@@ -169,8 +170,6 @@ def test_basis_leak_detection():
     mats = np.zeros(dims + (4, 4), dtype=complex)
     for idx in np.ndindex(dims):
         mats[idx] = np.diag(np.exp(np.diag(d_mat) * x[idx]))
-    from polardirac.connections import TransformField
-
     lf = TransformField(
         matrices=mats,
         origin=np.array(origin, dtype=float),
@@ -286,7 +285,7 @@ def test_rest_wave_pipeline():
         h = 0.8 / (n - 1)
         f = plane_wave([m, 0, 0, 0], m=m)
         g = sample(f, [0, 0, 0, 0], [h, 1, 1, 1], (n, 1, 1, 1))
-        pd, lf, gd, cf = polar_pipeline(g, ExternalPotentials())
+        _, _, cf = polar_pipeline(g, ExternalPotentials())
         expect = np.zeros((n, 1, 1, 1, 4))
         expect[..., 0] = m
         npt.assert_allclose(cf.P, expect, atol=m * (m * h) ** 2 / 2)
@@ -308,7 +307,7 @@ def test_constant_spinor_in_constant_gauge_potential():
     a = np.zeros(dims + (4,))
     a[..., 2] = 0.8
     ext = ExternalPotentials(A=a, q=1.7)
-    _, _, _, cf = polar_pipeline(g, ext)
+    _, _, cf = polar_pipeline(g, ext)
     npt.assert_allclose(cf.P[..., 2], -1.7 * 0.8, atol=1e-12)
     checks = covariant_derivative_check(g, ext)
     assert np.max(checks.spinor) < 1e-10
@@ -334,6 +333,16 @@ def test_zero_omega_is_no_omega():
     none, zero = (covariant_derivative_check(g, e) for e in (ext, ext_zero))
     for name in ("spinor", "s_transport", "u_transport"):
         assert np.array_equal(getattr(none, name), getattr(zero, name))
+
+
+def test_absent_backgrounds_build_no_zero_grids():
+    # an absent A or W is one 0.0 seen through zero strides, not a grid
+    ext = ExternalPotentials()
+    for arr in (ext.a_field((1, 5, 5, 5)), ext.w_field((1, 5, 5, 5))):
+        assert arr.shape == (1, 5, 5, 5, 4) and not arr.any()
+        assert set(arr.strides) == {0}
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0, 0, 0] = 1.0
 
 
 def test_transforms_equal_boost_rotation_products():
@@ -828,7 +837,7 @@ def test_divergence_constraints_accepts_roundoff_flat_gaussian():
     # R of a static gaussian packet is zero up to roundoff, and so is its
     # curvature (2.4e-14); the tolerance without a roundoff floor was 8.8e-17
     g = gaussian_packet(1.5, s_axis=(0.48, 0.6, 0.64), dims=(1, 25, 25, 25))
-    _, _, _, cf = polar_pipeline(g, ExternalPotentials())
+    _, _, cf = polar_pipeline(g, ExternalPotentials())
     res = divergence_constraints(cf)
     assert res.riemann_max < 1e-12
     assert np.max(np.abs(res.resB)) < 1e-12
@@ -1007,7 +1016,9 @@ def test_leak_check_rejects_coarse_random_fields():
     rng = np.random.default_rng(31)
     for dims, spacing, q in _ROUGH_CASES:
         lf = _random_gauge_field(rng, dims, spacing, q)
-        with pytest.raises(BasisLeak, match="not a group-valued field"):
+        with pytest.raises(
+            BasisLeak, match="does not resolve L, or L is not a group-valued"
+        ):
             goldstone_derivatives(lf)
 
 
@@ -1156,8 +1167,6 @@ def test_block_flatness_matches_dense_oracle():
 
 
 def test_off_diagonal_chiral_block_raises():
-    from polardirac.connections import TransformField
-
     lf, _ = gauge_boost_field(5)
     for block, entry in (("upper-right", (0, 3)), ("lower-left", (3, 1))):
         mats = lf.matrices.copy()
@@ -1282,7 +1291,7 @@ def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
     covariant_derivative_check(g1, ext)
     assert calls == [1.0]
     a = np.full(g1.dims + (4,), 0.3)
-    _, _, gd, cf = polar_pipeline(g1, ExternalPotentials(A=a))
+    _, gd, cf = polar_pipeline(g1, ExternalPotentials(A=a))
     assert calls == [1.0]
     assert np.array_equal(cf.P, pf.cf.P - 0.3)
     assert cf.P is not pf.cf.P
@@ -1292,19 +1301,42 @@ def test_goldstone_layer_once_per_grid_and_charge(monkeypatch, tmp_path):
     assert calls == [1.0, 1.0]
     PolarFields.from_grid(g2, ExternalPotentials(q=-2.0))
     assert calls == [1.0, 1.0, -2.0]
-    assert polar_pipeline(g2, ExternalPotentials(q=-2.0))[2].q == -2.0
+    assert polar_pipeline(g2, ExternalPotentials(q=-2.0))[1].q == -2.0
     assert calls == [1.0, 1.0, -2.0]
 
 
-def test_goldstone_layer_arrays_refuse_writes():
-    # the kept arrays are shared by every later pipeline on the grid; the
-    # kept L holds no X, and an X rebuilt on demand is read-only too
+def test_goldstone_layer_keeps_no_transform(monkeypatch):
+    # L enters the chain only through L^{-1} dL: after the hub is built
+    # the grid keeps no TransformField and no complex array (L has 16
+    # complex entries per site, X 32), and the covariant check still
+    # reuses the layer
+    from polardirac import connections
+    from polardirac.dynamics import PolarFields
+
     g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
-    pd, lf, gd, cf = polar_pipeline(g, ExternalPotentials())
-    assert "log_derivative" not in vars(lf)
+    ext = ExternalPotentials()
+    PolarFields.from_grid(g, ext)
+    for part in g._memo[ext.q]:
+        assert not isinstance(part, TransformField)
+        for arr in vars(part).values():
+            assert not np.iscomplexobj(arr)
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("decompose ran again")
+
+    monkeypatch.setattr(connections, "decompose", refusing)
+    covariant_derivative_check(g, ext)
+
+
+def test_goldstone_layer_arrays_refuse_writes():
+    # the kept arrays are shared by every later pipeline on the grid, and
+    # an X built on demand from L is read-only too
+    g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
+    pd, gd, cf = polar_pipeline(g, ExternalPotentials())
+    lf = transform_from_polar(pd, g.origin, g.spacing)
     kept = (
         pd.phi, pd.beta, pd.u, pd.s, pd.goldstone, pd.alpha,
-        lf.matrices, lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,
+        lf.log_derivative, gd.dxi, gd.dxi_ab, gd.leak,
     )
     for arr in kept:
         with pytest.raises(ValueError, match="read-only"):
@@ -1351,7 +1383,7 @@ def test_covariant_gradient_omega_term_matches_site_loop():
     )
 
     # polar form: (-(i/2) d beta pi + d ln phi - i P - (1/2) R sigma) psi
-    pd, _, _, cf = polar_pipeline(g, ext)
+    pd, _, cf = polar_pipeline(g, ext)
     dbeta = _phase_gradient(pd.beta, g.spacing)
     dlnphi = grid_gradient(np.log(pd.phi), g.spacing)
     res = np.zeros(dims + (4,))

@@ -17,6 +17,7 @@ from polardirac.connections import (
     irreducible_split,
     polar_pipeline,
     transform_from_params,
+    transform_from_polar,
 )
 from polardirac.dynamics import (
     EnergyTensor,
@@ -831,7 +832,9 @@ def test_momentum_is_read_across_the_beta_cut():
     npt.assert_allclose(pf_cut.cf.P, pf_plain.cf.P, rtol=0.0, atol=1e-13)
     npt.assert_allclose(pf_cut.cf.R, pf_plain.cf.R, rtol=0.0, atol=1e-13)
     # the dense single-site oracle reads the wrap the same way
-    _, lf, gd, _ = polar_pipeline(moving(3.2), ExternalPotentials())
+    g = moving(3.2)
+    pd, gd, _ = polar_pipeline(g, ExternalPotentials())
+    lf = transform_from_polar(pd, g.origin, g.spacing)
     for i in range(lf.grid_shape[1]):
         dxi, dxi_ab, _ = goldstone_derivative(lf, (0, i, 0, 0))
         npt.assert_allclose(dxi, gd.dxi[0, i, 0, 0], rtol=0.0, atol=1e-13)
@@ -851,7 +854,8 @@ def test_chart_change_moves_only_the_chart_bound_outputs():
     # coefficient (R's shift over W_ij W^ij)
     g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 17, 17, 17))
     ext = ExternalPotentials()
-    pd, lf, _, cf = polar_pipeline(g, ext)
+    pd, _, cf = polar_pipeline(g, ext)
+    lf = transform_from_polar(pd, g.origin, g.spacing)
     x = g.meshgrid()
     delta = 0.8 * np.sin(0.9 * x[..., 1] - 0.6 * x[..., 2]) + 0.5 * np.cos(
         0.7 * x[..., 3]

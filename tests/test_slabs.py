@@ -133,8 +133,11 @@ def _chain(g, lf, exts):
     for label, e in exts.items():
         pf = pdc.PolarFields.from_grid(g, e)
         qp = pdc.quantum_potentials(pf)
+        pipeline = pdc.polar_pipeline(g, e)
+        lf_e = pdc.transform_from_polar(pipeline[0], g.origin, g.spacing)
         out[label] = [
-            pdc.polar_pipeline(g, e),
+            pipeline,
+            lf_e,
             [getattr(pf, k) for k in (
                 "dbeta", "dlnphi2", "spin_plane", "sigma_m", "split", "dP", "F",
             )],
@@ -145,7 +148,7 @@ def _chain(g, lf, exts):
             pdc.energy_and_newton(pf, qp),
             pdc.covariant_derivative_check(g, e),
             pdc.dirac_residual(g, e),
-            pdc.curvatures(pf.cf, q=e.q, lfield=pdc.polar_pipeline(g, e)[1]),
+            pdc.curvatures(pf.cf, q=e.q, lfield=lf_e),
             pdc.divergence_constraints(pf.cf, fd_tol=np.inf),
             pdc.grid_gradient(pf.cf.R, g.spacing),
         ]
@@ -567,7 +570,8 @@ def test_merged_kernels_make_one_slab_pass_each(monkeypatch, two_threads):
     g = _wave_grid(DIMS)
     ext = _externals(np.random.default_rng(8), DIMS)
     # the Goldstone layer is kept on g, so the counts below leave it out
-    _, lf, gd, cf = pdc.polar_pipeline(g, ext)
+    pd, gd, cf = pdc.polar_pipeline(g, ext)
+    lf = pdc.transform_from_polar(pd, g.origin, g.spacing)
     cf.curvature  # kept on cf, so curvatures below reads its Riemann max
     lf.log_derivative  # X, built on demand, is kept on lf likewise
     calls = _dispatches(monkeypatch)

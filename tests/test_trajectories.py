@@ -533,5 +533,5 @@ def test_reversed_interval_raises():
 def test_integrate_many_empty():
     g, _ = boosted_grid(0.5)
     assert integrate_many(g, [], 0.0, 1.0, 0.1) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match="dt must be positive"):
         integrate_many(g, [], 0.0, 1.0, 0.0)
