@@ -21,7 +21,7 @@ import numpy as np
 
 from .clifford import BASIS, minkowski_dot
 from .errors import ImaginaryResidue
-from .fields import _site_location
+from .fields import _site_location, _sitewise
 
 IMAG_TOL = 1e-10
 
@@ -56,6 +56,18 @@ class Bilinears:
     S: np.ndarray
 
 
+def _pair_weights(stack) -> np.ndarray:
+    """Real (32, 20) matrix W with (psi_i^* psi_j, viewed as 32 floats) @ W
+    = (Re, Im) of the observables psi^dag K psi of each K in stack
+    (10, 4, 4): (re + i im)(a + i b) has real part re a - im b and
+    imaginary part re b + im a."""
+    k = stack.reshape(len(stack), 16).T  # [ij, observable]
+    w = np.empty((16, 2, 2, len(stack)))
+    w[:, 0, 0], w[:, 0, 1] = k.real, k.imag  # times Re psi_i^* psi_j
+    w[:, 1, 0], w[:, 1, 1] = -k.imag, k.real  # times Im psi_i^* psi_j
+    return w.reshape(32, 2 * len(stack))
+
+
 def compute_bilinears(psi) -> Bilinears:
     """Evaluate Theta, Phi, U, S for one spinor or a whole grid of them.
 
@@ -65,17 +77,25 @@ def compute_bilinears(psi) -> Bilinears:
     broken basis.
     """
     psi = np.asarray(psi, dtype=complex)
-    vals = np.einsum("...i,kij,...j->...k", psi.conj(), _STACK, psi)
-    scale = np.maximum(1.0, np.sum(np.abs(psi) ** 2, axis=-1))
-    bad = np.abs(vals.imag) > IMAG_TOL * scale[..., None]
-    if np.any(bad):
-        excess = np.where(bad, np.abs(vals.imag), 0.0)
+    weights = _pair_weights(_STACK)
+
+    def sites(psi):
+        # the ten real parts, and per site the largest |Im| where it
+        # exceeds the tolerance (else 0), scaled by U^0 = psi^dag psi
+        pairs = psi.conj()[..., :, None] * psi[..., None, :]
+        vals = pairs.reshape(psi.shape[:-1] + (16,)).view(float) @ weights
+        imag = np.max(np.abs(vals[..., 10:]), axis=-1)
+        tol = IMAG_TOL * np.maximum(1.0, vals[..., 2])
+        excess = np.where(imag > tol, imag, 0.0)
+        return np.ascontiguousarray(vals[..., :10]), excess
+
+    vals, excess = _sitewise(sites, psi.shape[:-1], psi)
+    if np.any(excess):
         worst = np.unravel_index(np.argmax(excess), excess.shape)
         raise ImaginaryResidue(
             f"bilinear imaginary residue {excess[worst]:.3e} exceeds "
-            f"tolerance at {_site_location(worst[:-1])}"
+            f"tolerance at {_site_location(worst)}"
         )
-    vals = vals.real
     return Bilinears(
         theta=vals[..., 0],
         phi_scalar=vals[..., 1],

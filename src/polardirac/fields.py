@@ -27,6 +27,8 @@ import numpy as np
 from .clifford import _axis_angle_from_z, _chiral_exp, _flip, minkowski_dot
 from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
 
+_AXES = ("t", "x", "y", "z")
+
 REST_SPINORS = {
     True: np.array([1.0, 0.0, 1.0, 0.0], dtype=complex),
     False: np.array([0.0, 1.0, 0.0, 1.0], dtype=complex),
@@ -46,26 +48,24 @@ class AnalyticField:
     coefficients: np.ndarray  # (n,) complex
     amplitudes: np.ndarray  # (n, 4) complex
 
+    def _phases(self, x) -> np.ndarray:
+        """e^{-i p_n . x} at events x, shape (..., 4) -> (..., n)."""
+        x = np.asarray(x, dtype=float)
+        return np.exp(-1j * (x @ _flip(self.momenta).T))
+
     def at(self, x) -> np.ndarray:
         """Spinor values at events x, shape (..., 4) -> (..., 4)."""
-        x = np.asarray(x, dtype=float)
-        phases = np.exp(-1j * minkowski_dot(x[..., None, :], self.momenta))
-        return np.einsum(
-            "n,...n,nc->...c", self.coefficients, phases, self.amplitudes
-        )
+        return self._phases(x) @ (self.coefficients[:, None] * self.amplitudes)
 
     def derivative_at(self, x) -> np.ndarray:
         """Exact partial derivatives, shape (..., 4 spinor, 4 mu), lower mu."""
-        x = np.asarray(x, dtype=float)
-        phases = np.exp(-1j * minkowski_dot(x[..., None, :], self.momenta))
-        p_low = _flip(self.momenta)
-        return np.einsum(
-            "n,...n,nc,nm->...cm",
-            self.coefficients,
-            phases,
-            self.amplitudes,
-            -1j * p_low.astype(complex),
+        # d_mu e^{-i p.x} = -i p_mu e^{-i p.x}: one (c, mu) table per wave
+        terms = (-1j * self.coefficients[:, None, None]) * (
+            self.amplitudes[:, :, None] * _flip(self.momenta)[:, None, :]
         )
+        phases = self._phases(x)
+        out = phases @ terms.reshape(len(terms), 16)
+        return out.reshape(phases.shape[:-1] + (4, 4))
 
 
 def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
@@ -144,8 +144,13 @@ class GridField:
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=complex)
         )
-        if self.origin.shape != (4,) or self.spacing.shape != (4,):
-            raise ValueError("origin and spacing must be 4-vectors")
+        for name in ("origin", "spacing"):
+            shape = getattr(self, name).shape
+            if shape != (4,):
+                raise PreconditionViolated(
+                    f"GridField {name} must be a 4-vector (t, x, y, z), "
+                    f"got shape {shape}"
+                )
         for name in ("origin", "spacing", "values"):
             arr = getattr(self, name)
             finite = np.isfinite(arr)
@@ -155,19 +160,24 @@ class GridField:
                     f"GridField {name} entry {where} is {arr[where]}: "
                     "a grid field needs finite input"
                 )
-        if np.any(self.spacing <= 0.0):
-            raise ValueError("spacing must be positive")
+        for axis, h in zip(_AXES, self.spacing):
+            if h <= 0.0:
+                raise PreconditionViolated(
+                    f"GridField spacing along {axis} is {h}: a spacing must "
+                    "be positive"
+                )
         if len(self.dims) != 4:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"dims must have 4 entries (t, x, y, z), got {self.dims}"
             )
-        for d in self.dims:
+        for axis, d in zip(_AXES, self.dims):
             if d != 1 and d < 5:
-                raise ValueError(
-                    "differentiated axes need >= 5 sites (got %d)" % d
+                raise PreconditionViolated(
+                    f"GridField axis {axis} has {d} sites: a differentiated "
+                    "axis needs >= 5 sites (or 1, a constant direction)"
                 )
         if self.values.shape != self.dims + (4,):
-            raise ValueError(
+            raise PreconditionViolated(
                 f"values shape {self.values.shape} != dims {self.dims} + (4,)"
             )
 
@@ -189,7 +199,7 @@ def _lattice_events(origin, spacing, dims) -> np.ndarray:
     origin = np.asarray(origin, dtype=float)
     spacing = np.asarray(spacing, dtype=float)
     if origin.shape != (4,) or spacing.shape != (4,) or len(dims) != 4:
-        raise ValueError(
+        raise PreconditionViolated(
             "origin, spacing and dims need 4 entries (t, x, y, z), got "
             f"{origin.tolist()}, {spacing.tolist()} and {tuple(dims)}"
         )
@@ -521,8 +531,11 @@ def gaussian_packet(
     constant spin-alignment rotation, zero phase.  The box spans +-2/sqrt(k)
     around the origin on each spatial axis.
     """
-    if k <= 0.0 or K <= 0.0:
-        raise ValueError("k and K must be positive")
+    for name, value in (("k", k), ("K", K)):
+        if not value > 0.0:
+            raise PreconditionViolated(
+                f"gaussian_packet needs {name} > 0, got {name} = {value}"
+            )
     s_axis = np.asarray(s_axis, dtype=float)
     s_axis = s_axis / np.linalg.norm(s_axis)
     half_width = 2.0 / np.sqrt(k)
@@ -591,6 +604,8 @@ def load_grid(path) -> GridField:
     origin = np.array([float(v) for v in fields["origin"].split()])
     spacing = np.array([float(v) for v in fields["spacing"].split()])
     dims = tuple(int(v) for v in fields["dims"].split())
+    if len(dims) != 4:
+        raise ValueError(f"grid-field dims must have 4 entries, got {dims}")
     expected = int(np.prod(dims)) * 4 * 2 * 8
     if len(rest) != expected:
         raise ValueError(

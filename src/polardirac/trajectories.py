@@ -20,7 +20,6 @@ is available separately (momentum_along) for comparison.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -290,18 +289,18 @@ def write_csv(trajectories, path, combined: bool = False) -> list:
     path.parent.mkdir(parents=True, exist_ok=True)
     if combined:
         header = ("trajectory",) + CSV_FIELDS
-        files = {path: [([str(k)], traj)
+        files = {path: [(f"{k},", traj)
                         for k, traj in enumerate(trajectories)]}
     else:
         header = CSV_FIELDS
         stem, suffix = path.stem, path.suffix or ".csv"
-        files = {path.parent / f"{stem}_{k:03d}{suffix}": [([], traj)]
+        files = {path.parent / f"{stem}_{k:03d}{suffix}": [("", traj)]
                  for k, traj in enumerate(trajectories)}
     for target, parts in files.items():
+        lines = [",".join(header)]
+        for lead, traj in parts:
+            lines += [lead + ",".join(map(repr, row))
+                      for row in traj.rows.tolist()]
         with open(target, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for lead, traj in parts:
-                w.writerows(lead + [repr(v) for v in row]
-                            for row in traj.rows.tolist())
+            fh.write("\n".join(lines) + "\n")
     return list(files)

@@ -1,14 +1,20 @@
-"""Dense 4x4 oracles of the tests, independent of the package kernels,
-which read sl(2,C) off the Pauli components of the two chiral blocks:
-np.linalg.inv, a stencil written out site by site, and einsums over the
-sigma^{ab} basis."""
+"""Oracles of the tests, independent of the package kernels.
 
+Dense 4x4 routes beside the kernels that read sl(2,C) off the Pauli
+components of the two chiral blocks: np.linalg.inv, a stencil written out
+site by site, and einsums over the sigma^{ab} basis.  And the csv module's
+writer beside the joined lines of trajectories.write_csv.
+"""
+
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
 
 from polardirac.clifford import BASIS, goldstone_matrices
 from polardirac.fields import grid_gradient
+from polardirac.trajectories import CSV_FIELDS
 
 
 def site_fd(arr, axis, point, h):
@@ -107,3 +113,16 @@ def transform_connection_inputs(lf, ext, s_params, zeta, dzeta):
         ext, A=ext.a_field(shape) + dzeta, Omega=spin_components(om_new_mat)
     )
     return replace(lf, matrices=l_new), ext_new, v_mat
+
+
+def csv_bytes(trajectories, combined):
+    """The bytes of one write_csv file holding trajectories (one flow line
+    unless combined), by csv.writer(lineterminator="\n") over the repr of
+    every value."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow((("trajectory",) if combined else ()) + CSV_FIELDS)
+    for k, traj in enumerate(trajectories):
+        lead = [str(k)] if combined else []
+        w.writerows(lead + [repr(v) for v in row] for row in traj.rows.tolist())
+    return buf.getvalue().encode()

@@ -104,3 +104,46 @@ def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
     assert [type(part) for part in layer] == [
         pdc.PolarData, pdc.GoldstoneDerivatives
     ]
+
+
+def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
+    tmp_path, monkeypatch
+):
+    # one evaluation of the plane-wave sum on the lattice and one bilinear
+    # pass per op, and CSV bytes equal to the csv module's for the same rows
+    import sys
+
+    import oracles
+    from polardirac import bilinears, cli, fields
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    counts = {"at": 0, "compute_bilinears": 0}
+    real_at, real_bilinears = fields.AnalyticField.at, bilinears.compute_bilinears
+
+    def at(self, x):
+        counts["at"] += 1
+        return real_at(self, x)
+
+    def bilinears_counting(psi):
+        counts["compute_bilinears"] += 1
+        return real_bilinears(psi)
+
+    monkeypatch.setattr(fields.AnalyticField, "at", at)
+    for name, module in list(sys.modules.items()):
+        if name == "polardirac" or name.startswith("polardirac."):
+            if getattr(module, "compute_bilinears", None) is real_bilinears:
+                monkeypatch.setattr(module, "compute_bilinears", bilinears_counting)
+    written = []
+    real_write = cli.write_csv
+
+    def writing(trajs, path, combined=False):
+        written.append((list(trajs), combined))
+        return real_write(trajs, path, combined=combined)
+
+    monkeypatch.setattr(cli, "write_csv", writing)
+    w = WL.Flowlines(0, tmp_path)
+    _, raw = w.run(-1)
+    assert WL.check(w, w.digest(raw), None)["ok"]
+    assert counts == {"at": 1, "compute_bilinears": 1}
+    ((trajs, combined),) = written
+    assert combined and raw[2] == oracles.csv_bytes(trajs, combined=True)

@@ -89,6 +89,21 @@ def test_chiral_phase_action():
         npt.assert_allclose(b.S, [0.0, 0.0, 0.0, 2.0], atol=1e-10)
 
 
+def test_pair_product_matches_the_sandwich_einsum():
+    # the real matrix product over the 16 pairs psi_i^* psi_j against the
+    # direct psi^dag K psi of each sandwich matrix: the sums run in another
+    # order, so they agree to a few ulps of |psi|^2
+    import polardirac.bilinears as mod
+
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(7, 9, 4)) + 1j * rng.normal(size=(7, 9, 4))
+    want = np.einsum("...i,kij,...j->...k", psi.conj(), mod._STACK, psi)
+    b = compute_bilinears(psi)
+    got = np.concatenate((b.theta[..., None], b.phi_scalar[..., None], b.U, b.S), -1)
+    scale = np.sum(np.abs(psi) ** 2, axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want.real) <= 8 * np.finfo(float).eps * scale)
+
+
 def test_batched_matches_loop():
     rng = np.random.default_rng(8)
     psi = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))

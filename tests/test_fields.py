@@ -238,19 +238,46 @@ def test_interp_matches_corner_loop_bitwise():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         GridField([0, 0, 0, 0], [1, 1, 1, 1], (3, 1, 1, 1), np.zeros((3, 1, 1, 1, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         GridField([0, 0, 0, 0], [0, 1, 1, 1], (1, 1, 1, 1), np.zeros((1, 1, 1, 1, 4)))
-    with pytest.raises(ValueError, match=r"dims must have 4 entries.*\(5, 5, 5\)"):
+    with pytest.raises(PreconditionViolated, match=r"dims must have 4 entries.*\(5, 5, 5\)"):
         GridField(np.zeros(4), np.ones(4), (5, 5, 5), np.zeros((5, 5, 5, 4)))
     # sample evaluates the field before it builds its GridField, so it
     # checks the lattice itself
     wave = plane_wave([1.0, 0, 0, 0])
-    with pytest.raises(ValueError, match=r"4 entries.*\(5, 5, 5\)"):
+    with pytest.raises(PreconditionViolated, match=r"4 entries.*\(5, 5, 5\)"):
         sample(wave, np.zeros(4), np.ones(4), (5, 5, 5))
-    with pytest.raises(ValueError, match=r"origin.*4"):
+    with pytest.raises(PreconditionViolated, match=r"origin.*4"):
         sample(wave, np.zeros(3), np.ones(4), (5, 5, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "spacing, dims, origin, message",
+    [
+        ([1, 1, -0.5, 1], (1, 5, 5, 5), np.zeros(4), r"spacing along y is -0\.5"),
+        ([1, 1, 1, 0], (1, 5, 5, 5), np.zeros(4), r"spacing along z is 0\.0"),
+        ([1, 1, 1, 1], (1, 5, 2, 5), np.zeros(4), r"axis y has 2 sites"),
+        ([1, 1, 1, 1], (4, 1, 1, 1), np.zeros(4), r"axis t has 4 sites"),
+        ([1, 1, 1], (1, 5, 5, 5), np.zeros(4), r"spacing must be a 4-vector.*\(3,\)"),
+        ([1, 1, 1, 1], (1, 5, 5, 5), np.zeros(5), r"origin must be a 4-vector.*\(5,\)"),
+    ],
+)
+def test_grid_constructor_names_the_axis_and_value(spacing, dims, origin, message):
+    # a named PolarDiracError, not a bare ValueError
+    values = np.zeros(tuple(dims) + (4,))
+    with pytest.raises(PreconditionViolated, match=message):
+        GridField(origin, spacing, dims, values)
+
+
+@pytest.mark.parametrize(
+    "k, K, message",
+    [(0.0, 1.0, r"k > 0, got k = 0\.0"), (1.0, -2.0, r"K > 0, got K = -2\.0")],
+)
+def test_gaussian_packet_names_a_non_positive_scale(k, K, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        gaussian_packet(k, K, dims=(1, 5, 5, 5))
 
 
 def test_grid_field_rejects_non_finite():

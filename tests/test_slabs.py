@@ -25,6 +25,7 @@ import polardirac as pdc
 from polardirac import connections, fields
 from polardirac.errors import (
     BasisLeak,
+    ImaginaryResidue,
     NotAntisymmetric,
     PreconditionViolated,
     SingularSpinor,
@@ -344,6 +345,60 @@ def test_divergence_decisions_match_the_inline_call(monkeypatch, two_threads):
         PreconditionViolated,
     )
     assert sliced == inline
+
+
+FLOW_DIMS = (11, 17, 17, 17)  # the grid of the perfbench flowlines op
+
+
+def test_current_is_bit_identical_on_the_flowlines_grid(monkeypatch, two_threads):
+    g = _wave_grid(FLOW_DIMS)
+    calls = _dispatches(monkeypatch)
+    sliced, inline = _both(
+        monkeypatch,
+        lambda: [pdc.compute_bilinears(g.values),
+                 pdc.CurrentField.from_grid(g).obs],
+    )
+    assert calls
+    _assert_identical(sliced, inline)
+
+
+def test_imaginary_residue_matches_the_inline_call(monkeypatch, two_threads):
+    # a broken sandwich stack: every nonzero spinor picks up an imaginary
+    # part, largest at the site of the second slab
+    from polardirac import bilinears
+
+    broken = bilinears._STACK.copy()
+    broken[1] = broken[1] + 1e-4j * np.eye(4)
+    monkeypatch.setattr(bilinears, "_STACK", broken)
+    site = _second_slab_site(FLOW_DIMS)
+    psi = np.zeros(FLOW_DIMS + (4,), dtype=complex)
+    psi[site] = [1.0, 0.0, 1.0, 0.0]
+    psi[0, 0, 0, 0] = [0.5, 0.0, 0.5, 0.0]  # slab 0, a quarter of the residue
+    sliced, inline = _raised(
+        monkeypatch, lambda: pdc.compute_bilinears(psi), ImaginaryResidue
+    )
+    assert sliced == inline and sliced.endswith(f"at grid index {site}")
+
+
+def test_bilinears_keep_real_parts_only(two_threads):
+    # after return only the ten real observables per site are held (one
+    # float64 each, plus slack for one more); the slabs keep the peak of
+    # the pair products and their imaginary parts below four times psi
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=FLOW_DIMS + (4,)) + 1j * rng.normal(size=FLOW_DIMS + (4,))
+    pdc.compute_bilinears(psi)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        b = pdc.compute_bilinears(psi)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.U.dtype == np.float64
+    assert held - base <= 11 * 8 * np.prod(FLOW_DIMS)
+    assert peak - base < 4 * psi.nbytes
 
 
 def test_errstate_of_the_caller_holds_in_the_slabs(monkeypatch, two_threads):

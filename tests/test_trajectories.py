@@ -357,6 +357,24 @@ def test_write_csv_combined_and_deterministic(tmp_path):
     assert np.array_equal(parsed, np.concatenate([t.rows for t in trajs]))
 
 
+def test_write_csv_matches_the_csv_module(tmp_path):
+    # the joined lines are byte for byte what csv.writer writes, on
+    # special floats and on a flow line with no samples too
+    import oracles
+
+    rows = np.linspace(-1.0, 1.0, 3 * len(CSV_FIELDS)).reshape(3, -1)
+    rows[0, :5] = [-0.0, np.nan, np.inf, -np.inf, 1e-300]
+    rows[1, :3] = [1 / 3, 1e22, 5e-324]
+    trajs = [Trajectory(rows, "completed"),
+             Trajectory(np.zeros((0, len(CSV_FIELDS))), "left_domain"),
+             Trajectory(rows[1:], "singular")]
+    out = tmp_path / "all.csv"
+    assert write_csv(trajs, out, combined=True) == [out]
+    assert out.read_bytes() == oracles.csv_bytes(trajs, combined=True)
+    for path, traj in zip(write_csv(trajs, tmp_path / "one.csv"), trajs):
+        assert path.read_bytes() == oracles.csv_bytes([traj], combined=False)
+
+
 def test_trajectory_helpers_empty():
     traj = Trajectory(rows=np.empty((0, len(CSV_FIELDS))),
                       termination="left_domain")
