@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _block_inverse, _flip
-from .clifford import _boost_rotation, _chiral_exp, _chiral_split
+from .clifford import _block_product, _boost_rotation, _spin_blocks
 from .errors import (
     BasisLeak,
     GridMismatch,
@@ -150,13 +150,13 @@ class ExternalPotentials:
 
 @dataclass(frozen=True)
 class TransformField:
-    """The local transformation L(x) sampled on a grid, as 4x4 matrices;
-    log_derivative is computed on first use and kept (read-only), as on
-    PolarFields.
+    """The local transformation L(x) sampled on a grid; log_derivative is
+    computed on first use and kept (read-only), as on PolarFields.
 
-    L must be block-diagonal in the chiral representation, as every
-    e^{i q xi} exp((1/2) xi_{ab} sigma^{ab}) is: log_derivative raises
-    BasisLeak naming the block and the site of a nonzero off-diagonal entry.
+    Every e^{i q xi} exp((1/2) xi_{ab} sigma^{ab}) is block-diagonal in the
+    chiral representation, diag(A, A^{-dagger}) e^{i q xi}, so L is held as
+    its two diagonal 2x2 blocks: blocks has the grid shape + (2, 2, 2),
+    layout [..., block, row, col], or GridMismatch names its shape.
 
     beta, when given, is the chiral angle of the spinor field that L was
     read from (grid shape, GridMismatch otherwise).  Where it wraps
@@ -165,15 +165,20 @@ class TransformField:
     sign undone, and keeps the plain grid_gradient bits everywhere else.
     """
 
-    matrices: np.ndarray
+    blocks: np.ndarray
     origin: np.ndarray
     spacing: np.ndarray
     q: float = 1.0
     beta: np.ndarray | None = None
 
+    def __post_init__(self):
+        shape = np.shape(self.blocks)
+        if shape[-3:] != (2, 2, 2):
+            raise GridMismatch(f"L blocks shaped {shape} lack the axes (2, 2, 2)")
+
     @property
     def grid_shape(self) -> tuple:
-        return self.matrices.shape[:-2]
+        return self.blocks.shape[:-3]
 
     def _wrap_sign(self, ax: int) -> np.ndarray | None:
         """(-1)^(wraps of beta before each site along axis ax), grid
@@ -192,11 +197,10 @@ class TransformField:
     @cached_property
     def log_derivative(self) -> np.ndarray:
         """X_mu = L^{-1} d_mu L on the grid in chiral block layout
-        [..., block, row, col, mu]: the two diagonal 2x2 blocks of the
-        block-diagonal 4x4 X, the input of goldstone_derivatives and of the
-        flatness in curvatures; read-only, as every reader shares it."""
-        blocks = _chiral_split(self.matrices)
-        dl = grid_gradient(blocks, self.spacing)
+        [..., block, row, col, mu], differenced and inverted per block: the
+        input of goldstone_derivatives and of the flatness in curvatures;
+        read-only, as every reader shares it."""
+        dl = grid_gradient(self.blocks, self.spacing)
         for ax in range(4):
             sign = self._wrap_sign(ax)
             if sign is not None:
@@ -204,12 +208,12 @@ class TransformField:
                 # sign^2 = 1 exactly
                 sign = sign[..., None, None, None]
                 dl[..., ax] = sign * np.gradient(
-                    sign * blocks, self.spacing[ax], axis=ax, edge_order=2
+                    sign * self.blocks, self.spacing[ax], axis=ax, edge_order=2
                 )
         x = _sitewise(
             lambda b, d: np.einsum("...ij,...jkm->...ikm", _block_inverse(b), d),
             self.grid_shape,
-            blocks,
+            self.blocks,
             dl,
         )
         x.flags.writeable = False
@@ -227,12 +231,13 @@ def transform_from_polar(pd: PolarData, origin, spacing) -> TransformField:
     def sites(goldstone, alpha):
         chi = goldstone[..., :3]
         theta = goldstone[..., 3:]
-        m_inv = _chiral_exp(1j * -theta) @ _chiral_exp(-chi)  # R(-theta) B(-chi)
+        # R(-theta) B(-chi)
+        m_inv = _block_product(_spin_blocks(1j * -theta), _spin_blocks(-chi))
         phase = np.exp(1j * pd.q * alpha)
-        return phase[..., None, None] * m_inv
+        return phase[..., None, None, None] * m_inv
 
     return TransformField(
-        matrices=_sitewise(sites, alpha.shape, pd.goldstone, alpha),
+        blocks=_sitewise(sites, alpha.shape, pd.goldstone, alpha),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=pd.q,
@@ -255,7 +260,7 @@ def transform_from_params(
     _require_on_grid("params", params.shape, dims, (6,))
     phase = np.exp(1j * q * xi)
     return TransformField(
-        matrices=phase[..., None, None] * _boost_rotation(params),
+        blocks=phase[..., None, None, None] * _boost_rotation(params),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=q,
@@ -706,7 +711,7 @@ def curvatures(
 
     flat = None
     if lfield is not None:
-        _require_on_grid("L field", lfield.matrices.shape, cf.grid_shape, (4, 4))
+        _require_on_grid("L field", lfield.blocks.shape, cf.grid_shape, (2, 2, 2))
         gmat = lfield.log_derivative
         flat = _sitewise(
             _flatness, cf.grid_shape, gmat,

@@ -24,15 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import _axis_angle_from_z, _chiral_exp, _flip, minkowski_dot
+from .clifford import _axis_angle_from_z, _flip, _spin_blocks, minkowski_dot
 from .errors import MassMismatch, OffShell, OutOfBounds, PreconditionViolated
 
 _AXES = ("t", "x", "y", "z")
-
-REST_SPINORS = {
-    True: np.array([1.0, 0.0, 1.0, 0.0], dtype=complex),
-    False: np.array([0.0, 1.0, 0.0, 1.0], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -49,9 +44,13 @@ class AnalyticField:
     amplitudes: np.ndarray  # (n, 4) complex
 
     def _phases(self, x) -> np.ndarray:
-        """e^{-i p_n . x} at events x, shape (..., 4) -> (..., n)."""
+        """e^{-i p_n . x} at events x, shape (..., 4) -> (..., n), as cos
+        and -sin in one complex array: the bits of np.exp(-1j * p.x)."""
         x = np.asarray(x, dtype=float)
-        return np.exp(-1j * (x @ _flip(self.momenta).T))
+        angle = x @ _flip(self.momenta).T
+        out = np.empty(angle.shape, dtype=complex)
+        out.real, out.imag = np.cos(angle), -np.sin(angle)
+        return out
 
     def at(self, x) -> np.ndarray:
         """Spinor values at events x, shape (..., 4) -> (..., 4)."""
@@ -86,7 +85,8 @@ def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
     pmag = np.linalg.norm(pvec)
     chi = np.arcsinh(pmag / m)
     axis = pvec / pmag if pmag > 0.0 else np.array([0.0, 0.0, 1.0])
-    amp = _chiral_exp(chi * axis) @ REST_SPINORS[bool(spin_up)]
+    # B(chi) (1,0,1,0) or B(chi) (0,1,0,1): column 0 or 1 of each chiral block
+    amp = _spin_blocks(chi * axis)[..., 0 if spin_up else 1].reshape(4)
     return AnalyticField(
         mass=float(m),
         momenta=p[None, :].copy(),
@@ -152,14 +152,10 @@ class GridField:
                     f"got shape {shape}"
                 )
         for name in ("origin", "spacing", "values"):
-            arr = getattr(self, name)
-            finite = np.isfinite(arr)
-            if not finite.all():
-                where = tuple(int(i) for i in np.argwhere(~finite)[0])
-                raise PreconditionViolated(
-                    f"GridField {name} entry {where} is {arr[where]}: "
-                    "a grid field needs finite input"
-                )
+            _require_finite(
+                getattr(self, name), f"GridField {name} entry",
+                "a grid field needs finite input",
+            )
         for axis, h in zip(_AXES, self.spacing):
             if h <= 0.0:
                 raise PreconditionViolated(
@@ -205,6 +201,15 @@ def _lattice_events(origin, spacing, dims) -> np.ndarray:
         )
     axes = [o + h * np.arange(n) for o, h, n in zip(origin, spacing, dims)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _require_finite(arr, what: str, why: str) -> None:
+    """Raise PreconditionViolated, 'what (index) is value: why', at the
+    first entry of arr that is not finite."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        where = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise PreconditionViolated(f"{what} {where} is {arr[where]}: {why}")
 
 
 def _site_location(index, origin=None, spacing=None) -> str:
@@ -555,7 +560,7 @@ def gaussian_packet(
     r2 = np.sum(coords[..., 1:] ** 2, axis=-1)
     phi = K * np.exp(-k * r2 / 16.0)
     theta = _axis_angle_from_z(s_axis)
-    rest = _chiral_exp(1j * theta) @ REST_SPINORS[True]
+    rest = _spin_blocks(1j * theta)[..., 0].reshape(4)  # R(theta) (1,0,1,0)
     values = phi[..., None] * rest
     return GridField(origin=origin, spacing=spacing, dims=dims, values=values)
 

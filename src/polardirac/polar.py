@@ -24,15 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import PAULI, _axis_angle_from_z, _boost_rotation, _exp_pauli
-from .clifford import minkowski_dot
+from .clifford import PAULI, _axis_angle_from_z, _boost_rotation, _chiral_join
+from .clifford import _exp_pauli, minkowski_dot
 from .errors import (
     InvalidPolar,
     PreconditionViolated,
     SingularSpinor,
     ZeroSpinor,
 )
-from .fields import _site_location, _sitewise
+from .fields import _require_finite, _site_location, _sitewise
 
 #: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
 REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
@@ -71,20 +71,23 @@ class NonRelDeviation:
     small_norm: np.ndarray
 
 
+def _half_phases(beta) -> np.ndarray:
+    """(e^{i beta/2}, e^{-i beta/2}): e^{-i beta pi/2} per chiral block."""
+    up = np.exp(0.5j * np.asarray(beta, dtype=float))
+    return np.stack((up, np.conj(up)), axis=-1)
+
+
 def chiral_phase(beta) -> np.ndarray:
     """e^{-i beta pi / 2} as a batched diagonal matrix, shape (..., 4, 4)."""
-    return _chiral_phase(beta)
+    return _chiral_join(_half_phases(beta)[..., None, None] * np.eye(2))
 
 
-def _chiral_phase(beta) -> np.ndarray:
-    """chiral_phase, for the slab kernels of decompose."""
-    beta = np.asarray(beta, dtype=float)
-    up = np.exp(0.5j * beta)
-    out = np.zeros(beta.shape + (4, 4), dtype=complex)
-    for k in range(2):
-        out[..., k, k] = up
-        out[..., k + 2, k + 2] = np.conj(up)
-    return out
+def _frame_spinor(beta, m) -> np.ndarray:
+    """e^{-i beta pi / 2} M (1, 0, 1, 0)^T, shape (..., 4), for M given as
+    chiral blocks m [..., block, row, col]: the first column of each block
+    times its half phase."""
+    cols = _half_phases(beta)[..., None] * m[..., 0]
+    return cols.reshape(cols.shape[:-2] + (4,))
 
 
 def _require_charge(q) -> None:
@@ -109,13 +112,9 @@ def decompose(psi, q: float = 1.0) -> PolarData:
     """
     _require_charge(q)
     psi = np.asarray(psi, dtype=complex)
-    finite = np.isfinite(psi)
-    if not finite.all():
-        where = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise PreconditionViolated(
-            f"spinor component {where} is {psi[where]}: "
-            "the polar decomposition needs finite input"
-        )
+    _require_finite(
+        psi, "spinor component", "the polar decomposition needs finite input"
+    )
     b = compute_bilinears(psi)
     mod2 = b.theta**2 + b.phi_scalar**2
     if np.any(mod2 <= EPS_SINGULAR):
@@ -160,10 +159,7 @@ def _polar_sites(psi, big_theta, big_phi, U, S, mod2, q):
     theta = _axis_angle_from_z(n)
 
     goldstone = np.concatenate([chi, theta], axis=-1)
-    m = _boost_rotation(goldstone)
-    candidate = phi[..., None] * np.einsum(
-        "...ij,...j->...i", _chiral_phase(beta) @ m, REFERENCE
-    )
+    candidate = phi[..., None] * _frame_spinor(beta, _boost_rotation(goldstone))
     overlap = np.sum(np.conj(candidate) * psi, axis=-1)
     norm = np.sum(np.abs(candidate) ** 2, axis=-1)
     alpha = -np.angle(overlap / norm) / q
@@ -191,8 +187,7 @@ def reconstruct(p: PolarData) -> np.ndarray:
             f"u/s normalization violated by {worst:.3e} (limit 1e-6) at "
             f"{_site_location(site)}"
         )
-    m = _boost_rotation(p.goldstone)
-    psi = np.einsum("...ij,...j->...i", chiral_phase(p.beta) @ m, REFERENCE)
+    psi = _frame_spinor(p.beta, _boost_rotation(p.goldstone))
     phase = np.exp(-1j * p.q * np.asarray(p.alpha, dtype=float))
     return np.asarray(p.phi, dtype=float)[..., None] * phase[..., None] * psi
 
@@ -201,11 +196,18 @@ def decompose_pauli(chi2) -> tuple[PauliPolarData, np.ndarray]:
     """Polar form of 2-component spinors: chi = e^{i delta} phi R(theta)(1,0)^T.
 
     Returns the polar data and the global phase delta separately.
+    PreconditionViolated names the first component that is not finite,
+    ZeroSpinor the first site where chi vanishes.
     """
     chi2 = np.asarray(chi2, dtype=complex)
+    _require_finite(
+        chi2, "spinor component", "the polar decomposition needs finite input"
+    )
     norm2 = np.sum(np.abs(chi2) ** 2, axis=-1)
-    if np.any(norm2 == 0.0):
-        raise ZeroSpinor("cannot decompose a vanishing Pauli spinor")
+    zero = np.argwhere(norm2 == 0.0)
+    if len(zero):
+        where = _site_location(zero[0])
+        raise ZeroSpinor(f"cannot decompose a vanishing Pauli spinor at {where}")
     phi = np.sqrt(norm2)
     svec = np.real(
         np.einsum("...i,kij,...j->...k", chi2.conj(), PAULI, chi2)

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from polardirac.clifford import BASIS, goldstone_matrices
+from polardirac.clifford import BASIS, _chiral_join, _chiral_split, goldstone_matrices
 from polardirac.fields import grid_gradient
 from polardirac.trajectories import CSV_FIELDS
 
@@ -61,30 +61,32 @@ def dense_projection(x_mats, q):
     return dxi, dxi_ab, leak
 
 
-def _unwrapped(lf, ax, point):
-    """lf.matrices with the sign (-1)^(wraps of lf.beta between each site
-    and point along ax) applied, so that L is continuous on that line."""
+def _unwrapped(lf, mats, ax, point):
+    """The 4x4 L of lf, mats, with the sign (-1)^(wraps of lf.beta between
+    each site and point along ax) applied, so that L is continuous on that
+    line."""
     if lf.beta is None:
-        return lf.matrices
+        return mats
     line = list(point)
     line[ax] = slice(None)
     jumps = np.abs(np.diff(lf.beta[tuple(line)])) > np.pi
     wraps = np.concatenate([[0], np.cumsum(jumps)])
-    shape = [1] * lf.matrices.ndim
+    shape = [1] * mats.ndim
     shape[ax] = -1
     sign = (-1.0) ** (wraps - wraps[point[ax]])
-    return sign.reshape(shape) * lf.matrices
+    return sign.reshape(shape) * mats
 
 
 def goldstone_derivative(lf, point):
     """(dxi, dxi_ab, leak) at one grid index of a TransformField, by
-    np.linalg.inv, site_fd across a wrap of lf.beta (_unwrapped) and
-    dense_projection; no leak check."""
+    np.linalg.inv of the joined 4x4 L, site_fd across a wrap of lf.beta
+    (_unwrapped) and dense_projection; no leak check."""
+    full = _chiral_join(lf.blocks)
     x_mats = np.zeros((4, 4, 4), dtype=complex)
-    l_inv = np.linalg.inv(lf.matrices[tuple(point)])
+    l_inv = np.linalg.inv(full[tuple(point)])
     for ax in range(4):
         if lf.grid_shape[ax] > 1:
-            mats = _unwrapped(lf, ax, point)
+            mats = _unwrapped(lf, full, ax, point)
             x_mats[:, :, ax] = l_inv @ site_fd(mats, ax, point, lf.spacing[ax])
     return dense_projection(x_mats, lf.q)
 
@@ -101,7 +103,7 @@ def transform_connection_inputs(lf, ext, s_params, zeta, dzeta):
     s_mat, v_mat = goldstone_matrices(s_params)
     s_inv = np.linalg.inv(s_mat)
     phase = np.exp(1j * lf.q * np.asarray(zeta, dtype=float))
-    l_new = phase[..., None, None] * (lf.matrices @ s_inv)
+    l_new = phase[..., None, None] * (_chiral_join(lf.blocks) @ s_inv)
 
     shape = lf.grid_shape
     om_mat = spin_matrix(ext.omega_field(shape))
@@ -112,7 +114,7 @@ def transform_connection_inputs(lf, ext, s_params, zeta, dzeta):
     ext_new = replace(
         ext, A=ext.a_field(shape) + dzeta, Omega=spin_components(om_new_mat)
     )
-    return replace(lf, matrices=l_new), ext_new, v_mat
+    return replace(lf, blocks=_chiral_split(l_new)), ext_new, v_mat
 
 
 def csv_bytes(trajectories, combined):

@@ -147,3 +147,99 @@ def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     assert counts == {"at": 1, "compute_bilinears": 1}
     ((trajs, combined),) = written
     assert combined and raw[2] == oracles.csv_bytes(trajs, combined=True)
+
+
+@pytest.mark.parametrize("name", sorted(WL.WORKLOADS))
+def test_first_op_of_seed_0_matches_its_reference(name, tmp_path, monkeypatch):
+    # op 0 of seed 0 on the full-size inputs, against the stored reference
+    # (RTOL and ATOL of the benchmark): a move of a reference number, such
+    # as the roundoff-sized gaussian R_abs_sum, fails here before a
+    # benchmark run does
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    w = WL.WORKLOADS[name](0, tmp_path)
+    _, raw = w.run(0)
+    reference = WL.load_references()[name][w.reference_key(0, 0)]
+    result = WL.check(w, w.digest(raw), reference)
+    assert result["ok"], result["problems"]
+
+
+def test_pipeline_op_holds_spin_transformations_as_chiral_blocks(
+    tmp_path, monkeypatch
+):
+    # M, L and L^{-1} dL live as their two chiral 2x2 blocks: an op joins
+    # and splits no 4x4 matrix, nor does the set-up's transform_from_params,
+    # and no numpy call made inside decompose, transform_from_polar,
+    # transform_from_params or goldstone_derivatives (which computes
+    # log_derivative) returns a complex (..., 4, 4) array.  The complex
+    # (..., 2, 2, 2) results counted beside them show that the watch sees
+    # the layers' numpy calls
+    import sys
+
+    import numpy as np
+
+    import polardirac as pdc
+    from polardirac import bilinears, clifford, connections, fields, polar
+
+    joined, built, blocks, active = [], [], [], []
+    for name in ("_chiral_split", "_chiral_join"):
+        real = getattr(clifford, name)
+
+        def counting(*args, _real=real, _name=name):
+            joined.append(_name)
+            return _real(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if not mod_name.startswith("polardirac"):
+                continue
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+
+    class Watched:
+        """numpy, recording the complex results of its callables while a
+        watched layer runs."""
+
+        def __getattr__(self, name):
+            real = getattr(np, name)
+            if not callable(real) or isinstance(real, type):
+                return real
+
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                for arr in out if isinstance(out, tuple) else (out,):
+                    if not active or not isinstance(arr, np.ndarray):
+                        continue
+                    if arr.dtype.kind == "c" and arr.shape[-2:] == (4, 4):
+                        built.append((name, arr.shape))
+                    if arr.dtype.kind == "c" and arr.shape[-3:] == (2, 2, 2):
+                        blocks.append(name)
+                return out
+
+            return call
+
+    for module in (bilinears, clifford, connections, fields, polar):
+        monkeypatch.setattr(module, "np", Watched())
+
+    def watched(real):
+        def call(*args, **kwargs):
+            active.append(real.__name__)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return call
+
+    for module, name in (
+        (connections, "decompose"),
+        (connections, "transform_from_polar"),
+        (connections, "goldstone_derivatives"),
+        (pdc, "goldstone_derivatives"),
+        (pdc, "transform_from_params"),
+    ):
+        monkeypatch.setattr(module, name, watched(getattr(module, name)))
+    w = WL.Pipeline(0, tmp_path)
+    assert joined == [] and built == []
+    _, raw = w.run(-1)
+    assert WL.check(w, w.digest(raw), None)["ok"]
+    assert joined == [] and built == []
+    assert blocks and not active

@@ -8,6 +8,8 @@ import pytest
 from polardirac.clifford import (
     BASIS,
     METRIC,
+    _block_product,
+    _chiral_join,
     _chiral_split,
     boost_matrices,
     rotation_matrices,
@@ -171,7 +173,7 @@ def test_basis_leak_detection():
     for idx in np.ndindex(dims):
         mats[idx] = np.diag(np.exp(np.diag(d_mat) * x[idx]))
     lf = TransformField(
-        matrices=mats,
+        blocks=_chiral_split(mats),
         origin=np.array(origin, dtype=float),
         spacing=np.array(spacing, dtype=float),
     )
@@ -230,7 +232,7 @@ def test_grid_mismatch():
     lf_other = transform_from_params(
         np.zeros(other), np.zeros(other + (6,)), [0, 0, 0, 0], [1, 0.2, 1, 1], other
     )
-    with pytest.raises(GridMismatch, match=r"L field shaped \(1, 7, 1, 1, 4, 4\)"):
+    with pytest.raises(GridMismatch, match=r"L field shaped \(1, 7, 1, 1, 2, 2, 2\)"):
         curvatures(cf, lfield=lf_other)
     lf_beta = dataclasses.replace(lf, beta=np.zeros(other))
     with pytest.raises(GridMismatch, match=r"beta shaped \(1, 7, 1, 1\)"):
@@ -346,8 +348,9 @@ def test_absent_backgrounds_build_no_zero_grids():
 
 
 def test_transforms_equal_boost_rotation_products():
-    # the transforms build only the spinor matrices; they must keep the
-    # bits of the (Lambda, V) builders' spinor halves
+    # the transforms build only the chiral blocks of the spinor matrices;
+    # they must keep the bits of the block products of the (Lambda, V)
+    # builders' spinor halves (_block_product against matmul: test_clifford)
     dims = (1, 7, 7, 1)
     rng = np.random.default_rng(73)
     params = 0.4 * rng.normal(size=dims + (6,))
@@ -356,7 +359,9 @@ def test_transforms_equal_boost_rotation_products():
     lb, _ = boost_matrices(params[..., :3])
     lr, _ = rotation_matrices(params[..., 3:])
     assert np.array_equal(
-        lf.matrices, np.exp(1j * xi)[..., None, None] * (lb @ lr)
+        lf.blocks,
+        np.exp(1j * xi)[..., None, None, None]
+        * _block_product(_chiral_split(lb), _chiral_split(lr)),
     )
 
     g = gaussian_packet(1.2, s_axis=(0.48, 0.6, 0.64), dims=(1, 9, 9, 9))
@@ -366,8 +371,21 @@ def test_transforms_equal_boost_rotation_products():
     boost_inv, _ = boost_matrices(-pd.goldstone[..., :3])
     phase = np.exp(1j * pd.q * pd.alpha)
     assert np.array_equal(
-        lf.matrices, phase[..., None, None] * (rot_inv @ boost_inv)
+        lf.blocks,
+        phase[..., None, None, None]
+        * _block_product(_chiral_split(rot_inv), _chiral_split(boost_inv)),
     )
+
+
+def test_transform_field_holds_chiral_blocks():
+    # L is stored as its two diagonal 2x2 blocks; a 4x4 field is refused
+    # with its shape named
+    lf, _ = gauge_boost_field(5)
+    assert lf.blocks.shape == lf.grid_shape + (2, 2, 2)
+    with pytest.raises(GridMismatch, match=r"shaped \(1, 5, 5, 5, 4, 4\)"):
+        TransformField(
+            blocks=_chiral_join(lf.blocks), origin=lf.origin, spacing=lf.spacing
+        )
 
 
 def residual_orders(make_residual, ns):
@@ -872,9 +890,9 @@ def test_divergence_constraints_one_riemann(monkeypatch):
 
 
 def _block_log_derivative(lf):
-    """X = L^{-1} dL in chiral block layout, rebuilt from scratch: the two
-    diagonal blocks of L, their adjugate inverses, one batched product."""
-    blocks = np.stack((lf.matrices[..., :2, :2], lf.matrices[..., 2:, 2:]), axis=-3)
+    """X = L^{-1} dL in chiral block layout, rebuilt from scratch: the
+    adjugate inverses of the two diagonal blocks of L, one batched product."""
+    blocks = lf.blocks
     a, b = blocks[..., 0, 0], blocks[..., 0, 1]
     c, d = blocks[..., 1, 0], blocks[..., 1, 1]
     adj = np.stack((np.stack((d, -b), axis=-1), np.stack((-c, a), axis=-1)), axis=-2)
@@ -1031,9 +1049,9 @@ def test_leak_error_names_the_worst_site():
 
     lf, _ = gauge_boost_field(9)
     site = (0, 4, 3, 5)
-    mats = lf.matrices.copy()
-    mats[site] *= 1.5
-    bad = dataclasses.replace(lf, matrices=mats)
+    blocks = lf.blocks.copy()
+    blocks[site] *= 1.5
+    bad = dataclasses.replace(lf, blocks=blocks)
     with pytest.raises(BasisLeak, match="not a group-valued field") as info:
         goldstone_derivatives(bad)
     message = str(info.value)
@@ -1152,10 +1170,11 @@ def test_block_flatness_matches_dense_oracle():
     # axes; roundoff tolerance 64 eps on the scale |dX| + |X|^2 of the
     # terms (measured: below 9 eps)
     for lf, _ in (gauge_boost_field(9), gauge_rotation_field(9)):
+        mats = _chiral_join(lf.blocks)
         x = np.einsum(
             "...ij,...jkm->...ikm",
-            np.linalg.inv(lf.matrices),
-            grid_gradient(lf.matrices, lf.spacing),
+            np.linalg.inv(mats),
+            grid_gradient(mats, lf.spacing),
         )
         dx = grid_gradient(x, lf.spacing)
         oracle = np.max(np.abs(_dense_riemann(x, dx, None)), axis=(-4, -3, -2, -1))
@@ -1164,19 +1183,6 @@ def test_block_flatness_matches_dense_oracle():
         tol = 64 * np.finfo(float).eps * (np.max(np.abs(dx)) + np.max(np.abs(x)) ** 2)
         assert np.max(oracle) > 1e-4
         npt.assert_allclose(flat, oracle, rtol=0.0, atol=tol)
-
-
-def test_off_diagonal_chiral_block_raises():
-    lf, _ = gauge_boost_field(5)
-    for block, entry in (("upper-right", (0, 3)), ("lower-left", (3, 1))):
-        mats = lf.matrices.copy()
-        mats[(0, 2, 1, 3) + entry] = 1e-3
-        bad = TransformField(matrices=mats, origin=lf.origin, spacing=lf.spacing)
-        match = rf"{block} is nonzero at site \(0, 2, 1, 3\)"
-        with pytest.raises(BasisLeak, match=match):
-            goldstone_derivatives(bad)
-        with pytest.raises(BasisLeak, match=match):
-            bad.log_derivative
 
 
 def test_connection_carries_its_omega():

@@ -861,9 +861,9 @@ def test_chart_change_moves_only_the_chart_bound_outputs():
         0.7 * x[..., 3]
     )
     e = np.exp(1j * ext.q * delta)
-    rows = np.stack((1.0 / e, e, 1.0 / e, e), axis=-1)  # diag(D^-1, D^-1)
+    rows = np.stack((1.0 / e, e), axis=-1)  # D^-1 on each chiral block
     lf2 = dataclasses.replace(
-        lf, matrices=(e[..., None] * rows)[..., None] * lf.matrices
+        lf, blocks=(e[..., None] * rows)[..., None, :, None] * lf.blocks
     )
     cf2 = build_connections(goldstone_derivatives(lf2), ext)
     pf = PolarFields(phi=pd.phi, beta=pd.beta, u=pd.u, s=pd.s, cf=cf, ext=ext)

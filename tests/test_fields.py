@@ -11,8 +11,10 @@ from polardirac.errors import (
     OutOfBounds,
     PreconditionViolated,
 )
+from polardirac.clifford import _flip
 from polardirac.fields import (
     GridField,
+    _lattice_events,
     gaussian_packet,
     grid_gradient,
     interp_values,
@@ -93,6 +95,22 @@ def test_analytic_derivative_matches_finite_difference():
         dx[mu] = h
         fd = (f.at(x + dx) - f.at(x - dx)) / (2 * h)
         npt.assert_allclose(d[:, mu], fd, atol=1e-8)
+
+
+def test_phases_keep_the_bits_of_the_complex_exponential():
+    # the sampler writes cos and -sin into one complex array; on the lattice
+    # of a trajectories run (11 x 17^3 events, four on-shell waves) its
+    # phases are those of np.exp(-1j * p.x), bit for bit
+    rng = np.random.default_rng(0)
+    waves = []
+    for i in range(4):
+        p = rng.uniform(-0.8, 0.8, 3)
+        waves.append(plane_wave(np.r_[np.sqrt(1.0 + p @ p), p], spin_up=i % 2 == 0))
+    f = superpose(waves, rng.normal(size=4) + 1j * rng.normal(size=4))
+    x = _lattice_events(
+        [0.0, -1.0, -1.0, -1.0], [0.1, 0.125, 0.125, 0.125], (11, 17, 17, 17)
+    )
+    assert np.array_equal(f._phases(x), np.exp(-1j * (x @ _flip(f.momenta).T)))
 
 
 def test_sample_exact_at_sites():

@@ -238,6 +238,23 @@ def test_pauli_zero_raises():
         decompose_pauli(np.zeros(2, dtype=complex))
 
 
+def test_pauli_names_a_non_finite_component_and_a_zero_site():
+    # a NaN or infinite component raises, as in decompose, instead of
+    # giving phi = nan; a vanishing spinor is located
+    cases = (([np.nan, 1.0], r"\(0,\) is \(nan"), ([1.0, np.inf], r"\(1,\) is \(inf"))
+    for chi, where in cases:
+        with pytest.raises(PreconditionViolated, match=rf"component {where}"):
+            decompose_pauli(chi)
+    chi = np.ones((2, 3, 2), dtype=complex)
+    chi[1, 2] = 0.0
+    chi[0, 0, 1] = np.nan
+    with pytest.raises(PreconditionViolated, match=r"component \(0, 0, 1\)"):
+        decompose_pauli(chi)
+    chi[0, 0, 1] = 1.0
+    with pytest.raises(ZeroSpinor, match=r"spinor at grid index \(1, 2\)$"):
+        decompose_pauli(chi)
+
+
 def test_nonrel_deviation_rest():
     dev = nonrel_deviation(decompose(REFERENCE))
     assert dev.beta_mag == pytest.approx(0.0)

@@ -302,9 +302,9 @@ def test_decompose_errors_match_the_inline_call(monkeypatch, two_threads):
 
 def test_basis_leak_matches_the_inline_call(monkeypatch, two_threads):
     lf = _gauge_field(3, DIMS)
-    mats = lf.matrices.copy()
-    mats[_second_slab_site(DIMS)] *= 1.5  # not a group element
-    bad = dataclasses.replace(lf, matrices=mats)
+    blocks = lf.blocks.copy()
+    blocks[_second_slab_site(DIMS)] *= 1.5  # not a group element
+    bad = dataclasses.replace(lf, blocks=blocks)
     sliced, inline = _raised(
         monkeypatch,
         lambda: pdc.goldstone_derivatives(dataclasses.replace(bad)),
@@ -413,12 +413,12 @@ def test_errstate_of_the_caller_holds_in_the_slabs(monkeypatch, two_threads):
         with pytest.raises(FloatingPointError):
             fields._sitewise(kernel, DIMS, a)
     lf = _gauge_field(5, DIMS)
-    mats = lf.matrices.copy()
-    mats[_second_slab_site(DIMS)] = 0.0  # a singular L
+    blocks = lf.blocks.copy()
+    blocks[_second_slab_site(DIMS)] = 0.0  # a singular L
     for min_sites in (1, OFF):
         monkeypatch.setattr(fields, "_SLAB_MIN_SITES", min_sites)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            dataclasses.replace(lf, matrices=mats).log_derivative
+            dataclasses.replace(lf, blocks=blocks).log_derivative
 
 
 def test_nested_slab_calls_run_inline(monkeypatch, two_threads):
