@@ -68,26 +68,26 @@ def _pair_weights(stack) -> np.ndarray:
     return w.reshape(32, 2 * len(stack))
 
 
-def compute_bilinears(psi) -> Bilinears:
-    """Evaluate Theta, Phi, U, S for one spinor or a whole grid of them.
-
-    psi has shape (..., 4).  Raises ImaginaryResidue, naming the site, if
-    any observable picks up an imaginary part beyond tolerance (absolute
-    for unit-scale spinors, relative above that), which would signal a
-    broken basis.
-    """
+def _observables(psi, modulus: bool = False) -> np.ndarray:
+    """Theta, Phi, U^0..U^3, S^0..S^3 of spinors psi (..., 4) as one real
+    array (..., 10), or (..., 11) with Theta^2 + Phi^2 last when modulus
+    is set; ImaginaryResidue as in compute_bilinears."""
     psi = np.asarray(psi, dtype=complex)
     weights = _pair_weights(_STACK)
 
     def sites(psi):
-        # the ten real parts, and per site the largest |Im| where it
+        # the real parts, and per site the largest |Im| where it
         # exceeds the tolerance (else 0), scaled by U^0 = psi^dag psi
         pairs = psi.conj()[..., :, None] * psi[..., None, :]
         vals = pairs.reshape(psi.shape[:-1] + (16,)).view(float) @ weights
         imag = np.max(np.abs(vals[..., 10:]), axis=-1)
         tol = IMAG_TOL * np.maximum(1.0, vals[..., 2])
         excess = np.where(imag > tol, imag, 0.0)
-        return np.ascontiguousarray(vals[..., :10]), excess
+        obs = vals[..., :10]
+        if modulus:
+            mod2 = obs[..., :1] ** 2 + obs[..., 1:2] ** 2
+            obs = np.concatenate((obs, mod2), axis=-1)
+        return np.ascontiguousarray(obs), excess
 
     vals, excess = _sitewise(sites, psi.shape[:-1], psi)
     if np.any(excess):
@@ -96,6 +96,18 @@ def compute_bilinears(psi) -> Bilinears:
             f"bilinear imaginary residue {excess[worst]:.3e} exceeds "
             f"tolerance at {_site_location(worst)}"
         )
+    return vals
+
+
+def compute_bilinears(psi) -> Bilinears:
+    """Evaluate Theta, Phi, U, S for one spinor or a whole grid of them.
+
+    psi has shape (..., 4).  Raises ImaginaryResidue, naming the site, if
+    any observable picks up an imaginary part beyond tolerance (absolute
+    for unit-scale spinors, relative above that), which would signal a
+    broken basis.
+    """
+    vals = _observables(psi)
     return Bilinears(
         theta=vals[..., 0],
         phi_scalar=vals[..., 1],

@@ -171,6 +171,7 @@ class SpinorTransform:
     lorentz : Lambda alone, exp((1/2) xi_{ab} sigma^{ab}).
     vector : real 4x4 matrix V with Lambda^{-1} gamma^a Lambda = V^a_b gamma^b,
         acting on vectors as U' = V @ U.
+    Built from a batch of parameters, each matrix is led by its axes.
     """
 
     matrix: np.ndarray
@@ -281,12 +282,16 @@ def exp_lorentz(params, alpha: float = 0.0, q: float = 1.0) -> SpinorTransform:
     """Exponentiate boost/rotation parameters into a spinor transformation.
 
     Returns Lambda = exp((1/2) xi_{ab} sigma^{ab}) together with the phase
-    factor e^{i q alpha} and the induced vector (Lorentz) matrix.
+    factor e^{i q alpha} and the induced vector (Lorentz) matrix.  params
+    (..., 6) is a batch of rows that share the one phase: matrix, lorentz
+    and vector are then (..., 4, 4), each row bit for bit its own call.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (6,):
+    if params.shape[-1:] != (6,):
         raise ValueError("expected 6 parameters (3 rapidities, 3 angles)")
-    lam, vector = _matrix_and_vector(_spin_blocks(params[:3] + 1j * params[3:]))
+    lam, vector = _matrix_and_vector(
+        _spin_blocks(params[..., :3] + 1j * params[..., 3:])
+    )
     phase = np.exp(1j * q * alpha)
     return SpinorTransform(
         matrix=phase * lam,

@@ -438,15 +438,20 @@ class ConnectionField:
         return self.P.shape[:-1]
 
     @cached_property
-    def curvature(self) -> SpinCurvature:
-        """The curvature of R, computed on first use and kept (read-only):
-        curvatures and divergence_constraints both read it.  R must be
-        antisymmetric: NotAntisymmetric names the first site where it is
-        not."""
+    def checked_R(self) -> np.ndarray:
+        """R itself, checked once per field to be antisymmetric:
+        NotAntisymmetric names the first site where it is not.  Every
+        reader that takes R_ij = -R_ji for granted reads R here."""
         _check_antisymmetric(
             self.R, "R must satisfy R_ij = -R_ji", self.origin, self.spacing
         )
-        return _spin_curvature(self.R, self.omega, self.spacing)
+        return self.R
+
+    @cached_property
+    def curvature(self) -> SpinCurvature:
+        """The curvature of checked_R, computed on first use and kept
+        (read-only): curvatures and divergence_constraints both read it."""
+        return _spin_curvature(self.checked_R, self.omega, self.spacing)
 
 
 def build_connections(
@@ -653,7 +658,7 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
     (1, 2, 3), and every other entry is zero.  So the largest |riemann| of
     a site is the largest |Re K| or |Im K| there, taken in the slab pass
     that builds K, and K itself is a slab temporary.  R must be
-    antisymmetric (ConnectionField.curvature checks it) and omega live on
+    antisymmetric (ConnectionField.checked_R) and omega live on
     its grid (GridMismatch).
     """
     grid = r.shape[:-3]

@@ -24,7 +24,6 @@ from .connections import (
     ExternalPotentials,
     IrreducibleSplit,
     _amax_sites,
-    _check_antisymmetric,
     _covariant_gradient,
     _split_vectors,
     field_strength,
@@ -108,18 +107,14 @@ class PolarFields:
         """Sigma_vec and M_vec of sigma_m_potentials of these fields."""
         vecs = _sitewise(
             lambda *a: _sigma_m_sites(*a)[2:],
-            self.grid_shape, self.cf.P, self.cf.R, self.spin_plane,
+            self.grid_shape, self.cf.P, self.cf.checked_R, self.spin_plane,
         )
         return SigmaM(None, None, *vecs)
 
     @cached_property
     def split(self) -> IrreducibleSplit:
         """Ra and Ba of irreducible_split of the connection R."""
-        cf = self.cf
-        _check_antisymmetric(
-            cf.R, "R must satisfy R_ij = -R_ji", cf.origin, cf.spacing
-        )
-        vecs = _sitewise(_split_vectors, self.grid_shape, cf.R)
+        vecs = _sitewise(_split_vectors, self.grid_shape, self.cf.checked_R)
         return IrreducibleSplit(None, *vecs)
 
     @cached_property
@@ -187,7 +182,7 @@ class SigmaM:
 
 def sigma_m_potentials(pf: PolarFields) -> SigmaM:
     return SigmaM(*_sitewise(
-        _sigma_m_sites, pf.grid_shape, pf.cf.P, pf.cf.R, pf.spin_plane
+        _sigma_m_sites, pf.grid_shape, pf.cf.P, pf.cf.checked_R, pf.spin_plane
     ))
 
 

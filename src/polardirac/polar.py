@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bilinears import compute_bilinears
-from .clifford import PAULI, _axis_angle_from_z, _boost_rotation, _chiral_join
+from .clifford import PAULI, _axis_angle_from_z, _boost_rotation
 from .clifford import _exp_pauli, minkowski_dot
 from .errors import (
     InvalidPolar,
@@ -33,9 +33,6 @@ from .errors import (
     ZeroSpinor,
 )
 from .fields import _require_finite, _site_location, _sitewise
-
-#: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
-REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
 
 EPS_SINGULAR = 1e-24
 
@@ -75,11 +72,6 @@ def _half_phases(beta) -> np.ndarray:
     """(e^{i beta/2}, e^{-i beta/2}): e^{-i beta pi/2} per chiral block."""
     up = np.exp(0.5j * np.asarray(beta, dtype=float))
     return np.stack((up, np.conj(up)), axis=-1)
-
-
-def chiral_phase(beta) -> np.ndarray:
-    """e^{-i beta pi / 2} as a batched diagonal matrix, shape (..., 4, 4)."""
-    return _chiral_join(_half_phases(beta)[..., None, None] * np.eye(2))
 
 
 def _frame_spinor(beta, m) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bilinears import compute_bilinears
+from .bilinears import _observables
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
 from .errors import PreconditionViolated, SingularSpinor
@@ -64,12 +64,8 @@ class CurrentField:
 
     @classmethod
     def from_grid(cls, g: GridField) -> "CurrentField":
-        bil = compute_bilinears(g.values)
-        mod2 = bil.theta**2 + bil.phi_scalar**2
-        return cls(g=g, obs=np.concatenate(
-            (bil.theta[..., None], bil.phi_scalar[..., None], bil.U, bil.S,
-             mod2[..., None]), axis=-1,
-        ))
+        """obs filled slab by slab by the bilinears' own site pass."""
+        return cls(g=g, obs=_observables(g.values, modulus=True))
 
 
 def _as_current(field) -> CurrentField:

@@ -2,8 +2,11 @@
 
 Dense 4x4 routes beside the kernels that read sl(2,C) off the Pauli
 components of the two chiral blocks: np.linalg.inv, a stencil written out
-site by site, and einsums over the sigma^{ab} basis.  And the csv module's
-writer beside the joined lines of trajectories.write_csv.
+site by site, and einsums over the sigma^{ab} basis.  The csv module's
+writer beside the joined lines of trajectories.write_csv.  The rest-frame
+spinor and the 4x4 chiral phase that test inputs are built from.  And the
+transform checks of verify's algebraic and roundtrip suites, one
+exp_lorentz call per row, beside the suites' batched array expressions.
 """
 
 import csv
@@ -12,9 +15,29 @@ from dataclasses import replace
 
 import numpy as np
 
-from polardirac.clifford import BASIS, _chiral_join, _chiral_split, goldstone_matrices
+from polardirac.clifford import (
+    BASIS,
+    METRIC,
+    _chiral_join,
+    _chiral_split,
+    exp_lorentz,
+    goldstone_matrices,
+    induced_vector,
+)
 from polardirac.fields import grid_gradient
+from polardirac.polar import decompose
 from polardirac.trajectories import CSV_FIELDS
+
+#: Rest-frame reference spinor: u = (1,0,0,0), s = (0,0,0,1), beta = 0, phi = 1.
+REFERENCE = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
+
+
+def chiral_phase(beta):
+    """e^{-i beta pi / 2} as a batched diagonal matrix, shape (..., 4, 4):
+    pi = diag(-1, -1, 1, 1), so e^{i beta/2} twice, then its conjugate."""
+    up = np.exp(0.5j * np.asarray(beta, dtype=float))[..., None]
+    diag = np.concatenate((up, up, np.conj(up), np.conj(up)), axis=-1)
+    return diag[..., None] * np.eye(4)
 
 
 def site_fd(arr, axis, point, h):
@@ -128,3 +151,52 @@ def csv_bytes(trajectories, combined):
         lead = [str(k)] if combined else []
         w.writerows(lead + [repr(v) for v in row] for row in traj.rows.tolist())
     return buf.getvalue().encode()
+
+
+def transform_residuals(params):
+    """(metric_preservation, vector_transform, homomorphism) residuals of
+    verify's algebraic suite for the rows of params (n, 6), with one
+    exp_lorentz call per row and running maxima; homomorphism compares
+    each row with the one before it."""
+    g = BASIS.gamma
+    worst_metric = worst_vec = worst_hom = 0.0
+    prev = None
+    for row in params:
+        st = exp_lorentz(row)
+        v = st.vector
+        worst_metric = max(
+            worst_metric, float(np.max(np.abs(v.T @ METRIC @ v - METRIC)))
+        )
+        lam_inv = np.linalg.inv(st.lorentz)
+        sandwich = np.einsum("ij,ajk,kl->ail", lam_inv, g, st.lorentz)
+        worst_vec = max(
+            worst_vec,
+            float(np.max(np.abs(sandwich - np.einsum("ab,bij->aij", v, g)))),
+        )
+        if prev is not None:
+            vv = induced_vector(prev.lorentz @ st.lorentz)
+            worst_hom = max(
+                worst_hom, float(np.max(np.abs(vv - prev.vector @ v)))
+            )
+        prev = st
+    return worst_metric, worst_vec, worst_hom
+
+
+def covariance_residual(psi, rows, q):
+    """The covariance residual of verify's roundtrip suite: decompose psi
+    (n, 4) once per row of rows (k, 6) after the row's exp_lorentz, and
+    take the largest departure of u, s, phi and beta from the transformed
+    polar variables of psi."""
+    pd = decompose(psi, q=q)
+    worst = 0.0
+    for row in rows:
+        st = exp_lorentz(row)
+        pd2 = decompose(psi @ st.matrix.T, q=q)
+        worst = max(
+            worst,
+            float(np.max(np.abs(pd2.u - pd.u @ st.vector.T))),
+            float(np.max(np.abs(pd2.s - pd.s @ st.vector.T))),
+            float(np.max(np.abs(pd2.phi - pd.phi))),
+            float(np.max(np.abs(pd2.beta - pd.beta))),
+        )
+    return worst

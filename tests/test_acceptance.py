@@ -54,14 +54,13 @@ from polardirac.fields import (
 )
 from polardirac.polar import (
     PolarData,
-    chiral_phase,
     decompose,
     nonrel_deviation,
     reconstruct,
 )
 from polardirac.trajectories import continuity_residual, integrate, write_csv
 
-from oracles import transform_connection_inputs
+from oracles import chiral_phase, transform_connection_inputs
 
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
 REF = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)

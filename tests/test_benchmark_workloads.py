@@ -117,22 +117,22 @@ def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     from polardirac import bilinears, cli, fields
 
     monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
-    counts = {"at": 0, "compute_bilinears": 0}
-    real_at, real_bilinears = fields.AnalyticField.at, bilinears.compute_bilinears
+    counts = {"at": 0, "_observables": 0}
+    real_at, real_bilinears = fields.AnalyticField.at, bilinears._observables
 
     def at(self, x):
         counts["at"] += 1
         return real_at(self, x)
 
-    def bilinears_counting(psi):
-        counts["compute_bilinears"] += 1
-        return real_bilinears(psi)
+    def bilinears_counting(psi, **kwargs):
+        counts["_observables"] += 1
+        return real_bilinears(psi, **kwargs)
 
     monkeypatch.setattr(fields.AnalyticField, "at", at)
     for name, module in list(sys.modules.items()):
         if name == "polardirac" or name.startswith("polardirac."):
-            if getattr(module, "compute_bilinears", None) is real_bilinears:
-                monkeypatch.setattr(module, "compute_bilinears", bilinears_counting)
+            if getattr(module, "_observables", None) is real_bilinears:
+                monkeypatch.setattr(module, "_observables", bilinears_counting)
     written = []
     real_write = cli.write_csv
 
@@ -144,7 +144,7 @@ def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     w = WL.Flowlines(0, tmp_path)
     _, raw = w.run(-1)
     assert WL.check(w, w.digest(raw), None)["ok"]
-    assert counts == {"at": 1, "compute_bilinears": 1}
+    assert counts == {"at": 1, "_observables": 1}
     ((trajs, combined),) = written
     assert combined and raw[2] == oracles.csv_bytes(trajs, combined=True)
 

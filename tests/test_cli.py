@@ -173,6 +173,61 @@ def trajectories_cfg(tmp_path, points, momentum=(1.0, 0.0, 0.0, 0.0)):
     }
 
 
+@pytest.mark.parametrize(
+    "seed, transforms",
+    [(0, 100), (1, 100), (17, 100), (8003, 100), (3, 2), (3, 1), (3, 0)],
+)
+def test_transform_suites_equal_the_per_row_oracles(seed, transforms, monkeypatch):
+    # the batched algebraic and roundtrip transform checks give the
+    # residuals of one exp_lorentz (and one decompose) per row exactly;
+    # under two transforms there is no pair, and homomorphism reads 0
+    import oracles
+
+    from polardirac import cli
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    cfg = load_config(None, [f"seed={seed}", f"counts.transforms={transforms}"])
+    checks = cli.suite_algebraic(cfg, np.random.default_rng(seed))
+    got = {c["name"]: c["residual"] for c in checks}
+    rng = np.random.default_rng(seed)
+    params = 0.7 * rng.uniform(-1.0, 1.0, (transforms, 6))
+    names = ("metric_preservation", "vector_transform", "homomorphism")
+    assert tuple(got[n] for n in names) == oracles.transform_residuals(params)
+    assert all(c["passed"] for c in checks)
+
+    checks = cli.suite_roundtrip(cfg, np.random.default_rng(seed))
+    got = {c["name"]: c["residual"] for c in checks}
+    rng = np.random.default_rng(seed)
+    psi = cli._random_spinors(rng, cfg["counts"]["spinors"])
+    rows = 0.6 * rng.uniform(-1.0, 1.0, (20, 6))
+    assert got["covariance"] == oracles.covariance_residual(psi, rows, 1.0)
+
+
+def test_config_parses_alike_with_the_pure_python_loader(tmp_path, monkeypatch):
+    # load_config takes libyaml's parser when PyYAML has it; the documents
+    # it reads give the same config either way
+    from polardirac import cli
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    doc = {
+        "seed": 4,
+        "field": {"kind": "superposition", "components": [
+            {"momentum": [1.25, 0.75, 0.0, 0.0], "spin_up": False,
+             "coeff": [0.3, -1.5e-3]},
+        ]},
+        "grid": {"origin": [0.0, -1.0, -1.0, -1.0], "dims": [11, 17, 17, 17],
+                 "spacing": [0.1, 0.125, 0.125, 0.125]},
+        "trajectories": {"points": [[0.1, -0.2, 0.3]], "dt": 1e-3},
+        "output": {"csv": str(tmp_path / "f.csv"), "combined": True},
+    }
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    sets = ["tolerances.algebraic=2.5e-8", "suites=[algebraic]"]
+    fast = load_config(str(path), sets)
+    monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+    assert load_config(str(path), sets) == fast
+
+
 def test_trajectories_sixteen_static(tmp_path, capsys):
     points = [[0.0, 0.0, float(z)] for z in np.linspace(-0.9, 0.9, 16)]
     path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
@@ -224,13 +279,13 @@ def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
     import polardirac.trajectories as trajectories
 
     calls = []
-    real = trajectories.compute_bilinears
+    real = trajectories._observables
 
-    def counting(values):
+    def counting(values, **kwargs):
         calls.append(values.shape)
-        return real(values)
+        return real(values, **kwargs)
 
-    monkeypatch.setattr(trajectories, "compute_bilinears", counting)
+    monkeypatch.setattr(trajectories, "_observables", counting)
     points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5)]
     path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
     code, out, _ = run_cli(capsys, "trajectories", path)

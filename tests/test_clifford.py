@@ -24,13 +24,13 @@ from polardirac.clifford import (
 )
 from polardirac.errors import BasisLeak
 from polardirac.polar import (
-    REFERENCE,
     PolarData,
     _axis_angle_from_z,
-    chiral_phase,
     decompose,
     reconstruct,
 )
+
+from oracles import REFERENCE, chiral_phase
 
 
 def assemble_generator(params) -> np.ndarray:
@@ -163,6 +163,25 @@ def test_unit_modulus_determinant():
 def test_phase_factor():
     t = exp_lorentz(np.zeros(6), alpha=0.25, q=2.0)
     npt.assert_allclose(t.matrix, np.exp(0.5j) * np.eye(4), atol=1e-14)
+
+
+def test_batched_exp_lorentz_is_bitwise_its_rows():
+    # one call on (n, 6) rows, the identity and the 2 pi rotation among
+    # them, gives each row's own single-matrix call bit for bit
+    params = np.random.default_rng(28).uniform(-1.0, 1.0, size=(100, 6))
+    params = np.concatenate((params, np.zeros((1, 6)), [[0, 0, 0, 0, 0, 2 * np.pi]]))
+    batch = exp_lorentz(params, alpha=0.4, q=1.5)
+    for name in ("matrix", "lorentz", "vector"):
+        rows = [getattr(exp_lorentz(p, alpha=0.4, q=1.5), name) for p in params]
+        assert np.array_equal(getattr(batch, name), np.stack(rows)), name
+    grid = exp_lorentz(params[:100].reshape(4, 25, 6))
+    assert np.array_equal(grid.vector.reshape(100, 4, 4), batch.vector[:100])
+
+
+@pytest.mark.parametrize("shape", [(5,), (7,), (3, 5), (6, 4), ()])
+def test_exp_lorentz_needs_six_parameters_on_the_last_axis(shape):
+    with pytest.raises(ValueError, match="expected 6 parameters"):
+        exp_lorentz(np.zeros(shape))
 
 
 def test_closed_form_boost_matches_expm():

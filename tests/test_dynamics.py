@@ -35,7 +35,7 @@ from polardirac.dynamics import (
     second_order_residuals,
     sigma_m_potentials,
 )
-from polardirac.errors import GridMismatch, PreconditionViolated
+from polardirac.errors import GridMismatch, NotAntisymmetric, PreconditionViolated
 from polardirac.fields import (
     GridField,
     _phase_gradient,
@@ -784,7 +784,7 @@ def test_energy_matches_term_by_term_oracle(field):
 
 def chiral_phase_grid(beta_mid):
     """phi = 1, u and s at rest, beta = beta_mid + x/2 on a 17-point x axis."""
-    from polardirac.polar import REFERENCE, chiral_phase
+    from oracles import REFERENCE, chiral_phase
 
     n = 17
     x = np.linspace(-1.0, 1.0, n)
@@ -891,6 +891,45 @@ def test_chart_change_moves_only_the_chart_bound_outputs():
     dp = cf2.P - cf.P
     assert np.max(np.abs(dp)) > 0.5
     npt.assert_allclose(dp, 0.5 * coef, rtol=0.0, atol=1e-13)
+
+
+def test_every_reader_of_R_checks_it_once_per_field(monkeypatch):
+    # R with a symmetric part: each evaluator that takes R_ij = -R_ji for
+    # granted names the first site; on a good field the readers share one
+    # check
+    from polardirac import cli, connections
+
+    def fields(seed):
+        return cli._random_polar_fields(
+            np.random.default_rng(seed), ExternalPotentials(X=0.7)
+        )
+
+    readers = (
+        polar_dirac_residuals,
+        sigma_m_potentials,
+        quantum_potentials,
+        lambda pf: curvatures(pf.cf),
+    )
+    where = r"R must satisfy R_ij = -R_ji; it fails at grid index \(0, 0, 0, 0\)"
+    for reader in readers:
+        pf = fields(5)
+        r = pf.cf.R.copy()
+        r[..., 0, 1, :] += 0.5
+        bad = dataclasses.replace(pf, cf=dataclasses.replace(pf.cf, R=r))
+        with pytest.raises(NotAntisymmetric, match=where):
+            reader(bad)
+    calls = []
+    real = connections._check_antisymmetric
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_check_antisymmetric", counting)
+    pf = fields(5)
+    for reader in readers:
+        reader(pf)
+    assert calls == ["R must satisfy R_ij = -R_ji"]
 
 
 def test_nonrel_hamiltonian_trivial():

@@ -11,7 +11,6 @@ from polardirac.errors import (
     ZeroSpinor,
 )
 from polardirac.polar import (
-    REFERENCE,
     PolarData,
     decompose,
     decompose_pauli,
@@ -19,6 +18,8 @@ from polardirac.polar import (
     reconstruct,
     reconstruct_pauli,
 )
+
+from oracles import REFERENCE
 
 
 def random_regular_spinors(rng, n):

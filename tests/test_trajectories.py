@@ -21,7 +21,7 @@ from polardirac.fields import (
     sample,
     superpose,
 )
-from polardirac.polar import PolarData, chiral_phase, decompose, reconstruct
+from polardirac.polar import PolarData, decompose, reconstruct
 from polardirac.trajectories import (
     CSV_FIELDS,
     CurrentField,
@@ -33,6 +33,8 @@ from polardirac.trajectories import (
     velocity_at,
     write_csv,
 )
+
+from oracles import chiral_phase
 
 # columns of Trajectory.rows
 PHI, BETA = CSV_FIELDS.index("phi"), CSV_FIELDS.index("beta")
