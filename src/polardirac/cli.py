@@ -26,6 +26,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -127,6 +128,11 @@ DEFAULTS = {
 }
 
 _NUM = "number"
+# a float in the YAML 1.2 core schema: the exponent form 1e-8, which YAML 1.1
+# reads as a string, too
+_FLOAT_TEXT = re.compile(
+    r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
+)
 # libyaml's parser when PyYAML was built with it: the same documents, parsed
 # in C
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -136,7 +142,8 @@ def _schema(default):
     """Expected type of each config leaf, read off its default value.
 
     Floats accept any number, None accepts a string or None; every other
-    leaf must keep the type of its default.
+    leaf must keep the type of its default.  _validate reads a number leaf
+    given as the text of a float, such as 1e-8, as that float.
     """
     if isinstance(default, dict):
         return {key: _schema(value) for key, value in default.items()}
@@ -164,6 +171,9 @@ def _validate(node, schema, path: str) -> None:
         if key not in schema:
             raise ConfigError(f"unknown config key '{where}'")
         spec = schema[key]
+        if spec is _NUM and isinstance(value, str):
+            if _FLOAT_TEXT.fullmatch(value):
+                value = node[key] = float(value)
         if isinstance(spec, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"'{where}' must be a mapping")
@@ -250,6 +260,12 @@ def _check_semantics(cfg: dict) -> None:
         raise ConfigError("'grid.spacing' entries must be positive")
     if not np.isfinite(cfg["couplings"]["q"]) or cfg["couplings"]["q"] == 0:
         raise ConfigError("'couplings.q' must be finite and nonzero")
+    if not np.isfinite(cfg["couplings"]["m"]) or cfg["couplings"]["m"] <= 0:
+        raise ConfigError("'couplings.m' must be finite and positive")
+    if cfg["counts"]["transforms"] < 0:
+        raise ConfigError("'counts.transforms' must not be negative")
+    if cfg["counts"]["spinors"] < 1:
+        raise ConfigError("'counts.spinors' must be at least 1")
     for d in cfg["grid"]["dims"]:
         if not _type_ok(d, int) or (d != 1 and d < 5):
             raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
@@ -284,41 +300,41 @@ def _check_semantics(cfg: dict) -> None:
 
 
 def build_field(cfg: dict):
-    """AnalyticField described by the config, with off-shell data reported
-    as a configuration problem."""
+    """AnalyticField described by the config, with malformed or off-shell
+    data reported as a configuration problem.  A plane wave is the
+    one-component superposition of the field entry itself."""
     fcfg = cfg["field"]
     mass = float(fcfg["mass"])
-    try:
-        if fcfg["kind"] == "plane_wave":
-            return plane_wave(
-                np.asarray(fcfg["momentum"], dtype=float),
-                spin_up=bool(fcfg["spin_up"]),
-                m=mass,
-            )
-        waves, coeffs = [], []
-        for i, comp in enumerate(fcfg["components"]):
-            if not isinstance(comp, dict):
-                raise ConfigError(f"'field.components[{i}]' must be a mapping")
-            try:
-                momentum = comp["momentum"]
-                coeff = comp.get("coeff", [1.0, 0.0])
-                spin_up = comp.get("spin_up", True)
-            except KeyError as exc:
-                raise ConfigError(
-                    f"'field.components[{i}]' is missing {exc}"
-                ) from exc
-            waves.append(
-                plane_wave(np.asarray(momentum, dtype=float),
-                           spin_up=bool(spin_up), m=mass)
-            )
-            coeffs.append(complex(coeff[0], coeff[1]))
-        if not waves:
+    if fcfg["kind"] == "plane_wave":
+        parts = {"field": fcfg}
+    else:
+        parts = {
+            f"field.components[{i}]": comp
+            for i, comp in enumerate(fcfg["components"])
+        }
+        if not parts:
             raise ConfigError("'field.components' must not be empty")
-        return superpose(waves, coeffs)
-    except PolarDiracError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"field spec rejected: {exc}") from exc
+    waves, coeffs = [], []
+    for where, comp in parts.items():
+        if not isinstance(comp, dict):
+            raise ConfigError(f"'{where}' must be a mapping")
+        if "momentum" not in comp:
+            raise ConfigError(f"'{where}' is missing 'momentum'")
+        momentum = comp["momentum"]
+        coeff = comp.get("coeff", [1.0, 0.0])
+        for name, vec, n in (("momentum", momentum, 4), ("coeff", coeff, 2)):
+            if not isinstance(vec, (list, tuple)) or len(vec) != n:
+                raise ConfigError(f"'{where}.{name}' must have {n} entries")
+            _check_numbers(f"{where}.{name}", vec)
+        try:
+            waves.append(plane_wave(
+                np.asarray(momentum, dtype=float),
+                spin_up=bool(comp.get("spin_up", True)), m=mass,
+            ))
+        except PolarDiracError as exc:
+            raise ConfigError(f"field spec rejected: {exc}") from exc
+        coeffs.append(complex(coeff[0], coeff[1]))
+    return superpose(waves, coeffs)
 
 
 def grid_spec(cfg: dict):

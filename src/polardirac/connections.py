@@ -425,7 +425,10 @@ class SpinCurvature:
 class ConnectionField:
     """P_mu and R_{ij mu} on a grid (layouts (..., 4) and (..., 4, 4, 4)),
     with the spin connection omega that was subtracted from R (None when
-    there was none); the curvatures of R read it."""
+    there was none); the curvatures of R read it.  What derives from P or R
+    alone (checked_R, curvature, split, dP) is computed on first use and
+    kept; dataclasses.replace returns a new instance that computes it afresh.
+    """
 
     P: np.ndarray
     R: np.ndarray
@@ -452,6 +455,18 @@ class ConnectionField:
         """The curvature of checked_R, computed on first use and kept
         (read-only): curvatures and divergence_constraints both read it."""
         return _spin_curvature(self.checked_R, self.omega, self.spacing)
+
+    @cached_property
+    def split(self) -> IrreducibleSplit:
+        """R_a and B_a of irreducible_split of checked_R; Pi, the full
+        rank-3 part, is None here (irreducible_split returns it)."""
+        vecs = _sitewise(_split_vectors, self.grid_shape, self.checked_R)
+        return IrreducibleSplit(None, *vecs)
+
+    @cached_property
+    def dP(self) -> np.ndarray:
+        """d_m P_n with layout [..., n, m]."""
+        return grid_gradient(self.P, self.spacing)
 
 
 def build_connections(
@@ -495,9 +510,15 @@ def _goldstone_layer(g: GridField, q: float):
 def polar_pipeline(g: GridField, ext: ExternalPotentials):
     """GridField -> (PolarData grid, GoldstoneDerivatives, ConnectionField):
     the standard route from spinor samples to tensors; the first two are
-    kept per grid and charge (see _goldstone_layer), the last built per ext."""
+    kept per grid and charge (see _goldstone_layer), the last built per ext.
+    Without Omega, R is the memo's read-only gd.dxi_ab, which
+    _goldstone_sites writes as +x and -x on each pair of planes: exactly
+    antisymmetric, so cf.checked_R is filled with it unchecked."""
     pd, gd = _goldstone_layer(g, ext.q)
-    return pd, gd, build_connections(gd, ext)
+    cf = build_connections(gd, ext)
+    if ext.Omega is None:
+        cf.__dict__["checked_R"] = cf.R
+    return pd, gd, cf
 
 
 @dataclass(frozen=True)
@@ -712,7 +733,7 @@ def curvatures(
     L field must live on the grid of cf, or GridMismatch is raised.
     """
     riemann = cf.curvature.riemann
-    f = field_strength(grid_gradient(cf.P, cf.spacing), q)
+    f = field_strength(cf.dP, q)
 
     flat = None
     if lfield is not None:
@@ -727,7 +748,7 @@ def curvatures(
 
 @dataclass(frozen=True)
 class IrreducibleSplit:
-    Pi: np.ndarray | None  # None on PolarFields.split
+    Pi: np.ndarray | None  # None on ConnectionField.split
     Ra: np.ndarray
     Ba: np.ndarray
 
@@ -749,7 +770,7 @@ def irreducible_split(r) -> IrreducibleSplit:
 
 def _split_vectors(r):
     """(R_a, B_a) of irreducible_split at the sites of a kernel, without
-    Pi: the split that PolarFields.split and divergence_constraints read."""
+    Pi: the split that ConnectionField.split keeps."""
     ra = np.trace(_flip(r), axis1=-2, axis2=-1)
     r_all_up = r * _ETA_UP3
     ba_low = 0.5 * np.einsum("aijk,...ijk->...a", BASIS.epsilon, r_all_up)
@@ -826,7 +847,7 @@ def divergence_constraints(
             f"at {_site_location(worst, cf.origin, cf.spacing)}; "
             "the divergence identities only hold for flat connections"
         )
-    ra, ba = _sitewise(_split_vectors, cf.grid_shape, cf.R)
+    ra, ba = cf.split.Ra, cf.split.Ba
     ba_up = _flip(ba)
     ra_up = _flip(ra)
     # div B and div R from one gradient of the stacked pair (B^a, R^a)

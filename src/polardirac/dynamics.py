@@ -22,10 +22,8 @@ from .clifford import _EPS_PAIRS, _ETA_DIAG, BASIS, METRIC, _flip
 from .connections import (
     ConnectionField,
     ExternalPotentials,
-    IrreducibleSplit,
     _amax_sites,
     _covariant_gradient,
-    _split_vectors,
     field_strength,
     polar_pipeline,
 )
@@ -55,12 +53,13 @@ def _box(scalar, spacing):
 class PolarFields:
     """Module, chiral angle, velocity and spin fields plus their connections.
 
-    The derived fields (dbeta, dlnphi2, spin_plane, sigma_m, split, dP,
-    F) are computed on first use and kept for the life of the instance;
+    The derived fields (dbeta, dlnphi2, spin_plane, sigma_m, F) are
+    computed on first use and kept for the life of the instance;
     dataclasses.replace returns a new instance that computes them afresh.
-    sigma_m and split keep only their vectors, the part the evaluators
-    read: the full tensors (Sigma_full, M_full, Pi) are None here, and
-    sigma_m_potentials and irreducible_split return them.
+    sigma_m keeps only its vectors, the part the evaluators read: the full
+    tensors (Sigma_full, M_full) are None here, and sigma_m_potentials
+    returns them.  What derives from P or R alone (the split of R, dP)
+    is kept on cf.
     """
 
     phi: np.ndarray
@@ -112,20 +111,9 @@ class PolarFields:
         return SigmaM(None, None, *vecs)
 
     @cached_property
-    def split(self) -> IrreducibleSplit:
-        """Ra and Ba of irreducible_split of the connection R."""
-        vecs = _sitewise(_split_vectors, self.grid_shape, self.cf.checked_R)
-        return IrreducibleSplit(None, *vecs)
-
-    @cached_property
-    def dP(self) -> np.ndarray:
-        """d_m P_n with layout [..., n, m]."""
-        return grid_gradient(self.cf.P, self.spacing)
-
-    @cached_property
     def F(self) -> np.ndarray:
         """Field strength of the connection P, layout [..., m, n]."""
-        return field_strength(self.dP, self.ext.q)
+        return field_strength(self.cf.dP, self.ext.q)
 
 
 def _spin_plane(u, s):
@@ -233,11 +221,11 @@ def quantum_potentials(pf: PolarFields) -> QuantumPotentials:
     -2 Z_m = d_m ln(phi^2) + R_{mn}{}^n
 
     The eps-contraction and the trace are the axial and trace vectors of
-    the irreducible split of R, read from the fields' cached split.
+    the irreducible split of R, read from the connections' cached split.
     """
     w = pf.ext.w_field(pf.grid_shape)
-    y = 0.5 * (pf.dbeta - 2.0 * pf.ext.X * w + pf.split.Ba)
-    z = -0.5 * (pf.dlnphi2 + pf.split.Ra)
+    y = 0.5 * (pf.dbeta - 2.0 * pf.ext.X * w + pf.cf.split.Ba)
+    z = -0.5 * (pf.dlnphi2 + pf.cf.split.Ra)
     return QuantumPotentials(Y=y, Z=z)
 
 
@@ -442,8 +430,8 @@ def energy_and_newton(pf: PolarFields, qp: QuantumPotentials):
         return e, t, newton
 
     e, t, newton = _sitewise(
-        sites, pf.grid_shape, qp.Y, qp.Z, pf.u, pf.cf.R, pf.split.Ba,
-        pf.phi, pf.beta, pf.s, pf.dP, pf.F,
+        sites, pf.grid_shape, qp.Y, qp.Z, pf.u, pf.cf.R, pf.cf.split.Ba,
+        pf.phi, pf.beta, pf.s, pf.cf.dP, pf.F,
     )
 
     def add_field_energy(t, v_low):

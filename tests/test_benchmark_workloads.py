@@ -65,8 +65,8 @@ def test_pipeline_op_builds_each_layer_once(tmp_path, monkeypatch):
 
 
 def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
-    # after the gaussian half of a pipeline op (9^3), the hub holds no
-    # rank-3 per-site tensor beside the connection R itself (the full
+    # after the gaussian half of a pipeline op (9^3), neither the hub nor
+    # its connections hold a rank-3 per-site tensor beside R itself (the full
     # Sigma, M and Pi are slab temporaries), and the grid's memo keeps
     # only the polar data and the Goldstone derivatives: no L, no X
     import dataclasses
@@ -91,10 +91,12 @@ def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
     w = WL.Pipeline(0, tmp_path)
     w._gaussian(w.warm_inputs[0])
     pf, g = seen["pf"], seen["g"]
-    assert {"sigma_m", "split", "spin_plane", "dP"} <= vars(pf).keys()
+    assert {"sigma_m", "spin_plane"} <= vars(pf).keys()
+    assert {"split", "dP"} <= vars(pf.cf).keys()
     grid_rank = len(pf.grid_shape)
-    for name, value in vars(pf).items():
-        if name in ("cf", "ext"):
+    kept = {**vars(pf), **{f"cf.{k}": v for k, v in vars(pf.cf).items()}}
+    for name, value in kept.items():
+        if name in ("cf", "ext", "cf.R", "cf.checked_R"):
             continue
         parts = vars(value) if dataclasses.is_dataclass(value) else {name: value}
         for part, arr in parts.items():

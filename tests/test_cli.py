@@ -98,6 +98,13 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     ("verify", "couplings.q=0", "couplings.q"),
     ("decompose", "couplings.q=0.0", "couplings.q"),
     ("decompose", "couplings.q=.nan", "couplings.q"),
+    ("verify", "counts.spinors=0", "counts.spinors"),
+    ("verify", "counts.transforms=-1", "counts.transforms"),
+    ("verify", "couplings.m=0", "couplings.m"),
+    ("verify", "couplings.m=-1", "couplings.m"),
+    ("verify", "couplings.m=.inf", "couplings.m"),
+    ("decompose", "couplings.m=-1", "couplings.m"),
+    ("trajectories", "couplings.m=.nan", "couplings.m"),
 ])
 def test_invalid_config_exit_2(capsys, command, override, key):
     code, out, err = run_cli(capsys, command, "--set", override)
@@ -105,6 +112,82 @@ def test_invalid_config_exit_2(capsys, command, override, key):
     assert out == ""
     assert "config error" in err
     assert f"'{key}'" in err
+
+
+def test_number_leaves_read_exponent_floats(tmp_path, capsys, monkeypatch):
+    # YAML 1.1 reads 1e-8 as a string; a leaf whose default is a float
+    # takes it as the float, in a config file and in --set alike, and a
+    # string leaf keeps the text
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    path = tmp_path / "c.yaml"
+    path.write_text("tolerances:\n  curvature: 1e-8\n  algebraic: 5E+3\n")
+    cfg = load_config(str(path), [
+        "couplings.q=-2e-1", "output.report=1e-8", "output.csv=5E+3",
+    ])
+    assert cfg["tolerances"]["curvature"] == 1e-8
+    assert cfg["tolerances"]["algebraic"] == 5e3
+    assert cfg["couplings"]["q"] == -0.2
+    assert cfg["output"]["report"] == "1e-8"
+    assert cfg["output"]["csv"] == "5E+3"
+    code, out, _ = run_cli(
+        capsys, "verify", "--set", "tolerances.curvature=1e-8",
+        "--set", "suites=[curvature]",
+    )
+    assert code == 0
+    curvature = json.loads(out)["suites"][SUITES.index("curvature")]
+    assert curvature["tolerance"] == 1e-8
+    code, out, err = run_cli(capsys, "verify", "--set", "tolerances.curvature=1e")
+    assert code == 2 and out == ""
+    assert "'tolerances.curvature' has type str, expected number" in err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["field.kind=plane_wave", "field.momentum=[1,0]"],
+     "'field.momentum' must have 4 entries"),
+    (["field.kind=plane_wave", "field.momentum=[a,0,0,0]"],
+     "'field.momentum' entries must be finite numbers"),
+    (["field.kind=plane_wave", "field.momentum=[.nan,0,0,0]"],
+     "'field.momentum' entries must be finite numbers"),
+    (["field.components=[{momentum: [1,0,0,0], coeff: [1]}]"],
+     "'field.components[0].coeff' must have 2 entries"),
+    (["field.components=[{momentum: [1,0,0,0]}, {momentum: [1,0,0,a]}]"],
+     "'field.components[1].momentum' entries must be finite numbers"),
+    (["field.components=[{momentum: 1}]"],
+     "'field.components[0].momentum' must have 4 entries"),
+    (["field.components=[{coeff: [1, 0]}]"],
+     "'field.components[0]' is missing 'momentum'"),
+    (["field.components=[]"], "'field.components' must not be empty"),
+])
+def test_malformed_field_entries_exit_2(tmp_path, capsys, overrides, message):
+    sets = [f"output.csv={tmp_path / 'f.csv'}", *overrides]
+    code, out, err = run_cli(
+        capsys, "trajectories", *(a for s in sets for a in ("--set", s))
+    )
+    assert code == 2 and out == ""
+    assert f"config error: {message}" in err
+
+
+def test_plane_wave_kind_is_its_one_component_superposition(monkeypatch):
+    # kind plane_wave builds the superposition of the field entry alone,
+    # which samples bit for bit as plane_wave itself
+    from polardirac import cli
+    from polardirac.fields import plane_wave, sample
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    p = [float(np.hypot(1.3, 0.4)), 0.0, 0.4, 0.0]
+    cfg = load_config(None, [
+        "field.kind=plane_wave", f"field.momentum={p}", "field.mass=1.3",
+        "field.spin_up=false",
+    ])
+    got = cli.build_field(cfg)
+    want = plane_wave(p, spin_up=False, m=1.3)
+    for name in ("momenta", "coefficients", "amplitudes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.mass == want.mass
+    grid = ((0.0, -1.0, -1.0, -1.0), (0.1, 0.25, 0.25, 0.25), (5, 9, 9, 9))
+    assert np.array_equal(
+        sample(got, *grid).values, sample(want, *grid).values
+    )
 
 
 def test_set_override_and_skip_marking(capsys):

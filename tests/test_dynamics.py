@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -119,7 +120,8 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     assert np.array_equal(
         pf.spin_plane, np.einsum("ijab,...ab->...ij", BASIS.epsilon, us)
     )
-    # the hub keeps the vectors of sigma_m and split, not the full tensors
+    # the hub keeps the vectors of sigma_m and its connections those of the
+    # split, not the full tensors
     sm = sigma_m_potentials(pf)
     for name in ("Sigma_vec", "M_vec"):
         assert np.array_equal(getattr(pf.sigma_m, name), getattr(sm, name))
@@ -127,11 +129,13 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     assert np.array_equal(pf.F, curvatures(pf.cf, q=pf.ext.q).F)
     sp = irreducible_split(pf.cf.R)
     for name in ("Ra", "Ba"):
-        assert np.array_equal(getattr(pf.split, name), getattr(sp, name))
-    assert pf.split.Pi is None
+        assert np.array_equal(getattr(pf.cf.split, name), getattr(sp, name))
+    assert pf.cf.split.Pi is None
     assert pf.spin_plane is pf.spin_plane
     assert pf.sigma_m is pf.sigma_m
-    assert pf.split is pf.split
+    assert pf.cf.split is pf.cf.split
+    assert np.array_equal(pf.cf.dP, grid_gradient(pf.cf.P, pf.spacing))
+    assert pf.cf.dP is pf.cf.dP
 
     # replace() builds a new instance, which must not see the old cache
     pf2 = dataclasses.replace(pf, phi=2.0 * pf.phi, beta=-pf.beta, s=pf.u)
@@ -147,8 +151,8 @@ def test_polar_fields_derived_fields_are_exact_and_cached():
     pf3 = dataclasses.replace(
         pf, cf=dataclasses.replace(pf.cf, R=np.swapaxes(pf.cf.R, -3, -2))
     )
-    assert not np.array_equal(pf3.split.Ba, pf.split.Ba)
-    assert np.array_equal(pf3.split.Ba, irreducible_split(pf3.cf.R).Ba)
+    assert not np.array_equal(pf3.cf.split.Ba, pf.cf.split.Ba)
+    assert np.array_equal(pf3.cf.split.Ba, irreducible_split(pf3.cf.R).Ba)
 
 
 def gauge_pf(rng, n=9):
@@ -930,6 +934,71 @@ def test_every_reader_of_R_checks_it_once_per_field(monkeypatch):
     for reader in readers:
         reader(pf)
     assert calls == ["R must satisfy R_ij = -R_ji"]
+
+
+def _count_calls(monkeypatch, fn, counted=lambda *args: True):
+    """The calls of fn whose arguments pass counted, made through any
+    polardirac module that names fn."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        if counted(*args):
+            calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("polardirac"):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_split_of_R_and_dP_are_taken_once_per_connection(monkeypatch):
+    # the connections keep the split of R and dP, so the hub's readers and
+    # the connection evaluators share one pass of each
+    from polardirac import connections, fields
+
+    g, _ = boosted_wave_grid(9)
+    pf = PolarFields.from_grid(g)
+    splits = _count_calls(monkeypatch, connections._split_vectors)
+    gradients = _count_calls(
+        monkeypatch, fields.grid_gradient, lambda a, *_: a is pf.cf.P
+    )
+    qp = quantum_potentials(pf)
+    energy_and_newton(pf, qp)
+    divergence_constraints(pf.cf, fd_tol=np.inf)
+    assert len(splits) == 1
+    assert np.array_equal(pf.F, curvatures(pf.cf).F)
+    assert len(gradients) == 1
+
+
+def test_grid_chain_checks_R_only_where_it_can_fail(monkeypatch):
+    # without Omega, R is the Goldstone layer's own dxi_ab, exactly
+    # antisymmetric, and the hub's readers make no check; R = dxi_ab - Omega
+    # is checked once, and so is the field of a direct build_connections
+    from polardirac import connections
+
+    g, dims = boosted_wave_grid(9)
+    omega = 0.2 * np.random.default_rng(3).normal(size=dims + (4, 4, 4))
+    with_omega = ExternalPotentials(Omega=omega - np.swapaxes(omega, -3, -2))
+    checks = _count_calls(monkeypatch, connections._check_antisymmetric)
+    for ext, expected in ((ExternalPotentials(), 0), (with_omega, 1)):
+        checks.clear()
+        pf = PolarFields.from_grid(g, ext)
+        qp = quantum_potentials(pf)
+        polar_dirac_residuals(pf)
+        hj_residuals(pf, qp)
+        guidance_momentum(pf, qp)
+        energy_and_newton(pf, qp)
+        sigma_m_potentials(pf)
+        curvatures(pf.cf)
+        divergence_constraints(pf.cf, fd_tol=np.inf)
+        assert len(checks) == expected
+    checks.clear()
+    _, gd, _ = polar_pipeline(g, ExternalPotentials())
+    curvatures(build_connections(gd, ExternalPotentials()))
+    assert len(checks) == 1
 
 
 def test_nonrel_hamiltonian_trivial():

@@ -140,8 +140,9 @@ def _chain(g, lf, exts):
             pipeline,
             lf_e,
             [getattr(pf, k) for k in (
-                "dbeta", "dlnphi2", "spin_plane", "sigma_m", "split", "dP", "F",
+                "dbeta", "dlnphi2", "spin_plane", "sigma_m", "F",
             )],
+            [pf.cf.split, pf.cf.dP],
             qp,
             pdc.polar_dirac_residuals(pf),
             pdc.hj_residuals(pf, qp),
