@@ -64,7 +64,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, PolarDiracError
 from .fields import convergence_order, plane_wave, sample, superpose
-from .polar import EPS_SINGULAR, decompose, reconstruct
+from .polar import decompose, reconstruct
 from .trajectories import (
     CurrentField,
     continuity_residual,
@@ -85,6 +85,8 @@ SUITES = (
 
 _BOOSTED_E = float(np.hypot(1.0, 0.5))
 
+# the defaults are also the schema: _conform types each entry of a config
+# by its default
 DEFAULTS = {
     "seed": 0,
     "field": {
@@ -122,12 +124,10 @@ DEFAULTS = {
         "t0": 0.0,
         "t1": 1.0,
         "dt": 0.001,
-        "eps_sing": EPS_SINGULAR,
     },
     "decompose": {"spinor": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]},
 }
 
-_NUM = "number"
 # a float in the YAML 1.2 core schema: the exponent form 1e-8, which YAML 1.1
 # reads as a string, too
 _FLOAT_TEXT = re.compile(
@@ -136,60 +136,69 @@ _FLOAT_TEXT = re.compile(
 # libyaml's parser when PyYAML was built with it: the same documents, parsed
 # in C
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_NUMBER = (int, float)  # matched by exact type, so a bool is no number
 
 
-def _schema(default):
-    """Expected type of each config leaf, read off its default value.
+def _conform(value, default, where: str = ""):
+    """value checked against default, the schema it is read by, and
+    returned with the text of a float, such as 1e-8, read as that float
+    wherever a float is expected.
 
-    Floats accept any number, None accepts a string or None; every other
-    leaf must keep the type of its default.  _validate reads a number leaf
-    given as the text of a float, such as 1e-8, as that float.
+    A mapping takes only its default's keys.  A float default takes any
+    finite number, None takes a string or None, and every other leaf the
+    type of its default.  A list of numbers is a vector with its default's
+    length; any other list takes any number of entries, each checked like
+    the default's first.
     """
     if isinstance(default, dict):
-        return {key: _schema(value) for key, value in default.items()}
-    if default is None:
-        return (str, type(None))
-    if isinstance(default, float):
-        return _NUM
-    return type(default)
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{where}' must be a mapping")
+        for key in value:
+            here = f"{where}.{key}" if where else str(key)
+            if key not in default:
+                raise ConfigError(f"unknown config key '{here}'")
+            value[key] = _conform(value[key], default[key], here)
+        return value
+    if isinstance(default, list):
+        if all(type(d) in _NUMBER for d in default):
+            if not isinstance(value, list) or len(value) != len(default):
+                raise ConfigError(
+                    f"'{where}' must have {len(default)} entries"
+                )
+            try:
+                return [_conform(v, d, where) for v, d in zip(value, default)]
+            except ConfigError:
+                wanted = {float: "finite numbers", int: "integers"}
+                raise ConfigError(
+                    f"'{where}' entries must be {wanted[type(default[0])]}"
+                ) from None
+        if isinstance(value, list):
+            return [
+                _conform(v, default[0], f"{where}[{i}]")
+                for i, v in enumerate(value)
+            ]
+        kinds = (list,)
+    elif isinstance(default, float):
+        if isinstance(value, str) and _FLOAT_TEXT.fullmatch(value):
+            value = float(value)
+        # false for NaN, for +-inf and for an int beyond the range of a float
+        if type(value) in _NUMBER and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"'{where}' must be finite, got {value}")
+        kinds = _NUMBER
+    else:
+        kinds = (str, type(None)) if default is None else (type(default),)
+    if type(value) not in kinds:
+        raise ConfigError(
+            f"'{where}' has type {type(value).__name__}, expected "
+            + ("number" if kinds is _NUMBER else kinds[0].__name__)
+        )
+    return value
 
 
-_SCHEMA = _schema(DEFAULTS)
-
-
-def _type_ok(value, spec) -> bool:
-    if spec is _NUM:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if spec is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, spec)
-
-
-def _validate(node, schema, path: str) -> None:
-    for key, value in node.items():
-        where = f"{path}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown config key '{where}'")
-        spec = schema[key]
-        if spec is _NUM and isinstance(value, str):
-            if _FLOAT_TEXT.fullmatch(value):
-                value = node[key] = float(value)
-        if isinstance(spec, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{where}' must be a mapping")
-            _validate(value, spec, where + ".")
-        elif not _type_ok(value, spec):
-            raise ConfigError(
-                f"'{where}' has type {type(value).__name__}, "
-                f"expected {spec if isinstance(spec, str) else getattr(spec, '__name__', spec)}"
-            )
-
-
-def _merge(base: dict, extra: dict, path: str) -> None:
+def _merge(base: dict, extra: dict) -> None:
     for key, value in extra.items():
-        where = f"{path}{key}"
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _merge(base[key], value, where + ".")
+            _merge(base[key], value)
         else:
             base[key] = value
 
@@ -208,7 +217,7 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
 
 def load_config(path: str | None, overrides=()) -> dict:
     """Defaults, then the YAML file (explicit path or the env-dir one),
-    then --set overrides; validated against the schema."""
+    then --set overrides; checked against DEFAULTS, then by value."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         env_dir = os.environ.get(CONFIG_ENV)
@@ -229,7 +238,7 @@ def load_config(path: str | None, overrides=()) -> dict:
             data = {}
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
-        _merge(cfg, data, "")
+        _merge(cfg, data)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep or not key.strip():
@@ -239,70 +248,44 @@ def load_config(path: str | None, overrides=()) -> dict:
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse --set value {raw!r}: {exc}") from exc
         _set_path(cfg, key.strip(), value)
-    _validate(cfg, _SCHEMA, "")
+    _conform(cfg, DEFAULTS)
     _check_semantics(cfg)
     return cfg
 
 
-def _check_numbers(key: str, vec) -> None:
-    if not all(_type_ok(v, _NUM) and np.isfinite(v) for v in vec):
-        raise ConfigError(f"'{key}' entries must be finite numbers")
-
-
 def _check_semantics(cfg: dict) -> None:
-    for key in ("origin", "spacing", "dims"):
-        vec = cfg["grid"][key]
-        if len(vec) != 4:
-            raise ConfigError(f"'grid.{key}' must have 4 entries")
-    _check_numbers("grid.origin", cfg["grid"]["origin"])
-    _check_numbers("grid.spacing", cfg["grid"]["spacing"])
+    """The rules on the values of a config that _conform has typed."""
     if any(h <= 0 for h in cfg["grid"]["spacing"]):
         raise ConfigError("'grid.spacing' entries must be positive")
-    if not np.isfinite(cfg["couplings"]["q"]) or cfg["couplings"]["q"] == 0:
-        raise ConfigError("'couplings.q' must be finite and nonzero")
-    if not np.isfinite(cfg["couplings"]["m"]) or cfg["couplings"]["m"] <= 0:
-        raise ConfigError("'couplings.m' must be finite and positive")
+    if any(d != 1 and d < 5 for d in cfg["grid"]["dims"]):
+        raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
+    if cfg["couplings"]["q"] == 0:
+        raise ConfigError("'couplings.q' must be nonzero")
+    if cfg["couplings"]["m"] <= 0:
+        raise ConfigError("'couplings.m' must be positive")
     if cfg["counts"]["transforms"] < 0:
         raise ConfigError("'counts.transforms' must not be negative")
     if cfg["counts"]["spinors"] < 1:
         raise ConfigError("'counts.spinors' must be at least 1")
-    for d in cfg["grid"]["dims"]:
-        if not _type_ok(d, int) or (d != 1 and d < 5):
-            raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
     for name in cfg["suites"]:
         if name not in SUITES:
             raise ConfigError(
                 f"unknown suite '{name}'; choose from {', '.join(SUITES)}"
             )
     tcfg = cfg["trajectories"]
-    for key in ("t0", "t1", "dt", "eps_sing"):
-        if not np.isfinite(tcfg[key]):
-            raise ConfigError(f"'trajectories.{key}' must be finite")
     if tcfg["dt"] <= 0:
         raise ConfigError("'trajectories.dt' must be positive")
     if tcfg["t1"] < tcfg["t0"]:
         raise ConfigError("'trajectories.t1' must not precede 't0'")
-    for i, pt in enumerate(tcfg["points"]):
-        if not isinstance(pt, (list, tuple)) or len(pt) != 3:
-            raise ConfigError(
-                f"'trajectories.points[{i}]' must be a 3-component list"
-            )
-        _check_numbers(f"trajectories.points[{i}]", pt)
-    spinor = cfg["decompose"]["spinor"]
-    if len(spinor) != 8:
-        raise ConfigError(
-            "'decompose.spinor' needs 8 reals (re, im per component)"
-        )
-    _check_numbers("decompose.spinor", spinor)
     kind = cfg["field"]["kind"]
     if kind not in ("plane_wave", "superposition"):
         raise ConfigError(f"unknown field kind '{kind}'")
 
 
 def build_field(cfg: dict):
-    """AnalyticField described by the config, with malformed or off-shell
-    data reported as a configuration problem.  A plane wave is the
-    one-component superposition of the field entry itself."""
+    """AnalyticField described by the config, with off-shell data reported
+    as a configuration problem.  A plane wave is the one-component
+    superposition of the field entry itself."""
     fcfg = cfg["field"]
     mass = float(fcfg["mass"])
     if fcfg["kind"] == "plane_wave":
@@ -316,24 +299,16 @@ def build_field(cfg: dict):
             raise ConfigError("'field.components' must not be empty")
     waves, coeffs = [], []
     for where, comp in parts.items():
-        if not isinstance(comp, dict):
-            raise ConfigError(f"'{where}' must be a mapping")
         if "momentum" not in comp:
             raise ConfigError(f"'{where}' is missing 'momentum'")
-        momentum = comp["momentum"]
-        coeff = comp.get("coeff", [1.0, 0.0])
-        for name, vec, n in (("momentum", momentum, 4), ("coeff", coeff, 2)):
-            if not isinstance(vec, (list, tuple)) or len(vec) != n:
-                raise ConfigError(f"'{where}.{name}' must have {n} entries")
-            _check_numbers(f"{where}.{name}", vec)
         try:
             waves.append(plane_wave(
-                np.asarray(momentum, dtype=float),
-                spin_up=bool(comp.get("spin_up", True)), m=mass,
+                np.asarray(comp["momentum"], dtype=float),
+                spin_up=comp.get("spin_up", True), m=mass,
             ))
         except PolarDiracError as exc:
             raise ConfigError(f"field spec rejected: {exc}") from exc
-        coeffs.append(complex(coeff[0], coeff[1]))
+        coeffs.append(complex(*comp.get("coeff", (1.0, 0.0))))
     return superpose(waves, coeffs)
 
 
@@ -710,10 +685,8 @@ def run_trajectories(cfg: dict) -> int:
     origin, spacing, dims = grid_spec(cfg)
     cur = CurrentField.from_grid(sample(f, origin, spacing, dims))
     tcfg = cfg["trajectories"]
-    trajs = integrate_many(
-        cur, tcfg["points"], float(tcfg["t0"]), float(tcfg["t1"]),
-        float(tcfg["dt"]), eps_sing=float(tcfg["eps_sing"]),
-    )
+    trajs = integrate_many(cur, tcfg["points"], float(tcfg["t0"]),
+                           float(tcfg["t1"]), float(tcfg["dt"]))
     paths = write_csv(
         trajs, cfg["output"]["csv"], combined=bool(cfg["output"]["combined"])
     )

@@ -70,12 +70,18 @@ class AnalyticField:
 def plane_wave(p, spin_up: bool = True, m: float = 1.0) -> AnalyticField:
     """Positive-energy plane wave e^{-i p.x} u(p) with u(p) a boosted (1,0,1,0).
 
-    Raises OffShell unless p^0 > 0 and p.p = m^2 to 1e-12 (relative above
-    unit mass scale).
+    Raises PreconditionViolated for a mass that is not finite and
+    positive or a momentum entry that is not finite, and OffShell unless
+    p^0 > 0 and p.p = m^2 to 1e-12 (relative above unit mass scale).
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (4,):
         raise ValueError("momentum must be a 4-vector")
+    if not 0.0 < m < math.inf:
+        raise PreconditionViolated(
+            f"plane_wave needs a finite mass m > 0, got m = {m}"
+        )
+    _require_finite(p, "plane_wave momentum entry", "p must be finite")
     norm2 = float(minkowski_dot(p, p))
     if p[0] <= 0.0 or abs(norm2 - m * m) > 1e-12 * max(1.0, m * m):
         raise OffShell(
@@ -101,6 +107,8 @@ def superpose(fields, coeffs) -> AnalyticField:
     coeffs = np.asarray(coeffs, dtype=complex)
     if len(fields) != len(coeffs):
         raise ValueError("one coefficient per field")
+    if not fields:
+        raise PreconditionViolated("superpose needs at least one field")
     mass = fields[0].mass
     for f in fields:
         if abs(f.mass - mass) > 1e-12 * max(1.0, abs(mass)):
@@ -136,46 +144,17 @@ class GridField:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(
-            self, "spacing", np.asarray(self.spacing, dtype=float)
-        )
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=complex)
-        )
-        for name in ("origin", "spacing"):
-            shape = getattr(self, name).shape
-            if shape != (4,):
-                raise PreconditionViolated(
-                    f"GridField {name} must be a 4-vector (t, x, y, z), "
-                    f"got shape {shape}"
-                )
-        for name in ("origin", "spacing", "values"):
-            _require_finite(
-                getattr(self, name), f"GridField {name} entry",
-                "a grid field needs finite input",
-            )
-        for axis, h in zip(_AXES, self.spacing):
-            if h <= 0.0:
-                raise PreconditionViolated(
-                    f"GridField spacing along {axis} is {h}: a spacing must "
-                    "be positive"
-                )
-        if len(self.dims) != 4:
+        lattice = _lattice(self.origin, self.spacing, self.dims)
+        for name, value in zip(("origin", "spacing", "dims"), lattice):
+            object.__setattr__(self, name, value)
+        values = np.asarray(self.values, dtype=complex)
+        object.__setattr__(self, "values", values)
+        if values.shape != self.dims + (4,):
             raise PreconditionViolated(
-                f"dims must have 4 entries (t, x, y, z), got {self.dims}"
+                f"values shape {values.shape} != dims {self.dims} + (4,)"
             )
-        for axis, d in zip(_AXES, self.dims):
-            if d != 1 and d < 5:
-                raise PreconditionViolated(
-                    f"GridField axis {axis} has {d} sites: a differentiated "
-                    "axis needs >= 5 sites (or 1, a constant direction)"
-                )
-        if self.values.shape != self.dims + (4,):
-            raise PreconditionViolated(
-                f"values shape {self.values.shape} != dims {self.dims} + (4,)"
-            )
+        _require_finite(values, "GridField values entry",
+                        "a grid field needs finite input")
 
     def meshgrid(self) -> np.ndarray:
         """Event coordinates at every site, shape dims + (4,)."""
@@ -189,16 +168,49 @@ class GridField:
         return interp_values(self.origin, self.spacing, self.values, x)
 
 
-def _lattice_events(origin, spacing, dims) -> np.ndarray:
-    """Event coordinates (t, x, y, z) at every site of the lattice with
-    that origin, spacing and dims, shape dims + (4,)."""
+def _lattice(origin, spacing, dims):
+    """(origin, spacing, dims) as two float 4-vectors and an int 4-tuple.
+
+    Raises PreconditionViolated naming the entry, axis or value of an
+    origin or spacing that is not a finite 4-vector, a spacing that is not
+    positive, dims without four entries or an axis of 2-4 sites.
+    """
     origin = np.asarray(origin, dtype=float)
     spacing = np.asarray(spacing, dtype=float)
-    if origin.shape != (4,) or spacing.shape != (4,) or len(dims) != 4:
-        raise PreconditionViolated(
-            "origin, spacing and dims need 4 entries (t, x, y, z), got "
-            f"{origin.tolist()}, {spacing.tolist()} and {tuple(dims)}"
+    dims = tuple(int(d) for d in dims)
+    for name, vec in (("origin", origin), ("spacing", spacing)):
+        if vec.shape != (4,):
+            raise PreconditionViolated(
+                f"lattice {name} must be a 4-vector (t, x, y, z), "
+                f"got shape {vec.shape}"
+            )
+        _require_finite(
+            vec, f"lattice {name} entry", "a lattice needs finite input"
         )
+    for axis, h in zip(_AXES, spacing):
+        if h <= 0.0:
+            raise PreconditionViolated(
+                f"lattice spacing along {axis} is {h}: a spacing must be "
+                "positive"
+            )
+    if len(dims) != 4:
+        raise PreconditionViolated(
+            f"dims must have 4 entries (t, x, y, z), got {dims}"
+        )
+    for axis, d in zip(_AXES, dims):
+        if d != 1 and d < 5:
+            raise PreconditionViolated(
+                f"lattice axis {axis} has {d} sites: a differentiated axis "
+                "needs >= 5 sites (or 1, a constant direction)"
+            )
+    return origin, spacing, dims
+
+
+def _lattice_events(origin, spacing, dims) -> np.ndarray:
+    """Event coordinates (t, x, y, z) at every site of the lattice with
+    that origin, spacing and dims, shape dims + (4,); the lattice is
+    checked by _lattice."""
+    origin, spacing, dims = _lattice(origin, spacing, dims)
     axes = [o + h * np.arange(n) for o, h, n in zip(origin, spacing, dims)]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
@@ -542,7 +554,13 @@ def gaussian_packet(
                 f"gaussian_packet needs {name} > 0, got {name} = {value}"
             )
     s_axis = np.asarray(s_axis, dtype=float)
-    s_axis = s_axis / np.linalg.norm(s_axis)
+    norm = np.linalg.norm(s_axis)
+    if not 0.0 < norm < math.inf:
+        raise PreconditionViolated(
+            "gaussian_packet needs a finite nonzero s_axis, got "
+            f"{s_axis.tolist()}"
+        )
+    s_axis = s_axis / norm
     half_width = 2.0 / np.sqrt(k)
     dims = tuple(int(d) for d in dims)
     spacing = np.array(

@@ -74,34 +74,35 @@ def _as_current(field) -> CurrentField:
     return CurrentField.from_grid(field)
 
 
-def _observe(vals: np.ndarray, eps_sing: float):
+def _observe(vals: np.ndarray):
     """Unit velocity u from interpolated channels vals (n, 11).
 
     Returns (vals, u, ok).  ok marks the rows where u is defined: a
-    regular spinor (Theta^2 + Phi^2 > eps_sing) with a timelike current.
+    regular spinor (Theta^2 + Phi^2 > EPS_SINGULAR, the threshold of
+    polar.decompose) with a timelike current.
     vals and u hold those rows only, so nothing is computed on the
     others.
     """
     U = vals[:, 2:6]
     norm2 = minkowski_dot(U, U)
-    ok = (vals[:, 10] > eps_sing) & (norm2 > 0.0)
+    ok = (vals[:, 10] > EPS_SINGULAR) & (norm2 > 0.0)
     u = U[ok] / np.sqrt(norm2[ok])[:, None]
     return vals[ok], np.where(u[:, :1] < 0.0, -u, u), ok
 
 
-def velocity_at(field, x, eps_sing: float = EPS_SINGULAR) -> np.ndarray:
+def velocity_at(field, x) -> np.ndarray:
     """Unit velocity u at events x of shape (..., 4).
 
     The current is interpolated between sites and then normalized,
     so u.u = 1 to rounding and the time component stays positive.
-    Raises SingularSpinor where Theta^2 + Phi^2 <= eps_sing or the
+    Raises SingularSpinor where Theta^2 + Phi^2 <= EPS_SINGULAR or the
     current is not timelike, and OutOfBounds outside the grid hull.
     """
     x = np.asarray(x, dtype=float)
     ev = x.reshape(-1, 4)
     cur = _as_current(field)
     vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, ev)
-    _, u, ok = _observe(vals, eps_sing)
+    _, u, ok = _observe(vals)
     if not ok.all():
         raise SingularSpinor(
             f"no timelike current at event {ev[np.argmin(ok)].tolist()}"
@@ -153,8 +154,7 @@ def _table(t: float, x: np.ndarray, vals: np.ndarray,
     ))
 
 
-def integrate_many(field, points, t0: float, t1: float, dt: float,
-                   eps_sing: float = EPS_SINGULAR) -> list:
+def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
     """Transport every point of points (N, 3) along the current together.
 
     Classical 4th-order Runge-Kutta in coordinate time; a shorter final
@@ -204,7 +204,7 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
         if keep.any():
             # the hull test above is the only one: _interp makes none
             vals = _interp(cur.g.origin, cur.g.spacing, cur.obs, ev[keep])
-            vals, u, ok = _observe(vals, eps_sing)
+            vals, u, ok = _observe(vals)
             for i in live[keep][~ok]:
                 termination[i] = "singular"
             keep[keep] = ok
@@ -239,11 +239,9 @@ def integrate_many(field, points, t0: float, t1: float, dt: float,
             for rows, r in zip(np.split(table, ends[:-1]), termination)]
 
 
-def integrate(field, x0, t0: float, t1: float, dt: float,
-              eps_sing: float = EPS_SINGULAR) -> Trajectory:
+def integrate(field, x0, t0: float, t1: float, dt: float) -> Trajectory:
     """Transport the point x0 (3,) from t0 to t1: integrate_many for one seed."""
-    return integrate_many(field, np.reshape(x0, (1, 3)), t0, t1, dt,
-                          eps_sing)[0]
+    return integrate_many(field, np.reshape(x0, (1, 3)), t0, t1, dt)[0]
 
 
 def continuity_residual(field) -> np.ndarray:

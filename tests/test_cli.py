@@ -1,12 +1,13 @@
 """Config handling, verify/trajectories/decompose/report subcommands."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from polardirac.cli import SUITES, load_config, main
+from polardirac.cli import DEFAULTS, SUITES, load_config, main
 from polardirac.errors import ConfigError
 
 
@@ -105,6 +106,9 @@ def test_wrong_type_and_bad_suite(tmp_path, capsys):
     ("verify", "couplings.m=.inf", "couplings.m"),
     ("decompose", "couplings.m=-1", "couplings.m"),
     ("trajectories", "couplings.m=.nan", "couplings.m"),
+    ("trajectories", "field.mass=.nan", "field.mass"),
+    ("trajectories", "field.mass=.inf", "field.mass"),
+    ("verify", "tolerances.algebraic=.nan", "tolerances.algebraic"),
 ])
 def test_invalid_config_exit_2(capsys, command, override, key):
     code, out, err = run_cli(capsys, command, "--set", override)
@@ -141,6 +145,101 @@ def test_number_leaves_read_exponent_floats(tmp_path, capsys, monkeypatch):
     assert "'tolerances.curvature' has type str, expected number" in err
 
 
+def test_vector_entries_read_exponent_floats(monkeypatch):
+    # the entries of a list of numbers take the 1e-8 form too, at any depth
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    cfg = load_config(None, [
+        "grid.spacing=[1e-1,1,1,2E-1]", "trajectories.points=[[0,0,8e-1]]",
+        "field.components=[{momentum: [1e0,0,0,0], coeff: [5e-1, -1e-3]}]",
+    ])
+    assert cfg["grid"]["spacing"] == [0.1, 1, 1, 0.2]
+    assert cfg["trajectories"]["points"] == [[0, 0, 0.8]]
+    comp = cfg["field"]["components"][0]
+    assert comp == {"momentum": [1.0, 0, 0, 0], "coeff": [0.5, -1e-3]}
+    assert all(type(v) is float for v in comp["coeff"])
+
+
+def test_field_mass_not_positive_exit_2(tmp_path, capsys):
+    # plane_wave rejects the mass, and the CLI maps that to a config error
+    for command in ("trajectories", "verify"):
+        code, out, err = run_cli(
+            capsys, command, "--set", "field.mass=-1",
+            "--set", f"output.csv={tmp_path / 'f.csv'}",
+        )
+        assert code == 2 and out == ""
+        assert "field spec rejected" in err and "m = -1" in err
+
+
+def _config_nodes(node, path=()):
+    """(path, default) of every entry of a config tree but the root, the
+    entries of lists that are not vectors of numbers included."""
+    if path:
+        yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and any(
+        type(v) not in (int, float) for v in node
+    ):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from _config_nodes(value, path + (key,))
+
+
+def _config_key(path) -> str:
+    """The name a config error gives path, such as field.components[0].coeff."""
+    return "".join(
+        f"[{p}]" if isinstance(p, int) else f".{p}" for p in path
+    ).lstrip(".")
+
+
+def _wrong_values(default) -> list:
+    """Values that default's entry must refuse: wrong types, numbers that
+    are not finite and, for a list of numbers, other lengths and bad
+    entries."""
+    if isinstance(default, dict):
+        return [3, "text", [default]]
+    if isinstance(default, list):
+        if any(type(v) not in (int, float) for v in default):
+            return ["text", 3, {"a": default}]
+        entries = _wrong_values(default[0])
+        return [default[:-1], default + default[:1], default[0], "text"] + [
+            [bad] + default[1:] for bad in entries if not isinstance(bad, list)
+        ]
+    if isinstance(default, bool):
+        return ["true", 1, None, [default]]
+    if isinstance(default, int):
+        return [1.5, "1", True, None, [default]]
+    if isinstance(default, float):
+        return ["text", "1e999", True, None, [default],
+                float("nan"), float("inf"), -float("inf"), 10**400]
+    if default is None:
+        return [1, True, [default]]
+    return [1, True, None, [default]]
+
+
+@pytest.mark.parametrize("path, default", [
+    pytest.param(path, default, id=_config_key(path))
+    for path, default in _config_nodes(DEFAULTS)
+])
+def test_every_config_entry_refuses_wrong_values(
+    tmp_path, capsys, path, default
+):
+    # generated from DEFAULTS, so a new key is covered with no test edit:
+    # each wrong value at path exits 2 at load and names the entry
+    for bad in _wrong_values(default):
+        cfg = copy.deepcopy(DEFAULTS)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        code, out, err = run_cli(capsys, "decompose", write_cfg(tmp_path, cfg))
+        assert (code, out) == (2, ""), bad
+        assert "config error: " in err, bad
+        assert f"'{_config_key(path)}'" in err, (bad, err)
+
+
 @pytest.mark.parametrize("overrides, message", [
     (["field.kind=plane_wave", "field.momentum=[1,0]"],
      "'field.momentum' must have 4 entries"),
@@ -157,6 +256,14 @@ def test_number_leaves_read_exponent_floats(tmp_path, capsys, monkeypatch):
     (["field.components=[{coeff: [1, 0]}]"],
      "'field.components[0]' is missing 'momentum'"),
     (["field.components=[]"], "'field.components' must not be empty"),
+    (["field.components=[{momentum: [1,0,0,0], coef: [0.5, 0]}]"],
+     "unknown config key 'field.components[0].coef'"),
+    (["field.components=[{momentum: [1,0,0,0], spin_up: 'false'}]"],
+     "'field.components[0].spin_up' has type str, expected bool"),
+    (["field.components=[{momentum: [1,0,0,0]}, [1, 0]]"],
+     "'field.components[1]' must be a mapping"),
+    (["field.components=[{momentum: [1,0,0,0], coeff: [1, .nan]}]"],
+     "'field.components[0].coeff' entries must be finite numbers"),
 ])
 def test_malformed_field_entries_exit_2(tmp_path, capsys, overrides, message):
     sets = [f"output.csv={tmp_path / 'f.csv'}", *overrides]

@@ -72,6 +72,28 @@ def test_superpose_identity_and_mismatch():
         superpose([f, plane_wave([2.0, 0, 0, 0], m=2.0)], [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "p, m, message",
+    [
+        ([np.nan, 0, 0, 0], 1.0, r"momentum entry \(0,\) is nan"),
+        ([1.0, 0, np.inf, 0], 1.0, r"momentum entry \(2,\) is inf"),
+        ([1.0, 0, 0, 0], np.nan, r"finite mass m > 0, got m = nan"),
+        ([1.0, 0, 0, 0], np.inf, r"finite mass m > 0, got m = inf"),
+        ([1.0, 0, 0, 0], 0.0, r"finite mass m > 0, got m = 0\.0"),
+        # on shell for m^2 = 1, but a negative mass fails the Dirac equation
+        ([np.sqrt(1.25), 0, 0, 0.5], -1.0, r"m > 0, got m = -1\.0"),
+    ],
+)
+def test_plane_wave_names_a_bad_mass_or_momentum(p, m, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        plane_wave(p, m=m)
+
+
+def test_superpose_names_an_empty_list():
+    with pytest.raises(PreconditionViolated, match="at least one field"):
+        superpose([], [])
+
+
 def test_superposition_bilinears_brute_force():
     e = np.hypot(1.0, 0.5)
     f1 = plane_wave([1.0, 0, 0, 0], spin_up=True)
@@ -296,6 +318,26 @@ def test_grid_constructor_names_the_axis_and_value(spacing, dims, origin, messag
 def test_gaussian_packet_names_a_non_positive_scale(k, K, message):
     with pytest.raises(PreconditionViolated, match=message):
         gaussian_packet(k, K, dims=(1, 5, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "s_axis, message",
+    [((0, 0, 0), r"\[0\.0, 0\.0, 0\.0\]"), ((0, np.nan, 1), r"nan")],
+)
+def test_gaussian_packet_names_a_bad_spin_axis(s_axis, message):
+    with pytest.raises(PreconditionViolated, match=f"nonzero s_axis.*{message}"):
+        gaussian_packet(1.0, s_axis=s_axis, dims=(1, 5, 5, 5))
+
+
+def test_lattice_events_apply_the_grid_rules():
+    # the events of a lattice, and so sample, check it by GridField's rules
+    with pytest.raises(PreconditionViolated, match=r"axis y has 2 sites"):
+        _lattice_events(np.zeros(4), np.ones(4), (1, 5, 2, 5))
+    with pytest.raises(PreconditionViolated, match=r"spacing along x is 0\.0"):
+        _lattice_events(np.zeros(4), [1, 0, 1, 1], (1, 5, 5, 5))
+    with pytest.raises(PreconditionViolated, match=r"origin entry \(1,\) is nan"):
+        sample(plane_wave([1.0, 0, 0, 0]), [0, np.nan, 0, 0], np.ones(4),
+               (1, 5, 1, 1))
 
 
 def test_grid_field_rejects_non_finite():
