@@ -255,6 +255,8 @@ def load_config(path: str | None, overrides=()) -> dict:
 
 def _check_semantics(cfg: dict) -> None:
     """The rules on the values of a config that _conform has typed."""
+    if cfg["seed"] < 0:
+        raise ConfigError("'seed' must not be negative")
     if any(h <= 0 for h in cfg["grid"]["spacing"]):
         raise ConfigError("'grid.spacing' entries must be positive")
     if any(d != 1 and d < 5 for d in cfg["grid"]["dims"]):

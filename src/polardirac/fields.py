@@ -235,6 +235,83 @@ def _site_location(index, origin=None, spacing=None) -> str:
     return f"{where}, event (t, x, y, z) = {event.tolist()}"
 
 
+class _Lookup:
+    """Multilinear interpolation of one grid array, its lattice constants
+    computed once.
+
+    arr carries the grid on its first four axes; trailing axes pass
+    through unchanged.  Axes of extent 1 are constant directions.  The
+    k axes longer than 1 are active: an event reads the 2^k corners of
+    its lattice cell, corner c taking the upper site along active axis j
+    where bit k - 1 - j of c is set.  frac maps events to lattice
+    coordinates, inside is the hull rule and a call interpolates.
+    """
+
+    def __init__(self, origin, spacing, arr):
+        self.origin = np.asarray(origin, dtype=float)
+        self.spacing = np.asarray(spacing, dtype=float)
+        arr = np.asarray(arr)
+        dims = np.array(arr.shape[:4])
+        self.trail = arr.shape[4:]
+        self.table = arr.reshape((math.prod(arr.shape[:4]),) + self.trail)
+        self.active = np.flatnonzero(dims > 1)
+        self.constant = np.flatnonzero(dims == 1)
+        self.top = dims[self.active, None] - 2  # the last lower corner
+        self.bound = dims[self.active] - 1 + 1e-9  # the hull's upper face
+        k = len(self.active)
+        self.bits = (np.arange(2**k)[:, None] >> np.arange(k)[::-1]) & 1
+        self.axis = np.arange(k)  # the active axis of each bits column
+        # flat index strides of the sites along the active axes, and the
+        # flat offset of each corner from the cell's lower corner
+        self.strides = np.array(
+            [math.prod(arr.shape[ax + 1:4]) for ax in self.active], dtype=int
+        )
+        self.offsets = self.bits @ self.strides
+
+    def frac(self, x) -> np.ndarray:
+        """Lattice coordinates (x - origin) / spacing of events x (..., 4)."""
+        return (np.asarray(x, dtype=float) - self.origin) / self.spacing
+
+    def inside(self, frac) -> np.ndarray:
+        """True at the events of lattice coordinates frac (..., 4) inside
+        the hull, with 1e-9 of slack: an active axis holds the coordinate
+        to [0, n - 1], a constant axis to any finite one, and NaN fails
+        both."""
+        f = frac[..., self.active]
+        inside = ((f >= -1e-9) & (f <= self.bound)).all(axis=-1)
+        if len(self.constant):
+            inside &= np.isfinite(frac[..., self.constant]).all(axis=-1)
+        return inside
+
+    def __call__(self, frac):
+        """(inside, values): the hull mask of events of lattice coordinates
+        frac (n, 4), and the values interpolated at the rows inside it,
+        shape (inside.sum(),) + trail."""
+        inside = self.inside(frac)
+        if not inside.all():
+            frac = frac[inside]
+        f = frac[:, self.active].T  # (k, n)
+        lower = np.floor(f).astype(int)
+        np.maximum(lower, 0, out=lower)
+        np.minimum(lower, self.top, out=lower)
+        # each corner's weight is the product of its per-axis weights
+        # (lower site 1 - t, upper t), in axis order; shape (2^k, n)
+        pair = np.empty((2,) + f.shape)
+        np.subtract(f, lower, out=pair[1])
+        np.subtract(1.0, pair[1], out=pair[0])
+        w = np.multiply.reduce(pair[self.bits, self.axis], axis=1)
+        terms = w.reshape(w.shape + (1,) * len(self.trail)) * self.table.take(
+            self.offsets[:, None] + self.strides @ lower, axis=0
+        )
+        # the corner sum in corner order from 0.0: add.reduce over the
+        # leading axis adds the corners one by one, unless each is a lone
+        # number, which it sums pairwise; a running sum plus 0.0 (for the
+        # signs of zero) stands in there
+        if terms[0].size == 1:
+            return inside, np.add.accumulate(terms)[-1] + 0.0
+        return inside, np.add.reduce(terms, axis=0, initial=0.0)
+
+
 def in_hull(origin, spacing, shape, x) -> np.ndarray:
     """True at the events x (..., 4) inside the hull of a lattice.
 
@@ -242,14 +319,9 @@ def in_hull(origin, spacing, shape, x) -> np.ndarray:
     ignored.  Axes of extent 1 are constant directions and accept any
     finite coordinate.  A NaN coordinate counts as outside.
     """
-    frac = (np.asarray(x, dtype=float) - origin) / spacing
-    inside = np.isfinite(frac)
-    for ax in range(4):
-        n = shape[ax]
-        if n > 1:
-            f = frac[..., ax]
-            inside[..., ax] = (f >= -1e-9) & (f <= n - 1 + 1e-9)
-    return inside.all(axis=-1)
+    # a lookup on a grid of no values: a zero-length trailing axis
+    lookup = _Lookup(origin, spacing, np.empty(tuple(shape[:4]) + (0,)))
+    return lookup.inside(lookup.frac(x))
 
 
 def interp_values(origin, spacing, arr, x) -> np.ndarray:
@@ -260,51 +332,15 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
     accept any finite coordinate.  Raises OutOfBounds, naming the first
     offending event, where in_hull is False.
     """
-    origin = np.asarray(origin, dtype=float)
-    spacing = np.asarray(spacing, dtype=float)
-    arr = np.asarray(arr)
+    lookup = _Lookup(origin, spacing, arr)
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, 4)
-    inside = in_hull(origin, spacing, arr.shape, pts)
+    inside, out = lookup(lookup.frac(pts))
     if not inside.all():
         raise OutOfBounds(
             f"event {pts[np.argmin(inside)].tolist()} outside the grid hull"
         )
-    out = _interp(origin, spacing, arr, pts)
-    return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1] + arr.shape[4:])
-
-
-def _interp(origin, spacing, arr, pts) -> np.ndarray:
-    """interp_values at events pts (n, 4) already known to lie in the hull
-    (see in_hull), shape (n,) + arr.shape[4:]."""
-    frac = (pts - origin) / spacing
-    # flat site index and weight of each of the 2^k corners around every
-    # event, k the number of axes longer than 1; the weight is the product
-    # of the per-axis weights taken in axis order
-    flat = np.zeros((len(pts), 1), dtype=int)
-    w = np.ones((len(pts), 1))
-    for ax in range(4):
-        n = arr.shape[ax]
-        flat = flat * n
-        if n == 1:
-            continue
-        f = frac[:, ax]
-        i0 = np.clip(np.floor(f).astype(int), 0, n - 2)
-        t = f - i0
-        pair = np.empty((len(pts), 1, 2))
-        pair[:, 0, 0] = 1.0 - t
-        pair[:, 0, 1] = t
-        k = 2 * flat.shape[1]
-        flat = (flat[:, :, None] + i0[:, None, None] + (0, 1)).reshape(-1, k)
-        w = (w[:, :, None] * pair).reshape(-1, k)
-    trail = arr.shape[4:]
-    terms = w.reshape(w.shape + (1,) * len(trail)) * arr.reshape(
-        (-1,) + trail
-    )[flat]
-    out = np.zeros((len(pts),) + trail, dtype=terms.dtype)
-    for k in range(terms.shape[1]):
-        out += terms[:, k]
-    return out
+    return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1] + lookup.trail)
 
 
 # Every grid evaluator is site-local apart from the stencil of
@@ -531,8 +567,13 @@ def convergence_order(coarse: np.ndarray, fine: np.ndarray):
 
 
 def sample(f: AnalyticField, origin, spacing, dims) -> GridField:
-    """Evaluate an analytic field on a lattice (exact at every site)."""
-    values = f.at(_lattice_events(origin, spacing, dims))
+    """Evaluate an analytic field on a lattice (exact at every site).
+
+    f.at runs slab by slab (_sitewise), so its table of sites x modes
+    phases exists one slab at a time.
+    """
+    events = _lattice_events(origin, spacing, dims)
+    values = _sitewise(f.at, events.shape[:4], events)
     return GridField(origin=origin, spacing=spacing, dims=tuple(dims), values=values)
 
 

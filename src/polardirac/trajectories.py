@@ -8,10 +8,12 @@ coordinate time with dx/dt = u_spatial / u^0 under classical RK4.
 Interpolating the unnormalized current (rather than u itself) avoids
 normalization kinks near zeros of the density.  All seeds of a run
 advance together as one (N, 3) state, and each seed stops on its own
-when a stage point leaves the grid or turns singular.  The sample
-recorded at the end of a step is the next step's first stage, so each
-step costs four interpolations, made for all live seeds together.  A
-flow line is one table, Trajectory.rows, whose columns are CSV_FIELDS.
+when a stage point leaves the grid or turns singular.  A run builds one
+lattice lookup (fields._Lookup) on the stacked channels, and each stage
+is one call of it for all live seeds together: the hull test and the
+interpolation at once.  The sample recorded at the end of a step is the
+next step's first stage, so each step costs four lookups.  A flow line
+is one table, Trajectory.rows, whose columns are CSV_FIELDS.
 
 Proper time is not stored; it is recoverable by quadrature from the
 recorded samples.  Paths follow u.  The momentum P along a stored path
@@ -29,7 +31,7 @@ from .bilinears import _observables
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
 from .errors import PreconditionViolated, SingularSpinor
-from .fields import GridField, _interp, grid_gradient, in_hull, interp_values
+from .fields import GridField, _Lookup, grid_gradient, interp_values
 from .polar import EPS_SINGULAR, _chiral_angle
 
 CSV_FIELDS = (
@@ -166,7 +168,8 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
     non-timelike stage point gives "singular"; otherwise "completed".
     Returns one Trajectory per point, in order; t1 == t0 gives the start
     sample alone.  Raises PreconditionViolated naming a non-finite t0, t1
-    or dt, a t1 before t0, or a dt that is not positive.
+    or dt, a t1 before t0, a dt that is not positive, or the shape of
+    points other than (N, 3) (or [], no seeds).
     """
     for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
         if not np.isfinite(value):
@@ -177,8 +180,16 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
         )
     if dt <= 0.0:
         raise PreconditionViolated(f"dt must be positive, got {dt}")
+    x = np.array(points, dtype=float)
+    if x.shape == (0,):  # no seeds
+        x = x.reshape(0, 3)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise PreconditionViolated(
+            f"points must be start points (x, y, z), shape (N, 3), got "
+            f"shape {x.shape}"
+        )
     cur = _as_current(field)
-    x = np.array(points, dtype=float).reshape(-1, 3)
+    lookup = _Lookup(cur.g.origin, cur.g.spacing, cur.obs)
     t = float(t0)
     span = float(t1) - t
     n_full = int(np.floor(span / dt + 1e-12))
@@ -196,15 +207,13 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
         that fail there.  Returns the mask of survivors over the rows of
         xc, with their channels and velocities."""
         nonlocal live
-        ev = np.concatenate((np.full((len(xc), 1), tc), xc), axis=1)
-        keep = in_hull(cur.g.origin, cur.g.spacing, cur.obs.shape, ev)
-        for i in live[~keep]:
-            termination[i] = "left_domain"
-        vals, u = np.empty((0, 11)), np.empty((0, 4))
-        if keep.any():
-            # the hull test above is the only one: _interp makes none
-            vals = _interp(cur.g.origin, cur.g.spacing, cur.obs, ev[keep])
-            vals, u, ok = _observe(vals)
+        ev = np.empty((len(xc), 4))
+        ev[:, 0], ev[:, 1:] = tc, xc
+        keep, vals = lookup(lookup.frac(ev))
+        vals, u, ok = _observe(vals)
+        if not (keep.all() and ok.all()):  # some seed stops here
+            for i in live[~keep]:
+                termination[i] = "left_domain"
             for i in live[keep][~ok]:
                 termination[i] = "singular"
             keep[keep] = ok
@@ -240,8 +249,16 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
 
 
 def integrate(field, x0, t0: float, t1: float, dt: float) -> Trajectory:
-    """Transport the point x0 (3,) from t0 to t1: integrate_many for one seed."""
-    return integrate_many(field, np.reshape(x0, (1, 3)), t0, t1, dt)[0]
+    """Transport the point x0 (3,) from t0 to t1: integrate_many for one
+    seed.  Raises PreconditionViolated naming the shape of an x0 other
+    than (3,)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise PreconditionViolated(
+            f"x0 must be a start point (x, y, z), shape (3,), got shape "
+            f"{x0.shape}"
+        )
+    return integrate_many(field, x0[None], t0, t1, dt)[0]
 
 
 def continuity_residual(field) -> np.ndarray:

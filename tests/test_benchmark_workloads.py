@@ -111,19 +111,23 @@ def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
 def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     tmp_path, monkeypatch
 ):
-    # one evaluation of the plane-wave sum on the lattice and one bilinear
-    # pass per op, and CSV bytes equal to the csv module's for the same rows
+    # one evaluation of the plane-wave sum at each lattice site (sample
+    # evaluates it slab by slab) and one bilinear pass per op, and CSV
+    # bytes equal to the csv module's for the same rows
     import sys
 
+    import numpy as np
     import oracles
+    import yaml
     from polardirac import bilinears, cli, fields
 
     monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
-    counts = {"at": 0, "_observables": 0}
+    counts = {"_observables": 0}
+    evaluated = []  # the events of each AnalyticField.at call
     real_at, real_bilinears = fields.AnalyticField.at, bilinears._observables
 
     def at(self, x):
-        counts["at"] += 1
+        evaluated.append(np.reshape(x, (-1, 4)))
         return real_at(self, x)
 
     def bilinears_counting(psi, **kwargs):
@@ -146,7 +150,12 @@ def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     w = WL.Flowlines(0, tmp_path)
     _, raw = w.run(-1)
     assert WL.check(w, w.digest(raw), None)["ok"]
-    assert counts == {"at": 1, "_observables": 1}
+    assert counts == {"_observables": 1}
+    grid = yaml.safe_load(w.warm_config_path.read_text())["grid"]
+    sites = np.concatenate(evaluated)
+    lattice = fields._lattice_events(**grid).reshape(-1, 4)
+    assert len(sites) == len(lattice)
+    assert np.array_equal(np.unique(sites, axis=0), np.unique(lattice, axis=0))
     ((trajs, combined),) = written
     assert combined and raw[2] == oracles.csv_bytes(trajs, combined=True)
 

@@ -118,6 +118,17 @@ def test_invalid_config_exit_2(capsys, command, override, key):
     assert f"'{key}'" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "trajectories", "decompose"])
+def test_negative_seed_exits_2(capsys, monkeypatch, command):
+    # verify seeds np.random.default_rng with it, which takes no negative
+    # value; the rule holds at load, for every command
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    code, out, err = run_cli(capsys, command, "--set", "seed=-1")
+    assert code == 2 and out == ""
+    assert "config error: 'seed' must not be negative" in err
+    assert load_config(None, ["seed=0"])["seed"] == 0
+
+
 def test_number_leaves_read_exponent_floats(tmp_path, capsys, monkeypatch):
     # YAML 1.1 reads 1e-8 as a string; a leaf whose default is a float
     # takes it as the float, in a config file and in --set alike, and a
@@ -487,16 +498,17 @@ def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
 def test_trajectories_interpolate_once_per_stage_for_all_seeds(
     tmp_path, capsys, monkeypatch
 ):
-    import polardirac.trajectories as trajectories
+    import polardirac.fields as fields
 
-    calls = []
-    real = trajectories._interp
+    calls = []  # per lattice lookup: the seeds given, the seeds evaluated
+    real = fields._Lookup.__call__
 
-    def counting(*args):
-        calls.append(len(args[3]))
-        return real(*args)
+    def counting(self, frac):
+        inside, vals = real(self, frac)
+        calls.append((len(frac), len(vals)))
+        return inside, vals
 
-    monkeypatch.setattr(trajectories, "_interp", counting)
+    monkeypatch.setattr(fields._Lookup, "__call__", counting)
     points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5, 55.0)]
     path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
     code, out, _ = run_cli(capsys, "trajectories", path)
@@ -508,7 +520,8 @@ def test_trajectories_interpolate_once_per_stage_for_all_seeds(
     steps = max(t["samples"] for t in trajs) - 1
     assert steps == 20
     assert len(calls) == 1 + 4 * steps
-    assert calls == [3] * len(calls)  # the seed outside is never evaluated
+    # the seed outside leaves at the start sample and is never evaluated
+    assert calls == [(4, 3)] + [(3, 3)] * (len(calls) - 1)
 
 
 def test_trajectories_point_outside_grid(tmp_path, capsys):

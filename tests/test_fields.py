@@ -277,6 +277,19 @@ def test_interp_matches_corner_loop_bitwise():
         assert out.shape == shape[:-1] + arr.shape[4:]
 
 
+def test_interp_of_negative_zeros_reads_positive_zero():
+    # the corner sum starts from 0.0, so -0.0 at every site reads +0.0, at
+    # one event or many, with or without trailing axes
+    for dims in ((1, 1, 1, 1), (1, 1, 5, 5), (5, 5, 5, 5)):
+        pts = np.full((4, 4), 0.3) * (np.array(dims) > 1)
+        for trail in ((), (3,)):
+            arr = np.full(dims + trail, -0.0)
+            for x in (pts, pts[0]):
+                out = interp_values(np.zeros(4), np.ones(4), arr, x)
+                assert out.shape == x.shape[:-1] + trail
+                assert not np.signbit(out).any()
+
+
 def test_grid_validation():
     with pytest.raises(PreconditionViolated):
         GridField([0, 0, 0, 0], [1, 1, 1, 1], (3, 1, 1, 1), np.zeros((3, 1, 1, 1, 4)))

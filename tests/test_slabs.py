@@ -402,6 +402,37 @@ def test_bilinears_keep_real_parts_only(two_threads):
     assert peak - base < 4 * psi.nbytes
 
 
+def test_sample_matches_one_whole_grid_call_and_holds_slabs_of_phases(
+    two_threads,
+):
+    # sample evaluates the plane-wave sum slab by slab: the values of one
+    # f.at on all events, while the peak stays below the whole grid's
+    # sites x modes phase table (one complex each), which never exists
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    modes, dims = 64, (9, 17, 17, 17)  # 44,217 sites
+    waves = []
+    for i in range(modes):
+        p = rng.uniform(-0.8, 0.8, 3)
+        waves.append(pdc.plane_wave([np.sqrt(1.0 + p @ p), *p],
+                                    spin_up=bool(i % 2)))
+    f = pdc.superpose(
+        waves, rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    )
+    origin, spacing = (0.0, -1.0, -1.0, -1.0), (0.1, 0.125, 0.125, 0.125)
+    whole = f.at(fields._lattice_events(origin, spacing, dims))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = fields.sample(f, origin, spacing, dims)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.values, whole)
+    assert peak < 16 * modes * np.prod(dims)
+
+
 def test_errstate_of_the_caller_holds_in_the_slabs(monkeypatch, two_threads):
     monkeypatch.setattr(fields, "_SLAB_MIN_SITES", 1)
     a = np.ones(DIMS)

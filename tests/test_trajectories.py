@@ -1,10 +1,12 @@
 """Flow-line integration, continuity diagnostics, CSV export."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-import polardirac.trajectories as trajectories
+import polardirac.fields as fields
 from polardirac.bilinears import compute_bilinears
 from polardirac.clifford import minkowski_dot
 from polardirac.errors import (
@@ -437,12 +439,12 @@ def test_stacked_observables_match_per_channel_interpolation():
 
 @pytest.mark.parametrize("t1", [0.5, 0.52])
 def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
-    # one interpolation and one hull test per stage: the integrator tests
-    # the hull itself and interpolates with the unchecked fields._interp
-    calls = {"_interp": 0, "in_hull": 0}
+    # one lattice lookup per run, and per stage one frac and one call,
+    # which makes the hull test and the interpolation together
+    calls = {"__init__": 0, "frac": 0, "__call__": 0}
 
     def counting(name):
-        real = getattr(trajectories, name)
+        real = getattr(fields._Lookup, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -451,13 +453,14 @@ def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(trajectories, name, counting(name))
+        monkeypatch.setattr(fields._Lookup, name, counting(name))
     g = mixed_wave_grid()
     traj = integrate(g, (0.0, 0.1, -0.2), 0.0, t1, 0.05)
     assert traj.termination == "completed"
     steps = len(traj.rows) - 1
     assert steps == (10 if t1 == 0.5 else 11)
-    assert calls == {"_interp": 1 + 4 * steps, "in_hull": 1 + 4 * steps}
+    assert calls == {"__init__": 1, "frac": 1 + 4 * steps,
+                     "__call__": 1 + 4 * steps}
 
 
 def test_nan_coordinate_is_out_of_bounds():
@@ -555,3 +558,28 @@ def test_integrate_many_empty():
     assert integrate_many(g, [], 0.0, 1.0, 0.1) == []
     with pytest.raises(PreconditionViolated, match="dt must be positive"):
         integrate_many(g, [], 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("points, shape", [
+    ([[0.0, 0.0, 0.0, 0.1, 0.1, 0.1]], (1, 6)),  # not two seeds
+    ([[0.0, 0.0, 0.0, 0.0]], (1, 4)),
+    ([0.0, 0.0, 0.0], (3,)),
+    (np.zeros((2, 1, 3)), (2, 1, 3)),
+])
+def test_misshaped_start_points_raise(points, shape):
+    g, _ = boosted_grid(0.5)
+    want = r"^points .*\(N, 3\), got shape " + re.escape(str(shape)) + "$"
+    with pytest.raises(PreconditionViolated, match=want):
+        integrate_many(g, points, 0.0, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("x0, shape", [
+    ((0.0, 0.0, 0.0, 0.1, 0.1, 0.1), (6,)),
+    ((0.0, 0.0), (2,)),
+    ([[0.0, 0.0, 0.0]], (1, 3)),
+])
+def test_misshaped_start_point_raises(x0, shape):
+    g, _ = boosted_grid(0.5)
+    want = r"^x0 .*\(3,\), got shape " + re.escape(str(shape)) + "$"
+    with pytest.raises(PreconditionViolated, match=want):
+        integrate(g, x0, 0.0, 0.1, 0.05)
