@@ -252,15 +252,19 @@ def transform_from_params(
 
     xi has the grid shape dims, params dims + (6,); GridMismatch names
     the shapes otherwise.  Useful for constructing test configurations
-    whose connections are known.
+    whose connections are known.  The blocks are one site-local pass.
     """
     xi = np.asarray(xi, dtype=float)
     params = np.asarray(params, dtype=float)
     _require_on_grid("xi", xi.shape, dims, ())
     _require_on_grid("params", params.shape, dims, (6,))
-    phase = np.exp(1j * q * xi)
+
+    def sites(xi, params):
+        phase = np.exp(1j * q * xi)
+        return phase[..., None, None, None] * _boost_rotation(params)
+
     return TransformField(
-        blocks=phase[..., None, None, None] * _boost_rotation(params),
+        blocks=_sitewise(sites, xi.shape, xi, params),
         origin=np.asarray(origin, dtype=float),
         spacing=np.asarray(spacing, dtype=float),
         q=q,

@@ -345,17 +345,25 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
 
 # Every grid evaluator is site-local apart from the stencil of
 # grid_gradient, so it splits over slabs of a grid axis with no change in
-# the arithmetic at any site.  _slabs runs the slabs on one thread per CPU
-# this process may run on (numpy releases the GIL in its array loops),
-# the calling thread included, started per call and joined before it
-# returns: about 0.1 ms a call, and no thread outlives it.  Grids below
-# _SLAB_MIN_SITES sites run inline.  Threads cost a few MB (stacks,
-# allocator arenas) whatever the grid, and slabs save memory in
-# proportion to it: on 2 CPUs the perfbench pipeline chain peaked 5 MB
-# (6 %) higher threaded at 17^3 sites, the same at 21^3 and 4-9 % lower
-# from 25^3 (15,625 sites) up.
+# the arithmetic at any site.  _slabs takes one of three paths.
+# - Grids of _SLAB_MIN_SITES sites or more, when this process may run on
+#   two CPUs or more: slabs of about _SLAB_SITES sites on one thread per
+#   CPU (numpy releases the GIL in its array loops), the calling thread
+#   included, started per call and joined before it returns: about
+#   0.1 ms a call, and no thread outlives it.
+# - Other grids with room for two slabs of about _SERIAL_SLAB_SITES
+#   sites: those slabs one after another on the calling thread, so that
+#   only one slab's temporaries are alive at a time.  On 2 CPUs this took
+#   the peak RSS of a perfbench verify run from 70.0 to 57.8 MB (1,024
+#   sites: 57.5), at about 8 % of its speed (more page faults), and on
+#   one CPU that of a pipeline-33 op from 248 to 168 MB.  Threads cost
+#   more here: verify's 17^3 fields threaded peaked at 71.7 MB and took
+#   200-212 ms of CPU time an op, against 165-193 ms in one call.
+# - Everything else (fewer sites, arrays without four grid axes, a call
+#   made inside a slab): one call over the whole grid.
 _SLAB_MIN_SITES = 16384
 _SLAB_SITES = 4096  # about this many sites per slab, and >= 1 slab per thread
+_SERIAL_SLAB_SITES = 2048  # the same on the calling thread alone
 _in_slab = contextvars.ContextVar("_in_slab", default=False)  # nested: inline
 
 
@@ -369,33 +377,41 @@ def _slab_workers() -> int:
 def _slab_edges(grid_shape, workers: int):
     """(axis, edges): _slabs cuts grid_shape along its first largest axis
     into the slabs edges[i] <= index < edges[i + 1], at least one per
-    worker and about _SLAB_SITES sites each."""
+    worker and about _SLAB_SITES sites each (_SERIAL_SLAB_SITES for one
+    worker)."""
     axis = int(np.argmax(grid_shape))
     n = grid_shape[axis]
-    count = min(n, max(workers, -(-math.prod(grid_shape) // _SLAB_SITES)))
+    sites = _SLAB_SITES if workers > 1 else _SERIAL_SLAB_SITES
+    count = min(n, max(workers, -(-math.prod(grid_shape) // sites)))
     return axis, [n * i // count for i in range(count + 1)]
 
 
 def _slabs(slab_fn, grid_shape):
-    """slab_fn over slabs of the largest axis of grid_shape, on threads.
+    """slab_fn over slabs of the largest axis of grid_shape.
 
     slab_fn(sl) computes the part of a result on the sites sl, an index
     tuple (slice(None),) * axis + (slice(lo, hi),): an array or a tuple of
     arrays led by those sites' grid axes.  The parts fill outputs shaped
     grid_shape + their trailing axes, with the bits of slab_fn(()), the
     whole grid in one call.  That call is made instead for a grid_shape
-    of other than 4 axes or under _SLAB_MIN_SITES sites, on one CPU and
-    in a nested call.  The calling thread takes slab 0, starts the helper
-    threads, computes slab 0 and allocates the outputs from it, so none
-    lands in a helper's allocator arena; a helper that finishes a slab
-    before then waits.  Helpers run in a copy of the caller's context (its
-    np.errstate holds).  An exception raised in slabs is raised here once
-    all have stopped: the one of the lowest slab.
+    of other than 4 axes, in a nested call and where _slab_edges leaves
+    one slab.  The slabs run on one thread per CPU from _SLAB_MIN_SITES
+    sites up, and on the calling thread alone below that or on one CPU.
+    The calling thread takes slab 0, starts the helper threads (if any),
+    computes slab 0 and allocates the outputs from it, so none lands in a
+    helper's allocator arena; a helper that finishes a slab before then
+    waits.  Then it takes slabs like any helper.  Helpers run in a copy
+    of the caller's context (its np.errstate holds).  An exception raised
+    in slabs is raised here once all have stopped: the one of the lowest
+    slab.
     """
-    inline = len(grid_shape) != 4 or math.prod(grid_shape) < _SLAB_MIN_SITES
-    if inline or _in_slab.get() or (workers := _slab_workers()) == 1:
+    if len(grid_shape) != 4 or _in_slab.get():
         return slab_fn(())
+    big = math.prod(grid_shape) >= _SLAB_MIN_SITES
+    workers = _slab_workers() if big else 1
     axis, edges = _slab_edges(grid_shape, workers)
+    if len(edges) < 3:  # one slab
+        return slab_fn(())
     lead = (slice(None),) * axis
     slabs = [lead + (slice(*ends),) for ends in zip(edges, edges[1:])]
     todo = iter(range(1, len(slabs)))  # slab 0 is the calling thread's

@@ -99,6 +99,12 @@ def velocity_at(field, x) -> np.ndarray:
     so u.u = 1 to rounding and the time component stays positive.
     Raises SingularSpinor where Theta^2 + Phi^2 <= EPS_SINGULAR or the
     current is not timelike, and OutOfBounds outside the grid hull.
+
+    field is a CurrentField or a GridField.  A GridField costs a
+    bilinear pass over the whole grid on every call (on a 2-core
+    machine, 11.8 ms for one event on a (11, 17, 17, 17) grid, against
+    0.16 ms with a CurrentField), so a caller that asks more than once
+    builds CurrentField.from_grid once and passes that.
     """
     x = np.asarray(x, dtype=float)
     ev = x.reshape(-1, 4)
@@ -266,6 +272,9 @@ def continuity_residual(field) -> np.ndarray:
     or CurrentField.
 
     Exact solutions give O(h^2) residuals; anything else reports honestly.
+    A GridField costs a bilinear pass over the whole grid on every call;
+    a caller that also integrates or interpolates the current builds
+    CurrentField.from_grid once and passes that.
     """
     cur = _as_current(field)
     dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing)

@@ -975,7 +975,8 @@ def test_slab_flatness_matches_the_dense_oracle_bits(monkeypatch):
 
 
 def test_flatness_memory_peak():
-    # on 17^3 sites (inline) the traced peak of curvatures(lfield=...)
+    # on 17^3 sites (slabs on the calling thread; the bound dates from one
+    # whole-grid call) the traced peak of curvatures(lfield=...)
     # with the curvature of R kept stays within 10 % of the 15.9 MB of the
     # flatness that took one mu at a time (numpy 2.4); one product table
     # over the whole grid peaks at 31 MB
@@ -991,6 +992,26 @@ def test_flatness_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * 15.9e6
+
+
+def test_verify_gauge_chain_memory_peak():
+    # verify's curvature suite on its 17^3 field: goldstone_derivatives,
+    # build_connections and curvatures(lfield=...) traced together peak at
+    # 25.6 MB as whole-grid calls and at 14.8 MB in 2,048-site slabs
+    import tracemalloc
+
+    from polardirac import cli
+
+    lf = cli._gauge_params_grid(17, boost=False)
+    tracemalloc.start()
+    try:
+        gd = goldstone_derivatives(lf)
+        cf = build_connections(gd, ExternalPotentials(q=lf.q))
+        curvatures(cf, q=lf.q, lfield=lf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6
 
 
 def _random_gauge_field(rng, dims, spacing, q=1.0):

@@ -3,10 +3,11 @@ global decisions as one inline call, and no public call off the calling
 thread.
 
 Every grid evaluator below runs once on slabs and once with them forced
-off (a site threshold above the grid), and every array it returns must be
-equal bit for bit: the slabs change where a site is computed, never how.
-The slabs are forced onto two threads, so the threaded path runs on any
-machine.
+off (a site threshold and a serial slab size above the grid), and every
+array it returns must be equal bit for bit: the slabs change where a site
+is computed, never how.  The slabs are forced onto two threads, so the
+threaded path runs on any machine; grids below the threshold, or on one
+CPU, run their slabs on the calling thread.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ from polardirac.errors import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-OFF = 2**62  # a site threshold above every grid: everything inline
+OFF = 2**62  # a site count above every grid: with both, everything inline
 
 
 def _load(name):
@@ -51,13 +52,14 @@ def two_threads(monkeypatch):
 
 
 def _both(monkeypatch, fn, min_sites=None):
-    """fn() on slabs, then fn() inline; min_sites sets the threshold of
-    the first run."""
+    """fn() on slabs, then fn() inline, every grid in one whole-grid
+    call; min_sites sets the threshold of the first run."""
     if min_sites is not None:
         monkeypatch.setattr(fields, "_SLAB_MIN_SITES", min_sites)
     sliced = fn()
     with monkeypatch.context() as m:
         m.setattr(fields, "_SLAB_MIN_SITES", OFF)
+        m.setattr(fields, "_SERIAL_SLAB_SITES", OFF)
         inline = fn()
     return sliced, inline
 
@@ -201,6 +203,95 @@ def _dispatches(monkeypatch):
     return calls
 
 
+def _goldstone_slabs(monkeypatch):
+    """The (thread, grid shape) of every call of the Goldstone kernel."""
+    ran = []
+    real = connections._goldstone_sites
+
+    def recording(*args):
+        ran.append((threading.get_ident(), args[0].shape[:4]))
+        return real(*args)
+
+    monkeypatch.setattr(connections, "_goldstone_sites", recording)
+    return ran
+
+
+def _started_threads(monkeypatch):
+    """The threads started from now on."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recording)
+    return started
+
+
+@pytest.mark.parametrize(
+    "n, slabs, threads",
+    [(9, 1, 0), (17, 3, 0), (33, 9, 1)],  # one call, serial, threaded
+)
+def test_grids_run_whole_in_serial_slabs_or_on_threads(
+    monkeypatch, two_threads, n, slabs, threads
+):
+    # 9^3 has no room for two 2,048-site slabs; 17^3 (4,913 sites) is
+    # under the threads' 16,384 and runs three slabs on the calling
+    # thread; 33^3 runs nine 4,096-site slabs on two threads, as before
+    dims = (1, n, n, n)
+    a = np.random.default_rng(n).normal(size=dims)
+    ran = []
+
+    def slab_fn(sl):
+        ran.append((sl, threading.get_ident()))
+        return np.sin(a[sl])
+
+    started = _started_threads(monkeypatch)
+    assert np.array_equal(fields._slabs(slab_fn, dims), np.sin(a))
+    assert len(ran) == slabs and len(started) == threads
+    if slabs == 1:
+        assert ran == [((), threading.get_ident())]
+    if not threads:
+        assert {ident for _, ident in ran} == {threading.get_ident()}
+
+
+def test_chain_is_bit_identical_in_serial_slabs(monkeypatch, two_threads):
+    dims = (1, 17, 17, 17)
+    ran = _goldstone_slabs(monkeypatch)
+    started = _started_threads(monkeypatch)
+    _check_chain(monkeypatch, dims)
+    # the first run cut the 17^3 kernels into slabs, with no thread
+    assert any(shape != dims for _, shape in ran)
+    assert {ident for ident, _ in ran} == {threading.get_ident()}
+    assert started == []
+
+
+def test_one_cpu_runs_the_chain_in_slabs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    dims = (1, 26, 26, 26)  # 17,576 sites: threaded on two CPUs
+    assert np.prod(dims) >= fields._SLAB_MIN_SITES
+    ran = _goldstone_slabs(monkeypatch)
+    started = _started_threads(monkeypatch)
+    _check_chain(monkeypatch, dims, plain=False)
+    assert any(shape != dims for _, shape in ran)
+    assert {ident for ident, _ in ran} == {threading.get_ident()}
+    assert started == []
+
+
+@pytest.mark.parametrize("dims", [(1, 33, 33, 33), (1, 17, 17, 17)])
+def test_transform_from_params_matches_one_whole_grid_call(two_threads, dims):
+    from polardirac.clifford import _boost_rotation
+
+    rng = np.random.default_rng(sum(dims))
+    xi = rng.uniform(-0.5, 0.5, dims)
+    params = rng.uniform(-0.3, 0.3, dims + (6,))
+    lf = pdc.transform_from_params(xi, params, (0.0,) * 4, (1.0,) * 4, dims,
+                                   q=1.3)
+    whole = np.exp(1.3j * xi)[..., None, None, None] * _boost_rotation(params)
+    assert np.array_equal(lf.blocks, whole)
+
+
 def test_chain_is_bit_identical_on_the_full_grid(monkeypatch, two_threads):
     dims = (1, 33, 33, 33)
     assert np.prod(dims) >= fields._SLAB_MIN_SITES
@@ -246,25 +337,6 @@ def test_small_grids_and_single_points_run_inline(monkeypatch, two_threads):
     assert np.allclose(pdc.reassemble_split(sp), r, rtol=0.0, atol=1e-15)
     pdc.decompose(np.array([1.0, 0.2j, 0.5, 0.1]))
     assert calls == []
-
-
-def test_one_cpu_runs_everything_inline(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    g = _wave_grid((1, 33, 33, 33))
-    ran = set()
-    real = connections._goldstone_sites
-
-    def recording(*args):
-        ran.add(threading.get_ident())
-        return real(*args)
-
-    monkeypatch.setattr(connections, "_goldstone_sites", recording)
-    sliced, inline = _both(monkeypatch, lambda: pdc.PolarFields.from_grid(g))
-    assert ran == {threading.get_ident()}
-    _assert_identical(
-        [sliced.phi, sliced.cf, sliced.spin_plane],
-        [inline.phi, inline.cf, inline.spin_plane],
-    )
 
 
 def _second_slab_site(dims):
