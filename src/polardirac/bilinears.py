@@ -68,10 +68,12 @@ def _pair_weights(stack) -> np.ndarray:
     return w.reshape(32, 2 * len(stack))
 
 
-def _observables(psi, modulus: bool = False) -> np.ndarray:
+def _observables(psi, modulus: bool = False,
+                 locate=_site_location) -> np.ndarray:
     """Theta, Phi, U^0..U^3, S^0..S^3 of spinors psi (..., 4) as one real
     array (..., 10), or (..., 11) with Theta^2 + Phi^2 last when modulus
-    is set; ImaginaryResidue as in compute_bilinears."""
+    is set; ImaginaryResidue as in compute_bilinears, naming the site
+    locate(index) of its index into the leading axes of psi."""
     psi = np.asarray(psi, dtype=complex)
     weights = _pair_weights(_STACK)
 
@@ -94,7 +96,7 @@ def _observables(psi, modulus: bool = False) -> np.ndarray:
         worst = np.unravel_index(np.argmax(excess), excess.shape)
         raise ImaginaryResidue(
             f"bilinear imaginary residue {excess[worst]:.3e} exceeds "
-            f"tolerance at {_site_location(worst)}"
+            f"tolerance at {locate(worst)}"
         )
     return vals
 

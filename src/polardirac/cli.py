@@ -66,7 +66,7 @@ from .errors import ConfigError, PolarDiracError
 from .fields import convergence_order, plane_wave, sample, superpose
 from .polar import decompose, reconstruct
 from .trajectories import (
-    CurrentField,
+    LatticeCurrent,
     continuity_residual,
     integrate_many,
     write_csv,
@@ -685,7 +685,7 @@ def run_decompose(cfg: dict) -> int:
 def run_trajectories(cfg: dict) -> int:
     f = build_field(cfg)
     origin, spacing, dims = grid_spec(cfg)
-    cur = CurrentField.from_grid(sample(f, origin, spacing, dims))
+    cur = LatticeCurrent(f, origin, spacing, dims)
     tcfg = cfg["trajectories"]
     trajs = integrate_many(cur, tcfg["points"], float(tcfg["t0"]),
                            float(tcfg["t1"]), float(tcfg["dt"]))

@@ -245,15 +245,24 @@ class _Lookup:
     its lattice cell, corner c taking the upper site along active axis j
     where bit k - 1 - j of c is set.  frac maps events to lattice
     coordinates, inside is the hull rule and a call interpolates.
+
+    With a site function fill, the table is filled lazily: arr starts
+    unset (np.empty will do), and a call first sets the corners it reads
+    that no earlier call read, in one fill(sites) with their flat site
+    indices (sorted, each once), which returns their values (m,) + trail.
+    Each site is then computed once for the life of the lookup, and a
+    site no event reads never is.
     """
 
-    def __init__(self, origin, spacing, arr):
+    def __init__(self, origin, spacing, arr, fill=None):
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.asarray(spacing, dtype=float)
         arr = np.asarray(arr)
         dims = np.array(arr.shape[:4])
         self.trail = arr.shape[4:]
         self.table = arr.reshape((math.prod(arr.shape[:4]),) + self.trail)
+        self.fill = fill
+        self.known = None if fill is None else np.zeros(len(self.table), bool)
         self.active = np.flatnonzero(dims > 1)
         self.constant = np.flatnonzero(dims == 1)
         self.top = dims[self.active, None] - 2  # the last lower corner
@@ -300,8 +309,14 @@ class _Lookup:
         np.subtract(f, lower, out=pair[1])
         np.subtract(1.0, pair[1], out=pair[0])
         w = np.multiply.reduce(pair[self.bits, self.axis], axis=1)
+        corners = self.offsets[:, None] + self.strides @ lower
+        if self.fill is not None:
+            new = np.unique(corners[~self.known[corners]])
+            if len(new):
+                self.table[new] = self.fill(new)
+                self.known[new] = True
         terms = w.reshape(w.shape + (1,) * len(self.trail)) * self.table.take(
-            self.offsets[:, None] + self.strides @ lower, axis=0
+            corners, axis=0
         )
         # the corner sum in corner order from 0.0: add.reduce over the
         # leading axis adds the corners one by one, unless each is a lone

@@ -1,10 +1,13 @@
 """Flow lines of the conserved current.
 
 The bilinears Theta, Phi, U^a, S^a and the modulus Theta^2 + Phi^2 are
-sampled on a grid once and stacked into one array, so a single
-multilinear interpolation reads everything the integrator needs at an
-event.  The current is normalized on the fly; positions advance in
-coordinate time with dx/dt = u_spatial / u^0 under classical RK4.
+stacked into one array of lattice sites, so a single multilinear
+interpolation reads everything the integrator needs at an event.  A
+CurrentField holds them at every site; for a LatticeCurrent, an analytic
+field on a lattice, a site is computed the first time a flow line reads
+it, with the bits of the whole-lattice pass.  The current is normalized
+on the fly; positions advance in coordinate time with
+dx/dt = u_spatial / u^0 under classical RK4.
 Interpolating the unnormalized current (rather than u itself) avoids
 normalization kinks near zeros of the density.  All seeds of a run
 advance together as one (N, 3) state, and each seed stops on its own
@@ -31,7 +34,8 @@ from .bilinears import _observables
 from .clifford import minkowski_dot
 from .connections import ExternalPotentials, polar_pipeline
 from .errors import PreconditionViolated, SingularSpinor
-from .fields import GridField, _Lookup, grid_gradient, interp_values
+from .fields import AnalyticField, GridField, _lattice, _Lookup, _site_location
+from .fields import grid_gradient, interp_values, sample
 from .polar import EPS_SINGULAR, _chiral_angle
 
 CSV_FIELDS = (
@@ -69,10 +73,60 @@ class CurrentField:
         """obs filled slab by slab by the bilinears' own site pass."""
         return cls(g=g, obs=_observables(g.values, modulus=True))
 
+    def lookup(self) -> _Lookup:
+        return _Lookup(self.g.origin, self.g.spacing, self.obs)
+
+
+@dataclass(frozen=True)
+class LatticeCurrent:
+    """The observables of CurrentField for an analytic field f on a
+    lattice, computed at a site only when a flow line first reads it.
+
+    origin, spacing and dims are checked as by sample (PreconditionViolated
+    naming the entry, axis or value).  integrate_many reads the sites
+    lazily; velocity_at and continuity_residual sample the whole lattice.
+    """
+
+    f: AnalyticField
+    origin: np.ndarray
+    spacing: np.ndarray
+    dims: tuple
+
+    def __post_init__(self):
+        lattice = _lattice(self.origin, self.spacing, self.dims)
+        for name, value in zip(("origin", "spacing", "dims"), lattice):
+            object.__setattr__(self, name, value)
+
+    def lookup(self) -> _Lookup:
+        """A lookup whose table holds the sites filled so far, each the
+        bits of CurrentField.from_grid(sample(...)).obs there."""
+        origin, spacing, dims = self.origin, self.spacing, self.dims
+
+        def fill(sites):
+            # the bits of sample's matmuls need two rows or more (one row
+            # takes another BLAS route), and rows of one site where the
+            # last lattice axis has one
+            rows = sites if len(sites) > 1 else np.repeat(sites, 2)
+            index = np.stack(np.unravel_index(rows, dims), axis=-1)
+            events = origin + spacing * index
+            if dims[3] == 1:
+                events = events[:, None]
+            obs = _observables(
+                self.f.at(events), modulus=True,
+                locate=lambda i: _site_location(index[i[0]], origin, spacing),
+            )
+            return obs.reshape(len(rows), 11)[:len(sites)]
+
+        return _Lookup(origin, spacing, np.empty(dims + (11,)), fill=fill)
+
 
 def _as_current(field) -> CurrentField:
+    """The eager CurrentField of a CurrentField, GridField or
+    LatticeCurrent (the last sampled on its whole lattice)."""
     if isinstance(field, CurrentField):
         return field
+    if isinstance(field, LatticeCurrent):
+        field = sample(field.f, field.origin, field.spacing, field.dims)
     return CurrentField.from_grid(field)
 
 
@@ -100,11 +154,12 @@ def velocity_at(field, x) -> np.ndarray:
     Raises SingularSpinor where Theta^2 + Phi^2 <= EPS_SINGULAR or the
     current is not timelike, and OutOfBounds outside the grid hull.
 
-    field is a CurrentField or a GridField.  A GridField costs a
-    bilinear pass over the whole grid on every call (on a 2-core
+    field is a CurrentField, a GridField or a LatticeCurrent.  A GridField
+    costs a bilinear pass over the whole grid on every call (on a 2-core
     machine, 11.8 ms for one event on a (11, 17, 17, 17) grid, against
-    0.16 ms with a CurrentField), so a caller that asks more than once
-    builds CurrentField.from_grid once and passes that.
+    0.16 ms with a CurrentField), and a LatticeCurrent a sample of its
+    lattice besides, so a caller that asks more than once builds
+    CurrentField.from_grid once and passes that.
     """
     x = np.asarray(x, dtype=float)
     ev = x.reshape(-1, 4)
@@ -165,6 +220,9 @@ def _table(t: float, x: np.ndarray, vals: np.ndarray,
 def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
     """Transport every point of points (N, 3) along the current together.
 
+    field is a CurrentField, a GridField (its bilinears taken once per
+    call) or a LatticeCurrent (its sites computed as the seeds read them).
+
     Classical 4th-order Runge-Kutta in coordinate time; a shorter final
     step lands exactly on t1 when (t1 - t0) is not a multiple of dt.  All
     seeds share the time steps and each stage interpolates once for the
@@ -194,8 +252,9 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
             f"points must be start points (x, y, z), shape (N, 3), got "
             f"shape {x.shape}"
         )
-    cur = _as_current(field)
-    lookup = _Lookup(cur.g.origin, cur.g.spacing, cur.obs)
+    # a LatticeCurrent fills its lookup as the flow lines read it
+    src = field if isinstance(field, LatticeCurrent) else _as_current(field)
+    lookup = src.lookup()
     t = float(t0)
     span = float(t1) - t
     n_full = int(np.floor(span / dt + 1e-12))
@@ -268,8 +327,8 @@ def integrate(field, x0, t0: float, t1: float, dt: float) -> Trajectory:
 
 
 def continuity_residual(field) -> np.ndarray:
-    """Divergence of the current, d_mu U^mu, at every site of a GridField
-    or CurrentField.
+    """Divergence of the current, d_mu U^mu, at every site of a GridField,
+    CurrentField or LatticeCurrent (sampled on its whole lattice).
 
     Exact solutions give O(h^2) residuals; anything else reports honestly.
     A GridField costs a bilinear pass over the whole grid on every call;

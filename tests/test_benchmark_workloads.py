@@ -111,9 +111,10 @@ def test_gaussian_chain_keeps_no_unread_tensor(tmp_path, monkeypatch):
 def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     tmp_path, monkeypatch
 ):
-    # one evaluation of the plane-wave sum at each lattice site (sample
-    # evaluates it slab by slab) and one bilinear pass per op, and CSV
-    # bytes equal to the csv module's for the same rows
+    # the plane-wave sum is evaluated only at lattice sites, at each at
+    # most once in an op and at fewer than the lattice holds, with one
+    # bilinear pass per batch of sites; and CSV bytes equal to the csv
+    # module's for the same rows
     import sys
 
     import numpy as np
@@ -150,12 +151,16 @@ def test_flowlines_op_samples_once_and_writes_the_csv_writer_bytes(
     w = WL.Flowlines(0, tmp_path)
     _, raw = w.run(-1)
     assert WL.check(w, w.digest(raw), None)["ok"]
-    assert counts == {"_observables": 1}
+    assert counts == {"_observables": len(evaluated)}
     grid = yaml.safe_load(w.warm_config_path.read_text())["grid"]
-    sites = np.concatenate(evaluated)
     lattice = fields._lattice_events(**grid).reshape(-1, 4)
-    assert len(sites) == len(lattice)
-    assert np.array_equal(np.unique(sites, axis=0), np.unique(lattice, axis=0))
+    # a lone site is evaluated beside a copy of itself, so count each
+    # batch's sites once
+    sites = np.concatenate([np.unique(ev, axis=0) for ev in evaluated])
+    assert 0 < len(np.unique(sites, axis=0)) == len(sites) < len(lattice)
+    assert len(np.unique(np.concatenate([lattice, sites]), axis=0)) == len(
+        lattice
+    )
     ((trajs, combined),) = written
     assert combined and raw[2] == oracles.csv_bytes(trajs, combined=True)
 

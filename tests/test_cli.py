@@ -477,22 +477,71 @@ def test_trajectories_summary_counts_reasons_and_stop_events(
 
 
 def test_trajectories_build_current_once(tmp_path, capsys, monkeypatch):
-    import polardirac.trajectories as trajectories
+    # the field is evaluated only at lattice sites, each at most once in a
+    # run for all its seeds, and not at every site of the lattice
+    import polardirac.fields as fields
 
-    calls = []
-    real = trajectories._observables
+    evaluated = []  # the events of each AnalyticField.at call
+    real = fields.AnalyticField.at
 
-    def counting(values, **kwargs):
-        calls.append(values.shape)
-        return real(values, **kwargs)
+    def at(self, x):
+        evaluated.append(np.reshape(x, (-1, 4)))
+        return real(self, x)
 
-    monkeypatch.setattr(trajectories, "_observables", counting)
+    monkeypatch.setattr(fields.AnalyticField, "at", at)
     points = [[0.0, 0.0, z] for z in (-0.5, 0.0, 0.5)]
-    path = write_cfg(tmp_path, trajectories_cfg(tmp_path, points))
+    cfg = trajectories_cfg(tmp_path, points)
+    path = write_cfg(tmp_path, cfg)
     code, out, _ = run_cli(capsys, "trajectories", path)
     assert code == 0
     assert len(json.loads(out)["trajectories"]) == 3
-    assert len(calls) == 1
+    lattice = fields._lattice_events(**cfg["grid"]).reshape(-1, 4)
+    # a lone site is evaluated beside a copy of itself, so count each
+    # batch's sites once
+    sites = np.concatenate([np.unique(ev, axis=0) for ev in evaluated])
+    assert 0 < len(np.unique(sites, axis=0)) == len(sites) < len(lattice)
+    assert len(np.unique(np.concatenate([lattice, sites]), axis=0)) == len(
+        lattice
+    )
+
+
+@pytest.mark.parametrize("points", [
+    [[0.1, -0.2, 0.0]],  # one seed: lookups that fill few sites
+    [[x, -x, 0.0] for x in (-0.5, 0.0, 0.5)],
+    [[0.3, 0.3, 0.0], [55.0, 0.0, 0.0], [-0.4, 0.6, 0.0]],  # one outside
+])
+def test_trajectories_csv_equals_integrate_many_on_the_eager_current(
+    tmp_path, capsys, points
+):
+    # the sites a run fills as its flow lines read them hold the bits of
+    # the whole-lattice current, so the CSV is byte for byte that of
+    # integrate_many on CurrentField.from_grid(sample(...)); the lattice's
+    # last axis has one site, where that takes a batch shape of its own
+    from polardirac.cli import build_field, grid_spec
+    from polardirac.fields import sample
+    from polardirac.trajectories import (
+        CurrentField,
+        integrate_many,
+        write_csv,
+    )
+
+    cfg = trajectories_cfg(tmp_path, points)
+    cfg["field"] = {"kind": "superposition", "mass": 1.0, "components": [
+        {"momentum": [float(np.sqrt(1.29)), 0.5, -0.2, 0.0],
+         "coeff": [1.0, 0.0]},
+        {"momentum": [float(np.sqrt(1.25)), -0.3, 0.4, 0.0],
+         "spin_up": False, "coeff": [0.3, -0.4]},
+    ]}
+    cfg["grid"] = {"origin": [0.0, -1.0, -1.0, 0.0],
+                   "spacing": [0.1, 0.25, 0.25, 1.0], "dims": [11, 9, 9, 1]}
+    code, _, _ = run_cli(capsys, "trajectories", write_cfg(tmp_path, cfg))
+    assert code == 0
+    origin, spacing, dims = grid_spec(cfg)
+    cur = CurrentField.from_grid(sample(build_field(cfg), origin, spacing,
+                                        dims))
+    trajs = integrate_many(cur, points, 0.0, 1.0, 0.05)
+    (eager,) = write_csv(trajs, tmp_path / "eager.csv", combined=True)
+    assert (tmp_path / "flow.csv").read_bytes() == eager.read_bytes()
 
 
 def test_trajectories_interpolate_once_per_stage_for_all_seeds(

@@ -10,6 +10,7 @@ import polardirac.fields as fields
 from polardirac.bilinears import compute_bilinears
 from polardirac.clifford import minkowski_dot
 from polardirac.errors import (
+    ImaginaryResidue,
     OutOfBounds,
     PreconditionViolated,
     SingularSpinor,
@@ -27,6 +28,7 @@ from polardirac.polar import PolarData, decompose, reconstruct
 from polardirac.trajectories import (
     CSV_FIELDS,
     CurrentField,
+    LatticeCurrent,
     Trajectory,
     continuity_residual,
     integrate,
@@ -583,3 +585,131 @@ def test_misshaped_start_point_raises(x0, shape):
     want = r"^x0 .*\(3,\), got shape " + re.escape(str(shape)) + "$"
     with pytest.raises(PreconditionViolated, match=want):
         integrate(g, x0, 0.0, 0.1, 0.05)
+
+
+def flowlines_field(seed, n=4):
+    """n on-shell waves with mixed spins and complex weights, drawn as the
+    flowlines benchmark draws its field."""
+    rng = np.random.default_rng(seed)
+    waves = []
+    for i in range(n):
+        p = rng.uniform(-0.8, 0.8, 3)
+        waves.append(plane_wave([np.sqrt(1.0 + p @ p), *p], spin_up=i % 2 == 0))
+    return superpose(waves, rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+LAZY_ORIGIN = np.array([0.0, -1.0, -1.0, -1.0])
+LAZY_SPACING = np.array([0.1, 0.125, 0.125, 0.125])
+LAZY_GRIDS = [
+    (11, 17, 17, 17),  # the flowlines benchmark's lattice
+    (5, 7, 6, 1),
+    (9, 9, 1, 1),
+    (1, 1, 1, 9),
+    (1, 1, 1, 1),
+]
+
+
+def eager_obs(f, dims):
+    """CurrentField.from_grid(sample(...)).obs of f, one row per site."""
+    g = sample(f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    return CurrentField.from_grid(g).obs.reshape(-1, 11)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dims", LAZY_GRIDS)
+def test_lazy_fill_is_the_eager_current_bit_for_bit(dims, seed):
+    # a site filled alone or in a batch holds the bits of the whole-lattice
+    # pass; a lone site and a lattice whose last axis has one site take
+    # matmul routes of their own there
+    f = flowlines_field(seed)
+    eager = eager_obs(f, dims)
+    fill = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims).lookup().fill
+    rng = np.random.default_rng(seed)
+    for m in (1, 2, 3, 40):
+        m = min(m, len(eager))
+        sites = np.sort(rng.choice(len(eager), m, replace=False))
+        assert np.array_equal(fill(sites), eager[sites]), m
+
+
+@pytest.mark.parametrize("dims", LAZY_GRIDS)
+def test_lazy_lookup_fills_each_site_once_with_the_eager_bits(dims):
+    # lookups of 1 to 30 events, some outside the hull, read what the
+    # eager lookup reads, and fill only the corners they read, each once
+    f = flowlines_field(3)
+    eager = CurrentField.from_grid(
+        sample(f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    ).lookup()
+    lazy = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims).lookup()
+    filled, fill = [], lazy.fill
+
+    def recording(sites):
+        filled.append(sites)
+        return fill(sites)
+
+    lazy.fill = recording
+    rng = np.random.default_rng(0)
+    top = np.array(dims) - 1.0
+    for n in (1, 5, 1, 30, 30):
+        frac = rng.uniform(-0.05 * top, 1.05 * top, (n, 4))
+        (keep, vals), (want_keep, want) = lazy(frac), eager(frac)
+        assert np.array_equal(keep, want_keep)
+        assert np.array_equal(vals, want)
+    sites = np.concatenate(filled)
+    assert len(np.unique(sites)) == len(sites)
+    assert np.array_equal(np.sort(sites), np.flatnonzero(lazy.known))
+    assert np.array_equal(lazy.table[lazy.known], eager.table[lazy.known])
+    if len(eager.table) > 16:
+        assert len(sites) < len(eager.table)
+
+
+@pytest.mark.parametrize("dims, axis", [((1, 1, 1, 9), 3), ((1, 1, 9, 1), 2)])
+def test_lazy_imaginary_residue_names_the_lattice_site(monkeypatch, dims,
+                                                       axis):
+    # the first lookup fills the two corners of the start point; the one
+    # of larger U^0 carries the larger residue, and the error names its
+    # lattice index and event, not its row in the batch
+    import polardirac.bilinears as bilinears
+
+    f = flowlines_field(0)
+    u0 = eager_obs(f, dims)[:, 2]
+    index = [0, 0, 0, 0]
+    index[axis] = 3 if u0[3] > u0[4] else 4
+    event = LAZY_ORIGIN + LAZY_SPACING * index
+    broken = bilinears._STACK.copy()
+    broken[1] = broken[1] + 1e-4j * np.eye(4)  # a residue of 1e-4 U^0
+    monkeypatch.setattr(bilinears, "_STACK", broken)
+    start = LAZY_ORIGIN[1:].copy()
+    start[axis - 1] += 3.5 * LAZY_SPACING[axis]
+    lattice = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    want = (f"at grid index {tuple(index)}, "
+            f"event (t, x, y, z) = {event.tolist()}")
+    with pytest.raises(ImaginaryResidue, match=re.escape(want) + "$"):
+        integrate(lattice, start, 0.0, 0.0, 0.1)
+
+
+def test_velocity_and_continuity_read_a_lattice_current_whole():
+    # both sample the whole lattice, as for a GridField
+    f = flowlines_field(1)
+    dims = (5, 9, 9, 9)
+    lattice = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    cur = CurrentField.from_grid(sample(f, LAZY_ORIGIN, LAZY_SPACING, dims))
+    rng = np.random.default_rng(2)
+    pts = LAZY_ORIGIN + LAZY_SPACING * rng.uniform(0.0, 4.0, (20, 4))
+    assert np.array_equal(velocity_at(lattice, pts), velocity_at(cur, pts))
+    assert np.array_equal(continuity_residual(lattice),
+                          continuity_residual(cur))
+
+
+@pytest.mark.parametrize("origin, spacing, dims, message", [
+    (np.zeros(4), [1, 1, -0.5, 1], (1, 5, 5, 5), r"spacing along y is -0\.5"),
+    (np.zeros(4), np.ones(4), (1, 5, 2, 5), r"axis y has 2 sites"),
+    (np.zeros(4), np.ones(4), (5, 5, 5), r"4 entries.*\(5, 5, 5\)"),
+    ([0, np.nan, 0, 0], np.ones(4), (1, 5, 5, 5), r"origin entry \(1,\) is nan"),
+])
+def test_lattice_current_checks_the_lattice_as_sample_does(origin, spacing,
+                                                          dims, message):
+    f = flowlines_field(0)
+    with pytest.raises(PreconditionViolated, match=message):
+        sample(f, origin, spacing, dims)
+    with pytest.raises(PreconditionViolated, match=message):
+        LatticeCurrent(f, origin, spacing, dims)
