@@ -347,17 +347,19 @@ def _order_check(name: str, order, band: float) -> dict:
     return _check(name, deviation, band)
 
 
-def _refinement_checks(evaluate, prefix: str, band: float) -> list:
+def _refinement_checks(coarse, fine, prefix: str, band: float,
+                       trim: int = 0) -> list:
     """Second-order checks between n = 9 and n = 17.
 
-    evaluate(n) returns {key: residual grid}; one check per key, named
-    prefix + key + "_order", in the order the keys come.
+    coarse and fine are {key: residual grid} of the 9- and 17-site levels,
+    the fine grids less trim sites at each end of every active axis (see
+    convergence_order); one check per key, named prefix + key + "_order",
+    in the order the keys come.
     """
-    coarse, fine = evaluate(9), evaluate(17)
     return [
         _order_check(
             f"{prefix}{key}_order",
-            convergence_order(coarse[key], fine[key])[0],
+            convergence_order(coarse[key], fine[key], trim)[0],
             band,
         )
         for key in coarse
@@ -520,16 +522,34 @@ def suite_equivalence(cfg: dict, rng) -> list:
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
             }
 
-        checks += _refinement_checks(evaluate, f"{label}_", band)
+        checks += _refinement_checks(
+            evaluate(9), evaluate(17), f"{label}_", band
+        )
     return checks
 
 
-def _gauge_params_grid(n: int, boost: bool):
-    """Pure-gauge transform field over a static spatial box."""
+# Sites of the 17-site pure-gauge level left out at each end of every
+# spatial axis.  convergence_order reads its sites 4 ... 12; every residual
+# of the curvature and constraints suites chains at most two central
+# stencils (L -> X -> dX, X -> R or P -> their derivatives, X -> R -> B and
+# R vectors -> div), so sites 2 ... 14 keep the read sites' whole-grid
+# bits.  (Those curls and divergences never difference a component along
+# its own axis, so one site of halo keeps them today.)  The 9-site level
+# reads sites 2 ... 6 plus that halo: its whole grid.
+_FINE_TRIM = 2
+
+
+def _gauge_params_grid(n: int, boost: bool, trim: int = 0):
+    """Pure-gauge transform field over a static spatial box: the n-site
+    grid on [-1, 1]^3, less trim sites at each end of every spatial axis.
+
+    The kept coordinates are sliced from the whole grid's axis, so every
+    site has its whole-grid bits; the field's origin is the first of them.
+    """
     h = 2.0 / (n - 1)
-    ax = np.linspace(-1.0, 1.0, n)
+    ax = np.linspace(-1.0, 1.0, n)[trim:n - trim]
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    params = np.zeros((1, n, n, n, 6))
+    params = np.zeros((1,) + x.shape + (6,))
     if boost:
         params[..., 0] = 0.3 * np.sin(x) * np.cos(y)
         params[..., 1] = 0.25 * np.sin(z)
@@ -539,10 +559,29 @@ def _gauge_params_grid(n: int, boost: bool):
         params[..., 4] = 0.25 * np.cos(y + z)
         params[..., 5] = 0.2 * np.sin(y)
     xi = (0.4 * np.sin(x) * np.cos(z))[None]
-    origin = (0.0, -1.0, -1.0, -1.0)
+    origin = (0.0,) + (float(ax[0]),) * 3
     spacing = (1.0, h, h, h)
-    dims = (1, n, n, n)
-    return transform_from_params(xi, params, origin, spacing, dims)
+    return transform_from_params(xi, params, origin, spacing, xi.shape)
+
+
+def _pure_gauge_curvature(n: int, trim: int = 0) -> dict:
+    """{key: residual grid} of the curvature suite's order checks on
+    _gauge_params_grid(n, boost=False, trim)."""
+    lf = _gauge_params_grid(n, boost=False, trim=trim)
+    gd = goldstone_derivatives(lf)
+    cf = build_connections(gd, ExternalPotentials(q=lf.q))
+    cd = curvatures(cf, q=lf.q, lfield=lf)
+    return {"F": np.abs(cd.F), "riemann": cd.riemann, "flat": cd.goldstone_flat}
+
+
+def _pure_gauge_constraints(n: int, trim: int = 0) -> dict:
+    """{key: residual grid} of the constraints suite's order checks on
+    _gauge_params_grid(n, boost=True, trim)."""
+    lf = _gauge_params_grid(n, boost=True, trim=trim)
+    gd = goldstone_derivatives(lf)
+    cf = build_connections(gd, ExternalPotentials(q=lf.q))
+    dc = divergence_constraints(cf)
+    return {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
 
 
 def suite_curvature(cfg: dict, rng) -> list:
@@ -550,18 +589,10 @@ def suite_curvature(cfg: dict, rng) -> list:
     band = float(cfg["tolerances"]["order_band"])
     q = float(cfg["couplings"]["q"])
 
-    def evaluate(n):
-        lf = _gauge_params_grid(n, boost=False)
-        gd = goldstone_derivatives(lf)
-        cf = build_connections(gd, ExternalPotentials(q=lf.q))
-        cd = curvatures(cf, q=lf.q, lfield=lf)
-        return {
-            "F": np.abs(cd.F),
-            "riemann": cd.riemann,
-            "flat": cd.goldstone_flat,
-        }
-
-    checks = _refinement_checks(evaluate, "pure_gauge_", band)
+    checks = _refinement_checks(
+        _pure_gauge_curvature(9), _pure_gauge_curvature(17, _FINE_TRIM),
+        "pure_gauge_", band, _FINE_TRIM,
+    )
 
     # a plane wave's transform is an identity multiple: its spin
     # connection, and hence its curvature, vanish exactly
@@ -584,14 +615,10 @@ def suite_constraints(cfg: dict, rng) -> list:
     back = reassemble_split(irreducible_split(r))
     checks.append(_check("split_reassembly", np.max(np.abs(back - r)), tol))
 
-    def evaluate(n):
-        lf = _gauge_params_grid(n, boost=True)
-        gd = goldstone_derivatives(lf)
-        cf = build_connections(gd, ExternalPotentials(q=lf.q))
-        dc = divergence_constraints(cf)
-        return {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
-
-    return checks + _refinement_checks(evaluate, "", band)
+    return checks + _refinement_checks(
+        _pure_gauge_constraints(9), _pure_gauge_constraints(17, _FINE_TRIM),
+        "", band, _FINE_TRIM,
+    )
 
 
 def suite_continuity(cfg: dict, rng) -> list:

@@ -372,8 +372,10 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
 #   the peak RSS of a perfbench verify run from 70.0 to 57.8 MB (1,024
 #   sites: 57.5), at about 8 % of its speed (more page faults), and on
 #   one CPU that of a pipeline-33 op from 248 to 168 MB.  Threads cost
-#   more here: verify's 17^3 fields threaded peaked at 71.7 MB and took
-#   200-212 ms of CPU time an op, against 165-193 ms in one call.
+#   more here: verify's then whole 17^3 gauge fields threaded peaked at
+#   71.7 MB and took 200-212 ms of CPU time an op, against 165-193 ms in
+#   one call.  verify now builds 13^3 windows of them (2,197 sites), two
+#   serial slabs each.
 # - Everything else (fewer sites, arrays without four grid axes, a call
 #   made inside a slab): one call over the whole grid.
 _SLAB_MIN_SITES = 16384
@@ -577,24 +579,37 @@ def interior(dims) -> tuple:
 EXACT_FLOOR = 1e-12
 
 
-def convergence_order(coarse: np.ndarray, fine: np.ndarray):
+def convergence_order(coarse: np.ndarray, fine: np.ndarray, trim: int = 0):
     """Measured order of a residual under grid halving.
 
     The coarse grid is read from the first four axes of coarse.  The fine
     grid must have 2d-1 sites per active axis over the same extent, so its
     even-index sites coincide with the coarse sites; maxima are then
-    compared over the identical physical interior.  Returns
+    compared over the identical physical interior, fine sites 4 ... 2d-6.
+    fine may hold that grid less trim (<= 4) sites at each end of every
+    active axis, so that its index i is fine site i + trim.  Returns
     (order, max_coarse, max_fine); order is None when both maxima are below
     EXACT_FLOOR, meaning the residual vanishes identically rather than at
-    O(h^2).
+    O(h^2), and otherwise finite: a maximum below EXACT_FLOOR counts as
+    EXACT_FLOOR.  A maximum that is not finite raises PreconditionViolated
+    naming its level.
     """
     dims = coarse.shape[:4]
-    slf = tuple(slice(None) if d == 1 else slice(4, 2 * d - 5, 2) for d in dims)
+    slf = tuple(
+        slice(None) if d == 1 else slice(4 - trim, 2 * d - 5 - trim, 2)
+        for d in dims
+    )
     mc = float(np.max(np.abs(coarse[interior(dims)])))
     mf = float(np.max(np.abs(fine[slf])))
+    for level, value in (("coarse", mc), ("fine", mf)):
+        if not math.isfinite(value):
+            raise PreconditionViolated(
+                f"convergence_order: the {level} maximum is {value}"
+            )
     if mc < EXACT_FLOOR and mf < EXACT_FLOOR:
         return None, mc, mf
-    return float(np.log2(mc / mf)), mc, mf
+    ratio = max(mc, EXACT_FLOOR) / max(mf, EXACT_FLOOR)
+    return float(np.log2(ratio)), mc, mf
 
 
 def sample(f: AnalyticField, origin, spacing, dims) -> GridField:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
+from polardirac import cli
 from polardirac.cli import DEFAULTS, SUITES, load_config, main
 from polardirac.errors import ConfigError
+from polardirac.fields import convergence_order
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +35,65 @@ def test_default_verify_passes(capsys):
     assert all(s["status"] == "pass" for s in doc["suites"])
     for suite in doc["suites"]:
         assert suite["checks"], "every selected suite carries its checks"
+
+
+# every curvature and constraints residual of the default report, as the
+# whole 17^3 fine levels give them
+_PINNED_RESIDUALS = {
+    ("curvature", "pure_gauge_F_order"): 0.10711346602506522,
+    ("curvature", "pure_gauge_riemann_order"): 0.08031580590365106,
+    ("curvature", "pure_gauge_flat_order"): 0.044780109561945336,
+    ("curvature", "wave_spin_connection"): 8.60046253236147e-14,
+    ("constraints", "split_reassembly"): 2.220446049250313e-16,
+    ("constraints", "resB_order"): 0.058024330828784665,
+    ("constraints", "resR_order"): 0.03600280535491596,
+}
+
+
+def test_default_verify_keeps_the_pure_gauge_residual_bits(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    got = {
+        (suite["name"], c["name"]): c["residual"]
+        for suite in json.loads(out)["suites"]
+        if suite["name"] in ("curvature", "constraints")
+        for c in suite["checks"]
+    }
+    assert got == _PINNED_RESIDUALS
+
+
+def test_verify_builds_the_fine_gauge_levels_windowed(capsys, monkeypatch):
+    # curvature, then constraints: each a whole 9^3 level and the 13^3
+    # window of its 17^3 level
+    built = []
+    real = cli.transform_from_params
+
+    def spy(*args, **kwargs):
+        lf = real(*args, **kwargs)
+        built.append(lf.grid_shape)
+        return lf
+
+    monkeypatch.setattr(cli, "transform_from_params", spy)
+    assert run_cli(capsys, "verify")[0] == 0
+    assert built == [(1, 9, 9, 9), (1, 13, 13, 13)] * 2
+
+
+@pytest.mark.parametrize(
+    "residuals", [cli._pure_gauge_curvature, cli._pure_gauge_constraints]
+)
+def test_windowed_fine_level_keeps_the_bits_the_order_check_reads(residuals):
+    # fine sites 4 ... 12 of every spatial axis hold the sites
+    # convergence_order reads
+    trim = cli._FINE_TRIM
+    coarse, whole, window = residuals(9), residuals(17), residuals(17, trim)
+    read = (slice(None),) + (slice(4, 13),) * 3
+    read_in_window = (slice(None),) + (slice(4 - trim, 13 - trim),) * 3
+    for key in whole:
+        assert window[key].shape[1:4] == (17 - 2 * trim,) * 3
+        assert np.array_equal(window[key][read_in_window], whole[key][read]), key
+        assert convergence_order(coarse[key], window[key], trim) == (
+            convergence_order(coarse[key], whole[key])
+        )
 
 
 def test_zero_tolerances_fail_with_residuals(tmp_path, capsys):

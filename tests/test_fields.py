@@ -13,8 +13,10 @@ from polardirac.errors import (
 )
 from polardirac.clifford import _flip
 from polardirac.fields import (
+    EXACT_FLOOR,
     GridField,
     _lattice_events,
+    convergence_order,
     gaussian_packet,
     grid_gradient,
     interp_values,
@@ -133,6 +135,26 @@ def test_phases_keep_the_bits_of_the_complex_exponential():
         [0.0, -1.0, -1.0, -1.0], [0.1, 0.125, 0.125, 0.125], (11, 17, 17, 17)
     )
     assert np.array_equal(f._phases(x), np.exp(-1j * (x @ _flip(f.momenta).T)))
+
+
+def test_convergence_order_of_a_vanishing_fine_maximum_is_finite():
+    order, mc, mf = convergence_order(
+        np.ones((9, 1, 1, 1)), np.zeros((17, 1, 1, 1))
+    )
+    assert (order, mc, mf) == (np.log2(1.0 / EXACT_FLOOR), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("level", ["coarse", "fine"])
+def test_convergence_order_names_a_level_whose_maximum_is_not_finite(
+    level, value
+):
+    grids = {"coarse": np.ones((9, 1, 1, 1)), "fine": np.ones((17, 1, 1, 1))}
+    grids[level][4] = value  # a site both levels read
+    with pytest.raises(
+        PreconditionViolated, match=f"the {level} maximum is {value}"
+    ):
+        convergence_order(grids["coarse"], grids["fine"])
 
 
 def test_sample_exact_at_sites():
