@@ -141,8 +141,8 @@ _NUMBER = (int, float)  # matched by exact type, so a bool is no number
 
 def _conform(value, default, where: str = ""):
     """value checked against default, the schema it is read by, and
-    returned with the text of a float, such as 1e-8, read as that float
-    wherever a float is expected.
+    returned with the types of its default: wherever a float is expected,
+    a number or the text of a float, such as 1e-8, is read as that float.
 
     A mapping takes only its default's keys.  A float default takes any
     finite number, None takes a string or None, and every other leaf the
@@ -181,9 +181,11 @@ def _conform(value, default, where: str = ""):
     elif isinstance(default, float):
         if isinstance(value, str) and _FLOAT_TEXT.fullmatch(value):
             value = float(value)
-        # false for NaN, for +-inf and for an int beyond the range of a float
-        if type(value) in _NUMBER and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"'{where}' must be finite, got {value}")
+        if type(value) in _NUMBER:
+            # false for NaN, for +-inf and for an int beyond a float's range
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"'{where}' must be finite, got {value}")
+            return float(value)
         kinds = _NUMBER
     else:
         kinds = (str, type(None)) if default is None else (type(default),)
@@ -289,7 +291,7 @@ def build_field(cfg: dict):
     as a configuration problem.  A plane wave is the one-component
     superposition of the field entry itself."""
     fcfg = cfg["field"]
-    mass = float(fcfg["mass"])
+    mass = fcfg["mass"]
     if fcfg["kind"] == "plane_wave":
         parts = {"field": fcfg}
     else:
@@ -316,11 +318,7 @@ def build_field(cfg: dict):
 
 def grid_spec(cfg: dict):
     g = cfg["grid"]
-    return (
-        tuple(float(v) for v in g["origin"]),
-        tuple(float(v) for v in g["spacing"]),
-        tuple(int(v) for v in g["dims"]),
-    )
+    return tuple(g["origin"]), tuple(g["spacing"]), tuple(g["dims"])
 
 
 def _refined(origin, spacing, dims):
@@ -341,29 +339,22 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _order_check(name: str, order, band: float) -> dict:
-    # exact-vanish branches (order is None) have nothing left to converge
-    deviation = 0.0 if order is None else abs(order - 2.0)
-    return _check(name, deviation, band)
+def _refinement_checks(coarse, fine, prefix: str, band: float) -> list:
+    """Second-order checks of residual grids under grid halving.
 
-
-def _refinement_checks(coarse, fine, prefix: str, band: float,
-                       trim: int = 0) -> list:
-    """Second-order checks between n = 9 and n = 17.
-
-    coarse and fine are {key: residual grid} of the 9- and 17-site levels,
-    the fine grids less trim sites at each end of every active axis (see
-    convergence_order); one check per key, named prefix + key + "_order",
-    in the order the keys come.
+    coarse and fine are {key: residual grid} of a level and its refinement,
+    whole or a window of it: convergence_order reads which from the two
+    shapes.  One check per key, named prefix + key + "_order", in the
+    order the keys come; its residual is |order - 2|, and 0.0 where the
+    residual vanishes identically (order None), with nothing left to
+    converge.
     """
-    return [
-        _order_check(
-            f"{prefix}{key}_order",
-            convergence_order(coarse[key], fine[key], trim)[0],
-            band,
-        )
-        for key in coarse
-    ]
+    checks = []
+    for key in coarse:
+        order = convergence_order(coarse[key], fine[key])[0]
+        deviation = 0.0 if order is None else abs(order - 2.0)
+        checks.append(_check(f"{prefix}{key}_order", deviation, band))
+    return checks
 
 
 def _random_spinors(rng, n: int) -> np.ndarray:
@@ -375,8 +366,8 @@ def _random_spinors(rng, n: int) -> np.ndarray:
 
 
 def suite_algebraic(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["algebraic"])
-    n = int(cfg["counts"]["transforms"])
+    tol = cfg["tolerances"]["algebraic"]
+    n = cfg["counts"]["transforms"]
     g = BASIS.gamma
     checks = []
 
@@ -412,7 +403,7 @@ def suite_algebraic(cfg: dict, rng) -> list:
     ):
         checks.append(_check(name, np.max(np.abs(res), initial=0.0), tol))
 
-    psi = _random_spinors(rng, int(cfg["counts"]["spinors"]))
+    psi = _random_spinors(rng, cfg["counts"]["spinors"])
     fr = fierz_residuals(compute_bilinears(psi))
     worst = max(
         float(np.max(np.abs(fr.r1_norm))),
@@ -424,9 +415,9 @@ def suite_algebraic(cfg: dict, rng) -> list:
 
 
 def suite_roundtrip(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["roundtrip"])
-    q = float(cfg["couplings"]["q"])
-    n = int(cfg["counts"]["spinors"])
+    tol = cfg["tolerances"]["roundtrip"]
+    q = cfg["couplings"]["q"]
+    n = cfg["counts"]["spinors"]
     checks = []
 
     psi = _random_spinors(rng, n)
@@ -488,10 +479,10 @@ def _random_polar_fields(rng, ext: ExternalPotentials, dims=(1, 5, 5, 5)):
 
 
 def suite_equivalence(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["equivalence"])
-    band = float(cfg["tolerances"]["order_band"])
-    q = float(cfg["couplings"]["q"])
-    m = float(cfg["couplings"]["m"])
+    tol = cfg["tolerances"]["equivalence"]
+    band = cfg["tolerances"]["order_band"]
+    q = cfg["couplings"]["q"]
+    m = cfg["couplings"]["m"]
     checks = []
 
     ext_rand = ExternalPotentials(
@@ -585,18 +576,18 @@ def _pure_gauge_constraints(n: int, trim: int = 0) -> dict:
 
 
 def suite_curvature(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["curvature"])
-    band = float(cfg["tolerances"]["order_band"])
-    q = float(cfg["couplings"]["q"])
+    tol = cfg["tolerances"]["curvature"]
+    band = cfg["tolerances"]["order_band"]
+    q = cfg["couplings"]["q"]
 
     checks = _refinement_checks(
         _pure_gauge_curvature(9), _pure_gauge_curvature(17, _FINE_TRIM),
-        "pure_gauge_", band, _FINE_TRIM,
+        "pure_gauge_", band,
     )
 
     # a plane wave's transform is an identity multiple: its spin
     # connection, and hence its curvature, vanish exactly
-    m = float(cfg["couplings"]["m"])
+    m = cfg["couplings"]["m"]
     g = _wave_grid(m, 0.4, 9)
     _, _, cf = polar_pipeline(g, ExternalPotentials(q=q, m=m))
     cd = curvatures(cf, q=q)
@@ -606,8 +597,8 @@ def suite_curvature(cfg: dict, rng) -> list:
 
 
 def suite_constraints(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["constraints"])
-    band = float(cfg["tolerances"]["order_band"])
+    tol = cfg["tolerances"]["constraints"]
+    band = cfg["tolerances"]["order_band"]
     checks = []
 
     r = rng.uniform(-1.0, 1.0, (40, 4, 4, 4))
@@ -617,14 +608,14 @@ def suite_constraints(cfg: dict, rng) -> list:
 
     return checks + _refinement_checks(
         _pure_gauge_constraints(9), _pure_gauge_constraints(17, _FINE_TRIM),
-        "", band, _FINE_TRIM,
+        "", band,
     )
 
 
 def suite_continuity(cfg: dict, rng) -> list:
-    tol = float(cfg["tolerances"]["continuity"])
-    band = float(cfg["tolerances"]["order_band"])
-    m = float(cfg["couplings"]["m"])
+    tol = cfg["tolerances"]["continuity"]
+    band = cfg["tolerances"]["order_band"]
+    m = cfg["couplings"]["m"]
     checks = []
 
     wave = plane_wave((m, 0.0, 0.0, 0.0), m=m)
@@ -637,9 +628,9 @@ def suite_continuity(cfg: dict, rng) -> list:
     origin, spacing, dims = grid_spec(cfg)
     coarse = continuity_residual(sample(f, origin, spacing, dims))
     fine = continuity_residual(sample(f, *_refined(origin, spacing, dims)))
-    order, mc, _ = convergence_order(coarse, fine)
-    checks.append(_order_check("config_field_order", order, band))
-    return checks
+    return checks + _refinement_checks(
+        {"config_field": coarse}, {"config_field": fine}, "", band
+    )
 
 
 SUITE_FUNCS = {
@@ -691,7 +682,7 @@ def run_decompose(cfg: dict) -> int:
     vals = np.asarray(cfg["decompose"]["spinor"], dtype=float).reshape(4, 2)
     psi = vals[:, 0] + 1j * vals[:, 1]
     try:
-        pd = decompose(psi, q=float(cfg["couplings"]["q"]))
+        pd = decompose(psi, q=cfg["couplings"]["q"])
     except PolarDiracError as exc:
         print(f"decompose failed: {exc}", file=sys.stderr)
         return 1
@@ -714,11 +705,10 @@ def run_trajectories(cfg: dict) -> int:
     origin, spacing, dims = grid_spec(cfg)
     cur = LatticeCurrent(f, origin, spacing, dims)
     tcfg = cfg["trajectories"]
-    trajs = integrate_many(cur, tcfg["points"], float(tcfg["t0"]),
-                           float(tcfg["t1"]), float(tcfg["dt"]))
-    paths = write_csv(
-        trajs, cfg["output"]["csv"], combined=bool(cfg["output"]["combined"])
-    )
+    trajs = integrate_many(cur, tcfg["points"], tcfg["t0"], tcfg["t1"],
+                           tcfg["dt"])
+    paths = write_csv(trajs, cfg["output"]["csv"],
+                      combined=cfg["output"]["combined"])
     drifts = [t.normalization_drift() for t in trajs]
     ends = [t.termination for t in trajs]
     doc = {
@@ -743,6 +733,26 @@ def run_trajectories(cfg: dict) -> int:
     return 0
 
 
+def _read(entry, key: str, where: str, kinds=None, default=None):
+    """entry[key] of the stored report's entry where, or default (if
+    given) when key is absent.  Raises ConfigError naming the entry when
+    it is no JSON object, lacks key or has there a value whose type is
+    not in kinds."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"stored report {where} is not a JSON object")
+    if key not in entry:
+        if default is not None:
+            return default
+        raise ConfigError(f"stored report {where} lacks '{key}'")
+    value = entry[key]
+    if kinds is not None and type(value) not in kinds:
+        raise ConfigError(
+            f"stored report {where} has {key} = {value!r}, expected a "
+            + ("number" if kinds is _NUMBER else kinds[0].__name__)
+        )
+    return value
+
+
 def run_report(cfg: dict) -> int:
     path = cfg["output"]["report"]
     if not path:
@@ -753,27 +763,32 @@ def run_report(cfg: dict) -> int:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse report {path}: {exc}") from exc
-    lines = [f"command: {doc.get('command', '?')}"]
-    for suite in doc.get("suites", []):
-        line = f"{suite['name']}: {suite['status']}"
+    top = f"{path} top level"
+    lines = [f"command: {_read(doc, 'command', top, default='?')}"]
+    for i, suite in enumerate(_read(doc, "suites", top, (list,), [])):
+        at = f"suites[{i}]"
+        line = f"{_read(suite, 'name', at)}: {_read(suite, 'status', at)}"
         if suite.get("max_residual") is not None:
-            line += (
-                f" (max residual {suite['max_residual']:.3e},"
-                f" tolerance {suite['tolerance']:.3e})"
-            )
+            worst = _read(suite, "max_residual", at, _NUMBER)
+            tol = _read(suite, "tolerance", at, _NUMBER)
+            line += f" (max residual {worst:.3e}, tolerance {tol:.3e})"
         lines.append(line)
-        for c in suite.get("checks", []):
-            mark = "ok" if c["passed"] else "FAIL"
+        for j, c in enumerate(_read(suite, "checks", at, (list,), [])):
+            where = f"{at}.checks[{j}]"
+            mark = "ok" if _read(c, "passed", where, (bool,)) else "FAIL"
             lines.append(
-                f"  {c['name']}: {mark} "
-                f"({c['residual']:.3e} vs {c['tolerance']:.3e})"
+                f"  {_read(c, 'name', where)}: {mark} "
+                f"({_read(c, 'residual', where, _NUMBER):.3e} vs "
+                f"{_read(c, 'tolerance', where, _NUMBER):.3e})"
             )
-    for t in doc.get("trajectories", []):
+    for i, t in enumerate(_read(doc, "trajectories", top, (list,), [])):
+        at = f"trajectories[{i}]"
+        drift = _read(t, "normalization_drift", at, _NUMBER)
         lines.append(
-            f"trajectory {t['index']}: {t['termination']} "
-            f"({t['samples']} samples, drift {t['normalization_drift']:.3e})"
+            f"trajectory {_read(t, 'index', at)}: {_read(t, 'termination', at)}"
+            f" ({_read(t, 'samples', at)} samples, drift {drift:.3e})"
         )
-    passed = bool(doc.get("passed", False))
+    passed = _read(doc, "passed", top, (bool,), False)
     lines.append("result: pass" if passed else "result: FAIL")
     print("\n".join(lines))
     return 0 if passed else 1

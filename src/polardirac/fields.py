@@ -235,12 +235,25 @@ def _site_location(index, origin=None, spacing=None) -> str:
     return f"{where}, event (t, x, y, z) = {event.tolist()}"
 
 
+def _grid_array(arr, what: str) -> np.ndarray:
+    """arr as an array; PreconditionViolated, naming what reads it and its
+    shape, when it has fewer than the four grid axes (t, x, y, z)."""
+    arr = np.asarray(arr)
+    if arr.ndim < 4:
+        raise PreconditionViolated(
+            f"{what} needs the four grid axes (t, x, y, z), got an array of "
+            f"shape {arr.shape}"
+        )
+    return arr
+
+
 class _Lookup:
     """Multilinear interpolation of one grid array, its lattice constants
     computed once.
 
-    arr carries the grid on its first four axes; trailing axes pass
-    through unchanged.  Axes of extent 1 are constant directions.  The
+    arr carries the grid on its first four axes (PreconditionViolated,
+    naming its shape, when it has fewer); trailing axes pass through
+    unchanged.  Axes of extent 1 are constant directions.  The
     k axes longer than 1 are active: an event reads the 2^k corners of
     its lattice cell, corner c taking the upper site along active axis j
     where bit k - 1 - j of c is set.  frac maps events to lattice
@@ -257,7 +270,7 @@ class _Lookup:
     def __init__(self, origin, spacing, arr, fill=None):
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = np.asarray(spacing, dtype=float)
-        arr = np.asarray(arr)
+        arr = _grid_array(arr, "a grid lookup")
         dims = np.array(arr.shape[:4])
         self.trail = arr.shape[4:]
         self.table = arr.reshape((math.prod(arr.shape[:4]),) + self.trail)
@@ -327,25 +340,13 @@ class _Lookup:
         return inside, np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def in_hull(origin, spacing, shape, x) -> np.ndarray:
-    """True at the events x (..., 4) inside the hull of a lattice.
-
-    shape gives the lattice extents (nt, nx, ny, nz); trailing entries are
-    ignored.  Axes of extent 1 are constant directions and accept any
-    finite coordinate.  A NaN coordinate counts as outside.
-    """
-    # a lookup on a grid of no values: a zero-length trailing axis
-    lookup = _Lookup(origin, spacing, np.empty(tuple(shape[:4]) + (0,)))
-    return lookup.inside(lookup.frac(x))
-
-
 def interp_values(origin, spacing, arr, x) -> np.ndarray:
     """Multilinear interpolation of grid samples at events x of shape (..., 4).
 
-    arr carries the grid on its first four axes; trailing axes pass
-    through unchanged.  Axes of extent 1 are constant directions and
-    accept any finite coordinate.  Raises OutOfBounds, naming the first
-    offending event, where in_hull is False.
+    arr carries the grid on its first four axes (see _Lookup); trailing
+    axes pass through unchanged.  Axes of extent 1 are constant directions
+    and accept any finite coordinate; a NaN coordinate is outside the hull.
+    Raises OutOfBounds naming the first event outside it.
     """
     lookup = _Lookup(origin, spacing, arr)
     x = np.asarray(x, dtype=float)
@@ -538,9 +539,10 @@ def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
 
     The first four axes of arr are the grid; any trailing axes are carried
     along.  Returns arr.shape + (4,) with the coordinate index mu last;
-    axes of extent 1 contribute zeros.
+    axes of extent 1 contribute zeros.  An array of fewer than four axes
+    raises PreconditionViolated naming its shape.
     """
-    arr = np.asarray(arr)
+    arr = _grid_array(arr, "grid_gradient")
     return _slabs(lambda sl: _slab_gradient(arr, spacing, sl), arr.shape[:4])
 
 
@@ -579,24 +581,42 @@ def interior(dims) -> tuple:
 EXACT_FLOOR = 1e-12
 
 
-def convergence_order(coarse: np.ndarray, fine: np.ndarray, trim: int = 0):
+def convergence_order(coarse: np.ndarray, fine: np.ndarray):
     """Measured order of a residual under grid halving.
 
-    The coarse grid is read from the first four axes of coarse.  The fine
-    grid must have 2d-1 sites per active axis over the same extent, so its
-    even-index sites coincide with the coarse sites; maxima are then
-    compared over the identical physical interior, fine sites 4 ... 2d-6.
-    fine may hold that grid less trim (<= 4) sites at each end of every
-    active axis, so that its index i is fine site i + trim.  Returns
-    (order, max_coarse, max_fine); order is None when both maxima are below
+    coarse and fine carry their grids on their first four axes, and the
+    same trailing axes.  On each active coarse axis, of d >= 5 sites, fine
+    holds the grid of 2d - 1 sites over the same extent, whose even sites
+    are the coarse sites, less t sites at each end: 2d - 1 - 2t sites,
+    with the same t in 0 ... 4 on every active axis and more than d sites
+    left, so that a level paired with itself is no refinement.  An axis of
+    extent 1 is 1 on both.  The two shapes fix t; any other pair raises
+    PreconditionViolated naming both.  Maxima are then compared over the
+    identical physical interior: coarse sites 2 ... d - 3, fine sites
+    4 ... 2d - 6 (window index 4 - t ... 2d - 6 - t).  Returns (order,
+    max_coarse, max_fine); order is None when both maxima are below
     EXACT_FLOOR, meaning the residual vanishes identically rather than at
     O(h^2), and otherwise finite: a maximum below EXACT_FLOOR counts as
     EXACT_FLOOR.  A maximum that is not finite raises PreconditionViolated
     naming its level.
     """
     dims = coarse.shape[:4]
+    active = [d for d in dims if d > 1]
+    # the fine shape of each t; t < d // 2 keeps every window wider than
+    # its coarse axis, 2d - 1 - 2t > d
+    windows = {
+        tuple(1 if d == 1 else 2 * d - 1 - 2 * t for d in dims)
+        + coarse.shape[4:]: t
+        for t in range(min([5] + [d // 2 for d in active]))
+    }
+    t = windows.get(fine.shape)
+    if len(dims) < 4 or any(d < 5 for d in active) or t is None:
+        raise PreconditionViolated(
+            f"convergence_order: fine shape {fine.shape} is no refinement "
+            f"window of coarse shape {coarse.shape}"
+        )
     slf = tuple(
-        slice(None) if d == 1 else slice(4 - trim, 2 * d - 5 - trim, 2)
+        slice(None) if d == 1 else slice(4 - t, 2 * d - 5 - t, 2)
         for d in dims
     )
     mc = float(np.max(np.abs(coarse[interior(dims)])))

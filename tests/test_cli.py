@@ -91,7 +91,7 @@ def test_windowed_fine_level_keeps_the_bits_the_order_check_reads(residuals):
     for key in whole:
         assert window[key].shape[1:4] == (17 - 2 * trim,) * 3
         assert np.array_equal(window[key][read_in_window], whole[key][read]), key
-        assert convergence_order(coarse[key], window[key], trim) == (
+        assert convergence_order(coarse[key], window[key]) == (
             convergence_order(coarse[key], whole[key])
         )
 
@@ -229,6 +229,27 @@ def test_vector_entries_read_exponent_floats(monkeypatch):
     comp = cfg["field"]["components"][0]
     assert comp == {"momentum": [1.0, 0, 0, 0], "coeff": [0.5, -1e-3]}
     assert all(type(v) is float for v in comp["coeff"])
+
+
+def test_config_leaves_come_back_with_their_defaults_types(tmp_path,
+                                                          monkeypatch):
+    # every whole-number float default written as an int reads back as a
+    # float, so no command needs to re-cast a config value
+    def as_ints(node):
+        if isinstance(node, dict):
+            return {k: as_ints(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [as_ints(v) for v in node]
+        if type(node) is float and node.is_integer():
+            return int(node)
+        return node
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    cfg = load_config(write_cfg(tmp_path, as_ints(DEFAULTS)))
+    # JSON writes 1 and 1.0 apart
+    assert json.dumps(cfg, sort_keys=True) == json.dumps(
+        DEFAULTS, sort_keys=True
+    )
 
 
 def test_field_mass_not_positive_exit_2(tmp_path, capsys):
@@ -697,6 +718,40 @@ def test_report_missing_file_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "doc, entry",
+    [
+        ([], "top level is not a JSON object"),
+        ({"suites": [{}]}, "suites[0] lacks 'name'"),
+        ({"suites": 3}, "top level has suites = 3"),
+        ({"suites": [{"name": "a", "status": "pass", "max_residual": "x",
+                      "tolerance": 1.0}]},
+         "suites[0] has max_residual = 'x'"),
+        ({"suites": [{"name": "a", "status": "pass", "checks": [
+            {"name": "c", "passed": True, "residual": "1e-3",
+             "tolerance": 1.0}]}]},
+         "suites[0].checks[0] has residual = '1e-3'"),
+        ({"suites": [{"name": "a", "status": "pass", "checks": [None]}]},
+         "suites[0].checks[0] is not a JSON object"),
+        ({"trajectories": [{"index": 0, "samples": 3,
+                            "normalization_drift": 0.0}]},
+         "trajectories[0] lacks 'termination'"),
+        ({"passed": "false"}, "top level has passed = 'false'"),
+        ({"suites": [{"name": "a", "status": "pass", "checks": [
+            {"name": "c", "passed": "no", "residual": 1.0,
+             "tolerance": 1.0}]}]},
+         "suites[0].checks[0] has passed = 'no'"),
+    ],
+)
+def test_report_names_a_malformed_entry(tmp_path, capsys, doc, entry):
+    target = tmp_path / "report.json"
+    target.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "report", "--set", f"output.report={target}")
+    assert code == 2
+    assert "config error" in err
+    assert entry in err
 
 
 def test_load_config_validation_direct(tmp_path):

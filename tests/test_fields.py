@@ -157,6 +157,56 @@ def test_convergence_order_names_a_level_whose_maximum_is_not_finite(
         convergence_order(grids["coarse"], grids["fine"])
 
 
+@pytest.mark.parametrize("trim", range(5))
+def test_convergence_order_reads_a_window_of_the_fine_level(trim):
+    # a window less trim sites at each end of every active axis reads the
+    # sites of the whole fine level that coincide with the coarse interior,
+    # the first of them (fine site 4, the maximum here) included
+    rng = np.random.default_rng(trim)
+    coarse = rng.normal(size=(1, 11, 11, 11, 2))
+    whole = rng.normal(size=(1, 21, 21, 21, 2))
+    whole[0, 4, 10, 10, 0] = 10.0
+    keep = slice(trim, 21 - trim)
+    window = whole[:, keep, keep, keep]
+    assert convergence_order(coarse, window) == convergence_order(coarse, whole)
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        # the same level twice: a 9-site window (t = 4) would be no wider
+        ((9, 1, 1, 1), (9, 1, 1, 1)),
+        ((1, 17, 17, 17), (1, 17, 17, 17)),
+        ((9, 1, 1, 1), (5, 1, 1, 1)),  # a (9)/(5) pair
+        ((1, 9, 9, 9), (1, 17, 13, 17)),  # t = 0 and t = 2
+        ((1, 13, 13, 13), (1, 15, 15, 15)),  # t = 5
+        ((9, 1, 1, 1), (17, 1, 1, 17)),  # a constant coarse axis
+        ((9, 1, 1, 9), (17, 1, 1, 1)),  # a constant fine axis
+        ((3, 1, 1, 1), (5, 1, 1, 1)),  # a 3-site coarse axis
+        ((1, 9, 9, 9, 2), (1, 17, 17, 17, 3)),  # other trailing axes
+        ((9,), (17,)),  # no four grid axes
+    ],
+)
+def test_convergence_order_names_a_pair_that_is_no_refinement(coarse, fine):
+    with pytest.raises(PreconditionViolated) as info:
+        convergence_order(np.ones(coarse), np.ones(fine))
+    assert f"fine shape {fine}" in str(info.value)
+    assert f"coarse shape {coarse}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda arr: interp_values(np.zeros(4), np.ones(4), arr, [0, 0, 0, 0]),
+        lambda arr: grid_gradient(arr, np.ones(4)),
+    ],
+    ids=["interp_values", "grid_gradient"],
+)
+def test_grid_readers_name_an_array_without_four_grid_axes(call):
+    with pytest.raises(PreconditionViolated, match=r"shape \(5, 5, 5\)"):
+        call(np.ones((5, 5, 5)))
+
+
 def test_sample_exact_at_sites():
     f = plane_wave([1.0, 0, 0, 0])
     g = sample(f, origin=[0, -1, -1, -1], spacing=[0.1, 0.5, 0.5, 0.5], dims=(5, 5, 5, 5))
