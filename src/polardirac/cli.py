@@ -645,6 +645,12 @@ SUITE_FUNCS = {
 
 def run_verify(cfg: dict) -> int:
     selected = set(cfg["suites"])
+    if "continuity" in selected and max(cfg["grid"]["dims"]) == 1:
+        # a constant grid's residual vanishes on both levels: nothing refines
+        raise ConfigError(
+            "'grid.dims' has no axis longer than 1: the continuity suite's "
+            "order check refines the grid along one"
+        )
     rng = np.random.default_rng(cfg["seed"])
     suites = []
     all_pass = True

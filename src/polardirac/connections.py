@@ -34,8 +34,8 @@ from .errors import (
     NotAntisymmetric,
     PreconditionViolated,
 )
-from .fields import GridField, _phase_gradient, _site_location
-from .fields import _sitewise, grid_gradient
+from .fields import GridField, _lattice, _phase_gradient, _require_finite
+from .fields import _site_location, _sitewise, grid_gradient
 from .polar import PolarData, _require_charge, decompose
 
 # the (i, j) of T_{ij mu} that the sl(2,C) 3-vector c_mu packs: the boost
@@ -251,13 +251,20 @@ def transform_from_params(
     """Direct pure-gauge field L = e^{i q xi(x)} B(chi(x)) R(theta(x)).
 
     xi has the grid shape dims, params dims + (6,); GridMismatch names
-    the shapes otherwise.  Useful for constructing test configurations
-    whose connections are known.  The blocks are one site-local pass.
+    the shapes otherwise.  The lattice is checked as by sample, since
+    log_derivative differences every active axis, and PreconditionViolated
+    names the first entry of xi or params that is not finite.  Useful for
+    constructing test configurations whose connections are known.  The
+    blocks are one site-local pass.
     """
+    origin, spacing, dims = _lattice(origin, spacing, dims)
     xi = np.asarray(xi, dtype=float)
     params = np.asarray(params, dtype=float)
     _require_on_grid("xi", xi.shape, dims, ())
     _require_on_grid("params", params.shape, dims, (6,))
+    for name, arr in (("xi", xi), ("params", params)):
+        _require_finite(arr, f"transform_from_params {name} entry",
+                        "L needs finite input")
 
     def sites(xi, params):
         phase = np.exp(1j * q * xi)
@@ -265,8 +272,8 @@ def transform_from_params(
 
     return TransformField(
         blocks=_sitewise(sites, xi.shape, xi, params),
-        origin=np.asarray(origin, dtype=float),
-        spacing=np.asarray(spacing, dtype=float),
+        origin=origin,
+        spacing=spacing,
         q=q,
     )
 
@@ -376,14 +383,25 @@ def _check_leak(norms, leak, lf: TransformField) -> None:
     no leak of a coarse or rough field (10 h^2 |X| >= 1) could fail.  The
     floor 1e-8 h^2, outside the cap, covers the near-constant case.  The
     error names the grid index and event of the largest leak on the
-    failing axis.
+    failing axis, or, where |X| or the leak is not finite (a NaN passes
+    no tolerance test), those of the first such site; the maxima that
+    the tolerance reads already show it, so that costs no pass when all
+    is finite.
     """
     scale = float(np.max(norms)) if norms.size else 0.0
+    worst = np.max(leak.reshape(-1, 4), axis=0)
+    if not (np.isfinite(scale) and np.isfinite(worst).all()):
+        bad = ~(np.isfinite(norms) & np.isfinite(leak)).all(axis=-1)
+        site = np.unravel_index(np.argmax(bad), bad.shape)
+        raise BasisLeak(
+            "log-derivative |X_mu| or its leak is not finite at "
+            f"{_site_location(site, lf.origin, lf.spacing)}; L is singular "
+            "or not finite there"
+        )
     h2 = lf.spacing**2
     tol = np.maximum(
         1e-8 * h2, np.minimum(10.0 * h2 * scale**2, _LEAK_FRACTION * scale)
     )
-    worst = np.max(leak.reshape(-1, 4), axis=0)
     for ax in range(4):
         if lf.grid_shape[ax] > 1 and worst[ax] > tol[ax]:
             on_axis = leak[..., ax]

@@ -133,8 +133,11 @@ class GridField:
     origin and spacing are per-axis (t, x, y, z); values has shape
     dims + (4,).  A non-finite entry of any of the three raises
     PreconditionViolated naming its index.  Immutable by convention after
-    construction: _memo keeps the polar data and Goldstone derivatives
-    (not L) that connections.polar_pipeline reads off the values, per q.
+    construction: _memo keeps, read-only and each computed on first use,
+    the polar data and Goldstone derivatives (not L) that
+    connections.polar_pipeline reads off the values, per q, and under the
+    key "current" the observables of the current that the flow-line
+    readers of trajectories interpolate (trajectories._current).
     """
 
     origin: np.ndarray
@@ -172,27 +175,12 @@ def _lattice(origin, spacing, dims):
     """(origin, spacing, dims) as two float 4-vectors and an int 4-tuple.
 
     Raises PreconditionViolated naming the entry, axis or value of an
-    origin or spacing that is not a finite 4-vector, a spacing that is not
-    positive, dims without four entries or an axis of 2-4 sites.
+    origin or spacing that _lattice_vector refuses, dims without four
+    entries or an axis of 2-4 sites.
     """
-    origin = np.asarray(origin, dtype=float)
-    spacing = np.asarray(spacing, dtype=float)
+    origin = _lattice_vector(origin, "origin")
+    spacing = _lattice_vector(spacing, "spacing")
     dims = tuple(int(d) for d in dims)
-    for name, vec in (("origin", origin), ("spacing", spacing)):
-        if vec.shape != (4,):
-            raise PreconditionViolated(
-                f"lattice {name} must be a 4-vector (t, x, y, z), "
-                f"got shape {vec.shape}"
-            )
-        _require_finite(
-            vec, f"lattice {name} entry", "a lattice needs finite input"
-        )
-    for axis, h in zip(_AXES, spacing):
-        if h <= 0.0:
-            raise PreconditionViolated(
-                f"lattice spacing along {axis} is {h}: a spacing must be "
-                "positive"
-            )
     if len(dims) != 4:
         raise PreconditionViolated(
             f"dims must have 4 entries (t, x, y, z), got {dims}"
@@ -204,6 +192,30 @@ def _lattice(origin, spacing, dims):
                 "needs >= 5 sites (or 1, a constant direction)"
             )
     return origin, spacing, dims
+
+
+def _lattice_vector(vec, name: str, entry: str = "lattice") -> np.ndarray:
+    """vec, the origin or spacing (name) of a lattice, as a float 4-vector.
+
+    Raises PreconditionViolated naming entry (what reads it), name and the
+    shape, entry index or axis of a vec that is not a finite 4-vector, or
+    of a spacing that is not positive.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (4,):
+        raise PreconditionViolated(
+            f"{entry} {name} must be a 4-vector (t, x, y, z), "
+            f"got shape {vec.shape}"
+        )
+    _require_finite(vec, f"{entry} {name} entry", "a lattice needs finite input")
+    if name == "spacing":
+        for axis, h in zip(_AXES, vec):
+            if h <= 0.0:
+                raise PreconditionViolated(
+                    f"{entry} spacing along {axis} is {h}: a spacing must be "
+                    "positive"
+                )
+    return vec
 
 
 def _lattice_events(origin, spacing, dims) -> np.ndarray:
@@ -346,10 +358,19 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
     arr carries the grid on its first four axes (see _Lookup); trailing
     axes pass through unchanged.  Axes of extent 1 are constant directions
     and accept any finite coordinate; a NaN coordinate is outside the hull.
-    Raises OutOfBounds naming the first event outside it.
+    Raises OutOfBounds naming the first event outside it, and
+    PreconditionViolated naming an origin or spacing that _lattice_vector
+    refuses, or the shape of events whose last axis is not 4.
     """
+    origin = _lattice_vector(origin, "origin", "interp_values")
+    spacing = _lattice_vector(spacing, "spacing", "interp_values")
     lookup = _Lookup(origin, spacing, arr)
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (4,):
+        raise PreconditionViolated(
+            f"interp_values needs events (t, x, y, z) on their last axis, "
+            f"got shape {x.shape}"
+        )
     pts = x.reshape(-1, 4)
     inside, out = lookup(lookup.frac(pts))
     if not inside.all():
@@ -540,9 +561,11 @@ def grid_gradient(arr: np.ndarray, spacing) -> np.ndarray:
     The first four axes of arr are the grid; any trailing axes are carried
     along.  Returns arr.shape + (4,) with the coordinate index mu last;
     axes of extent 1 contribute zeros.  An array of fewer than four axes
-    raises PreconditionViolated naming its shape.
+    raises PreconditionViolated naming its shape, and a spacing that
+    _lattice_vector refuses one naming its shape, entry or axis.
     """
     arr = _grid_array(arr, "grid_gradient")
+    spacing = _lattice_vector(spacing, "spacing", "grid_gradient")
     return _slabs(lambda sl: _slab_gradient(arr, spacing, sl), arr.shape[:4])
 
 

@@ -3,9 +3,10 @@
 The bilinears Theta, Phi, U^a, S^a and the modulus Theta^2 + Phi^2 are
 stacked into one array of lattice sites, so a single multilinear
 interpolation reads everything the integrator needs at an event.  A
-CurrentField holds them at every site; for a LatticeCurrent, an analytic
-field on a lattice, a site is computed the first time a flow line reads
-it, with the bits of the whole-lattice pass.  The current is normalized
+GridField keeps them for every site in its memo, computed in one pass on
+first use (_current); for a LatticeCurrent, an analytic field on a
+lattice, a site is computed the first time a flow line reads it, with
+the bits of the whole-lattice pass.  The current is normalized
 on the fly; positions advance in coordinate time with
 dx/dt = u_spatial / u^0 under classical RK4.
 Interpolating the unnormalized current (rather than u itself) avoids
@@ -57,34 +58,15 @@ CSV_FIELDS = (
 
 
 @dataclass(frozen=True)
-class CurrentField:
-    """Grid samples of the observables the integrator needs.
-
-    obs has the grid shape + (11,): Theta, Phi, U^0..U^3, S^0..S^3 and the
-    singularity gauge Theta^2 + Phi^2, formed at the sites and
-    interpolated as a channel of its own.
-    """
-
-    g: GridField
-    obs: np.ndarray
-
-    @classmethod
-    def from_grid(cls, g: GridField) -> "CurrentField":
-        """obs filled slab by slab by the bilinears' own site pass."""
-        return cls(g=g, obs=_observables(g.values, modulus=True))
-
-    def lookup(self) -> _Lookup:
-        return _Lookup(self.g.origin, self.g.spacing, self.obs)
-
-
-@dataclass(frozen=True)
 class LatticeCurrent:
-    """The observables of CurrentField for an analytic field f on a
-    lattice, computed at a site only when a flow line first reads it.
+    """The observables of _current for an analytic field f on a lattice,
+    computed at a site only when a flow line first reads it.
 
     origin, spacing and dims are checked as by sample (PreconditionViolated
     naming the entry, axis or value).  integrate_many reads the sites
-    lazily; velocity_at and continuity_residual sample the whole lattice.
+    lazily; velocity_at and continuity_residual sample the whole lattice
+    on every call, where a GridField sampled once keeps its current for
+    every later call.
     """
 
     f: AnalyticField
@@ -99,7 +81,7 @@ class LatticeCurrent:
 
     def lookup(self) -> _Lookup:
         """A lookup whose table holds the sites filled so far, each the
-        bits of CurrentField.from_grid(sample(...)).obs there."""
+        bits of the obs of _current(self) there."""
         origin, spacing, dims = self.origin, self.spacing, self.dims
 
         def fill(sites):
@@ -120,14 +102,20 @@ class LatticeCurrent:
         return _Lookup(origin, spacing, np.empty(dims + (11,)), fill=fill)
 
 
-def _as_current(field) -> CurrentField:
-    """The eager CurrentField of a CurrentField, GridField or
-    LatticeCurrent (the last sampled on its whole lattice)."""
-    if isinstance(field, CurrentField):
-        return field
+def _current(field):
+    """(origin, spacing, obs) of a GridField, or of a LatticeCurrent
+    sampled on its whole lattice: obs holds the observables at every site,
+    shape dims + (11,), Theta, Phi, U^0..U^3, S^0..S^3 and the singularity
+    gauge Theta^2 + Phi^2, formed at the sites and interpolated as a
+    channel of its own.  A grid's obs is filled slab by slab by the
+    bilinears' own site pass on first use and kept read-only in its memo,
+    so every later reader of the grid reuses that pass."""
     if isinstance(field, LatticeCurrent):
         field = sample(field.f, field.origin, field.spacing, field.dims)
-    return CurrentField.from_grid(field)
+    if "current" not in field._memo:
+        obs = field._memo["current"] = _observables(field.values, modulus=True)
+        obs.flags.writeable = False
+    return field.origin, field.spacing, field._memo["current"]
 
 
 def _observe(vals: np.ndarray):
@@ -154,17 +142,15 @@ def velocity_at(field, x) -> np.ndarray:
     Raises SingularSpinor where Theta^2 + Phi^2 <= EPS_SINGULAR or the
     current is not timelike, and OutOfBounds outside the grid hull.
 
-    field is a CurrentField, a GridField or a LatticeCurrent.  A GridField
-    costs a bilinear pass over the whole grid on every call (on a 2-core
-    machine, 11.8 ms for one event on a (11, 17, 17, 17) grid, against
-    0.16 ms with a CurrentField), and a LatticeCurrent a sample of its
-    lattice besides, so a caller that asks more than once builds
-    CurrentField.from_grid once and passes that.
+    field is a GridField or a LatticeCurrent.  The first reader of a
+    GridField's current makes a bilinear pass over the whole grid (on a
+    2-core machine, 11.8 ms on a (11, 17, 17, 17) grid, against 0.16 ms
+    for one event once it is kept, see _current); a LatticeCurrent is
+    sampled on its whole lattice on every call.
     """
     x = np.asarray(x, dtype=float)
     ev = x.reshape(-1, 4)
-    cur = _as_current(field)
-    vals = interp_values(cur.g.origin, cur.g.spacing, cur.obs, ev)
+    vals = interp_values(*_current(field), ev)
     _, u, ok = _observe(vals)
     if not ok.all():
         raise SingularSpinor(
@@ -220,8 +206,9 @@ def _table(t: float, x: np.ndarray, vals: np.ndarray,
 def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
     """Transport every point of points (N, 3) along the current together.
 
-    field is a CurrentField, a GridField (its bilinears taken once per
-    call) or a LatticeCurrent (its sites computed as the seeds read them).
+    field is a GridField (its current computed once per grid, see
+    _current) or a LatticeCurrent (its sites computed as the seeds read
+    them).
 
     Classical 4th-order Runge-Kutta in coordinate time; a shorter final
     step lands exactly on t1 when (t1 - t0) is not a multiple of dt.  All
@@ -253,8 +240,8 @@ def integrate_many(field, points, t0: float, t1: float, dt: float) -> list:
             f"shape {x.shape}"
         )
     # a LatticeCurrent fills its lookup as the flow lines read it
-    src = field if isinstance(field, LatticeCurrent) else _as_current(field)
-    lookup = src.lookup()
+    lookup = (field.lookup() if isinstance(field, LatticeCurrent)
+              else _Lookup(*_current(field)))
     t = float(t0)
     span = float(t1) - t
     n_full = int(np.floor(span / dt + 1e-12))
@@ -327,16 +314,15 @@ def integrate(field, x0, t0: float, t1: float, dt: float) -> Trajectory:
 
 
 def continuity_residual(field) -> np.ndarray:
-    """Divergence of the current, d_mu U^mu, at every site of a GridField,
-    CurrentField or LatticeCurrent (sampled on its whole lattice).
+    """Divergence of the current, d_mu U^mu, at every site of a GridField
+    or LatticeCurrent (sampled on its whole lattice).
 
     Exact solutions give O(h^2) residuals; anything else reports honestly.
-    A GridField costs a bilinear pass over the whole grid on every call;
-    a caller that also integrates or interpolates the current builds
-    CurrentField.from_grid once and passes that.
+    A GridField's current is computed once and kept (see _current), so
+    velocity_at and integrate_many on the same grid reuse it.
     """
-    cur = _as_current(field)
-    dU = grid_gradient(cur.obs[..., 2:6], cur.g.spacing)
+    _, spacing, obs = _current(field)
+    dU = grid_gradient(obs[..., 2:6], spacing)
     return np.einsum("...mm->...", dU)
 
 

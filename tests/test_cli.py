@@ -179,6 +179,33 @@ def test_invalid_config_exit_2(capsys, command, override, key):
     assert f"'{key}'" in err
 
 
+@pytest.mark.parametrize("suites", [None, "suites=[continuity]"])
+def test_verify_refuses_continuity_on_a_grid_with_no_active_axis(
+    tmp_path, capsys, monkeypatch, suites
+):
+    # a constant grid's continuity residual vanishes on both levels, so the
+    # order check read 0.0 and passed whatever the field; verify now stops
+    # before any suite runs, and trajectories on that grid still runs
+    from polardirac import cli
+
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    ran = []
+    monkeypatch.setattr(cli, "SUITE_FUNCS", {
+        name: lambda cfg, rng, name=name: ran.append(name) or []
+        for name in cli.SUITE_FUNCS
+    })
+    flat = ["--set", "grid.dims=[1,1,1,1]"]
+    code, out, err = run_cli(
+        capsys, "verify", *flat, *(["--set", suites] if suites else [])
+    )
+    assert code == 2 and out == "" and ran == []
+    assert "config error: 'grid.dims' has no axis longer than 1" in err
+    code, out, _ = run_cli(capsys, "trajectories", *flat, "--set",
+                           f"output.csv={tmp_path / 'flow.csv'}")
+    assert code == 0
+    assert json.loads(out)["terminations"] == {"completed": 1}
+
+
 @pytest.mark.parametrize("command", ["verify", "trajectories", "decompose"])
 def test_negative_seed_exits_2(capsys, monkeypatch, command):
     # verify seeds np.random.default_rng with it, which takes no negative
@@ -597,15 +624,11 @@ def test_trajectories_csv_equals_integrate_many_on_the_eager_current(
 ):
     # the sites a run fills as its flow lines read them hold the bits of
     # the whole-lattice current, so the CSV is byte for byte that of
-    # integrate_many on CurrentField.from_grid(sample(...)); the lattice's
+    # integrate_many on the GridField sample(...); the lattice's
     # last axis has one site, where that takes a batch shape of its own
     from polardirac.cli import build_field, grid_spec
     from polardirac.fields import sample
-    from polardirac.trajectories import (
-        CurrentField,
-        integrate_many,
-        write_csv,
-    )
+    from polardirac.trajectories import integrate_many, write_csv
 
     cfg = trajectories_cfg(tmp_path, points)
     cfg["field"] = {"kind": "superposition", "mass": 1.0, "components": [
@@ -619,9 +642,8 @@ def test_trajectories_csv_equals_integrate_many_on_the_eager_current(
     code, _, _ = run_cli(capsys, "trajectories", write_cfg(tmp_path, cfg))
     assert code == 0
     origin, spacing, dims = grid_spec(cfg)
-    cur = CurrentField.from_grid(sample(build_field(cfg), origin, spacing,
-                                        dims))
-    trajs = integrate_many(cur, points, 0.0, 1.0, 0.05)
+    g = sample(build_field(cfg), origin, spacing, dims)
+    trajs = integrate_many(g, points, 0.0, 1.0, 0.05)
     (eager,) = write_csv(trajs, tmp_path / "eager.csv", combined=True)
     assert (tmp_path / "flow.csv").read_bytes() == eager.read_bytes()
 

@@ -251,6 +251,71 @@ def test_transform_from_params_rejects_dims_off_the_arrays():
         transform_from_params(np.zeros(dims), params, [0] * 4, [1] * 4, dims)
 
 
+PARAMS_DIMS = (1, 5, 5, 5)
+
+
+def smooth_params(dims=PARAMS_DIMS):
+    """A smooth xi and boost/rotation params on dims over [0, 0.4]^3."""
+    x = np.stack(np.meshgrid(*[0.1 * np.arange(d) for d in dims],
+                             indexing="ij"), axis=-1)
+    xi = 0.3 * x[..., 1] - 0.2 * x[..., 3]
+    params = 0.2 * np.sin(x[..., 1:2] + np.arange(6) * x[..., 2:3] - x[..., 3:])
+    return xi, params
+
+
+@pytest.mark.parametrize("xi_at, params_at, spacing, dims, message", [
+    (None, None, [1.0, 0.1, 0.0, 0.1], PARAMS_DIMS,
+     r"lattice spacing along y is 0\.0: a spacing must be positive"),
+    ((0, 2, 2, 2), None, [1.0, 0.1, 0.1, 0.1], PARAMS_DIMS,
+     r"transform_from_params xi entry \(0, 2, 2, 2\) is nan"),
+    (None, (0, 2, 2, 2, 1), [1.0, 0.1, 0.1, 0.1], PARAMS_DIMS,
+     r"transform_from_params params entry \(0, 2, 2, 2, 1\) is nan"),
+    (None, None, [1.0, 0.1, 0.1, 0.1], (1, 5, 3, 5),
+     r"lattice axis y has 3 sites"),
+], ids=["zero_spacing", "nan_xi", "nan_params", "three_sites"])
+def test_transform_from_params_names_a_bad_lattice_or_entry(
+    xi_at, params_at, spacing, dims, message
+):
+    # each used to build L, whose log-derivative came out inf or NaN (a
+    # zero spacing or a NaN) or differenced an axis too short for its
+    # edge stencils (3 sites)
+    xi, params = smooth_params(dims)
+    if xi_at is not None:
+        xi[xi_at] = np.nan
+    if params_at is not None:
+        params[params_at] = np.nan
+    with pytest.raises(PreconditionViolated, match=message):
+        transform_from_params(xi, params, np.zeros(4), spacing, dims)
+
+
+def test_non_finite_log_derivative_names_its_first_site():
+    # BasisLeak tested leak > tol, which a NaN never is, so each of these
+    # gave non-finite dxi and dxi_ab without an error
+    xi, params = smooth_params()
+    spacing = np.array([1.0, 0.1, 0.1, 0.1])
+    lf = transform_from_params(xi, params, np.zeros(4), spacing, PARAMS_DIMS)
+    goldstone_derivatives(lf)  # the smooth field passes
+    site = (0, 2, 2, 2)
+    zero = lf.blocks.copy()
+    zero[site + (0,)] = 0.0  # one singular chiral block
+    nan = lf.blocks.copy()
+    nan[site] = np.nan  # L of a NaN parameter
+    cases = [
+        (dataclasses.replace(lf, blocks=zero), BasisLeak,
+         r"not finite at grid index \(0, 2, 2, 2\), event \(t, x, y, z\) = "
+         r"\[0\.0, 0\.2, 0\.2, 0\.2"),
+        (dataclasses.replace(lf, blocks=nan), BasisLeak,
+         # the first site whose stencil reads it: x's edge stencil
+         r"not finite at grid index \(0, 0, 2, 2\)"),
+        (dataclasses.replace(lf, spacing=np.array([1.0, 0.1, 0.0, 0.1])),
+         PreconditionViolated, r"grid_gradient spacing along y is 0\.0"),
+    ]
+    for field, kind, message in cases:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(kind, match=message):
+                goldstone_derivatives(field)
+
+
 def test_zero_charge_raises_naming_q():
     # a zero charge used to give NaN connections with only a RuntimeWarning
     dims = (1, 5, 1, 1)

@@ -207,6 +207,33 @@ def test_grid_readers_name_an_array_without_four_grid_axes(call):
         call(np.ones((5, 5, 5)))
 
 
+GRID = np.ones((5, 5, 5, 5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: interp_values(np.zeros(3), np.ones(3), GRID, [0, 0, 0, 0]),
+         r"interp_values origin must be a 4-vector .* shape \(3,\)"),
+        (lambda: interp_values(np.zeros(4), np.ones(4), GRID, [0, 0, 0]),
+         r"interp_values needs events .* shape \(3,\)"),
+        (lambda: interp_values(np.zeros(4), [1, 0, 1, 1], GRID, [0, 0, 0, 0]),
+         r"interp_values spacing along x is 0\.0: a spacing must be positive"),
+        (lambda: grid_gradient(GRID, np.ones(3)),
+         r"grid_gradient spacing must be a 4-vector .* shape \(3,\)"),
+        (lambda: grid_gradient(GRID, [1, 1, 0, 1]),
+         r"grid_gradient spacing along y is 0\.0: a spacing must be positive"),
+    ],
+    ids=["interp_origin", "interp_event", "interp_zero_spacing",
+         "gradient_spacing", "gradient_zero_spacing"],
+)
+def test_grid_readers_name_a_malformed_lattice_or_event(call, message):
+    # these raised bare numpy errors, or gave inf and NaN after a divide
+    # warning; the rules are those of _lattice
+    with pytest.raises(PreconditionViolated, match=message):
+        call()
+
+
 def test_sample_exact_at_sites():
     f = plane_wave([1.0, 0, 0, 0])
     g = sample(f, origin=[0, -1, -1, -1], spacing=[0.1, 0.5, 0.5, 0.5], dims=(5, 5, 5, 5))

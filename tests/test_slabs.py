@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import polardirac as pdc
-from polardirac import connections, fields
+from polardirac import connections, fields, trajectories
 from polardirac.errors import (
     BasisLeak,
     ImaginaryResidue,
@@ -429,7 +429,7 @@ def test_current_is_bit_identical_on_the_flowlines_grid(monkeypatch, two_threads
     sliced, inline = _both(
         monkeypatch,
         lambda: [pdc.compute_bilinears(g.values),
-                 pdc.CurrentField.from_grid(g).obs],
+                 trajectories._current(dataclasses.replace(g))[2]],
     )
     assert calls
     _assert_identical(sliced, inline)

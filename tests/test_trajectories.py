@@ -1,5 +1,6 @@
 """Flow-line integration, continuity diagnostics, CSV export."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import polardirac.fields as fields
+import polardirac.trajectories as trajectories
 from polardirac.bilinears import compute_bilinears
 from polardirac.clifford import minkowski_dot
 from polardirac.errors import (
@@ -27,7 +29,6 @@ from polardirac.fields import (
 from polardirac.polar import PolarData, decompose, reconstruct
 from polardirac.trajectories import (
     CSV_FIELDS,
-    CurrentField,
     LatticeCurrent,
     Trajectory,
     continuity_residual,
@@ -130,7 +131,6 @@ def test_velocity_superposition_unit_norm():
     )
     g = sample(f, (0.0, 0.0, 0.0, -2.0), (1.0, 1.0, 1.0, 4.0 / 32),
                (1, 1, 1, 33))
-    cur = CurrentField.from_grid(g)
     rng = np.random.default_rng(11)
     pts = np.column_stack([
         np.zeros(40),
@@ -138,7 +138,7 @@ def test_velocity_superposition_unit_norm():
         np.zeros(40),
         rng.uniform(-2.0, 2.0, 40),
     ])
-    u = velocity_at(cur, pts)
+    u = velocity_at(g, pts)
     from polardirac.clifford import minkowski_dot
 
     npt.assert_allclose(minkowski_dot(u, u), np.ones(40), atol=1e-12)
@@ -266,11 +266,51 @@ def test_continuity_single_wave_flat():
     assert np.max(np.abs(res)) < 1e-12
 
 
-def test_continuity_accepts_current_field():
+def test_continuity_reads_the_kept_current():
+    # the first call keeps g's current; the copy, with no memo, makes its own
     g = exponential_flow_grid(rate=1.0, nz=33)
     npt.assert_array_equal(
-        continuity_residual(CurrentField.from_grid(g)), continuity_residual(g)
+        continuity_residual(g), continuity_residual(dataclasses.replace(g))
     )
+
+
+def test_one_bilinear_pass_serves_every_reader_of_a_grid(monkeypatch):
+    # the grid keeps its current, so the readers after the first make no
+    # bilinear pass of their own
+    passes = []
+    real = trajectories._observables
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "_observables", counting)
+    g = mixed_wave_grid()
+    continuity_residual(g)
+    velocity_at(g, [0.5, 0.0, 0.1, -0.2])
+    integrate_many(g, [(0.0, 0.1, -0.2), (0.0, 0.0, 0.3)], 0.0, 0.5, 0.05)
+    assert len(passes) == 1
+
+
+def test_kept_current_is_the_bilinear_pass_read_only():
+    from polardirac.bilinears import _observables
+
+    g = mixed_wave_grid()
+    velocity_at(g, [0.5, 0.0, 0.1, -0.2])
+    (obs,) = g._memo.values()
+    assert not obs.flags.writeable
+    assert np.array_equal(obs, _observables(g.values, modulus=True))
+    with pytest.raises(ValueError, match="read-only"):
+        obs[0, 0, 0, 0, 0] = 1.0
+
+
+def test_every_exported_name_resolves_once():
+    import polardirac
+
+    names = polardirac.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(polardirac, name, None) is not None, name
 
 
 def continuity_on(n):
@@ -468,7 +508,7 @@ def test_integrate_interpolates_once_per_stage(monkeypatch, t1):
 def test_nan_coordinate_is_out_of_bounds():
     # a NaN fails every comparison, so the hull test is written to pass
     # only coordinates known to be inside
-    cur = CurrentField.from_grid(gaussian_packet(1.0, dims=(1, 9, 9, 9)))
+    cur = gaussian_packet(1.0, dims=(1, 9, 9, 9))
     with pytest.raises(OutOfBounds):
         velocity_at(cur, [0.0, np.nan, 0.0, 0.0])
     with pytest.raises(OutOfBounds):
@@ -492,7 +532,7 @@ def three_fates_grid():
 
 
 def test_integrate_many_matches_per_seed(tmp_path):
-    cur = CurrentField.from_grid(three_fates_grid())
+    cur = three_fates_grid()
     points = [
         (-0.5, 0.0, -0.9),  # completed
         (-0.5, 0.0, 0.31),  # leaves through z = 1 at a k2 stage
@@ -610,9 +650,9 @@ LAZY_GRIDS = [
 
 
 def eager_obs(f, dims):
-    """CurrentField.from_grid(sample(...)).obs of f, one row per site."""
+    """The kept current of sample(...) of f, one row per site."""
     g = sample(f, LAZY_ORIGIN, LAZY_SPACING, dims)
-    return CurrentField.from_grid(g).obs.reshape(-1, 11)
+    return trajectories._current(g)[2].reshape(-1, 11)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -636,9 +676,9 @@ def test_lazy_lookup_fills_each_site_once_with_the_eager_bits(dims):
     # lookups of 1 to 30 events, some outside the hull, read what the
     # eager lookup reads, and fill only the corners they read, each once
     f = flowlines_field(3)
-    eager = CurrentField.from_grid(
-        sample(f, LAZY_ORIGIN, LAZY_SPACING, dims)
-    ).lookup()
+    eager = fields._Lookup(
+        *trajectories._current(sample(f, LAZY_ORIGIN, LAZY_SPACING, dims))
+    )
     lazy = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims).lookup()
     filled, fill = [], lazy.fill
 
@@ -692,12 +732,12 @@ def test_velocity_and_continuity_read_a_lattice_current_whole():
     f = flowlines_field(1)
     dims = (5, 9, 9, 9)
     lattice = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims)
-    cur = CurrentField.from_grid(sample(f, LAZY_ORIGIN, LAZY_SPACING, dims))
+    g = sample(f, LAZY_ORIGIN, LAZY_SPACING, dims)
     rng = np.random.default_rng(2)
     pts = LAZY_ORIGIN + LAZY_SPACING * rng.uniform(0.0, 4.0, (20, 4))
-    assert np.array_equal(velocity_at(lattice, pts), velocity_at(cur, pts))
+    assert np.array_equal(velocity_at(lattice, pts), velocity_at(g, pts))
     assert np.array_equal(continuity_residual(lattice),
-                          continuity_residual(cur))
+                          continuity_residual(g))
 
 
 @pytest.mark.parametrize("origin, spacing, dims, message", [
