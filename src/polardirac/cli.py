@@ -520,14 +520,17 @@ def suite_equivalence(cfg: dict, rng) -> list:
 
 
 # Sites of the 17-site pure-gauge level left out at each end of every
-# spatial axis.  convergence_order reads its sites 4 ... 12; every residual
-# of the curvature and constraints suites chains at most two central
-# stencils (L -> X -> dX, X -> R or P -> their derivatives, X -> R -> B and
-# R vectors -> div), so sites 2 ... 14 keep the read sites' whole-grid
-# bits.  (Those curls and divergences never difference a component along
-# its own axis, so one site of halo keeps them today.)  The 9-site level
-# reads sites 2 ... 6 plus that halo: its whole grid.
-_FINE_TRIM = 2
+# spatial axis.  convergence_order reads its sites 4 ... 12.  Every
+# residual of the curvature and constraints suites is a curl or a
+# divergence of components that one more central stencil built (L -> X ->
+# dX, X -> R or P -> their derivatives, X -> R -> B and R vectors -> div),
+# and none differences a component along its own axis (B^a and R^a hold no
+# X_a; a diagonal curl term cancels exactly).  So a read site reaches one
+# site along each axis, and sites 3 ... 13 (11^3 = 1,331, one _slabs
+# call) keep the read sites' whole-grid bits; a trim of 4 does not.  The
+# 9-site level is built whole: convergence_order cannot tell a trimmed
+# coarse level from a whole one by its shape.
+_FINE_TRIM = 3
 
 
 def _gauge_params_grid(n: int, boost: bool, trim: int = 0):

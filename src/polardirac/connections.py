@@ -646,10 +646,10 @@ def _flatness(dg, g) -> np.ndarray:
     """The Goldstone flatness of curvatures: the pointwise max over block,
     i, j, mu and nu of |d_mu G_nu - d_nu G_mu + [G_mu, G_nu]|, from
     matrices G [..., block, i, j, mu] and their grid gradient dg
-    [..., block, i, j, nu, mu]; zero for G = L^{-1} dL of a group-valued L.
-    Per chunk of _FLAT_CHUNK sites, the 16 products G_mu G_nu make one
-    table Q and the difference is ((dg)^T - dg) + Q - Q^T over (mu, nu),
-    so no whole-slab table exists."""
+    [..., block, i, j, nu, mu], both over the same axes mu; zero for
+    G = L^{-1} dL of a group-valued L.  Per chunk of _FLAT_CHUNK sites,
+    the products G_mu G_nu make one table Q and the difference is
+    ((dg)^T - dg) + Q - Q^T over (mu, nu), so no whole-slab table exists."""
     sites = g.shape[:-4]
     g = g.reshape((-1,) + g.shape[-4:])
     dg = dg.reshape((-1,) + dg.shape[-5:])
@@ -751,8 +751,14 @@ def curvatures(
     |dG - dG + [G, G]| for G = L^{-1} dL, the same Riemann formula, which
     is zero for any group-valued L up to discretization error; G is the
     cached lfield.log_derivative in chiral block layout, so the formula
-    runs per 2x2 block and the max is over both blocks.  cf.omega and the
-    L field must live on the grid of cf, or GridMismatch is raised.
+    runs per 2x2 block and the max is over both blocks.  The table spans
+    the active axes (those longer than 1) alone, and its max keeps the
+    bits of the full 4 x 4 table: along a constant axis grid_gradient writes exact zeros, so G
+    there is B^{-1} 0 = +-0, and every entry it enters is +-0, or NaN only
+    at a site whose non-finite B^{-1} makes an active (nu, nu) entry NaN
+    too.  A grid with no active axis gives zeros (its (t, t) entry, which
+    every entry equals there).  cf.omega and the L field must live on the
+    grid of cf, or GridMismatch is raised.
     """
     riemann = cf.curvature.riemann
     f = field_strength(cf.dP, q)
@@ -760,9 +766,14 @@ def curvatures(
     flat = None
     if lfield is not None:
         _require_on_grid("L field", lfield.blocks.shape, cf.grid_shape, (2, 2, 2))
-        gmat = lfield.log_derivative
+        # X_mu and its derivative on the axes longer than 1 (a slice where
+        # they are contiguous); a grid with none keeps the t axis
+        act = [ax for ax in range(4) if cf.grid_shape[ax] > 1] or [0]
+        if act[-1] - act[0] == len(act) - 1:
+            act = slice(act[0], act[-1] + 1)
+        gmat = lfield.log_derivative[..., act]
         flat = _sitewise(
-            _flatness, cf.grid_shape, gmat,
+            lambda dg, g: _flatness(dg[..., act], g), cf.grid_shape, gmat,
             gradients=(gmat,), spacing=lfield.spacing,
         )
     return CurvatureData(riemann=riemann, F=f, goldstone_flat=flat)

@@ -351,6 +351,16 @@ class _Lookup:
             return inside, np.add.accumulate(terms)[-1] + 0.0
         return inside, np.add.reduce(terms, axis=0, initial=0.0)
 
+    def at(self, x) -> np.ndarray:
+        """The values interpolated at events x (n, 4), shape (n,) + trail;
+        OutOfBounds names the first event outside the hull."""
+        inside, out = self(self.frac(x))
+        if not inside.all():
+            raise OutOfBounds(
+                f"event {x[np.argmin(inside)].tolist()} outside the grid hull"
+            )
+        return out
+
 
 def interp_values(origin, spacing, arr, x) -> np.ndarray:
     """Multilinear interpolation of grid samples at events x of shape (..., 4).
@@ -371,12 +381,7 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
             f"interp_values needs events (t, x, y, z) on their last axis, "
             f"got shape {x.shape}"
         )
-    pts = x.reshape(-1, 4)
-    inside, out = lookup(lookup.frac(pts))
-    if not inside.all():
-        raise OutOfBounds(
-            f"event {pts[np.argmin(inside)].tolist()} outside the grid hull"
-        )
+    out = lookup.at(x.reshape(-1, 4))
     return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1] + lookup.trail)
 
 
@@ -396,8 +401,8 @@ def interp_values(origin, spacing, arr, x) -> np.ndarray:
 #   one CPU that of a pipeline-33 op from 248 to 168 MB.  Threads cost
 #   more here: verify's then whole 17^3 gauge fields threaded peaked at
 #   71.7 MB and took 200-212 ms of CPU time an op, against 165-193 ms in
-#   one call.  verify now builds 13^3 windows of them (2,197 sites), two
-#   serial slabs each.
+#   one call.  verify now builds 11^3 windows of them (1,331 sites), one
+#   call each.
 # - Everything else (fewer sites, arrays without four grid axes, a call
 #   made inside a slab): one call over the whole grid.
 _SLAB_MIN_SITES = 16384

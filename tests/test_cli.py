@@ -63,7 +63,7 @@ def test_default_verify_keeps_the_pure_gauge_residual_bits(capsys):
 
 
 def test_verify_builds_the_fine_gauge_levels_windowed(capsys, monkeypatch):
-    # curvature, then constraints: each a whole 9^3 level and the 13^3
+    # curvature, then constraints: each a whole 9^3 level and the 11^3
     # window of its 17^3 level
     built = []
     real = cli.transform_from_params
@@ -75,7 +75,7 @@ def test_verify_builds_the_fine_gauge_levels_windowed(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "transform_from_params", spy)
     assert run_cli(capsys, "verify")[0] == 0
-    assert built == [(1, 9, 9, 9), (1, 13, 13, 13)] * 2
+    assert built == [(1, 9, 9, 9), (1, 11, 11, 11)] * 2
 
 
 @pytest.mark.parametrize(
@@ -94,6 +94,19 @@ def test_windowed_fine_level_keeps_the_bits_the_order_check_reads(residuals):
         assert convergence_order(coarse[key], window[key]) == (
             convergence_order(coarse[key], whole[key])
         )
+
+
+@pytest.mark.parametrize(
+    "residuals", [cli._pure_gauge_curvature, cli._pure_gauge_constraints]
+)
+def test_a_window_without_halo_changes_read_bits(residuals):
+    # the one-site halo of _FINE_TRIM is the least that holds: the window
+    # of the read sites alone (trim 4) changes some read bit of each suite
+    whole, window = residuals(17), residuals(17, 4)
+    read = (slice(None),) + (slice(4, 13),) * 3
+    assert any(
+        not np.array_equal(window[key], whole[key][read]) for key in whole
+    )
 
 
 def test_zero_tolerances_fail_with_residuals(tmp_path, capsys):

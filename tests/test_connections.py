@@ -995,6 +995,58 @@ def test_flatness_reads_the_cached_log_derivative(monkeypatch):
     assert np.array_equal(flat, oracle)
 
 
+@pytest.mark.parametrize("dims", [
+    (1, 9, 9, 9), (9, 1, 1, 9), (9, 1, 1, 1), (1, 9, 1, 9), (5, 7, 1, 6),
+    (6, 6, 6, 6), (1, 1, 1, 1),
+])
+def test_flatness_over_the_active_axes_keeps_the_full_table_bits(
+    monkeypatch, dims
+):
+    # the flatness differences and multiplies only the X_mu of the axes
+    # longer than 1 (the t axis alone where none is), with the bits of the
+    # max over the full 4 x 4 table: zeros on a grid with no such axis, and
+    # NaN at the same sites when a block is not finite
+    from polardirac import connections
+
+    spacing = [0.3] * 4
+    c = coords_for([0.0] * 4, spacing, dims)
+    params = make_params_field(
+        dims,
+        chi_x=0.2 * np.cos(c[..., 3] - c[..., 2]),
+        chi_z=0.3 * np.sin(c[..., 1] + c[..., 0]),
+        theta_y=0.4 * np.sin(c[..., 0] + c[..., 3]),
+        theta_z=0.2 + 0.3 * np.cos(c[..., 1] * c[..., 2]),
+    )
+    xi = 0.4 * np.sin(c[..., 0] + c[..., 3])
+    lf = transform_from_params(xi, params, [0.0] * 4, spacing, dims)
+    cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
+    blocks = lf.blocks.copy()
+    blocks.reshape(-1, 2, 2, 2)[-1, 1, 0, 1] = np.nan
+    broken = TransformField(blocks, lf.origin, lf.spacing)
+    channels = []
+    real = connections._flatness
+
+    def spying(dg, g):
+        channels.append(dg.shape[-2:] + g.shape[-1:])
+        return real(dg, g)
+
+    monkeypatch.setattr(connections, "_flatness", spying)
+    for field in (lf, broken):
+        with np.errstate(invalid="ignore"):
+            x = field.log_derivative
+            oracle = np.max(
+                np.abs(_dense_riemann(x, grid_gradient(x, spacing), None)),
+                axis=(-5, -4, -3, -2, -1),
+            )
+            flat = curvatures(cf, lfield=field).goldstone_flat
+        assert np.array_equal(flat, oracle, equal_nan=True)
+        assert np.isnan(flat).any() == (field is broken)
+    active = sum(n > 1 for n in dims)
+    assert set(channels) == {(max(active, 1),) * 3}
+    if not active:
+        assert curvatures(cf, lfield=lf).goldstone_flat.tolist() == [[[[0.0]]]]
+
+
 def test_slab_flatness_matches_the_dense_oracle_bits(monkeypatch):
     # the flatness differences X inside each slab and takes the products
     # G_mu G_nu as one table per chunk of sites; on 26^3 sites in slabs

@@ -728,7 +728,8 @@ def test_lazy_imaginary_residue_names_the_lattice_site(monkeypatch, dims,
 
 
 def test_velocity_and_continuity_read_a_lattice_current_whole():
-    # both sample the whole lattice, as for a GridField
+    # velocity_at reads the lazily filled sites and continuity_residual
+    # samples the whole lattice; both give the bits of a GridField
     f = flowlines_field(1)
     dims = (5, 9, 9, 9)
     lattice = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims)
@@ -738,6 +739,42 @@ def test_velocity_and_continuity_read_a_lattice_current_whole():
     assert np.array_equal(velocity_at(lattice, pts), velocity_at(g, pts))
     assert np.array_equal(continuity_residual(lattice),
                           continuity_residual(g))
+
+
+class CountingField:
+    """An analytic field that records the number of events of each at."""
+
+    def __init__(self, f):
+        self.f, self.rows = f, []
+
+    def at(self, events):
+        self.rows.append(int(np.prod(np.shape(events)[:-1])))
+        return self.f.at(events)
+
+
+@pytest.mark.parametrize("dims", [(5, 9, 9, 9), (1, 9, 9, 9), (9, 1, 1, 9)])
+def test_velocity_at_fills_only_the_cells_of_its_events(dims):
+    # a LatticeCurrent evaluates its field at no more than the 2^k corners
+    # of each event's cell, k its axes longer than 1, and keeps the bits of
+    # the GridField; events outside the hull, a NaN coordinate on an
+    # active or a constant axis included, raise OutOfBounds
+    f = CountingField(flowlines_field(1))
+    lattice = LatticeCurrent(f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    g = sample(f.f, LAZY_ORIGIN, LAZY_SPACING, dims)
+    corners = 2 ** sum(n > 1 for n in dims)
+    top = np.array(dims) - 1.0
+    rng = np.random.default_rng(5)
+    for n in (1, 3):
+        pts = LAZY_ORIGIN + LAZY_SPACING * rng.uniform(0.0, top, (n, 4))
+        f.rows.clear()
+        assert np.array_equal(velocity_at(lattice, pts), velocity_at(g, pts))
+        assert 0 < sum(f.rows) <= n * corners
+    inside = LAZY_ORIGIN + LAZY_SPACING * top / 2
+    for ax, value in ((3, top[3] + 1.0), (3, -1.0), (1, np.nan), (0, np.nan)):
+        event = inside.copy()
+        event[ax] = LAZY_ORIGIN[ax] + LAZY_SPACING[ax] * value
+        with pytest.raises(OutOfBounds, match="outside the grid hull"):
+            velocity_at(lattice, event)
 
 
 @pytest.mark.parametrize("origin, spacing, dims, message", [
