@@ -62,8 +62,8 @@ from .dynamics import (
     polar_dirac_residuals,
     quantum_potentials,
 )
-from .errors import ConfigError, PolarDiracError
-from .fields import convergence_order, plane_wave, sample, superpose
+from .errors import ConfigError, PolarDiracError, PreconditionViolated
+from .fields import _lattice, convergence_order, plane_wave, sample, superpose
 from .polar import decompose, reconstruct
 from .trajectories import (
     LatticeCurrent,
@@ -259,10 +259,14 @@ def _check_semantics(cfg: dict) -> None:
     """The rules on the values of a config that _conform has typed."""
     if cfg["seed"] < 0:
         raise ConfigError("'seed' must not be negative")
-    if any(h <= 0 for h in cfg["grid"]["spacing"]):
-        raise ConfigError("'grid.spacing' entries must be positive")
-    if any(d != 1 and d < 5 for d in cfg["grid"]["dims"]):
-        raise ConfigError("'grid.dims' entries must be 1 or integers >= 5")
+    try:
+        _lattice(*grid_spec(cfg))
+    except PreconditionViolated as exc:
+        key = next(
+            (k for k in ("origin", "spacing") if f"lattice {k}" in str(exc)),
+            "dims",
+        )
+        raise ConfigError(f"'grid.{key}': {exc}") from None
     if cfg["couplings"]["q"] == 0:
         raise ConfigError("'couplings.q' must be nonzero")
     if cfg["couplings"]["m"] <= 0:
@@ -339,19 +343,23 @@ def _check(name: str, residual: float, tolerance: float) -> dict:
     }
 
 
-def _refinement_checks(coarse, fine, prefix: str, band: float) -> list:
+def _refinement_checks(coarse, fine, prefix: str, band: float,
+                       box=None) -> list:
     """Second-order checks of residual grids under grid halving.
 
-    coarse and fine are {key: residual grid} of a level and its refinement,
-    whole or a window of it: convergence_order reads which from the two
-    shapes.  One check per key, named prefix + key + "_order", in the
-    order the keys come; its residual is |order - 2|, and 0.0 where the
-    residual vanishes identically (order None), with nothing left to
-    converge.
+    coarse and fine are (origin, spacing, {key: residual grid}) of a level
+    and its refinement, each whole or a window of its lattice, compared by
+    convergence_order over box (its default when None).  One check per
+    key, named prefix + key + "_order", in the order the keys come; its
+    residual is |order - 2|, and 0.0 where the residual vanishes
+    identically (order None), with nothing left to converge.
     """
+    (oc, hc, coarse), (of, hf, fine) = coarse, fine
     checks = []
     for key in coarse:
-        order = convergence_order(coarse[key], fine[key])[0]
+        order = convergence_order(
+            (oc, hc, coarse[key]), (of, hf, fine[key]), box
+        )[0]
         deviation = 0.0 if order is None else abs(order - 2.0)
         checks.append(_check(f"{prefix}{key}_order", deviation, band))
     return checks
@@ -507,7 +515,7 @@ def suite_equivalence(cfg: dict, rng) -> list:
             pf = PolarFields.from_grid(g, ext)
             qp = quantum_potentials(pf)
             dep = polar_dirac_residuals(pf)
-            return {
+            return g.origin, g.spacing, {
                 "dirac": dirac_residual(g, ext),
                 "pair": np.abs(dep.res1) + np.abs(dep.res2),
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
@@ -519,18 +527,21 @@ def suite_equivalence(cfg: dict, rng) -> list:
     return checks
 
 
-# Sites of the 17-site pure-gauge level left out at each end of every
-# spatial axis.  convergence_order reads its sites 4 ... 12.  Every
-# residual of the curvature and constraints suites is a curl or a
-# divergence of components that one more central stencil built (L -> X ->
-# dX, X -> R or P -> their derivatives, X -> R -> B and R vectors -> div),
-# and none differences a component along its own axis (B^a and R^a hold no
-# X_a; a diagonal curl term cancels exactly).  So a read site reaches one
-# site along each axis, and sites 3 ... 13 (11^3 = 1,331, one _slabs
-# call) keep the read sites' whole-grid bits; a trim of 4 does not.  The
-# 9-site level is built whole: convergence_order cannot tell a trimmed
-# coarse level from a whole one by its shape.
-_FINE_TRIM = 3
+# The pure-gauge order checks of the curvature and constraints suites read
+# _GAUGE_BOX, the box of the whole 9-site level less two sites: its sites
+# 2 ... 6 and the 17-site level's sites 4 ... 12 along every spatial axis.
+# Every residual of the two suites is a curl or a divergence of
+# components that one more central stencil built (L -> X -> dX, X -> R or
+# P -> their derivatives, X -> R -> B and R vectors -> div), and none
+# differences a component along its own axis (B^a and R^a hold no X_a; a
+# diagonal curl term cancels exactly).  So a read site reaches one site
+# along each axis, and each level is built as the window of its whole
+# lattice that keeps a one-site halo, less _COARSE_TRIM or _FINE_TRIM
+# sites at each end: sites 1 ... 7 (7^3 = 343) and 3 ... 13 (11^3 =
+# 1,331), one _slabs call each, hold the read sites' whole-level bits; a
+# trim of 2 or 4 does not.
+_COARSE_TRIM, _FINE_TRIM = 1, 3
+_GAUGE_BOX = ((0.0, -0.5, -0.5, -0.5), (0.0, 0.5, 0.5, 0.5))
 
 
 def _gauge_params_grid(n: int, boost: bool, trim: int = 0):
@@ -558,24 +569,28 @@ def _gauge_params_grid(n: int, boost: bool, trim: int = 0):
     return transform_from_params(xi, params, origin, spacing, xi.shape)
 
 
-def _pure_gauge_curvature(n: int, trim: int = 0) -> dict:
-    """{key: residual grid} of the curvature suite's order checks on
-    _gauge_params_grid(n, boost=False, trim)."""
+def _pure_gauge_curvature(n: int, trim: int = 0):
+    """(origin, spacing, {key: residual grid}) of the curvature suite's
+    order checks on _gauge_params_grid(n, boost=False, trim)."""
     lf = _gauge_params_grid(n, boost=False, trim=trim)
     gd = goldstone_derivatives(lf)
     cf = build_connections(gd, ExternalPotentials(q=lf.q))
     cd = curvatures(cf, q=lf.q, lfield=lf)
-    return {"F": np.abs(cd.F), "riemann": cd.riemann, "flat": cd.goldstone_flat}
+    return lf.origin, lf.spacing, {
+        "F": np.abs(cd.F), "riemann": cd.riemann, "flat": cd.goldstone_flat
+    }
 
 
-def _pure_gauge_constraints(n: int, trim: int = 0) -> dict:
-    """{key: residual grid} of the constraints suite's order checks on
-    _gauge_params_grid(n, boost=True, trim)."""
+def _pure_gauge_constraints(n: int, trim: int = 0):
+    """(origin, spacing, {key: residual grid}) of the constraints suite's
+    order checks on _gauge_params_grid(n, boost=True, trim)."""
     lf = _gauge_params_grid(n, boost=True, trim=trim)
     gd = goldstone_derivatives(lf)
     cf = build_connections(gd, ExternalPotentials(q=lf.q))
     dc = divergence_constraints(cf)
-    return {"resB": np.abs(dc.resB), "resR": np.abs(dc.resR)}
+    return lf.origin, lf.spacing, {
+        "resB": np.abs(dc.resB), "resR": np.abs(dc.resR)
+    }
 
 
 def suite_curvature(cfg: dict, rng) -> list:
@@ -584,8 +599,8 @@ def suite_curvature(cfg: dict, rng) -> list:
     q = cfg["couplings"]["q"]
 
     checks = _refinement_checks(
-        _pure_gauge_curvature(9), _pure_gauge_curvature(17, _FINE_TRIM),
-        "pure_gauge_", band,
+        _pure_gauge_curvature(9, _COARSE_TRIM),
+        _pure_gauge_curvature(17, _FINE_TRIM), "pure_gauge_", band, _GAUGE_BOX,
     )
 
     # a plane wave's transform is an identity multiple: its spin
@@ -610,8 +625,8 @@ def suite_constraints(cfg: dict, rng) -> list:
     checks.append(_check("split_reassembly", np.max(np.abs(back - r)), tol))
 
     return checks + _refinement_checks(
-        _pure_gauge_constraints(9), _pure_gauge_constraints(17, _FINE_TRIM),
-        "", band,
+        _pure_gauge_constraints(9, _COARSE_TRIM),
+        _pure_gauge_constraints(17, _FINE_TRIM), "", band, _GAUGE_BOX,
     )
 
 
@@ -628,12 +643,12 @@ def suite_continuity(cfg: dict, rng) -> list:
     checks.append(_check("plane_wave_flat", np.max(np.abs(res)), tol))
 
     f = build_field(cfg)
-    origin, spacing, dims = grid_spec(cfg)
-    coarse = continuity_residual(sample(f, origin, spacing, dims))
-    fine = continuity_residual(sample(f, *_refined(origin, spacing, dims)))
-    return checks + _refinement_checks(
-        {"config_field": coarse}, {"config_field": fine}, "", band
+    spec = grid_spec(cfg)
+    coarse, fine = (
+        (g.origin, g.spacing, {"config_field": continuity_residual(g)})
+        for g in (sample(f, *spec), sample(f, *_refined(*spec)))
     )
+    return checks + _refinement_checks(coarse, fine, "", band)
 
 
 SUITE_FUNCS = {
@@ -648,11 +663,18 @@ SUITE_FUNCS = {
 
 def run_verify(cfg: dict) -> int:
     selected = set(cfg["suites"])
-    if "continuity" in selected and max(cfg["grid"]["dims"]) == 1:
+    dims = cfg["grid"]["dims"]
+    if "continuity" in selected and max(dims) == 1:
         # a constant grid's residual vanishes on both levels: nothing refines
         raise ConfigError(
             "'grid.dims' has no axis longer than 1: the continuity suite's "
             "order check refines the grid along one"
+        )
+    if "continuity" in selected and 5 in dims:
+        raise ConfigError(
+            "'grid.dims' has an axis of 5 sites: the continuity suite's "
+            "order check reads the sites 2 or more from each end, and needs "
+            "2 of them on every axis it refines"
         )
     rng = np.random.default_rng(cfg["seed"])
     suites = []

@@ -303,14 +303,19 @@ class GoldstoneDerivatives:
         return self.dxi.shape[:-1]
 
 
-def _spin_vectors(t: np.ndarray) -> np.ndarray:
+def _spin_vectors(t: np.ndarray, axes=slice(None)) -> np.ndarray:
     """c_mu = (T_{01}, T_{02}, T_{03}) + i (T_{23}, T_{31}, T_{12}) of an
-    antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing).  In the
-    chiral representation (1/2) T_{ab mu} sigma^{ab} is
+    antisymmetric T_{ij mu}, layout [..., k, mu] (pure indexing), for the
+    mu of axes alone: a slice, or a sequence of indices.  In the chiral
+    representation (1/2) T_{ab mu} sigma^{ab} is
     diag(-c_mu.sigma / 2, conj(c_mu).sigma / 2)."""
-    c = np.empty(t.shape[:-3] + (3, t.shape[-1]), dtype=complex)
-    c.real = t[..., _BOOST_ROWS, _BOOST_COLS, :]
-    c.imag = t[..., _ROT_ROWS, _ROT_COLS, :]
+    br, bc, rr, rc = _BOOST_ROWS, _BOOST_COLS, _ROT_ROWS, _ROT_COLS
+    if not isinstance(axes, slice):  # columns, broadcast against the axes
+        br, bc, rr, rc = (np.array(ix)[:, None] for ix in (br, bc, rr, rc))
+    boost = t[..., br, bc, axes]
+    c = np.empty(boost.shape, dtype=complex)
+    c.real = boost
+    c.imag = t[..., rr, rc, axes]
     return c
 
 
@@ -665,6 +670,14 @@ def _flatness(dg, g) -> np.ndarray:
     return flat.reshape(sites)
 
 
+def _axes_index(axes):
+    """axes, sorted axis indices, as the index of those axes: a slice
+    where they are contiguous (a view), the list itself otherwise."""
+    if axes[-1] - axes[0] == len(axes) - 1:
+        return slice(axes[0], axes[-1] + 1)
+    return axes
+
+
 def _cross_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_mu x b_nu for 3-vectors [..., k, mu], layout [..., k, mu, nu]."""
     a1, a2 = a[..., (1, 2, 0), :, None], a[..., (2, 0, 1), :, None]
@@ -672,19 +685,20 @@ def _cross_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b2 - a2 * b1
 
 
-def _curvature_vectors(dc, c, *om) -> np.ndarray:
+def _curvature_vectors(dc, c, *o) -> np.ndarray:
     """K_{mu nu} of _spin_curvature at the sites of a kernel, layout
-    [..., k, mu, nu], from c_mu = _spin_vectors(R), its grid gradient dc
-    [..., k, mu, nu] = d_nu c_mu and the omega of R, when there is one,
-    with o_mu = _spin_vectors(omega):
+    [..., k, mu, nu], from c_mu = _spin_vectors(R, axes), its grid
+    gradient dc [..., k, mu, nu] = d_nu c_mu and the 3-vectors o_mu =
+    _spin_vectors(omega, axes) of the omega of R, when there is one, all
+    over the same axes mu and nu:
 
         K_{mu nu} = d_nu c_mu - d_mu c_nu + i c_mu x c_nu
                     + i (o_mu x c_nu - o_nu x c_mu).
     """
     k = dc - np.swapaxes(dc, -1, -2)
     quad = _cross_pairs(c, c)
-    if om:
-        oc = _cross_pairs(_spin_vectors(om[0]), c)
+    if o:
+        oc = _cross_pairs(o[0], c)
         quad += oc - np.swapaxes(oc, -1, -2)
     quad *= 1j
     k += quad
@@ -700,22 +714,35 @@ def _spin_curvature(r, omega, spacing) -> SpinCurvature:
     = Re K_k and riemann^a_{b mu nu} = -Im K_c for (a, b, c) cyclic in
     (1, 2, 3), and every other entry is zero.  So the largest |riemann| of
     a site is the largest |Re K| or |Im K| there, taken in the slab pass
-    that builds K, and K itself is a slab temporary.  R must be
-    antisymmetric (ConnectionField.checked_R) and omega live on
+    that builds K, and K itself is a slab temporary.
+
+    c, dc and K span the carried axes alone: those longer than 1, and
+    those on which R or omega is not identically zero (NaN counts as
+    nonzero); the t axis alone when there is none.  Along any other axis
+    c and o are +-0 and every derivative is an exact zero, so each
+    dropped entry of dc is +-0 and each dropped entry of K is +-0, or NaN
+    only at a site where a kept diagonal entry K_{mu mu} is NaN too: the
+    per-site maxima and dr_max keep the bits of the full 4 x 4 tables.  R
+    must be antisymmetric (ConnectionField.checked_R) and omega live on
     its grid (GridMismatch).
     """
     grid = r.shape[:-3]
-    om = ()
     if omega is not None:
         _require_on_grid("omega", np.shape(omega), grid, (4, 4, 4))
-        om = (omega,)
-    c = _sitewise(_spin_vectors, grid, r)
+    om = () if omega is None else (omega,)
+    axes = _axes_index([
+        ax for ax in range(4)
+        if grid[ax] > 1 or r[..., ax].any() or any(w[..., ax].any() for w in om)
+    ] or [0])
+    c = _sitewise(lambda r: _spin_vectors(r, axes), grid, r)
 
     def sites(dc, c, *om):
+        dc = dc[..., axes]
         # dr before K: with K first, verify's peak RSS read 5 MB higher
         # (the same traced peak, another heap layout)
         dr = _amax_complex(dc, 3)
-        return _amax_complex(_curvature_vectors(dc, c, *om), 3), dr
+        o = [_spin_vectors(w, axes) for w in om]
+        return _amax_complex(_curvature_vectors(dc, c, *o), 3), dr
 
     riemann, dr = _sitewise(
         sites, grid, c, *om, gradients=(c,), spacing=spacing
@@ -743,7 +770,9 @@ def curvatures(
     of omega itself when the Goldstone part is trivial.  riemann holds its
     largest |entry| per site, grid shaped: the read-only
     cf.curvature.riemann itself, since every reader takes a max of it, and
-    the dense tensor would take 256 reals per site.
+    the dense tensor would take 256 reals per site.  It is built over the
+    axes that carry R or omega (_spin_curvature) with the bits of the full
+    table.
 
     F is the gauge field strength, see field_strength.
 
@@ -768,9 +797,9 @@ def curvatures(
         _require_on_grid("L field", lfield.blocks.shape, cf.grid_shape, (2, 2, 2))
         # X_mu and its derivative on the axes longer than 1 (a slice where
         # they are contiguous); a grid with none keeps the t axis
-        act = [ax for ax in range(4) if cf.grid_shape[ax] > 1] or [0]
-        if act[-1] - act[0] == len(act) - 1:
-            act = slice(act[0], act[-1] + 1)
+        act = _axes_index(
+            [ax for ax in range(4) if cf.grid_shape[ax] > 1] or [0]
+        )
         gmat = lfield.log_derivative[..., act]
         flat = _sitewise(
             lambda dg, g: _flatness(dg[..., act], g), cf.grid_shape, gmat,

@@ -609,46 +609,82 @@ def interior(dims) -> tuple:
 EXACT_FLOOR = 1e-12
 
 
-def convergence_order(coarse: np.ndarray, fine: np.ndarray):
+def convergence_order(coarse, fine, box=None):
     """Measured order of a residual under grid halving.
 
-    coarse and fine carry their grids on their first four axes, and the
-    same trailing axes.  On each active coarse axis, of d >= 5 sites, fine
-    holds the grid of 2d - 1 sites over the same extent, whose even sites
-    are the coarse sites, less t sites at each end: 2d - 1 - 2t sites,
-    with the same t in 0 ... 4 on every active axis and more than d sites
-    left, so that a level paired with itself is no refinement.  An axis of
-    extent 1 is 1 on both.  The two shapes fix t; any other pair raises
-    PreconditionViolated naming both.  Maxima are then compared over the
-    identical physical interior: coarse sites 2 ... d - 3, fine sites
-    4 ... 2d - 6 (window index 4 - t ... 2d - 6 - t).  Returns (order,
-    max_coarse, max_fine); order is None when both maxima are below
-    EXACT_FLOOR, meaning the residual vanishes identically rather than at
-    O(h^2), and otherwise finite: a maximum below EXACT_FLOOR counts as
-    EXACT_FLOOR.  A maximum that is not finite raises PreconditionViolated
-    naming its level.
+    coarse and fine are levels, each an (origin, spacing, array) triple:
+    the array carries its grid on its first four axes, both the same
+    trailing axes, and site i of an axis lies at origin + spacing * i.
+    Either level may be a whole lattice or a window of one.  An axis longer
+    than 1 on either level is active; on the others both levels hold one
+    site and the box is not read.  The residual is compared at the coarse
+    sites inside box, a pair (lower, upper) of events (t, x, y, z), and at
+    the fine sites on the same events.  The default box is the coarse
+    level's less two coarse sites at each end of every active axis.
+    PreconditionViolated names the axis where the fine spacing is not half
+    the coarse one (to 1e-9 relative), where the box holds fewer than two
+    coarse sites, or where one of them is no site of either level (1e-9
+    of a site of slack), and the trailing axes of two levels that differ.
+    Returns (order, max_coarse, max_fine); order is None when both maxima
+    are below EXACT_FLOOR, meaning the residual vanishes identically
+    rather than at O(h^2), and otherwise finite: a maximum below
+    EXACT_FLOOR counts as EXACT_FLOOR.  A maximum that is not finite
+    raises PreconditionViolated naming its level.
     """
-    dims = coarse.shape[:4]
-    active = [d for d in dims if d > 1]
-    # the fine shape of each t; t < d // 2 keeps every window wider than
-    # its coarse axis, 2d - 1 - 2t > d
-    windows = {
-        tuple(1 if d == 1 else 2 * d - 1 - 2 * t for d in dims)
-        + coarse.shape[4:]: t
-        for t in range(min([5] + [d // 2 for d in active]))
-    }
-    t = windows.get(fine.shape)
-    if len(dims) < 4 or any(d < 5 for d in active) or t is None:
-        raise PreconditionViolated(
-            f"convergence_order: fine shape {fine.shape} is no refinement "
-            f"window of coarse shape {coarse.shape}"
-        )
-    slf = tuple(
-        slice(None) if d == 1 else slice(4 - t, 2 * d - 5 - t, 2)
-        for d in dims
+    (oc, hc, coarse), (of, hf, fine) = (
+        (_lattice_vector(origin, "origin", f"convergence_order {level}"),
+         _lattice_vector(spacing, "spacing", f"convergence_order {level}"),
+         _grid_array(arr, "convergence_order"))
+        for level, (origin, spacing, arr) in (("coarse", coarse), ("fine", fine))
     )
-    mc = float(np.max(np.abs(coarse[interior(dims)])))
-    mf = float(np.max(np.abs(fine[slf])))
+    if coarse.shape[4:] != fine.shape[4:]:
+        raise PreconditionViolated(
+            f"convergence_order: coarse trailing axes {coarse.shape[4:]} "
+            f"!= fine trailing axes {fine.shape[4:]}"
+        )
+    dc, df = coarse.shape[:4], fine.shape[:4]
+    if box is None:
+        lo, hi = oc + 2.0 * hc, oc + (np.array(dc) - 3.0) * hc
+    else:
+        lo, hi = (_lattice_vector(b, "box corner", "convergence_order")
+                  for b in box)
+    slc, slf = [slice(None)] * 4, [slice(None)] * 4
+    for ax, name in enumerate(_AXES):
+        if dc[ax] == df[ax] == 1:
+            continue
+        if abs(2.0 * hf[ax] - hc[ax]) > 1e-9 * hc[ax]:
+            raise PreconditionViolated(
+                f"convergence_order: the fine spacing along {name} is "
+                f"{hf[ax]}, not half the coarse {hc[ax]}"
+            )
+        # coarse sites first ... last lie in the box, at fine sites
+        # shift + 2 * (first ... last)
+        first = math.ceil((lo[ax] - oc[ax]) / hc[ax] - 1e-9)
+        last = math.floor((hi[ax] - oc[ax]) / hc[ax] + 1e-9)
+        if last <= first:
+            raise PreconditionViolated(
+                f"convergence_order: the box holds {max(last - first + 1, 0)}"
+                f" coarse site(s) along {name}, and an order check needs 2"
+            )
+        shift = (oc[ax] - of[ax]) / hf[ax]
+        near = int(round(shift))
+        if first < 0 or last >= dc[ax]:
+            level = "coarse"
+        elif (abs(shift - near) > 1e-9 or near + 2 * first < 0
+              or near + 2 * last >= df[ax]):
+            level = "fine"
+        else:
+            slc[ax] = slice(first, last + 1)
+            slf[ax] = slice(near + 2 * first, near + 2 * last + 1, 2)
+            continue
+        raise PreconditionViolated(
+            f"convergence_order: the box's coarse sites along {name}, at "
+            f"{name} = {oc[ax] + hc[ax] * first:.6g} ... "
+            f"{oc[ax] + hc[ax] * last:.6g}, are not all sites of the {level} "
+            "level"
+        )
+    mc = float(np.max(np.abs(coarse[tuple(slc)])))
+    mf = float(np.max(np.abs(fine[tuple(slf)])))
     for level, value in (("coarse", mc), ("fine", mf)):
         if not math.isfinite(value):
             raise PreconditionViolated(

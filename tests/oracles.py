@@ -24,6 +24,7 @@ from polardirac.clifford import (
     goldstone_matrices,
     induced_vector,
 )
+from polardirac.connections import _curvature_vectors, _spin_vectors
 from polardirac.fields import grid_gradient
 from polardirac.polar import decompose
 from polardirac.trajectories import CSV_FIELDS
@@ -200,3 +201,57 @@ def covariance_residual(psi, rows, q):
             float(np.max(np.abs(pd2.beta - pd.beta))),
         )
     return worst
+
+
+def curvature_k(r, omega, spacing):
+    """K of the curvature of R (with its omega, or None), [..., k, mu, nu],
+    over all 16 (mu, nu) pairs: _curvature_vectors on the whole-grid
+    gradient of c = _spin_vectors(R) and on o = _spin_vectors(omega), each
+    over all four axes, the dense route beside _spin_curvature's carried
+    axes."""
+    c = _spin_vectors(r)
+    om = () if omega is None else (_spin_vectors(omega),)
+    return _curvature_vectors(grid_gradient(c, spacing), c, *om)
+
+
+def spin_curvature(r, omega, spacing):
+    """(riemann, dr_max) of _spin_curvature by the dense 16-pair route:
+    the per-site max of |Re K| and |Im K| over all of curvature_k, and the
+    max of |Re dc| and |Im dc| over the whole 4 x 4 gradient of c."""
+    def site_max(a):
+        tail = (-3, -2, -1)
+        return np.maximum(
+            np.max(np.abs(a.real), axis=tail), np.max(np.abs(a.imag), axis=tail)
+        )
+
+    dc = grid_gradient(_spin_vectors(r), spacing)
+    return site_max(curvature_k(r, omega, spacing)), float(np.max(site_max(dc)))
+
+
+def dirac_spinor_residual(f, x, m):
+    """D = i gamma^mu d_mu psi - m psi of an AnalyticField f at events x,
+    shape (..., 4), with d_mu psi exact from f.derivative_at: no A, W or
+    Omega."""
+    kinetic = np.einsum("mab,...bm->...a", BASIS.gamma, f.derivative_at(x))
+    return 1j * kinetic - m * f.at(x)
+
+
+def polar_pair_of_dirac(psi, d, phi, beta):
+    """The polar first-order pair as a map of the Dirac residual D at
+    spinors psi, with psibar = psi^dag gamma^0 and nu lowered by METRIC:
+
+        res1_nu = -(sin beta Im psibar gamma_nu D
+                    + cos beta Re psibar gamma_nu pi D) / phi^2,
+        res2_nu = (cos beta Im psibar gamma_nu D
+                   - sin beta Re psibar gamma_nu pi D) / phi^2,
+
+    each shape (..., 4)."""
+    bar = np.conj(psi) @ BASIS.gamma[0]
+    gamma_low = np.einsum("mn,nab->mab", METRIC, BASIS.gamma)
+    vec = np.einsum("...a,nab,...b->...n", bar, gamma_low, d)
+    axial = np.einsum("...a,nab,...b->...n", bar, gamma_low @ BASIS.pi, d)
+    sin_b, cos_b = np.sin(beta)[..., None], np.cos(beta)[..., None]
+    phi2 = np.asarray(phi)[..., None] ** 2
+    res1 = -(sin_b * vec.imag + cos_b * axial.real) / phi2
+    res2 = (cos_b * vec.imag - sin_b * axial.real) / phi2
+    return res1, res2

@@ -77,6 +77,12 @@ def wave_grid(chi, n, m=1.0, extent=0.8):
     return sample(f, (0.0, 0.0, 0.0, 0.0), spacing, dims)
 
 
+def levels(data, key):
+    """The levels (origin, spacing, residual grid) of key, coarse and fine,
+    from data[n] = (origin, spacing, {key: residual grid}) for n = 9, 17."""
+    return [(o, h, residuals[key]) for o, h, residuals in (data[9], data[17])]
+
+
 def box_coords(n):
     ax = np.linspace(-1.0, 1.0, n)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -192,14 +198,14 @@ def test_criterion_04_equivalence_theorem():
             qp = quantum_potentials(pf)
             dep = polar_dirac_residuals(pf)
             hj = hj_residuals(pf, qp)
-            data[n] = {
+            data[n] = g.origin, g.spacing, {
                 "dirac": dirac_residual(g, ext),
                 "polar_pair": np.abs(dep.res1) + np.abs(dep.res2),
                 "hj_pair": np.abs(hj.res1) + np.abs(hj.res2),
                 "guidance": np.abs(guidance_momentum(pf, qp) - pf.cf.P),
             }
         for key in ("dirac", "polar_pair", "hj_pair", "guidance"):
-            order, mc, _ = convergence_order(data[9][key], data[17][key])
+            order, mc, _ = convergence_order(*levels(data, key))
             assert order is not None, (chi, key)
             assert 1.8 < order < 2.2, (chi, key, order)
             assert mc > 0.0  # the measurement is not running on noise
@@ -213,13 +219,13 @@ def test_criterion_05_connection_curvature_suite():
             goldstone_derivatives(lf), ExternalPotentials(q=lf.q)
         )
         cd = curvatures(cf, q=lf.q, lfield=lf)
-        data[n] = {
+        data[n] = lf.origin, lf.spacing, {
             "F": np.abs(cd.F),
             "riemann": cd.riemann,
             "flat": cd.goldstone_flat,
         }
     for key in ("F", "riemann", "flat"):
-        order, _, _ = convergence_order(data[9][key], data[17][key])
+        order, _, _ = convergence_order(*levels(data, key))
         assert order is not None and 1.8 < order < 2.2, (key, order)
 
     # gauge/frame covariance under a random local transformation
@@ -281,12 +287,12 @@ def test_criterion_06_constraint_identities():
                 goldstone_derivatives(lf), ExternalPotentials(q=lf.q)
             )
             dc = divergence_constraints(cf)
-            data[n] = {
+            data[n] = lf.origin, lf.spacing, {
                 "resB": np.abs(dc.resB),
                 "resR": np.abs(dc.resR),
             }
         for key in ("resB", "resR"):
-            order, mc, mf = convergence_order(data[9][key], data[17][key])
+            order, mc, mf = convergence_order(*levels(data, key))
             if order is None:
                 # identically satisfied on this family; nothing to refine
                 assert mc < 1e-12 and mf < 1e-12, (kind, key)
@@ -310,11 +316,9 @@ def test_criterion_07_continuity():
     for n in (9, 17):
         h = 1.6 / (n - 1)
         dims = (n, 1, 1, n)
-        res = continuity_residual(
-            sample(f, (0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), dims)
-        )
-        data[n] = (res, dims)
-    order, mc, _ = convergence_order(data[9][0], data[17][0])
+        g = sample(f, (0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), dims)
+        data[n] = (g.origin, g.spacing, continuity_residual(g))
+    order, mc, _ = convergence_order(data[9], data[17])
     assert order is not None and 1.8 < order < 2.2
     assert mc > 1e-6
 

@@ -37,9 +37,26 @@ def test_default_verify_passes(capsys):
         assert suite["checks"], "every selected suite carries its checks"
 
 
-# every curvature and constraints residual of the default report, as the
-# whole 17^3 fine levels give them
+# every residual of the default report, in report order: a move of any of
+# its bits fails here, where test_reports_byte_identical compares only
+# two runs of the same code
 _PINNED_RESIDUALS = {
+    ("algebraic", "clifford_algebra"): 0.0,
+    ("algebraic", "sigma_duality"): 0.0,
+    ("algebraic", "metric_preservation"): 1.3322676295501878e-15,
+    ("algebraic", "vector_transform"): 1.3340734093775518e-15,
+    ("algebraic", "homomorphism"): 8.881784197001252e-16,
+    ("algebraic", "fierz_identities"): 3.311841633668558e-13,
+    ("roundtrip", "reconstruct"): 1.4895204919483639e-15,
+    ("roundtrip", "bilinear_consistency"): 3.552713678800501e-15,
+    ("roundtrip", "covariance"): 4.618527782440651e-14,
+    ("equivalence", "hj_dep_identity"): 8.881784197001252e-16,
+    ("equivalence", "rest_dirac_order"): 0.0005410186927401472,
+    ("equivalence", "rest_pair_order"): 0.0005410186964900365,
+    ("equivalence", "rest_guidance_order"): 0.0005410186964900365,
+    ("equivalence", "boosted_dirac_order"): 0.0006423376991728791,
+    ("equivalence", "boosted_pair_order"): 0.0006322995886243188,
+    ("equivalence", "boosted_guidance_order"): 0.0006322995875078785,
     ("curvature", "pure_gauge_F_order"): 0.10711346602506522,
     ("curvature", "pure_gauge_riemann_order"): 0.08031580590365106,
     ("curvature", "pure_gauge_flat_order"): 0.044780109561945336,
@@ -47,6 +64,8 @@ _PINNED_RESIDUALS = {
     ("constraints", "split_reassembly"): 2.220446049250313e-16,
     ("constraints", "resB_order"): 0.058024330828784665,
     ("constraints", "resR_order"): 0.03600280535491596,
+    ("continuity", "plane_wave_flat"): 1.1102230246251565e-15,
+    ("continuity", "config_field_order"): 0.0005711782483950323,
 }
 
 
@@ -56,15 +75,14 @@ def test_default_verify_keeps_the_pure_gauge_residual_bits(capsys):
     got = {
         (suite["name"], c["name"]): c["residual"]
         for suite in json.loads(out)["suites"]
-        if suite["name"] in ("curvature", "constraints")
         for c in suite["checks"]
     }
-    assert got == _PINNED_RESIDUALS
+    assert list(got.items()) == list(_PINNED_RESIDUALS.items())
 
 
 def test_verify_builds_the_fine_gauge_levels_windowed(capsys, monkeypatch):
-    # curvature, then constraints: each a whole 9^3 level and the 11^3
-    # window of its 17^3 level
+    # curvature, then constraints: each the 7^3 window of its 9^3 level and
+    # the 11^3 window of its 17^3 level
     built = []
     real = cli.transform_from_params
 
@@ -75,7 +93,20 @@ def test_verify_builds_the_fine_gauge_levels_windowed(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "transform_from_params", spy)
     assert run_cli(capsys, "verify")[0] == 0
-    assert built == [(1, 9, 9, 9), (1, 11, 11, 11)] * 2
+    assert built == [(1, 7, 7, 7), (1, 11, 11, 11)] * 2
+
+
+def _level(residuals, key):
+    """The level (origin, spacing, residual grid) of key in residuals, an
+    (origin, spacing, {key: residual grid}) of the pure-gauge suites."""
+    origin, spacing, grids = residuals
+    return origin, spacing, grids[key]
+
+
+# the sites the pure-gauge order checks read, in the whole 9- and 17-site
+# levels and in a window less trim sites at each end
+def _read_sites(first, last, trim=0):
+    return (slice(None),) + (slice(first - trim, last + 1 - trim),) * 3
 
 
 @pytest.mark.parametrize(
@@ -85,15 +116,46 @@ def test_windowed_fine_level_keeps_the_bits_the_order_check_reads(residuals):
     # fine sites 4 ... 12 of every spatial axis hold the sites
     # convergence_order reads
     trim = cli._FINE_TRIM
-    coarse, whole, window = residuals(9), residuals(17), residuals(17, trim)
-    read = (slice(None),) + (slice(4, 13),) * 3
-    read_in_window = (slice(None),) + (slice(4 - trim, 13 - trim),) * 3
-    for key in whole:
-        assert window[key].shape[1:4] == (17 - 2 * trim,) * 3
-        assert np.array_equal(window[key][read_in_window], whole[key][read]), key
-        assert convergence_order(coarse[key], window[key]) == (
-            convergence_order(coarse[key], whole[key])
+    coarse = residuals(9, cli._COARSE_TRIM)
+    whole, window = residuals(17), residuals(17, trim)
+    for key in whole[2]:
+        assert window[2][key].shape[1:4] == (17 - 2 * trim,) * 3
+        assert np.array_equal(
+            window[2][key][_read_sites(4, 12, trim)], whole[2][key][_read_sites(4, 12)]
+        ), key
+        assert convergence_order(
+            _level(coarse, key), _level(window, key), cli._GAUGE_BOX
+        ) == convergence_order(
+            _level(coarse, key), _level(whole, key), cli._GAUGE_BOX
         )
+
+
+@pytest.mark.parametrize(
+    "residuals", [cli._pure_gauge_curvature, cli._pure_gauge_constraints]
+)
+def test_windowed_coarse_level_keeps_the_bits_the_order_check_reads(
+    residuals
+):
+    # coarse sites 2 ... 6 of every spatial axis, the sites of _GAUGE_BOX,
+    # keep their bits in the 7^3 window, and the order check over the box
+    # reads the window as it reads the whole level; the default box of a
+    # whole level is that same box
+    trim = cli._COARSE_TRIM
+    whole, window = residuals(9), residuals(9, trim)
+    fine = residuals(17, cli._FINE_TRIM)
+    for key in whole[2]:
+        assert window[2][key].shape[1:4] == (9 - 2 * trim,) * 3
+        assert np.array_equal(
+            window[2][key][_read_sites(2, 6, trim)], whole[2][key][_read_sites(2, 6)]
+        ), key
+        by_window = convergence_order(
+            _level(window, key), _level(fine, key), cli._GAUGE_BOX
+        )
+        assert by_window == convergence_order(
+            _level(whole, key), _level(fine, key), cli._GAUGE_BOX
+        ) == convergence_order(
+            _level(whole, key), _level(residuals(17), key)
+        ), key
 
 
 @pytest.mark.parametrize(
@@ -102,10 +164,23 @@ def test_windowed_fine_level_keeps_the_bits_the_order_check_reads(residuals):
 def test_a_window_without_halo_changes_read_bits(residuals):
     # the one-site halo of _FINE_TRIM is the least that holds: the window
     # of the read sites alone (trim 4) changes some read bit of each suite
-    whole, window = residuals(17), residuals(17, 4)
-    read = (slice(None),) + (slice(4, 13),) * 3
+    (_, _, whole), (_, _, window) = residuals(17), residuals(17, 4)
     assert any(
-        not np.array_equal(window[key], whole[key][read]) for key in whole
+        not np.array_equal(window[key], whole[key][_read_sites(4, 12)])
+        for key in whole
+    )
+
+
+@pytest.mark.parametrize(
+    "residuals", [cli._pure_gauge_curvature, cli._pure_gauge_constraints]
+)
+def test_a_coarse_window_without_halo_changes_read_bits(residuals):
+    # likewise for _COARSE_TRIM: the coarse window of the read sites alone
+    # (trim 2) changes some read bit of each suite
+    (_, _, whole), (_, _, window) = residuals(9), residuals(9, 2)
+    assert any(
+        not np.array_equal(window[key], whole[key][_read_sites(2, 6)])
+        for key in whole
     )
 
 
@@ -217,6 +292,25 @@ def test_verify_refuses_continuity_on_a_grid_with_no_active_axis(
                            f"output.csv={tmp_path / 'flow.csv'}")
     assert code == 0
     assert json.loads(out)["terminations"] == {"completed": 1}
+
+
+def test_verify_refuses_continuity_on_a_five_site_axis(
+    tmp_path, capsys, monkeypatch
+):
+    # the order check reads the coarse grid less two sites at each end,
+    # one site of a 5-site axis, and needs two: verify stops at load with
+    # exit 2, not with a traceback once its suites have run, and without
+    # continuity it runs
+    monkeypatch.delenv("POLARDIRAC_CONFIG_DIR", raising=False)
+    five = ["--set", "grid.dims=[5,1,1,9]"]
+    code, out, err = run_cli(capsys, "verify", *five)
+    assert code == 2 and out == ""
+    assert "config error: 'grid.dims' has an axis of 5 sites" in err
+    code, out, _ = run_cli(capsys, "verify", *five, "--set", "suites=[algebraic]")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "verify", "--set", "grid.dims=[6,1,1,9]",
+                         "--set", "suites=[continuity]")
+    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "trajectories", "decompose"])

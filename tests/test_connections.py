@@ -48,7 +48,9 @@ from polardirac.fields import (
 from polardirac.polar import _require_charge, decompose
 
 from oracles import (
+    curvature_k,
     goldstone_derivative,
+    spin_curvature,
     spin_components,
     spin_matrix,
     transform_connection_inputs,
@@ -97,12 +99,12 @@ def test_pure_phase_gradient():
         gd = goldstone_derivatives(lf)
         expect = np.zeros(dims + (4,))
         expect[..., 1] = 1.0
-        errs.append(np.abs(gd.dxi - expect))
+        errs.append((origin, spacing, np.abs(gd.dxi - expect)))
         npt.assert_allclose(gd.dxi_ab, 0.0, atol=1e-12)
         # interior central-difference error is exactly sin(qh)/(qh) - 1
         h = spacing[1]
         closed = abs(np.sin(q * h) / (q * h) - 1.0)
-        assert abs(np.max(np.abs(errs[-1][0, 2:-2])) - closed) < 1e-12
+        assert abs(np.max(np.abs(errs[-1][2][0, 2:-2])) - closed) < 1e-12
     from polardirac.fields import convergence_order
 
     order, _, _ = convergence_order(errs[0], errs[1])
@@ -123,7 +125,7 @@ def test_rotation_field_derivative():
         params = make_params_field(dims, theta_z=c * x)
         lf = transform_from_params(np.zeros(dims), params, origin, spacing, dims)
         gd = goldstone_derivatives(lf)
-        errs.append(np.abs(gd.dxi_ab[..., 1, 2, 1] - c))
+        errs.append((origin, spacing, np.abs(gd.dxi_ab[..., 1, 2, 1] - c)))
         npt.assert_allclose(gd.dxi_ab[..., 2, 1, 1], -gd.dxi_ab[..., 1, 2, 1], atol=1e-13)
         npt.assert_allclose(gd.dxi, 0.0, atol=1e-12)
         mask = np.ones((4, 4, 4), dtype=bool)
@@ -132,7 +134,7 @@ def test_rotation_field_derivative():
         h = spacing[1]
         half = 0.5 * c * h
         closed = abs(c * np.sin(half) / half - c)
-        assert abs(np.max(errs[-1][0, 2:-2]) - closed) < 1e-12
+        assert abs(np.max(errs[-1][2][0, 2:-2]) - closed) < 1e-12
     from polardirac.fields import convergence_order
 
     order, _, _ = convergence_order(errs[0], errs[1])
@@ -357,7 +359,7 @@ def test_rest_wave_pipeline():
         expect[..., 0] = m
         npt.assert_allclose(cf.P, expect, atol=m * (m * h) ** 2 / 2)
         npt.assert_allclose(cf.R, 0.0, atol=1e-12)
-        errs.append(np.abs(cf.P - expect).max(axis=-1))
+        errs.append((g.origin, g.spacing, np.abs(cf.P - expect).max(axis=-1)))
     order, _, _ = convergence_order(errs[0], errs[1])
     assert 1.8 < order < 2.2
 
@@ -598,7 +600,7 @@ def _dense_riemann(r_up, dr, omega):
 
 def _unpack_riemann(k):
     """riemann^i_{j mu nu}, layout [..., i, j, mu, nu], from the K of
-    _curvature_vectors, the oracle of K and of the per-site max that
+    curvature_k, the oracle of K and of the per-site max that
     curvatures keeps: every entry is 0, +-Re K or +-Im K."""
     from polardirac.connections import _BOOST_COLS, _BOOST_ROWS, _ROT_COLS, _ROT_ROWS
 
@@ -608,17 +610,6 @@ def _unpack_riemann(k):
     out[..., _ROT_ROWS, _ROT_COLS, :, :] = -k.imag
     out[..., _ROT_COLS, _ROT_ROWS, :, :] = k.imag
     return out
-
-
-def _curvature_k(r, omega, spacing):
-    """K of the curvature of R, [..., k, mu, nu], which _spin_curvature
-    builds in its slab pass and does not keep: _curvature_vectors on the
-    whole-grid gradient of c = _spin_vectors(R)."""
-    from polardirac.connections import _curvature_vectors, _spin_vectors
-
-    c = _spin_vectors(r)
-    om = () if omega is None else (omega,)
-    return _curvature_vectors(grid_gradient(c, spacing), c, *om)
 
 
 def _site_max(riemann):
@@ -661,7 +652,7 @@ def test_spin_curvature_matches_dense_oracle(dims):
         )
         curv = _spin_curvature(r, om, spacing)
         assert np.max(np.abs(oracle)) > 1.0
-        k = _curvature_k(r, om, spacing)
+        k = curvature_k(r, om, spacing)
         npt.assert_allclose(k, packed, rtol=0.0, atol=tol)
         assert curv.dr_max == pytest.approx(np.max(np.abs(dr)), rel=1e-15)
         cf = ConnectionField(
@@ -691,7 +682,7 @@ def test_curvatures_riemann_is_the_site_max_of_the_dense_oracle():
         cf = build_connections(gd, ext)
         riemann = curvatures(cf, lfield=lf).riemann
         assert riemann.shape == dims
-        k = _curvature_k(cf.R, cf.omega, cf.spacing)
+        k = curvature_k(cf.R, cf.omega, cf.spacing)
         assert np.array_equal(riemann, _site_max(_unpack_riemann(k)))
         r_up = cf.R * eta
         dr = grid_gradient(r_up, lf.spacing)
@@ -780,6 +771,80 @@ def test_spin_curvature_is_computed_once_and_read_only(monkeypatch):
         curvatures(dataclasses.replace(cf, R=np.abs(cf.R)))
 
 
+def _carried_case(case):
+    """(ConnectionField, number of carried axes) of a carried-axes case."""
+    rng = np.random.default_rng(len(case))
+    if case == "wave_grid":
+        # a transform that varies along t and z alone: R_x = R_y = 0
+        dims, origin, spacing = (9, 1, 1, 9), [0.0] * 4, [0.1, 1.0, 1.0, 0.1]
+        c = coords_for(origin, spacing, dims)
+        params = make_params_field(
+            dims, chi_x=0.3 * np.sin(c[..., 0] + c[..., 3]),
+            theta_y=0.2 * np.cos(2.0 * c[..., 3]),
+        )
+        lf = transform_from_params(
+            0.4 * np.sin(c[..., 0]), params, origin, spacing, dims
+        )
+        return build_connections(goldstone_derivatives(lf), ExternalPotentials()), 2
+    lf, dims = gauge_boost_field(9)
+    gd = goldstone_derivatives(lf)
+    if case == "static_gauge":
+        return build_connections(gd, ExternalPotentials()), 3
+    cf = build_connections(gd, ExternalPotentials())
+    if case == "omega_t":
+        # an omega along t alone keeps the t axis of a static grid whose R
+        # has none
+        om = np.zeros(dims + (4, 4, 4))
+        om[..., 0] = random_omega_field(rng, dims, lf.origin, lf.spacing)[..., 0]
+        assert not cf.R[..., 0].any()
+        return dataclasses.replace(cf, omega=om), 4
+    if case == "r_t":
+        r = _random_antisymmetric(rng, dims, amp=0.3)
+        r[..., 1:] = cf.R[..., 1:]
+        return dataclasses.replace(cf, R=r), 4
+    # a NaN in an active component at one site, and at another a NaN
+    # through which a dropped K entry reads 0 * NaN
+    r = cf.R.copy()
+    r[0, 4, 4, 4, 0, 2, 1] = r[0, 4, 4, 4, 2, 0, 1] = np.nan
+    r[0, 2, 6, 3, 1, 3, 3] = r[0, 2, 6, 3, 3, 1, 3] = np.nan
+    return dataclasses.replace(cf, R=r), 3
+
+
+@pytest.mark.parametrize(
+    "case", ["static_gauge", "wave_grid", "r_t", "omega_t", "nan_site"]
+)
+def test_spin_curvature_over_the_carried_axes_keeps_the_dense_bits(
+    case, monkeypatch
+):
+    # _spin_curvature builds c, dc and K over the axes longer than 1 and
+    # those on which R or Omega is not identically zero; its per-site
+    # Riemann max and max |dR| are the bits of the dense 16-pair route,
+    # NaN sites included, and no c over all four axes is built
+    from polardirac import connections
+
+    cf, carried = _carried_case(case)
+    built = []
+    real = connections._spin_vectors
+
+    def spy(t, *axes):
+        c = real(t, *axes)
+        built.append(c.shape[-1])
+        return c
+
+    monkeypatch.setattr(connections, "_spin_vectors", spy)
+    riemann, dr_max = cf.curvature.riemann, cf.curvature.dr_max
+    assert built and set(built) == {carried}
+    monkeypatch.undo()
+    dense_riemann, dense_dr = spin_curvature(cf.R, cf.omega, cf.spacing)
+    assert np.array_equal(riemann, dense_riemann, equal_nan=True)
+    assert np.array_equal(dr_max, dense_dr, equal_nan=True)
+    assert np.array_equal(curvatures(cf).riemann, riemann, equal_nan=True)
+    if case == "nan_site":
+        assert np.isnan(riemann).sum() > 0 and np.isnan(dr_max)
+    else:
+        assert np.isfinite(riemann).all() and dr_max > 0.0
+
+
 def test_riemann_from_connections_matches_omega_route():
     rng = np.random.default_rng(21)
     n = 9
@@ -803,13 +868,13 @@ def test_riemann_from_connections_matches_omega_route():
         + np.einsum("...ikm,...kjn->...ijmn", om_up, om_up)
         - np.einsum("...ikn,...kjm->...ijmn", om_up, om_up)
     )
-    riemann = _unpack_riemann(_curvature_k(cf.R, om, spacing))
+    riemann = _unpack_riemann(curvature_k(cf.R, om, spacing))
     npt.assert_allclose(riemann, direct, atol=1e-11)
     assert np.array_equal(curv.riemann, _site_max(riemann))
     # with a nontrivial Goldstone part the match holds to FD accuracy
     lf2, _ = gauge_rotation_field(n)
     cf2 = build_connections(goldstone_derivatives(lf2), ExternalPotentials(Omega=om))
-    riemann2 = _unpack_riemann(_curvature_k(cf2.R, om, spacing))
+    riemann2 = _unpack_riemann(curvature_k(cf2.R, om, spacing))
     sl = interior(dims)
     assert np.max(np.abs((riemann2 - direct)[sl])) < 5e-3
     assert np.array_equal(curvatures(cf2).riemann, _site_max(riemann2))
@@ -886,8 +951,8 @@ def test_divergence_constraints_pure_gauge_converge():
             lf, dims = make(n)
             cf = build_connections(goldstone_derivatives(lf), ExternalPotentials())
             res = divergence_constraints(cf)
-            res_b.append(np.abs(res.resB))
-            res_r.append(np.abs(res.resR))
+            res_b.append((lf.origin, lf.spacing, np.abs(res.resB)))
+            res_r.append((lf.origin, lf.spacing, np.abs(res.resR)))
         for pair in (res_b, res_r):
             order, mc, mf = convergence_order(pair[0], pair[1])
             if order is None:
@@ -1336,7 +1401,7 @@ def test_connection_carries_its_omega():
     want = _dense_riemann(r_up, grid_gradient(r_up, lf.spacing), om)
     scale = np.max(np.abs(want))
     assert scale > 0.1
-    riemann = _unpack_riemann(_curvature_k(cf.R, om, lf.spacing))
+    riemann = _unpack_riemann(curvature_k(cf.R, om, lf.spacing))
     npt.assert_allclose(riemann, want, rtol=0.0, atol=1e-13 * scale)
     assert np.array_equal(curvatures(cf).riemann, _site_max(riemann))
     res = divergence_constraints(cf, fd_tol=np.inf)

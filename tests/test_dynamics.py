@@ -38,6 +38,7 @@ from polardirac.dynamics import (
 )
 from polardirac.errors import GridMismatch, NotAntisymmetric, PreconditionViolated
 from polardirac.fields import (
+    AnalyticField,
     GridField,
     _phase_gradient,
     convergence_order,
@@ -47,7 +48,11 @@ from polardirac.fields import (
     sample,
 )
 
-from oracles import goldstone_derivative
+from oracles import (
+    dirac_spinor_residual,
+    goldstone_derivative,
+    polar_pair_of_dirac,
+)
 
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -203,7 +208,9 @@ def test_dirac_residual_rest_wave_second_order():
     res = []
     for n in (9, 17):
         g, dims = rest_wave_grid(n)
-        res.append(dirac_residual(g, ExternalPotentials()))
+        res.append(
+            (g.origin, g.spacing, dirac_residual(g, ExternalPotentials()))
+        )
     order, mc, mf = convergence_order(res[0], res[1])
     # interior error is sqrt(2) m (1 - sin(mh)/mh) ~ 2.4e-3 at h = 0.1
     assert mc < 3e-3
@@ -214,7 +221,9 @@ def test_dirac_residual_boosted_wave_second_order():
     res = []
     for n in (9, 17):
         g, dims = boosted_wave_grid(n)
-        res.append(dirac_residual(g, ExternalPotentials()))
+        res.append(
+            (g.origin, g.spacing, dirac_residual(g, ExternalPotentials()))
+        )
     order, mc, mf = convergence_order(res[0], res[1])
     assert mc < 5e-3
     assert 1.8 < order < 2.2
@@ -417,6 +426,53 @@ def test_eps_contractions_match_einsum_oracle(field):
         )
 
 
+def _off_shell_field():
+    """Four plane waves of masses 1, 1, 1.6 and 1.6 as one AnalyticField,
+    read at m = 1: no Dirac solution.  Spatial momenta uniform in +-0.4,
+    spins alternating, coefficients 3 and three complex normals."""
+    rng = np.random.default_rng(3)
+    waves = []
+    for i, m in enumerate((1.0, 1.0, 1.6, 1.6)):
+        p = rng.uniform(-0.4, 0.4, 3)
+        waves.append(
+            plane_wave(np.r_[np.sqrt(m * m + p @ p), p], spin_up=i % 2 == 0, m=m)
+        )
+    coeffs = np.r_[3.0, rng.normal(size=3) + 1j * rng.normal(size=3)]
+    return AnalyticField(
+        mass=1.0,
+        momenta=np.concatenate([w.momenta for w in waves]),
+        coefficients=coeffs,
+        amplitudes=np.concatenate([w.amplitudes for w in waves]),
+    )
+
+
+def test_polar_pair_is_the_dirac_residual_off_shell():
+    # off a solution the polar pair is a map of the Dirac residual D (no A,
+    # W or Omega), up to the O(h^2) error of the polar route: both maps
+    # converge at second order over one physical window on the (n, n, n, n)
+    # grids over t in [0, 1] and x, y, z in [-0.5, 0.5]
+    f = _off_shell_field()
+    box = ((0.25, -0.25, -0.25, -0.25), (0.75, 0.25, 0.25, 0.25))
+    levels = {}
+    for n in (9, 17):
+        h = 1.0 / (n - 1)
+        g = sample(f, (0.0, -0.5, -0.5, -0.5), (h,) * 4, (n,) * 4)
+        pf = PolarFields.from_grid(g, ExternalPotentials(m=1.0))
+        res = polar_dirac_residuals(pf)
+        x = g.meshgrid()
+        d = dirac_spinor_residual(f, x, 1.0)
+        assert np.max(np.abs(d)) > 0.5  # far from a solution
+        maps = polar_pair_of_dirac(f.at(x), d, pf.phi, pf.beta)
+        levels[n] = [
+            (g.origin, g.spacing, np.abs(got - want))
+            for got, want in zip((res.res1, res.res2), maps)
+        ]
+    for coarse, fine in zip(levels[9], levels[17]):
+        order, mc, mf = convergence_order(coarse, fine, box)
+        assert order >= 1.8, (order, mc, mf)
+        assert mc > 1e-4  # the O(h^2) error of the polar route is measured
+
+
 # ---------------------------------------------------------------- dep pair
 
 
@@ -427,8 +483,8 @@ def test_polar_dirac_residuals_plane_waves_converge():
             g, dims = maker(n)
             pf = PolarFields.from_grid(g)
             res = polar_dirac_residuals(pf)
-            r1.append(np.abs(res.res1))
-            r2.append(np.abs(res.res2))
+            r1.append((g.origin, g.spacing, np.abs(res.res1)))
+            r2.append((g.origin, g.spacing, np.abs(res.res2)))
         for pair in (r1, r2):
             order, mc, mf = convergence_order(pair[0], pair[1])
             if order is None:
@@ -571,7 +627,9 @@ def test_guidance_matches_connection_momentum():
         g, dims = boosted_wave_grid(n)
         pf = PolarFields.from_grid(g)
         qp = quantum_potentials(pf)
-        errs.append(np.abs(guidance_momentum(pf, qp) - pf.cf.P))
+        errs.append(
+            (g.origin, g.spacing, np.abs(guidance_momentum(pf, qp) - pf.cf.P))
+        )
     order, mc, mf = convergence_order(errs[0], errs[1])
     assert mc < 5e-3
     assert 1.8 < order < 2.2
@@ -641,7 +699,7 @@ def test_second_order_plane_wave_standard():
         npt.assert_allclose(
             so.res_standard[sl], (p_sq - pf.ext.m**2)[sl], atol=1e-11
         )
-        maxima.append(np.abs(so.res_standard))
+        maxima.append((g.origin, g.spacing, np.abs(so.res_standard)))
     order, mc, mf = convergence_order(maxima[0], maxima[1])
     assert mc < 2e-2
     assert 1.8 < order < 2.2
@@ -653,7 +711,7 @@ def test_second_order_rest_general_converges():
         g, dims = rest_wave_grid(n)
         pf = PolarFields.from_grid(g)
         so = second_order_residuals(pf, quantum_potentials(pf))
-        maxima.append(np.abs(so.res_general))
+        maxima.append((g.origin, g.spacing, np.abs(so.res_general)))
     order, mc, mf = convergence_order(maxima[0], maxima[1])
     assert mc < 5e-3
     assert 1.8 < order < 2.2

@@ -137,24 +137,30 @@ def test_phases_keep_the_bits_of_the_complex_exponential():
     assert np.array_equal(f._phases(x), np.exp(-1j * (x @ _flip(f.momenta).T)))
 
 
+def level(arr, h=0.1, origin=0.0):
+    """arr as a level of convergence_order: spacing h and origin on every
+    axis."""
+    return np.full(4, float(origin)), np.full(4, float(h)), arr
+
+
 def test_convergence_order_of_a_vanishing_fine_maximum_is_finite():
     order, mc, mf = convergence_order(
-        np.ones((9, 1, 1, 1)), np.zeros((17, 1, 1, 1))
+        level(np.ones((9, 1, 1, 1))), level(np.zeros((17, 1, 1, 1)), 0.05)
     )
     assert (order, mc, mf) == (np.log2(1.0 / EXACT_FLOOR), 1.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("level", ["coarse", "fine"])
+@pytest.mark.parametrize("level_name", ["coarse", "fine"])
 def test_convergence_order_names_a_level_whose_maximum_is_not_finite(
-    level, value
+    level_name, value
 ):
     grids = {"coarse": np.ones((9, 1, 1, 1)), "fine": np.ones((17, 1, 1, 1))}
-    grids[level][4] = value  # a site both levels read
+    grids[level_name][4] = value  # a site both levels read
     with pytest.raises(
-        PreconditionViolated, match=f"the {level} maximum is {value}"
+        PreconditionViolated, match=f"the {level_name} maximum is {value}"
     ):
-        convergence_order(grids["coarse"], grids["fine"])
+        convergence_order(level(grids["coarse"]), level(grids["fine"], 0.05))
 
 
 @pytest.mark.parametrize("trim", range(5))
@@ -168,30 +174,79 @@ def test_convergence_order_reads_a_window_of_the_fine_level(trim):
     whole[0, 4, 10, 10, 0] = 10.0
     keep = slice(trim, 21 - trim)
     window = whole[:, keep, keep, keep]
-    assert convergence_order(coarse, window) == convergence_order(coarse, whole)
+    origin = np.array([0.0] + [0.1 * trim] * 3)
+    assert convergence_order(
+        level(coarse, 0.2), (origin, np.full(4, 0.1), window)
+    ) == convergence_order(level(coarse, 0.2), level(whole))
+
+
+# each pair with the message it raises: (coarse shape, spacing) and (fine
+# shape, spacing, origin), spacing and origin the same on every axis
+_NO_REFINEMENT = [
+    # the same level twice
+    (((9, 1, 1, 1), 0.1), ((9, 1, 1, 1), 0.1, 0.0),
+     "fine spacing along t is 0.1, not half the coarse 0.1"),
+    (((1, 17, 17, 17), 0.1), ((1, 17, 17, 17), 0.1, 0.0),
+     "fine spacing along x is 0.1, not half"),
+    # a fine level short of the coarse sites 2 ... 6
+    (((9, 1, 1, 1), 0.1), ((5, 1, 1, 1), 0.05, 0.0),
+     "along t, at t = 0.2 ... 0.6, are not all sites of the fine level"),
+    (((1, 9, 9, 9), 0.1), ((1, 17, 11, 17), 0.05, 0.0),
+     "along y, .* not all sites of the fine level"),
+    # a window less 5 fine sites at each end misses coarse site 2
+    (((1, 13, 13, 13), 0.1), ((1, 15, 15, 15), 0.05, 0.25),
+     "along x, .* not all sites of the fine level"),
+    # an axis active on the fine level alone, then on the coarse alone
+    (((9, 1, 1, 1), 0.1), ((17, 1, 1, 17), 0.05, 0.0),
+     "the box holds 0 coarse site\\(s\\) along z"),
+    (((9, 1, 1, 9), 0.1), ((17, 1, 1, 1), 0.05, 0.0),
+     "along z, .* not all sites of the fine level"),
+    (((3, 1, 1, 1), 0.1), ((5, 1, 1, 1), 0.05, 0.0),
+     "the box holds 0 coarse site\\(s\\) along t"),
+    (((1, 9, 9, 9, 2), 0.1), ((1, 17, 17, 17, 3), 0.05, 0.0),
+     "coarse trailing axes \\(2,\\) != fine trailing axes \\(3,\\)"),
+    (((9,), 0.1), ((17,), 0.05, 0.0), "needs the four grid axes"),
+]
 
 
 @pytest.mark.parametrize(
-    "coarse, fine",
-    [
-        # the same level twice: a 9-site window (t = 4) would be no wider
-        ((9, 1, 1, 1), (9, 1, 1, 1)),
-        ((1, 17, 17, 17), (1, 17, 17, 17)),
-        ((9, 1, 1, 1), (5, 1, 1, 1)),  # a (9)/(5) pair
-        ((1, 9, 9, 9), (1, 17, 13, 17)),  # t = 0 and t = 2
-        ((1, 13, 13, 13), (1, 15, 15, 15)),  # t = 5
-        ((9, 1, 1, 1), (17, 1, 1, 17)),  # a constant coarse axis
-        ((9, 1, 1, 9), (17, 1, 1, 1)),  # a constant fine axis
-        ((3, 1, 1, 1), (5, 1, 1, 1)),  # a 3-site coarse axis
-        ((1, 9, 9, 9, 2), (1, 17, 17, 17, 3)),  # other trailing axes
-        ((9,), (17,)),  # no four grid axes
-    ],
+    "coarse, fine, match", _NO_REFINEMENT,
+    ids=[f"coarse{i}-fine{i}" for i in range(len(_NO_REFINEMENT))],
 )
-def test_convergence_order_names_a_pair_that_is_no_refinement(coarse, fine):
-    with pytest.raises(PreconditionViolated) as info:
-        convergence_order(np.ones(coarse), np.ones(fine))
-    assert f"fine shape {fine}" in str(info.value)
-    assert f"coarse shape {coarse}" in str(info.value)
+def test_convergence_order_names_a_pair_that_is_no_refinement(
+    coarse, fine, match
+):
+    (cshape, ch), (fshape, fh, fo) = coarse, fine
+    with pytest.raises(PreconditionViolated, match=match):
+        convergence_order(
+            level(np.ones(cshape), ch), level(np.ones(fshape), fh, fo)
+        )
+
+
+def test_convergence_order_names_a_box_the_levels_do_not_hold():
+    coarse = level(np.ones((1, 9, 9, 9)))
+    fine = level(np.ones((1, 17, 17, 17)), 0.05)
+    inside = ((0.0, 0.2, 0.2, 0.2), (0.0, 0.6, 0.6, 0.6))
+    assert convergence_order(coarse, fine, inside) == (0.0, 1.0, 1.0)
+    cases = [
+        # one coarse site per axis: the default box of a 5-site level
+        (level(np.ones((1, 5, 5, 5))), fine, None,
+         "the box holds 1 coarse site\\(s\\) along x"),
+        # a box whose upper corner lies below its lower one
+        (coarse, fine, inside[::-1], "the box holds 0 coarse site"),
+        # a box beyond the coarse level along y
+        (coarse, fine, ((0.0, 0.2, 0.2, 0.2), (0.0, 0.6, 0.9, 0.6)),
+         "along y, at y = 0.2 ... 0.9, are not all sites of the coarse"),
+        # coarse sites halfway between fine sites
+        (coarse, level(np.ones((1, 17, 17, 17)), 0.05, 0.025), inside,
+         "along x, .* not all sites of the fine level"),
+        # a spacing off by 1e-6 of itself
+        (coarse, level(np.ones((1, 17, 17, 17)), 0.05 * (1 + 1e-6)), inside,
+         "fine spacing along x is 0.05000005, not half the coarse 0.1"),
+    ]
+    for c, f, box, match in cases:
+        with pytest.raises(PreconditionViolated, match=match):
+            convergence_order(c, f, box)
 
 
 @pytest.mark.parametrize(

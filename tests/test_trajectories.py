@@ -324,13 +324,11 @@ def continuity_on(n):
     extent = 1.6
     h = extent / (n - 1)
     g = sample(f, (0.0, 0.0, 0.0, 0.0), (h, 1.0, 1.0, h), (n, 1, 1, n))
-    return continuity_residual(g), g.dims
+    return g.origin, g.spacing, continuity_residual(g)
 
 
 def test_continuity_superposition_second_order():
-    coarse, _ = continuity_on(9)
-    fine, _ = continuity_on(17)
-    order, mc, mf = convergence_order(coarse, fine)
+    order, mc, mf = convergence_order(continuity_on(9), continuity_on(17))
     assert order is not None and 1.8 < order < 2.2
     assert mc > 1e-6  # genuinely nonzero before refinement
 
